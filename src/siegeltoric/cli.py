@@ -3,7 +3,7 @@
 Exit codes: 0 when every checked property holds, 1 when a mathematical
 property fails (with a witness in the report), 2 on input errors.  Reports
 are JSON by default; --output text renders the same object readably.
-Defaults for seed/trials/tol/threads may be placed in a JSON config file
+Defaults for seed/trials/tol/output may be placed in a JSON config file
 pointed to by the SIEGELTORIC_CONFIG environment variable; explicit flags
 win over the config file.
 """
@@ -40,7 +40,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 20
     tol: float = 1e-9
-    threads: int = 1
     output: str = "json"
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class RunConfig:
             raise InputError("trials must be >= 1")
         if self.tol <= 0:
             raise InputError("tol must be positive")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
         if self.output not in ("json", "text"):
             raise InputError(f"unknown output mode {self.output!r}")
 
@@ -81,7 +78,6 @@ def _config_from_args(args) -> RunConfig:
         seed=pick("seed", 0),
         trials=pick("trials", 20),
         tol=pick("tol", 1e-9),
-        threads=pick("threads", 1),
         output=pick("output", "json"),
     )
 
@@ -117,10 +113,6 @@ def _emit(report: dict, config: RunConfig) -> None:
         sys.stdout.write(jsonio.dump_report(report))
     else:
         sys.stdout.write(jsonio.render_text(report) + "\n")
-
-
-def _poly_json(p) -> dict:
-    return poly_to_json(p)
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +171,7 @@ def _cmd_cone_volume(args, config: RunConfig) -> int:
         "g": cone.g,
         "scale": cone.scale,
         "lattice_volume": v.vol,
-        "volume_polynomial": _poly_json(v.F),
+        "volume_polynomial": poly_to_json(v.F),
         "ok": True,
     }
     _emit(report, config)
@@ -226,7 +218,7 @@ def _cmd_ke_test(args, config: RunConfig) -> int:
     ]
     try:
         member = volume_ke.is_ke_point(mats)
-    except DegenerateConeError as exc:
+    except (DegenerateConeError, volume_ke.CostGuardError) as exc:
         raise InputError(str(exc)) from exc
     report = {
         "check": "ke-membership",
@@ -249,12 +241,12 @@ def _cmd_residue(args, config: RunConfig) -> int:
     chi = residue_intersect.chi_descriptor(rc)
     report = {
         "d": rc.d,
-        "S": [_poly_json(s) for s in rc.S],
-        "g_d": _poly_json(rc.gd),
+        "S": [poly_to_json(s) for s in rc.S],
+        "g_d": poly_to_json(rc.gd),
         "chi": {
             "constant": jsonio.fraction_to_json(chi.constant),
-            "numerator": _poly_json(chi.numerator),
-            "denominator_base": _poly_json(chi.denominator_base),
+            "numerator": poly_to_json(chi.numerator),
+            "denominator_base": poly_to_json(chi.denominator_base),
             "denominator_exp": chi.denominator_exp,
         },
     }
@@ -315,8 +307,8 @@ def _cmd_intersect(args, config: RunConfig) -> int:
     if verdict.chi is not None:
         report["chi"] = {
             "constant": jsonio.fraction_to_json(verdict.chi.constant),
-            "numerator": _poly_json(verdict.chi.numerator),
-            "denominator_base": _poly_json(verdict.chi.denominator_base),
+            "numerator": poly_to_json(verdict.chi.numerator),
+            "denominator_base": poly_to_json(verdict.chi.denominator_base),
             "denominator_exp": verdict.chi.denominator_exp,
         }
     _emit(report, config)
@@ -455,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of randomized trials")
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                         help="numeric tolerance")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker cap for independent checks (reports stay canonical)")
     common.add_argument("--output", choices=("json", "text"),
                         default=argparse.SUPPRESS)
 

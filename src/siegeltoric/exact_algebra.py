@@ -381,10 +381,6 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def submatrix(self, keep_rows: Sequence[int], keep_cols: Sequence[int]) -> "PolyMatrix":
-        entries = [self.entry(i, j) for i in keep_rows for j in keep_cols]
-        return PolyMatrix(len(keep_rows), len(keep_cols), entries)
-
     def det(self) -> MultiPoly:
         """Exact determinant.
 

@@ -15,7 +15,6 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .cone_lattice import ConeShapeError, Fan, GroupElement, MarkedCone
-from .exact_algebra import MultiPoly, poly_from_json, poly_to_json
 
 INT_JSON_MAX = 2 ** 53
 
@@ -131,14 +130,6 @@ def complex_matrix_to_json(m: np.ndarray) -> dict:
 
 def fraction_to_json(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def poly_json(p: MultiPoly) -> dict:
-    return poly_to_json(p)
-
-
-def poly_parse(obj: Mapping) -> MultiPoly:
-    return poly_from_json(obj)
 
 
 def dump_report(report: dict) -> str:

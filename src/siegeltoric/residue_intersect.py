@@ -5,9 +5,11 @@ polynomial: S_0 = F, and S_k is the coefficient of the top power of the
 k-th marked variable in S_{k-1}.  After d steps the chain's minor
 determinant g_d = det(P restricted to the unselected variables), with
 P_lm = S_d * d2(S_d)/dx_l dx_m - d(S_d)/dx_l * d(S_d)/dx_m, is the exact
-numerator of the iterated residue integrand; the accompanying constant is
-(-1)^(N-d) * ((g+1)/4)^(N-d) * (N-d)!.  No integration is performed here,
-only the exact integrand data is produced.
+numerator of the iterated residue integrand (S_d is homogeneous in the
+unselected variables and free of the others, so g_d comes from the Euler
+reduction volume_ke.euler_t_det, as det(T) does); the accompanying
+constant is (-1)^(N-d) * ((g+1)/4)^(N-d) * (N-d)!.  No integration is
+performed here, only the exact integrand data is produced.
 
 Intersection verdicts implement the vanishing criteria for products of
 boundary divisors (d >= g-1, interior edges, the genus-two top case) with
@@ -32,8 +34,8 @@ from .cone_lattice import (
     coords_in_lattice,
     sym_dim,
 )
-from .exact_algebra import MultiPoly, PolyMatrix
-from .volume_ke import VolumeFunction, det_t_symbolic, t_matrix, volume_function
+from .exact_algebra import MultiPoly
+from .volume_ke import VolumeFunction, det_t_symbolic, euler_t_det, t_matrix, volume_function
 
 ZERO_D_GE_G_MINUS_1 = "d_ge_g_minus_1"
 ZERO_INTERIOR_EDGE = "interior_edge"
@@ -156,14 +158,7 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
         if current.is_zero():
             raise DegenerateResidueError(f"S_{k} is the zero polynomial")
         chain.append(current)
-    s_d = chain[-1]
-    keep = list(range(d, n))
-    grads = {l: s_d.partial(l) for l in keep}
-    entries = []
-    for l in keep:
-        for m in keep:
-            entries.append(s_d * grads[l].partial(m) - grads[l] * grads[m])
-    gd = PolyMatrix(len(keep), len(keep), entries).det()
+    gd = euler_t_det(chain[-1], range(d, n))
     return ResidueChain(d=d, S=tuple(chain), gd=gd, g=v.g, nvars=n, vol=v.vol)
 
 

@@ -14,6 +14,22 @@ where vol is the lattice volume of the cone.  Checking that identity,
 symbolically or at random rational points, is what this module does; the
 set of coefficient equations it encodes cuts out the KE-characteristic
 variety, and integral matrix pencils can be tested for membership.
+
+det(T) is never expanded.  Let f be homogeneous of degree e >= 2 in M
+variables x and free of any others, with Hessian H and gradient u.
+Euler's relations H x = (e-1) u and x . u = e f give adj(H) u =
+det(H) x / (e-1), so the rank-one update det(f H - u u^T) = f^M det(H) -
+f^(M-1) u^T adj(H) u, which needs no invertibility, collapses to
+-f^M det(H) / (e-1).  For e <= 1 the entries are constants and their
+determinant is taken as it stands.  As (g+1)(g-1) >= N and Q[x] is a
+domain, the identity for g >= 2 reads
+
+    det(H) = -(g-1) * (-1)^N 2^(g(g-1)/2) vol^2 * F^((g+1)(g-2)/2),
+
+the relative invariance of det on the prehomogeneous space Sym_g
+(Sato-Kimura, Nagoya Math. J. 65, 1977); at g = 1 the 1 x 1 T is compared
+directly.  Randomized mode evaluates H, not T, and reports
+-F^N det(H) / (g-1), which is det(T) at the point exactly.
 """
 
 from __future__ import annotations
@@ -96,57 +112,60 @@ def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]
     return VolumeFunction(g=g, nvars=len(pencil), pencil=pencil, F=f, vol=vol)
 
 
+def _hessian_entries(f: MultiPoly, keep: Sequence[int]):
+    """Upper-triangle second partials (a, b, f_ab) over `keep`, one at a time."""
+    for a, i in enumerate(keep):
+        fi = f.partial(i)
+        for b in range(a, len(keep)):
+            yield a, b, fi.partial(keep[b])
+
+
+def _symmetric(m: int, upper) -> PolyMatrix:
+    """The m x m PolyMatrix with upper triangle given as (a, b, entry)."""
+    entries: list[Optional[MultiPoly]] = [None] * (m * m)
+    for a, b, x in upper:
+        entries[a * m + b] = entries[b * m + a] = x
+    return PolyMatrix(m, m, entries)  # type: ignore[arg-type]
+
+
+def _t_matrix(f: MultiPoly, keep: Sequence[int]) -> PolyMatrix:
+    grads = [f.partial(i) for i in keep]
+    return _symmetric(len(keep), ((a, b, f * h - grads[a] * grads[b])
+                                  for a, b, h in _hessian_entries(f, keep)))
+
+
 def t_matrix(v: VolumeFunction) -> PolyMatrix:
     """The N x N matrix T_ij = F*F_ij - F_i*F_j (symmetric, degree 2g-2)."""
-    n = v.nvars
-    f = v.F
-    grads = [f.partial(i) for i in range(n)]
-    entries: list[Optional[MultiPoly]] = [None] * (n * n)
-    for i in range(n):
-        for j in range(i, n):
-            t = f * grads[i].partial(j) - grads[i] * grads[j]
-            entries[i * n + j] = t
-            entries[j * n + i] = t
-    return PolyMatrix(n, n, entries)  # type: ignore[arg-type]
+    return _t_matrix(v.F, range(v.nvars))
+
+
+def _euler_degree(f: MultiPoly, keep: Sequence[int]) -> int:
+    """Degree of f, checked to be homogeneous in `keep` and free of the rest."""
+    e = f.total_degree()
+    if any(sum(exp[i] for i in keep) != e for exp in f.terms):
+        raise ValueError("f must be homogeneous in the kept variables, free of the rest")
+    return e
+
+
+def euler_t_det(f: MultiPoly, keep: Sequence[int]) -> MultiPoly:
+    """det(f*H - grad grad^T) over `keep`, for f homogeneous of degree e in
+    those variables and free of the rest: -f^M det(H) / (e-1) for e >= 2,
+    the determinant of the constant entries otherwise (module docstring).
+    """
+    e = _euler_degree(f, keep)
+    if e < 2:
+        return _t_matrix(f, keep).det()
+    hess = _symmetric(len(keep), _hessian_entries(f, keep))
+    return (f ** len(keep) * hess.det()).scale(Fraction(-1, e - 1))
 
 
 def det_t_symbolic(v: VolumeFunction) -> MultiPoly:
-    """Exact det(T) through the rank-one update identity.
-
-    With H the Hessian of F and grad its gradient,
-        det(F*H - grad grad^T) = F^N det(H) - F^(N-1) grad^T adj(H) grad,
-    which avoids expanding the determinant of degree 2g-2 entries directly.
-    Agrees with PolyMatrix.det of t_matrix (tested on small cases).
-    """
-    n = v.nvars
-    f = v.F
-    grads = [f.partial(i) for i in range(n)]
-    hess = [[grads[i].partial(j) for j in range(n)] for i in range(n)]
-    hess_mat = PolyMatrix(n, n, [hess[i][j] for i in range(n) for j in range(n)])
-    det_h = hess_mat.det()
-    if n == 1:
-        adj = [[MultiPoly.const(f.nvars, 1)]]
-    else:
-        adj = [[MultiPoly.zero(f.nvars)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                keep_r = [r for r in range(n) if r != i]
-                keep_c = [c for c in range(n) if c != j]
-                cof = hess_mat.submatrix(keep_r, keep_c).det()
-                if (i + j) % 2 == 1:
-                    cof = -cof
-                # adj = cofactor transpose; Hessian symmetry keeps adj symmetric
-                adj[j][i] = cof
-                adj[i][j] = cof
-    quad = MultiPoly.zero(f.nvars)
-    for i in range(n):
-        for j in range(n):
-            if not adj[i][j].is_zero():
-                quad = quad + grads[i] * adj[i][j] * grads[j]
-    return (f ** n) * det_h - (f ** (n - 1)) * quad
+    """Exact det(T) through the Euler reduction (euler_t_det on all variables)."""
+    return euler_t_det(v.F, range(v.nvars))
 
 
-def ma_rhs_constant(g: int, vol: int) -> Fraction:
+def ma_rhs_constant(g: int, vol: Fraction | int) -> Fraction:
+    """(-1)^N 2^(g(g-1)/2) vol^2, the constant of the identity's right side."""
     n = sym_dim(g)
     return Fraction((-1) ** n * 2 ** (g * (g - 1) // 2) * vol * vol)
 
@@ -155,6 +174,19 @@ def ma_rhs(v: VolumeFunction) -> MultiPoly:
     """(-1)^N 2^(g(g-1)/2) vol^2 F^((g+1)(g-1))."""
     power = (v.g + 1) * (v.g - 1)
     return (v.F ** power).scale(ma_rhs_constant(v.g, v.vol))
+
+
+def _ma_defect(v: VolumeFunction, c: Fraction) -> MultiPoly:
+    """det(T) - c F^((g+1)(g-1)), divided by the nonzero -F^N/(g-1) when
+    g >= 2, which leaves det(H) + (g-1) c F^((g+1)(g-2)/2).  Every symbolic
+    check goes through here, and so through the N <= 6 cost guard."""
+    g, n = v.g, v.nvars
+    if n > SYMBOLIC_NVARS_MAX:
+        raise CostGuardError(f"symbolic mode limited to N <= {SYMBOLIC_NVARS_MAX}, got N={n}")
+    if g < 2:
+        return det_t_symbolic(v) - MultiPoly.const(n, c)
+    det_h = _symmetric(n, _hessian_entries(v.F, range(n))).det()
+    return det_h + (v.F ** ((g + 1) * (g - 2) // 2)).scale((g - 1) * c)
 
 
 @dataclass(frozen=True)
@@ -204,19 +236,20 @@ def _frac_det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _identity_values_at(v: VolumeFunction, point: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """(det T(point), rhs(point)) evaluated exactly."""
-    n = v.nvars
-    f = v.F
-    fval = f.eval_at(point)
-    grads = [f.partial(i) for i in range(n)]
-    gvals = [p.eval_at(point) for p in grads]
-    hvals = [[grads[i].partial(j).eval_at(point) for j in range(n)] for i in range(n)]
-    tvals = [[fval * hvals[i][j] - gvals[i] * gvals[j] for j in range(n)]
-             for i in range(n)]
-    lhs = _frac_det(tvals)
-    rhs = ma_rhs_constant(v.g, v.vol) * fval ** ((v.g + 1) * (v.g - 1))
-    return lhs, rhs
+def _det_t_values(f: MultiPoly, points: Sequence[Sequence[Fraction]],
+                  fvals: Sequence[Fraction]) -> list[Fraction]:
+    """det(T) at each point, from the Hessian alone when deg f >= 2; one
+    Hessian entry at a time is built and evaluated at every point."""
+    n = f.nvars
+    e = _euler_degree(f, range(n))
+    if e < 2:
+        t = euler_t_det(f, range(n))
+        return [t.eval_at(p) for p in points]
+    grids = [[[Fraction(0)] * n for _ in range(n)] for _ in points]
+    for a, b, h in _hessian_entries(f, range(n)):
+        for grid, p in zip(grids, points):
+            grid[a][b] = grid[b][a] = h.eval_at(p)
+    return [-fval ** n * _frac_det(grid) / (e - 1) for grid, fval in zip(grids, fvals)]
 
 
 def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
@@ -229,20 +262,19 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
     point as an exact, replayable witness.
     """
     if mode == "symbolic":
-        if v.nvars > SYMBOLIC_NVARS_MAX:
-            raise CostGuardError(
-                f"symbolic mode limited to N <= {SYMBOLIC_NVARS_MAX}, got N={v.nvars}")
-        holds = det_t_symbolic(v) == ma_rhs(v)
+        holds = _ma_defect(v, ma_rhs_constant(v.g, v.vol)).is_zero()
         return MAReport(holds=holds, mode="symbolic", g=v.g, vol=v.vol)
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
         raise ValueError("randomized mode needs trials >= 1")
     rng = random.Random(seed)
+    points = [random_rational_point(rng, v.nvars) for _ in range(trials)]
+    fvals = [v.F.eval_at(p) for p in points]
+    c = ma_rhs_constant(v.g, v.vol)
     witnesses = []
-    for _ in range(trials):
-        point = random_rational_point(rng, v.nvars)
-        lhs, rhs = _identity_values_at(v, point)
+    for point, fval, lhs in zip(points, fvals, _det_t_values(v.F, points, fvals)):
+        rhs = c * fval ** ((v.g + 1) * (v.g - 1))
         if lhs != rhs:
             witnesses.append(MAWitness(point=point, lhs=lhs, rhs=rhs))
     return MAReport(holds=not witnesses, mode="randomized",
@@ -278,18 +310,14 @@ def is_ke_point(mats: Sequence[Sequence[Sequence[int]]]) -> bool:
 
     Equivalent to the symbolic identity det(T) = (-1)^N 2^(g(g-1)/2) D^2
     F^((g+1)(g-1)) with F = det(sum x_i mats[i]) and D the determinant of
-    the coordinate matrix of the pencil.
+    the coordinate matrix of the pencil; symbolic, so guarded to N <= 6.
     """
     d = _pencil_coordinate_det(mats)
     if d == 0:
         raise DegenerateConeError("matrices are linearly dependent")
     g = len(mats[0])
     v = volume_function_from_pencil(mats, g=g, vol=1)
-    lhs = det_t_symbolic(v)
-    n = sym_dim(g)
-    rhs = (v.F ** ((g + 1) * (g - 1))).scale(
-        Fraction((-1) ** n * 2 ** (g * (g - 1) // 2)) * d * d)
-    return lhs == rhs
+    return _ma_defect(v, ma_rhs_constant(g, d)).is_zero()
 
 
 def ke_coefficient(mats: Sequence[Sequence[Sequence[int]]],
@@ -307,19 +335,16 @@ def ke_coefficient(mats: Sequence[Sequence[Sequence[int]]],
         raise ValueError(
             f"multi-index must consist of nonnegative entries summing to {target}")
     d = _pencil_coordinate_det(mats)
-    f = pencil_det(mats)
-    n = sym_dim(g)
     if len(idx) != len(mats):
         raise DimensionError("multi-index length must match the pencil size")
-    if f.is_zero():
-        lhs = MultiPoly.zero(len(mats))
-        rhs = MultiPoly.zero(len(mats))
-    else:
+    try:
         v = volume_function_from_pencil(mats, g=g, vol=1)
-        lhs = det_t_symbolic(v)
-        rhs = (f ** ((g + 1) * (g - 1))).scale(
-            Fraction((-1) ** n * 2 ** (g * (g - 1) // 2)) * d * d)
-    return (lhs - rhs).coeff(idx)
+    except DegenerateConeError:
+        return Fraction(0)  # F = 0: both sides vanish
+    defect = _ma_defect(v, ma_rhs_constant(g, d))
+    if g >= 2 and defect:
+        defect = (v.F ** v.nvars * defect).scale(Fraction(-1, g - 1))
+    return defect.coeff(idx)
 
 
 def permutation_check(mats: Sequence[Sequence[Sequence[int]]],

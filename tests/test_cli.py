@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from siegeltoric.catalog import principal_cone
 from siegeltoric.cli import main
+from siegeltoric.jsonio import cone_to_json
 
 CLI = [sys.executable, "-m", "siegeltoric.cli"]
 
@@ -75,6 +77,13 @@ class TestExitCodes:
                        "--trials", "0").returncode == 2
         assert run_cli("--tol", "-1", "catalog", "list").returncode == 2
 
+    def test_ke_test_cost_guard_is_two(self, tmp_path):
+        path = tmp_path / "g4.json"
+        path.write_text(json.dumps(cone_to_json(principal_cone(4))))
+        proc = run_cli("ke", "test", str(path))
+        assert proc.returncode == 2
+        assert "N <= 6" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)
         assert proc.returncode == 1
@@ -140,11 +149,6 @@ class TestDeterminism:
         first = run_cli(*args).stdout
         second = run_cli(*args).stdout
         assert first == second
-
-    def test_thread_flag_does_not_change_output(self, fan_file, group_file):
-        base = run_cli("separable", fan_file, group_file).stdout
-        threaded = run_cli("--threads", "4", "separable", fan_file, group_file).stdout
-        assert base == threaded
 
 
 class TestHodgeCommands:

@@ -143,6 +143,18 @@ class TestResidueChain:
         assert [s.terms for s in rc.S] == chain
         assert rc.gd.terms == gd
 
+    def test_g3_minor_matches_oracle_for_every_d(self):
+        # deg S_d is 2, 1, 0, 0, 0 for d = 1..5: every branch of the Euler
+        # reduction against the oracle's cofactor determinant of P
+        degrees = []
+        for d in range(1, 6):
+            chain, gd = oracle.residue_chain_naive(V3.F.terms, 6, d)
+            rc = residue_chain(V3, d)
+            assert [s.terms for s in rc.S] == chain
+            assert rc.gd.terms == gd, d
+            degrees.append(rc.S[-1].total_degree())
+        assert degrees == [2, 1, 0, 0, 0]
+
     def test_degree_bounds_along_chain(self):
         # deg S_k <= g - k while k <= g (extraction cannot push the degree
         # below zero, so the bound's meaningful domain stops at the constant);

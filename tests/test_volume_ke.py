@@ -8,12 +8,13 @@ import pytest
 
 from siegeltoric.catalog import principal_cone
 from siegeltoric.cone_lattice import DegenerateConeError, MarkedCone, gl_act
-from siegeltoric.exact_algebra import MultiPoly, pencil_det
+from siegeltoric.exact_algebra import MultiPoly, PolyMatrix, pencil_det
 from siegeltoric.volume_ke import (
     CostGuardError,
     SYMBOLIC_NVARS_MAX,
     VolumeFunction,
     det_t_symbolic,
+    euler_t_det,
     g2_closed_form,
     g2_rows_to_pencil,
     is_ke_point,
@@ -23,6 +24,7 @@ from siegeltoric.volume_ke import (
     t_matrix,
     verify_ma_identity,
     volume_function,
+    volume_function_from_pencil,
 )
 
 import naive_oracle as oracle
@@ -39,6 +41,22 @@ def cone_from_rows(rows, scale=1):
         tuple(tuple(scale * v for v in row) for row in (((r[0], r[1]), (r[1], r[2]))))
         for r in rows)
     return MarkedCone(g=2, scale=scale, generators=gens)
+
+
+def random_symmetric(rng, g, bound):
+    m = [[0] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            m[i][j] = m[j][i] = rng.randint(-bound, bound)
+    return m
+
+
+def direct_t_det(f, keep):
+    """det(f*H - grad grad^T) over `keep`, expanded as it stands."""
+    grads = [f.partial(i) for i in keep]
+    m = len(keep)
+    return PolyMatrix(m, m, [f * grads[a].partial(keep[b]) - grads[a] * grads[b]
+                             for a in range(m) for b in range(m)]).det()
 
 
 def random_invertible_rows(rng):
@@ -141,9 +159,60 @@ class TestMAIdentity:
         assert ma_rhs(v) == (v.F ** 3).scale(-2)
 
     def test_det_t_symbolic_equals_direct_det(self):
-        for cone in (SIGMA0, principal_cone(2, scale=3)):
-            v = volume_function(cone)
+        # g = 1 (deg F = 1, T = -F'^2 constant) and principal g = 2 cones
+        vs = [volume_function_from_pencil([[[c]]], g=1, vol=1) for c in (1, -2, 5)]
+        vs += [volume_function(c) for c in (SIGMA0, principal_cone(2, scale=3))]
+        for v in vs:
             assert det_t_symbolic(v) == t_matrix(v).det()
+        assert det_t_symbolic(vs[1]) == MultiPoly.const(1, -4)
+
+    def test_det_t_symbolic_equals_direct_det_random_g2_pencils(self):
+        # dense indefinite integer pencils: not cones, F need not be positive
+        rng = random.Random(41)
+        checked = 0
+        while checked < 6:
+            mats = [random_symmetric(rng, 2, 4) for _ in range(3)]
+            if pencil_det(mats).is_zero():
+                continue
+            v = volume_function_from_pencil(mats, g=2, vol=1)
+            assert det_t_symbolic(v) == t_matrix(v).det(), mats
+            checked += 1
+
+    def test_det_t_symbolic_equals_direct_det_random_g3_pencils(self):
+        # indefinite genus-3 pencils: the coordinate pencil with random
+        # nonzero scalings, each off-diagonal matrix shifted by a random
+        # diagonal unit (sparse enough that the direct det stays cheap)
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            mats = []
+            for i, j in [(i, j) for i in range(3) for j in range(i, 3)]:
+                m = [[0] * 3 for _ in range(3)]
+                m[i][j] = m[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+                if i != j:
+                    k = rng.randrange(3)
+                    m[k][k] += rng.choice((-1, 0, 1))
+                mats.append(m)
+            v = volume_function_from_pencil(mats, g=3, vol=1)
+            assert det_t_symbolic(v) == t_matrix(v).det(), mats
+
+    def test_euler_t_det_any_homogeneous_polynomial(self):
+        # the Euler reduction needs homogeneity only, not a pencil
+        rng = random.Random(5)
+        for deg in (2, 3, 4):
+            exps = [e for e in itertools.product(range(deg + 1), repeat=3) if sum(e) == deg]
+            f = MultiPoly(3, {e: rng.randint(-3, 3) for e in exps})
+            assert euler_t_det(f, range(3)) == direct_t_det(f, range(3))
+
+    def test_euler_t_det_on_a_subset_of_variables(self):
+        # f free of x_0, homogeneous of degree 2 in x_1, x_2
+        f = MultiPoly(3, {(0, 2, 0): 3, (0, 1, 1): -1, (0, 0, 2): 2})
+        assert euler_t_det(f, [1, 2]) == direct_t_det(f, [1, 2])
+
+    def test_euler_t_det_rejects_inhomogeneous(self):
+        with pytest.raises(ValueError):
+            euler_t_det(X * Y + Z, range(3))
+        with pytest.raises(ValueError):
+            euler_t_det(X * Y, [1, 2])
 
     def test_det_t_symbolic_matches_oracle_evaluation_g3(self):
         # third route for g=3: oracle-built T entries evaluated at a point,
@@ -178,9 +247,14 @@ class TestMAIdentity:
                                 F=v.F, vol=2, cone=v.cone)
         report = verify_ma_identity(broken, "randomized", trials=4, seed=7)
         assert not report.holds
-        w = report.witnesses[0]
-        # witness is exact and replayable
-        assert w.lhs != w.rhs
+        # witnesses are exact and replayable: lhs is det T at the point,
+        # as the oracle's cofactor determinant of the evaluated T entries
+        grid = oracle.t_matrix_grid(v.F.terms, 3)
+        for w in report.witnesses:
+            assert w.lhs != w.rhs
+            scalar_grid = [[{(): oracle.p_eval(grid[i][j], w.point)} for j in range(3)]
+                           for i in range(3)]
+            assert w.lhs == oracle.det_cofactor(scalar_grid).get((), Fraction(0))
 
     def test_cost_guard(self):
         pencil = [[[Fraction(1 if i == j == k else 0) for j in range(4)]
