@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlp import cone_membership, feasible_eq_nonneg
+from .exactlp import cone_membership, feasible_eq_nonneg, maximal_support
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -476,49 +476,17 @@ def cones_meet_nontrivially(a: MarkedCone, b: MarkedCone) -> bool:
         raise ConeShapeError("cones live in different Sym_g")
     ua = a.coordinate_rows()
     vb = b.coordinate_rows()
-    n = sym_dim(a.g)
-    sa, sb = Fraction(a.scale), Fraction(b.scale)
-    nvars = len(ua) + len(vb)
-    rows = []
-    rhs = []
-    for k in range(n):
-        row = [sa * ua[i][k] for i in range(len(ua))]
-        row += [-sb * vb[j][k] for j in range(len(vb))]
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * len(ua) + [Fraction(0)] * len(vb))
-    rhs.append(Fraction(1))
-    return feasible_eq_nonneg(rows, rhs, nvars)
+    rows = [[a.scale * u[k] for u in ua] + [-b.scale * v[k] for v in vb]
+            for k in range(sym_dim(a.g))]
+    rows.append([1] * len(ua) + [0] * len(vb))
+    return feasible_eq_nonneg(rows, [0] * (len(rows) - 1) + [1], len(ua) + len(vb))
 
 
-def _support_indices(a: MarkedCone, b: MarkedCone) -> list[int]:
-    """Indices i of a's generators with lambda_i > 0 somewhere on a cap b."""
-    ua = [list(map(Fraction, r)) for r in a.coordinate_rows()]
-    vb = [list(map(Fraction, r)) for r in b.coordinate_rows()]
-    n = sym_dim(a.g)
-    sa, sb = Fraction(a.scale), Fraction(b.scale)
-    support = []
-    for i in range(len(ua)):
-        rows = []
-        rhs = []
-        for k in range(n):
-            row = [sa * ua[p][k] for p in range(len(ua))]
-            row += [-sb * vb[q][k] for q in range(len(vb))]
-            rows.append(row)
-            rhs.append(Fraction(0))
-        pin = [Fraction(0)] * (len(ua) + len(vb))
-        pin[i] = Fraction(1)
-        rows.append(pin)
-        rhs.append(Fraction(1))
-        if feasible_eq_nonneg(rows, rhs, len(ua) + len(vb)):
-            support.append(i)
-    return support
-
-
-def _gen_in_cone(gen_coords: Sequence[int], gen_scale: int, c: MarkedCone) -> bool:
-    point = [Fraction(gen_scale) * v for v in gen_coords]
-    gens = [[Fraction(c.scale) * v for v in row] for row in c.coordinate_rows()]
-    return cone_membership(point, gens)
+def _support(own: list[tuple[int, ...]], other: list[tuple[int, ...]]) -> list[int]:
+    """Indices i with lambda_i > 0 at some point sum lambda_i own_i of
+    cone(own) cap cone(other), for coordinate rows on one lattice scale."""
+    rows = [[u[k] for u in own] + [-v[k] for v in other] for k in range(len(own[0]))]
+    return maximal_support(rows, len(own) + len(other), len(own))
 
 
 @dataclass(frozen=True)
@@ -532,7 +500,12 @@ def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
 
     For simplicial cones sigma, tau the intersection is a common face iff
     every generator of sigma that can appear with positive weight in a
-    point of sigma cap tau lies in tau, and symmetrically.
+    point of sigma cap tau lies in tau, and symmetrically.  Those
+    generators form the maximal support of sigma cap tau in sigma's
+    coordinates, found by one LP (`exactlp.maximal_support`); an empty
+    support means the cones meet only at 0.  So each pair costs one
+    support LP per side, plus a membership LP per supported generator up
+    to the first that escapes, which the violation names.
     """
     cones = list(cones)
     if not cones:
@@ -541,25 +514,22 @@ def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
     for c in cones:
         if c.g != g or c.scale != scale:
             raise ConeShapeError("cones disagree on g or scale")
+    coords = [c.coordinate_rows() for c in cones]
     violations: list[str] = []
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            a, b = cones[i], cones[j]
-            if not cones_meet_nontrivially(a, b):
-                continue
-            for idx in _support_indices(a, b):
-                if not _gen_in_cone(a.coordinate_rows()[idx], a.scale, b):
-                    violations.append(
-                        f"cones {i} and {j}: intersection is not a face of cone {i} "
-                        f"(generator {idx} escapes)")
+            for own, other in ((i, j), (j, i)):
+                support = _support(coords[own], coords[other])
+                if not support:
                     break
-            else:
-                for idx in _support_indices(b, a):
-                    if not _gen_in_cone(b.coordinate_rows()[idx], b.scale, a):
-                        violations.append(
-                            f"cones {i} and {j}: intersection is not a face of cone {j} "
-                            f"(generator {idx} escapes)")
-                        break
+                escaping = next((idx for idx in support
+                                 if not cone_membership(coords[own][idx], coords[other])),
+                                None)
+                if escaping is not None:
+                    violations.append(
+                        f"cones {i} and {j}: intersection is not a face of cone {own} "
+                        f"(generator {escaping} escapes)")
+                    break
     return FanReport(ok=not violations, violations=tuple(violations))
 
 

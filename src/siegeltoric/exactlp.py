@@ -1,201 +1,176 @@
-"""Exact rational linear feasibility.
+"""Exact rational linear programming on an integer tableau.
 
-Decides whether {x >= 0 : A x = b} is nonempty, entirely over Fraction
-arithmetic.  Equalities are first removed by Gaussian elimination; the
-remaining inequality system in the free variables goes through
-Fourier-Motzkin elimination when the variable count is small, otherwise
-through a phase-1 simplex with Bland's rule.
+One route decides every LP question in the package: the simplex method
+with Bland's rule (smallest entering index, ties in the ratio test broken
+by smallest basic index), which cannot cycle.
+
+Each rational row is scaled by the lcm of its denominators and kept
+primitive by dividing out the gcd of its entries, so the tableau holds
+plain ints.  A row stands for its equation up to a positive factor; the
+basic variable of a row has a positive coefficient there and takes the
+value rhs / coefficient.  A pivot on the positive entry pv = row_r[e]
+replaces every other row by pv * row_i - row_i[e] * row_r, which keeps
+each row's sign, and the ratio test compares rhs_i / row_i[e] by
+cross-multiplication.
+
+Phase 1 minimises the sum of one artificial variable per row; artificial
+columns are never stored, since an artificial that leaves the basis never
+re-enters.  `feasible_eq_nonneg` stops there.  `maximal_support` drives
+the zero-level artificials out and runs phase 2 on
+
+    maximise sum_i t_i   subject to   A x = 0,  0 <= t_i <= x_i,  t_i <= 1,
+
+whose optimum has t_i = 1 exactly on the maximal support of the cone
+{x >= 0 : A x = 0} (the sum of points positive at each i is positive at
+all of them, and the cone is closed under scaling) and t_i = 0 elsewhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Literal, Sequence
-
-# Fourier-Motzkin is used up to this many free variables, exact simplex beyond.
-FM_VAR_CAP = 24
-
-Method = Literal["auto", "fm", "simplex"]
+from typing import Sequence
 
 
 def feasible_eq_nonneg(
     rows: Sequence[Sequence[Fraction | int]],
     rhs: Sequence[Fraction | int],
     nvars: int,
-    method: Method = "auto",
 ) -> bool:
     """True iff some x >= 0 in Q^nvars satisfies rows . x = rhs."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    if any(len(row) != nvars for row in a):
+    if any(len(row) != nvars for row in rows):
         raise ValueError("row length disagrees with nvars")
-    if len(a) != len(b):
+    if len(rows) != len(rhs):
         raise ValueError("rows/rhs length mismatch")
-
-    if method == "simplex":
-        return _simplex_feasible(a, b, nvars)
-
-    reduced = _eliminate_equalities(a, b, nvars)
-    if reduced is None:
-        return False
-    ineqs, nfree = reduced
-    if nfree == 0:
-        return all(c >= 0 for _, c in ineqs) if ineqs else True
-    if method == "fm" or nfree <= FM_VAR_CAP:
-        return _fm_feasible(ineqs, nfree)
-    return _simplex_feasible(a, b, nvars)
+    tab = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
+    return _phase1(tab, [nvars + i for i in range(len(tab))], nvars)
 
 
 def cone_membership(
     point: Sequence[Fraction | int],
     generators: Sequence[Sequence[Fraction | int]],
-    method: Method = "auto",
 ) -> bool:
     """True iff point = sum_j mu_j * generators[j] for some mu >= 0."""
-    dim = len(point)
-    rows = [[Fraction(gen[i]) for gen in generators] for i in range(dim)]
-    return feasible_eq_nonneg(rows, point, len(generators), method)
+    rows = [[gen[i] for gen in generators] for i in range(len(point))]
+    return feasible_eq_nonneg(rows, point, len(generators))
 
 
-def _eliminate_equalities(a, b, nvars):
-    """Gaussian elimination of A x = b over Q.
+def maximal_support(
+    rows: Sequence[Sequence[Fraction | int]], nvars: int, k: int,
+) -> list[int]:
+    """Indices i < k with x_i > 0 at some x >= 0 in Q^nvars with rows . x = 0.
 
-    Returns None when the equalities are inconsistent; otherwise a pair
-    (ineqs, nfree) where ineqs encode x >= 0 rewritten over the free
-    variables as constraints coeffs . y <= const.
+    Solves the phase-2 LP of the module docstring once; the result is
+    empty iff the cone {x >= 0 : rows . x = 0} has x_0 = ... = x_{k-1} = 0.
     """
-    m = len(a)
-    tab = [row[:] + [b[i]] for i, row in enumerate(a)]
-    pivot_col_of_row: list[int] = []
+    if any(len(row) != nvars for row in rows):
+        raise ValueError("row length disagrees with nvars")
+    # columns: t_0..t_{k-1}, then x with x_i = t_i + p_i for i < k (so
+    # the column of p_i is that of x_i), then slacks q_i = 1 - t_i
+    q0 = k + nvars
+    width = q0 + k
+    tab = [_int_row([*row[:k], *row, *([0] * k), 0]) for row in rows]
+    for i in range(k):
+        bound = [0] * (width + 1)
+        bound[i] = bound[q0 + i] = bound[width] = 1
+        tab.append(bound)
+    basis = [width + i for i in range(len(rows))] + [q0 + i for i in range(k)]
+    obj = [1] * k + [0] * (width + 1 - k)
+    # the rows of A have zero rhs, so phase 1 is over before it starts;
+    # its zero-level artificials are pivoted out before phase 2
+    _drive_out_artificials(tab, basis, obj, width)
+    _run(tab, basis, obj, width)
+    return sorted(e for e, row in zip(basis, tab) if e < k and row[width] > 0)
+
+
+# ----------------------------------------------------------------------
+# integer tableau
+
+
+def _int_row(vals) -> list[int]:
+    """Primitive integer multiple of a rational row (positive factor)."""
+    den = math.lcm(*(v.denominator for v in vals))
+    return _primitive([v.numerator * (den // v.denominator) for v in vals])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _combine(pv: int, row: list[int], f: int, prow: list[int]) -> list[int]:
+    """pv * row - f * prow, made primitive."""
+    return _primitive([pv * a - f * b for a, b in zip(row, prow)])
+
+
+def _pivot(tab, basis, obj, r: int, e: int) -> None:
+    """Make column e basic in row r; tab[r][e] must be positive."""
+    prow = tab[r]
+    pv = prow[e]
+    for i, row in enumerate(tab):
+        if i != r and row[e]:
+            tab[i] = _combine(pv, row, row[e], prow)
+    if obj[e]:
+        obj[:] = _combine(pv, obj, obj[e], prow)
+    basis[r] = e
+
+
+def _run(tab, basis, obj, ncols: int, stop_at_zero: bool = False) -> None:
+    """Bland's rule on obj (enter while some obj[j] > 0, j < ncols).
+
+    With stop_at_zero the loop also ends once obj's rhs reaches 0, which
+    in phase 1 means the artificials are all at level zero.
+    """
+    while not (stop_at_zero and obj[-1] == 0):
+        # basic columns have obj[j] == 0, so this scans the nonbasic ones
+        e = next((j for j in range(ncols) if obj[j] > 0), None)
+        if e is None:
+            return
+        r = None
+        for i, row in enumerate(tab):
+            a = row[e]
+            if a > 0:
+                if r is None:
+                    r = i
+                    continue
+                lhs, rhs = row[-1] * tab[r][e], tab[r][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            # phase 1 and the support LP are bounded
+            raise ArithmeticError("unbounded linear program")
+        _pivot(tab, basis, obj, r, e)
+
+
+def _phase1(tab, basis, ncols: int) -> bool:
+    """Phase 1 with one artificial per row; True iff the rows are feasible.
+
+    Rows are negated where needed so every rhs is nonnegative.  The
+    objective row is the sum of the rows: the artificial sum equals its
+    rhs minus obj . x over the nonbasic columns, up to a positive factor.
+    """
+    for i, row in enumerate(tab):
+        if row[-1] < 0:
+            tab[i] = [-v for v in row]
+    obj = [sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
+    _run(tab, basis, obj, ncols, stop_at_zero=True)
+    return obj[-1] == 0
+
+
+def _drive_out_artificials(tab, basis, obj, ncols: int) -> None:
+    """Pivot every zero-level artificial out of the basis; drop the rows
+    (redundant equations) that have no nonzero entry to pivot on."""
     r = 0
-    for c in range(nvars):
-        pivot = next((i for i in range(r, m) if tab[i][c] != 0), None)
-        if pivot is None:
+    while r < len(tab):
+        if basis[r] < ncols:
+            r += 1
             continue
-        tab[r], tab[pivot] = tab[pivot], tab[r]
-        pv = tab[r][c]
-        tab[r] = [v / pv for v in tab[r]]
-        for i in range(m):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [vi - f * vr for vi, vr in zip(tab[i], tab[r])]
-        pivot_col_of_row.append(c)
+        row = tab[r]
+        e = next((j for j in range(ncols) if row[j]), None)
+        if e is None:
+            del tab[r], basis[r]
+            continue
+        if row[e] < 0:
+            tab[r] = [-v for v in row]   # rhs is 0, so the sign is free
+        _pivot(tab, basis, obj, r, e)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if tab[i][nvars] != 0:
-            return None
-
-    pivot_cols = set(pivot_col_of_row)
-    free_cols = [c for c in range(nvars) if c not in pivot_cols]
-    index_of_free = {c: k for k, c in enumerate(free_cols)}
-    nfree = len(free_cols)
-
-    # x_pivot = const - sum(coeff * y_free); x_pivot >= 0 becomes
-    # sum(coeff * y) <= const, and x_free >= 0 becomes -y_k <= 0.
-    ineqs: list[tuple[list[Fraction], Fraction]] = []
-    for row_idx, c in enumerate(pivot_col_of_row):
-        coeffs = [Fraction(0)] * nfree
-        for fc in free_cols:
-            v = tab[row_idx][fc]
-            if v != 0:
-                coeffs[index_of_free[fc]] = v
-        ineqs.append((coeffs, tab[row_idx][nvars]))
-    for k in range(nfree):
-        coeffs = [Fraction(0)] * nfree
-        coeffs[k] = Fraction(-1)
-        ineqs.append((coeffs, Fraction(0)))
-    return ineqs, nfree
-
-
-def _fm_feasible(ineqs, nfree) -> bool:
-    """Fourier-Motzkin elimination on the system coeffs . y <= const."""
-    system = ineqs
-    for var in range(nfree):
-        pos, neg, rest = [], [], []
-        for coeffs, const in system:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, const))
-            elif c < 0:
-                neg.append((coeffs, const))
-            else:
-                rest.append((coeffs, const))
-        new_system = rest
-        for pc, pconst in pos:
-            for nc, nconst in neg:
-                # eliminate y_var between pc.y <= pconst and nc.y <= nconst
-                alpha, beta = pc[var], -nc[var]
-                coeffs = [beta * pv + alpha * nv for pv, nv in zip(pc, nc)]
-                coeffs[var] = Fraction(0)
-                new_system.append((coeffs, beta * pconst + alpha * nconst))
-        system = _dedupe_ineqs(new_system)
-    return all(const >= 0 for _, const in system)
-
-
-def _dedupe_ineqs(system):
-    seen = set()
-    out = []
-    for coeffs, const in system:
-        nonzero = [c for c in coeffs if c != 0]
-        if not nonzero:
-            if const < 0:
-                # keep one witness of infeasibility
-                return [(coeffs, const)]
-            continue
-        # normalize by the first nonzero coefficient's absolute value
-        scale = abs(nonzero[0])
-        key = (tuple(c / scale for c in coeffs), const / scale)
-        if key not in seen:
-            seen.add(key)
-            out.append(([c / scale for c in coeffs], const / scale))
-    return out
-
-
-def _simplex_feasible(a, b, nvars) -> bool:
-    """Phase-1 simplex with Bland's rule; exact Fractions throughout."""
-    m = len(a)
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-v for v in a[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(a[i][:])
-            rhs.append(b[i])
-    total = nvars + m  # original variables plus artificials
-    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
-    basis = [nvars + i for i in range(m)]
-    # phase-1 objective w = sum of artificials expressed over nonbasic
-    # columns: w = sum(b) - sum_j (sum_i a_ij) x_j, so the row must carry
-    # zero entries on the (basic) artificial columns
-    obj = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            obj[j] += tab[i][j]
-    for k in range(m):
-        obj[nvars + k] = Fraction(0)
-
-    while True:
-        enter = next((j for j in range(total) if j not in basis and obj[j] > 0), None)
-        if enter is None:
-            break
-        ratios = [(tab[i][total] / tab[i][enter], basis[i], i)
-                  for i in range(m) if tab[i][enter] > 0]
-        if not ratios:
-            break  # unbounded cannot happen in phase 1, defensive
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        pv = tab[leave][enter]
-        tab[leave] = [v / pv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [vi - f * vr for vi, vr in zip(tab[i], tab[leave])]
-        f = obj[enter]
-        if f != 0:
-            obj = [vo - f * vr for vo, vr in zip(obj, tab[leave])]
-        basis[leave] = enter
-    return obj[total] == 0

@@ -72,6 +72,8 @@ def cone_from_json(obj: Mapping) -> MarkedCone:
         raise InputFormatError(f"bad cone object: {exc}") from exc
     labels = obj.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise InputFormatError("cone 'labels' must be a list")
         labels = tuple(str(s) for s in labels)
     try:
         return MarkedCone(g=g, scale=scale, generators=gens, labels=labels)
@@ -103,7 +105,7 @@ def group_from_json(obj) -> list[GroupElement]:
 
 
 def fan_from_json(obj: Mapping) -> Fan:
-    if "cones" not in obj:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("cones"), list):
         raise InputFormatError("fan file needs a 'cones' list")
     cones = tuple(cone_from_json(c) for c in obj["cones"])
     try:
@@ -120,6 +122,8 @@ def complex_matrix_from_json(obj: Mapping) -> np.ndarray:
         raise InputFormatError(f"bad complex matrix: {exc}") from exc
     if re_part.shape != im_part.shape:
         raise InputFormatError("re/im shapes disagree")
+    if not (np.isfinite(re_part).all() and np.isfinite(im_part).all()):
+        raise InputFormatError("complex matrix has a non-finite entry")
     return re_part + 1j * im_part
 
 

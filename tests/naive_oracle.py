@@ -163,3 +163,78 @@ def poly_sorted_json(p):
         "terms": [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
                   for e, c in items],
     }
+
+
+def fm_feasible_eq_nonneg(rows, rhs, nvars):
+    """True iff some x >= 0 satisfies rows . x = rhs, by Gaussian
+    elimination of the equalities and Fourier-Motzkin elimination of the
+    free variables (doubly exponential: small systems only)."""
+    reduced = _eliminate_equalities([[Fraction(v) for v in row] for row in rows],
+                                    [Fraction(v) for v in rhs], nvars)
+    if reduced is None:
+        return False
+    system, nfree = reduced
+    for var in range(nfree):
+        pos = [(c, k) for c, k in system if c[var] > 0]
+        neg = [(c, k) for c, k in system if c[var] < 0]
+        new_system = [(c, k) for c, k in system if c[var] == 0]
+        for pc, pk in pos:
+            for nc, nk in neg:
+                # eliminate y_var between pc . y <= pk and nc . y <= nk
+                alpha, beta = pc[var], -nc[var]
+                new_system.append(([beta * p + alpha * q for p, q in zip(pc, nc)],
+                                   beta * pk + alpha * nk))
+        system = _dedupe_ineqs(new_system)
+    return all(k >= 0 for _, k in system)
+
+
+def _eliminate_equalities(a, b, nvars):
+    """Solve A x = b for the pivot variables over Q.
+
+    None when the equalities are inconsistent; otherwise (ineqs, nfree),
+    where ineqs are x >= 0 over the free variables y as coeffs . y <= const.
+    """
+    m = len(a)
+    tab = [row[:] + [b[i]] for i, row in enumerate(a)]
+    pivot_cols = []
+    r = 0
+    for c in range(nvars):
+        pivot = next((i for i in range(r, m) if tab[i][c] != 0), None)
+        if pivot is None:
+            continue
+        tab[r], tab[pivot] = tab[pivot], tab[r]
+        tab[r] = [v / tab[r][c] for v in tab[r]]
+        for i in range(m):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [vi - f * vr for vi, vr in zip(tab[i], tab[r])]
+        pivot_cols.append(c)
+        r += 1
+    if any(tab[i][nvars] != 0 for i in range(r, m)):
+        return None
+    free_cols = [c for c in range(nvars) if c not in pivot_cols]
+    # x_pivot = const - sum(coeff * y) >= 0 and y_k >= 0
+    ineqs = [([tab[i][c] for c in free_cols], tab[i][nvars]) for i in range(r)]
+    for k in range(len(free_cols)):
+        ineqs.append(([Fraction(-1) if j == k else Fraction(0)
+                       for j in range(len(free_cols))], Fraction(0)))
+    return ineqs, len(free_cols)
+
+
+def _dedupe_ineqs(system):
+    """Drop trivial and repeated inequalities (up to positive scaling);
+    a trivially false one replaces the whole system."""
+    seen = set()
+    out = []
+    for coeffs, const in system:
+        nonzero = [c for c in coeffs if c != 0]
+        if not nonzero:
+            if const < 0:
+                return [(coeffs, const)]
+            continue
+        scale = abs(nonzero[0])
+        key = (tuple(c / scale for c in coeffs), const / scale)
+        if key not in seen:
+            seen.add(key)
+            out.append((list(key[0]), key[1]))
+    return out

@@ -21,6 +21,7 @@ from siegeltoric.cone_lattice import (
     GroupElement,
     MarkedCone,
     int_det,
+    is_fan,
     is_separable,
     matrix_from_coords,
     psd_rank,
@@ -290,3 +291,41 @@ def test_criterion_10_permutation_symmetry(capsys):
     elapsed = time.perf_counter() - t0
     announce(capsys, "criterion 10: permutation symmetry (6 permutations, "
                      "10 random pencils x 20 points)", ok, elapsed, 5.0)
+
+
+def _g3_translate_fan(size, seed):
+    """`size` distinct GL(3,Z) translates of principal-g3, each moved by a
+    short random walk of elementary row operations."""
+    rng = random.Random(seed)
+    base = catalog_get("principal-g3").cone
+    cones, seen = [], set()
+    while len(cones) < size:
+        m = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.sample(range(3), 2)
+            s = rng.choice((1, -1))
+            m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+        cone = gl_act(GroupElement(matrix=tuple(map(tuple, m))), base)
+        if frozenset(cone.rays()) not in seen:
+            seen.add(frozenset(cone.rays()))
+            cones.append(cone)
+    return cones
+
+
+def test_criterion_11_genus3_fan_frontier(capsys):
+    cones = _g3_translate_fan(16, 1111)
+    sigma = gl_act(GroupElement(matrix=((1, 0, 0), (1, 1, 0), (0, -1, 1))),
+                   catalog_get("principal-g3").cone)
+    u = sigma.generators
+    merged = tuple(tuple(a + b for a, b in zip(r0, r1)) for r0, r1 in zip(u[0], u[1]))
+    # tau lies in sigma but u0 + u1 is inside the face {u0, u1}, so the
+    # intersection tau is not a face of sigma and generator 0 escapes
+    tau = MarkedCone(g=3, scale=1, generators=(merged,) + u[2:])
+    t0 = time.perf_counter()
+    fan_report = is_fan(cones)
+    pair_report = is_fan([sigma, tau])
+    elapsed = time.perf_counter() - t0
+    ok = fan_report.ok and pair_report.violations == (
+        "cones 0 and 1: intersection is not a face of cone 0 (generator 0 escapes)",)
+    announce(capsys, "criterion 11: genus-3 fan check (16 GL(3,Z) translates of "
+                     "principal-g3, one non-fan pair)", ok, elapsed, 5.0)

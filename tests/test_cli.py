@@ -84,6 +84,30 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "N <= 6" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("fan", [
+        5,
+        {"cones": 5},
+        {"cones": None},
+        {"cones": [{"g": 1, "scale": 1, "generators": [[[1]]], "labels": 5}]},
+    ], ids=["top-level-number", "cones-number", "cones-null", "labels-number"])
+    def test_bad_fan_file_is_two(self, fan, tmp_path, group_file):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(fan))
+        for args in (("fan", "check", str(path)), ("separable", str(path), group_file)):
+            proc = run_cli(*args)
+            assert proc.returncode == 2, args
+            assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", ['{"re": [[NaN]], "im": [[1]]}',
+                                      '{"re": [[0]], "im": [[Infinity]]}'],
+                             ids=["nan", "infinity"])
+    def test_non_finite_hodge_input_is_two(self, text, tmp_path):
+        path = tmp_path / "tau.json"
+        path.write_text(text)
+        proc = run_cli("hodge", "siegel", str(path))
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
+
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)
         assert proc.returncode == 1

@@ -9,6 +9,7 @@ from siegeltoric.cone_lattice import (
     ConeShapeError,
     DegenerateConeError,
     Fan,
+    FanReport,
     GroupElement,
     MarkedCone,
     NotInLatticeError,
@@ -27,9 +28,11 @@ from siegeltoric.cone_lattice import (
     primitive_ray,
     psd_rank,
     smith_divisors,
+    sym_dim,
     transform_matrix,
 )
 from siegeltoric.catalog import principal_cone
+from siegeltoric.exactlp import cone_membership, feasible_eq_nonneg
 
 E11 = ((1, 0), (0, 0))
 E22 = ((0, 0), (0, 1))
@@ -299,6 +302,130 @@ class TestFan:
     def test_two_chambers_share_facet(self):
         gamma = GroupElement(matrix=((1, 0), (1, 1)))
         report = is_fan([SIGMA0, gl_act(gamma, SIGMA0)])
+        assert report.ok
+
+
+# ----------------------------------------------------------------------
+# oracle for is_fan: one pinned LP per generator for the support, a
+# separate LP for whether the cones meet, membership of scaled points
+
+
+def _support_indices_oracle(a, b):
+    """Indices i of a's generators with lambda_i > 0 somewhere on a cap b:
+    feasibility of the meet system with lambda_i pinned to 1."""
+    ua, vb = a.coordinate_rows(), b.coordinate_rows()
+    nvars = len(ua) + len(vb)
+    rows = [[a.scale * u[k] for u in ua] + [-b.scale * v[k] for v in vb]
+            for k in range(sym_dim(a.g))]
+    return [i for i in range(len(ua))
+            if feasible_eq_nonneg(rows + [[int(p == i) for p in range(nvars)]],
+                                  [0] * len(rows) + [1], nvars)]
+
+
+def _gen_in_cone_oracle(a, idx, b):
+    point = [a.scale * v for v in a.coordinate_rows()[idx]]
+    return cone_membership(point, [[b.scale * v for v in row] for row in b.coordinate_rows()])
+
+
+def is_fan_oracle(cones):
+    violations = []
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            a, b = cones[i], cones[j]
+            if not cones_meet_nontrivially(a, b):
+                continue
+            for idx in _support_indices_oracle(a, b):
+                if not _gen_in_cone_oracle(a, idx, b):
+                    violations.append(
+                        f"cones {i} and {j}: intersection is not a face of cone {i} "
+                        f"(generator {idx} escapes)")
+                    break
+            else:
+                for idx in _support_indices_oracle(b, a):
+                    if not _gen_in_cone_oracle(b, idx, a):
+                        violations.append(
+                            f"cones {i} and {j}: intersection is not a face of cone {j} "
+                            f"(generator {idx} escapes)")
+                        break
+    return FanReport(ok=not violations, violations=tuple(violations))
+
+
+def _marked(cone, marking):
+    return MarkedCone(g=cone.g, scale=cone.scale,
+                      generators=tuple(cone.generators[k] for k in marking))
+
+
+def _translate_fan(rng, g, size):
+    """`size` GL(g,Z) translates of the principal cone, shuffled markings."""
+    base = principal_cone(g)
+    cones = []
+    for _ in range(size):
+        marking = list(range(len(base.generators)))
+        rng.shuffle(marking)
+        cones.append(_marked(gl_act(random_unimodular(rng, g), base), marking))
+    return cones
+
+
+def _subcone(rng, cone):
+    """A cone spanned by nonnegative integer mixes of cone's generators:
+    inside cone, and not a face of it unless the mix is a selection."""
+    n = len(cone.generators)
+    while True:
+        mix = [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        gens = [tuple(tuple(sum(row[k] * cone.generators[k][r][c] for k in range(n))
+                            for c in range(cone.g)) for r in range(cone.g)) for row in mix]
+        try:
+            return MarkedCone(g=cone.g, scale=cone.scale, generators=tuple(gens))
+        except ConeShapeError:
+            continue
+
+
+# relative positions of two genus-3 principal-cone translates: (h, marking
+# of the first cone, marking of the second); the second cone is moved by h
+G3_PAIRS = {
+    "fast-a": ([[1, 0, 0], [0, 1, 0], [0, -1, 1]],
+               [2, 3, 1, 4, 5, 0], [0, 1, 4, 2, 3, 5]),
+    "fast-b": ([[1, -1, 0], [0, 1, 1], [1, -1, 1]],
+               [5, 1, 0, 4, 2, 3], [4, 0, 5, 1, 2, 3]),
+    "slow-a": ([[1, 0, -1], [-1, 1, 1], [0, 1, 1]],
+               [5, 0, 1, 2, 4, 3], [5, 2, 0, 4, 3, 1]),
+    "slow-b": ([[1, 1, -1], [0, 1, -1], [0, 1, 0]],
+               [2, 3, 5, 0, 4, 1], [4, 1, 2, 0, 5, 3]),
+}
+
+
+class TestFanOracle:
+    def test_g2_translate_fans(self):
+        rng = random.Random(2207)
+        for _ in range(6):
+            cones = _translate_fan(rng, 2, rng.randint(4, 9))
+            report = is_fan(cones)
+            assert report == is_fan_oracle(cones)
+            assert report.ok
+
+    def test_principal_beside_non_face_subcone(self):
+        rng = random.Random(3307)
+        violations = []
+        for g in (2, 2, 2, 2, 2, 2, 3, 3):
+            sigma = gl_act(random_unimodular(rng, g), principal_cone(g))
+            tau = _subcone(rng, sigma)
+            for cones in ([sigma, tau], [tau, sigma]):
+                report = is_fan(cones)
+                assert report == is_fan_oracle(cones), cones
+                violations += report.violations
+        # both sides of the check are exercised
+        assert any("face of cone 0" in v for v in violations)
+        assert any("face of cone 1" in v for v in violations)
+
+    @pytest.mark.parametrize("name", sorted(G3_PAIRS))
+    def test_g3_relative_positions(self, name):
+        h, m1, m2 = G3_PAIRS[name]
+        frame = GroupElement(matrix=((1, 1, 0), (0, 1, -1), (1, 1, -1)))
+        base = principal_cone(3)
+        moved = gl_act(frame, gl_act(GroupElement(matrix=tuple(map(tuple, h))), base))
+        cones = [_marked(gl_act(frame, base), m1), _marked(moved, m2)]
+        report = is_fan(cones)
+        assert report == is_fan_oracle(cones)
         assert report.ok
 
 
