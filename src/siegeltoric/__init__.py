@@ -27,7 +27,6 @@ from .exact_algebra import (
     MultiPoly,
     PolyMatrix,
     ZeroPolynomialError,
-    det_bareiss,
     pencil_det,
 )
 from .residue_intersect import (

@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import catalog as catalog_mod
 from . import cone_lattice, jsonio, period_domain, residue_intersect, volume_ke
 from .cone_lattice import ConeShapeError, DegenerateConeError, NotInLatticeError
@@ -236,7 +234,7 @@ def _cmd_residue(args, config: RunConfig) -> int:
         v = volume_ke.volume_function(cone)
         rc = residue_intersect.residue_chain(v, args.d)
     except (DegenerateConeError, residue_intersect.DegenerateResidueError,
-            ValueError) as exc:
+            ValueError, volume_ke.CostGuardError) as exc:
         raise InputError(str(exc)) from exc
     chi = residue_intersect.chi_descriptor(rc)
     report = {
@@ -296,7 +294,7 @@ def _cmd_intersect(args, config: RunConfig) -> int:
     cone = _resolve_cone(args.target)
     try:
         verdict = residue_intersect.intersection_vanishing(cone, indices)
-    except ValueError as exc:
+    except (ValueError, volume_ke.CostGuardError) as exc:
         raise InputError(str(exc)) from exc
     report = {
         "check": "intersection-vanishing",
@@ -390,7 +388,7 @@ def _cmd_hodge(args, config: RunConfig) -> int:
         elif sub in ("nilpotent", "weight"):
             g = jsonio.decode_int(obj["g"])
             k = jsonio.decode_int(obj.get("k", 0))
-            u = np.asarray(obj["u"], dtype=float)
+            u = jsonio.real_matrix_from_json(obj["u"])
             nilp = period_domain.CuspNilpotent(g=g, k=k, u=u)
             if sub == "weight":
                 rank, nullity, _, _ = period_domain.weight_filtration(nilp, tol)

@@ -5,8 +5,10 @@ delta_{ii} = E_ii, delta_{ij} = E_ij + E_ji (i < j), listed in the order
 (1,1),(1,2),...,(1,g),(2,2),...,(g,g).  Cones are simplicial and marked:
 the generators carry a fixed order.  GL(g,Z) acts by A -> f A f^T.
 
-All predicates here are exact (integer / Fraction arithmetic); membership
-and intersection questions reduce to rational linear feasibility.
+All predicates here are exact (integer / Fraction arithmetic); rational
+determinants, ranks and PSD ranks share one fraction-free elimination
+kernel, and membership and intersection questions reduce to rational
+linear feasibility.
 """
 
 from __future__ import annotations
@@ -116,100 +118,113 @@ def matrix_from_coords(coords: Sequence[int | Fraction], g: int):
 
 
 # ----------------------------------------------------------------------
-# exact symmetric-matrix predicates
+# exact elimination: one fraction-free Bareiss kernel for every rational
+# determinant, rank and PSD test
 
 
-def _frac_rows(m) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in m]
+def _int_rows(m) -> tuple[list[list[int]], int]:
+    """Rows of the rational matrix m, each scaled to ints by the lcm of its
+    denominators, and the product of those lcms."""
+    rows, scale = [], 1
+    for row in m:
+        row = [Fraction(v) for v in row]
+        d = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
+    return rows, scale
+
+
+def _bareiss(a: list[list[int]], pick) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the int matrix a, in place.
+
+    Step k asks pick(a, k) for a pivot (r, c) with r, c >= k and a[r][c]
+    != 0, or None to stop; row r and column c are swapped into place k.
+    Each entry of the live block i, j > k then becomes
+    (a[k][k] a[i][j] - a[i][k] a[k][j]) / (previous pivot), and the
+    division is exact: by Sylvester's identity (Bareiss, Math. Comp. 22,
+    1968) it is the minor of a on the pivot rows and columns plus i and j,
+    which is the Schur complement entry times the leading minor on the
+    pivots.  Returns the number of pivots k and the signed leading minor
+    on them, so det a = that minor when k = len(a) = len(a[0]).
+    """
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    sign, prev, k = 1, 1, 0
+    while k < min(nrows, ncols):
+        got = pick(a, k)
+        if got is None:
+            break
+        r, c = got
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        if c != k:
+            for row in a:
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
+        ak = a[k]
+        p = ak[k]
+        for i in range(k + 1, nrows):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, ncols):
+                ai[j] = (p * ai[j] - f * ak[j]) // prev
+        prev = p
+        k += 1
+    return k, sign * prev
+
+
+def _first_nonzero(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
+    """Pivot for det and rank: the first nonzero live entry, column by column."""
+    for c in range(k, len(a[0])):
+        for r in range(k, len(a)):
+            if a[r][c]:
+                return r, c
+    return None
+
+
+def _positive_diagonal(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
+    """Pivot for psd_rank: a positive live diagonal entry, none once one is
+    negative."""
+    diag = [a[i][i] for i in range(k, len(a))]
+    if min(diag) < 0:
+        return None
+    i = next((i for i, v in enumerate(diag, k) if v > 0), None)
+    return None if i is None else (i, i)
+
+
+def rational_det(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    a, scale = _int_rows(m)
+    if any(len(row) != len(a) for row in a):
+        raise ConeShapeError("determinant of a non-square matrix")
+    k, minor = _bareiss(a, _first_nonzero)
+    return Fraction(minor, scale) if k == len(a) else Fraction(0)
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix."""
+    return int(rational_det(rows))
 
 
 def matrix_rank(m: Sequence[Sequence[int | Fraction]]) -> int:
-    rows = _frac_rows(m)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [vr - f * vp for vr, vp in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of a rational matrix."""
+    return _bareiss(_int_rows(m)[0], _first_nonzero)[0]
 
 
 def psd_rank(m: Sequence[Sequence[int | Fraction]]) -> Optional[int]:
     """Rank of a symmetric PSD matrix, or None when it is not PSD.
 
-    Symmetric pivoting on positive diagonal entries with exact Schur
-    complements: a negative diagonal entry kills semidefiniteness, and a
-    PSD matrix with zero diagonal must vanish entirely.
+    Bareiss elimination on positive diagonal pivots.  Each live entry is
+    the Schur complement entry times a positive factor (the row scales and
+    the leading minor on the pivots), so it has the Schur entry's sign: a
+    negative diagonal entry kills semidefiniteness, and once no diagonal
+    entry is positive the matrix is PSD iff the live block vanishes.
     """
-    a = _frac_rows(m)
-    n = len(a)
-    rank = 0
-    active = list(range(n))
-    while active:
-        diag = [(i, a[i][i]) for i in active]
-        if any(v < 0 for _, v in diag):
-            return None
-        pivot = next((i for i, v in diag if v > 0), None)
-        if pivot is None:
-            # all active diagonal entries are zero
-            for i in active:
-                for j in active:
-                    if a[i][j] != 0:
-                        return None
-            return rank
-        active.remove(pivot)
-        pv = a[pivot][pivot]
-        for i in active:
-            if a[i][pivot] != 0:
-                f = a[i][pivot] / pv
-                for j in active:
-                    a[i][j] -= f * a[pivot][j]
-        rank += 1
-    return rank
-
-
-def is_psd(m) -> bool:
-    return psd_rank(m) is not None
-
-
-def is_positive_definite(m) -> bool:
-    r = psd_rank(m)
-    return r is not None and r == len(m)
-
-
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ConeShapeError("determinant of a non-square matrix")
-    a = [[int(v) for v in row] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a = _int_rows(m)[0]
+    k = _bareiss(a, _positive_diagonal)[0]
+    if any(a[i][j] for i in range(k, len(a)) for j in range(k, len(a))):
+        return None
+    return k
 
 
 def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -439,15 +454,7 @@ def gl_act(gamma: GroupElement, c: MarkedCone) -> MarkedCone:
     if gamma.g != c.g:
         raise ConeShapeError(
             f"group element is {gamma.g}x{gamma.g}, cone has g={c.g}")
-    f = gamma.matrix
-    g = c.g
-    new_gens = []
-    for a in c.generators:
-        fa = [[sum(f[i][k] * a[k][j] for k in range(g)) for j in range(g)]
-              for i in range(g)]
-        fat = [[sum(fa[i][k] * f[j][k] for k in range(g)) for j in range(g)]
-               for i in range(g)]
-        new_gens.append(as_int_matrix(fat))
+    new_gens = [transform_matrix(gamma, a) for a in c.generators]
     return MarkedCone(g=c.g, scale=c.scale, generators=tuple(new_gens),
                       labels=c.labels)
 

@@ -6,9 +6,8 @@ every operation here is exact: no floating point anywhere.  The canonical
 term order for display and serialization is graded lexicographic
 (total degree first, then the exponent tuple), descending.
 
-Matrices of polynomials support exact determinants; small sizes go through
-cofactor expansion, larger ones through a division-free Laplace expansion
-memoized over column subsets.
+Matrices of polynomials have one exact determinant route: a division-free
+Laplace expansion memoized over column subsets.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
-
-# Cofactor expansion up to this size, subset-memoized Laplace above it.
-_COFACTOR_MAX = 4
 
 
 class DimensionError(ValueError):
@@ -270,39 +266,6 @@ class MultiPoly:
                 out[tuple(new)] = c
         return d, _raw(self.nvars, out)
 
-    def leading_term(self) -> tuple[Exponent, Fraction]:
-        """Graded-lex leading term of a nonzero polynomial."""
-        if not self._terms:
-            raise ZeroPolynomialError("leading term of the zero polynomial")
-        exp = max(self._terms, key=_grlex_key)
-        return exp, self._terms[exp]
-
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / divisor; raises if the division has remainder."""
-        self._check_compatible(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self._terms)
-        quo: dict[Exponent, Fraction] = {}
-        lt_exp, lt_coeff = divisor.leading_term()
-        div_terms = divisor._terms
-        while rem:
-            rexp = max(rem, key=_grlex_key)
-            rcoeff = rem[rexp]
-            qexp = tuple(a - b for a, b in zip(rexp, lt_exp))
-            if any(e < 0 for e in qexp):
-                raise ValueError("division is not exact")
-            qcoeff = rcoeff / lt_coeff
-            quo[qexp] = quo.get(qexp, Fraction(0)) + qcoeff
-            for dexp, dcoeff in div_terms.items():
-                exp = tuple(a + b for a, b in zip(qexp, dexp))
-                s = rem.get(exp, Fraction(0)) - qcoeff * dcoeff
-                if s:
-                    rem[exp] = s
-                elif exp in rem:
-                    del rem[exp]
-        return _raw(self.nvars, quo)
-
     # ------------------------------------------------------------------
     # presentation
 
@@ -382,36 +345,14 @@ class PolyMatrix:
         return self.rows == self.cols
 
     def det(self) -> MultiPoly:
-        """Exact determinant.
-
-        Cofactor expansion for orders up to 4; for larger matrices a
-        division-free Laplace expansion memoized over column subsets, which
-        multiplies each minor only by single entries and so keeps the
-        intermediate polynomials as small as the minors themselves.
+        """Exact determinant, for every order by a division-free Laplace
+        expansion memoized over column subsets, which multiplies each minor
+        only by single entries and so keeps the intermediate polynomials as
+        small as the minors themselves.
         """
         if not self.is_square():
             raise DimensionError(f"determinant of a {self.rows}x{self.cols} matrix")
-        grid = [self.row(i) for i in range(self.rows)]
-        if self.rows <= _COFACTOR_MAX:
-            return _det_cofactor(grid)
-        return _det_laplace_memo(grid)
-
-
-def _det_cofactor(grid: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    total = MultiPoly.zero(grid[0][0].nvars)
-    for j in range(n):
-        entry = grid[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in grid[1:]]
-        term = entry * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        return _det_laplace_memo([self.row(i) for i in range(self.rows)])
 
 
 def _det_laplace_memo(grid: list[list[MultiPoly]]) -> MultiPoly:
@@ -443,36 +384,6 @@ def _det_laplace_memo(grid: list[list[MultiPoly]]) -> MultiPoly:
         if not minors:
             return MultiPoly.zero(nvars)
     return minors.get((1 << n) - 1, MultiPoly.zero(nvars))
-
-
-def det_bareiss(m: PolyMatrix) -> MultiPoly:
-    """Fraction-free (Bareiss) determinant over the polynomial ring.
-
-    Produces the same result as PolyMatrix.det; kept as an independent route
-    for cross-checking.  The intermediate products multiply two minors, so
-    this route gets expensive when entries have high degree.
-    """
-    if not m.is_square():
-        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = MultiPoly.const(m.nvars, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if pivot_row is None:
-                return MultiPoly.zero(m.nvars)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = MultiPoly.zero(m.nvars)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
 
 
 RationalMatrix = Sequence[Sequence[Fraction | int]]

@@ -46,9 +46,13 @@ def int_matrix_to_json(m: Sequence[Sequence[int]]):
     return [[encode_int(int(v)) for v in row] for row in m]
 
 
-def int_matrix_from_json(obj) -> tuple[tuple[int, ...], ...]:
+def _check_rows(obj) -> None:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputFormatError("matrix must be a nonempty list of rows")
+
+
+def int_matrix_from_json(obj) -> tuple[tuple[int, ...], ...]:
+    _check_rows(obj)
     return tuple(tuple(decode_int(v) for v in row) for row in obj)
 
 
@@ -114,22 +118,32 @@ def fan_from_json(obj: Mapping) -> Fan:
         raise InputFormatError(f"invalid fan: {exc}") from exc
 
 
+def _finite_array(obj, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad {what}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InputFormatError(f"{what} has a non-finite entry")
+    return arr
+
+
+def real_matrix_from_json(obj) -> np.ndarray:
+    """A nonempty list of rows of finite numbers."""
+    _check_rows(obj)
+    return _finite_array(obj, "matrix")
+
+
 def complex_matrix_from_json(obj: Mapping) -> np.ndarray:
     try:
-        re_part = np.asarray(obj["re"], dtype=float)
-        im_part = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re_obj, im_obj = obj["re"], obj["im"]
+    except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad complex matrix: {exc}") from exc
+    re_part = _finite_array(re_obj, "complex matrix")
+    im_part = _finite_array(im_obj, "complex matrix")
     if re_part.shape != im_part.shape:
         raise InputFormatError("re/im shapes disagree")
-    if not (np.isfinite(re_part).all() and np.isfinite(im_part).all()):
-        raise InputFormatError("complex matrix has a non-finite entry")
     return re_part + 1j * im_part
-
-
-def complex_matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def fraction_to_json(x: Fraction) -> str:

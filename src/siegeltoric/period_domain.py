@@ -215,9 +215,3 @@ def random_siegel_point(g: int, rng: np.random.Generator) -> np.ndarray:
     x = (x + x.T) / 2
     q = rng.standard_normal((g, g))
     return x + 1j * (q @ q.T + 0.1 * np.eye(g))
-
-
-def symplectic_involution_image(tau: np.ndarray) -> np.ndarray:
-    """Image -tau^{-1} of tau under the standard symplectic involution."""
-    tau = np.asarray(tau, dtype=complex)
-    return -np.linalg.inv(tau)

@@ -35,7 +35,8 @@ from .cone_lattice import (
     sym_dim,
 )
 from .exact_algebra import MultiPoly
-from .volume_ke import VolumeFunction, det_t_symbolic, euler_t_det, t_matrix, volume_function
+from .volume_ke import (SYMBOLIC_NVARS_MAX, CostGuardError, VolumeFunction, det_t_symbolic,
+                        euler_t_det, t_matrix, volume_function)
 
 ZERO_D_GE_G_MINUS_1 = "d_ge_g_minus_1"
 ZERO_INTERIOR_EDGE = "interior_edge"
@@ -114,7 +115,6 @@ def t_degree_bounds(v: VolumeFunction, include_det: bool = True) -> TDegreeRepor
                         failures.append(
                             f"deg_{k + 1} T[{i + 1},{j + 1}] = {dk} > {2 * degf[k]}")
     det_checked = False
-    from .volume_ke import SYMBOLIC_NVARS_MAX
     if include_det and n <= SYMBOLIC_NVARS_MAX:
         det_t = det_t_symbolic(v)
         det_checked = True
@@ -144,11 +144,13 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
 
     Variable order follows the cone's marking order; callers that want a
     different divisor selection permute the marking first (see
-    intersection_vanishing).
+    intersection_vanishing).  Symbolic, so guarded to N <= 6.
     """
     n = v.nvars
     if not 1 <= d <= n - 1:
         raise ValueError(f"d must be in [1, {n - 1}], got {d}")
+    if n > SYMBOLIC_NVARS_MAX:
+        raise CostGuardError(f"residue chain limited to N <= {SYMBOLIC_NVARS_MAX}, got N={n}")
     chain = [v.F]
     current = v.F
     for k in range(1, d + 1):

@@ -44,6 +44,7 @@ from .cone_lattice import (
     MarkedCone,
     delta_index_pairs,
     lattice_volume,
+    rational_det,
     sym_dim,
 )
 from .exact_algebra import (
@@ -216,26 +217,6 @@ def random_rational_point(rng: random.Random, nvars: int) -> tuple[Fraction, ...
         for _ in range(nvars))
 
 
-def _frac_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] * inv
-                a[r] = [vr - f * vk for vr, vk in zip(a[r], a[k])]
-    return det
-
-
 def _det_t_values(f: MultiPoly, points: Sequence[Sequence[Fraction]],
                   fvals: Sequence[Fraction]) -> list[Fraction]:
     """det(T) at each point, from the Hessian alone when deg f >= 2; one
@@ -249,7 +230,7 @@ def _det_t_values(f: MultiPoly, points: Sequence[Sequence[Fraction]],
     for a, b, h in _hessian_entries(f, range(n)):
         for grid, p in zip(grids, points):
             grid[a][b] = grid[b][a] = h.eval_at(p)
-    return [-fval ** n * _frac_det(grid) / (e - 1) for grid, fval in zip(grids, fvals)]
+    return [-fval ** n * rational_det(grid) / (e - 1) for grid, fval in zip(grids, fvals)]
 
 
 def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
@@ -301,7 +282,7 @@ def _pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -
                 if Fraction(m[i][j]) != Fraction(m[j][i]):
                     raise DimensionError("pencil matrix is not symmetric")
         rows.append([Fraction(m[i][j]) for i, j in delta_index_pairs(g)])
-    return _frac_det(rows)
+    return rational_det(rows)
 
 
 def is_ke_point(mats: Sequence[Sequence[Sequence[int]]]) -> bool:
@@ -395,9 +376,3 @@ def g2_closed_form(a: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
     coeff_m = a11 * a33 + a31 * a13 - 2 * a12 * a32
     coeff_n = a21 * a33 + a31 * a23 - 2 * a22 * a32
     return (coeff_a, coeff_b, coeff_c, coeff_l, coeff_m, coeff_n)
-
-
-def g2_rows_to_pencil(a: Sequence[Sequence[int]]) -> list[list[list[Fraction]]]:
-    """Symmetric 2x2 matrices [[a_i1, a_i2], [a_i2, a_i3]] from the rows of a."""
-    return [[[Fraction(r[0]), Fraction(r[1])], [Fraction(r[1]), Fraction(r[2])]]
-            for r in a]

@@ -1,9 +1,11 @@
 """Independent straightforward oracle used to freeze golden values.
 
 Deliberately naive and separate from the package: polynomials are plain
-dicts of exponent tuples with Fraction coefficients, determinants are
-always cofactor expansions, and the leading-coefficient chain is written
-directly off its definition.  No shared code with siegeltoric.
+dicts of exponent tuples with Fraction coefficients, polynomial
+determinants are always cofactor expansions, the leading-coefficient chain
+is written directly off its definition, and rational determinants, ranks
+and PSD ranks are Fraction Gauss, Gauss-Jordan and Schur-complement loops.
+No shared code with siegeltoric.
 """
 
 from fractions import Fraction
@@ -112,6 +114,81 @@ def det_cofactor(grid):
         term = p_mul(grid[0][j], det_cofactor(minor))
         total = p_add(total, term) if j % 2 == 0 else p_sub(total, term)
     return total
+
+
+def frac_det(rows):
+    """Determinant of a square rational matrix by Gaussian elimination
+    over Fraction."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            if a[r][k] != 0:
+                f = a[r][k] / a[k][k]
+                a[r] = [vr - f * vk for vr, vk in zip(a[r], a[k])]
+    return det
+
+
+def frac_rank(rows):
+    """Rank of a rational matrix by Gauss-Jordan elimination over Fraction."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    if not a:
+        return 0
+    rank = 0
+    for c in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][c] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        a[rank] = [v / a[rank][c] for v in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [vr - f * vp for vr, vp in zip(a[r], a[rank])]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def schur_psd_rank(rows):
+    """Rank of a symmetric PSD matrix, or None when it is not PSD, by
+    symmetric pivoting on positive diagonal entries with Fraction Schur
+    complements."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    active = list(range(len(a)))
+    while active:
+        diag = [(i, a[i][i]) for i in active]
+        if any(v < 0 for _, v in diag):
+            return None
+        pivot = next((i for i, v in diag if v > 0), None)
+        if pivot is None:
+            if any(a[i][j] != 0 for i in active for j in active):
+                return None
+            return rank
+        active.remove(pivot)
+        for i in active:
+            if a[i][pivot] != 0:
+                f = a[i][pivot] / a[pivot][pivot]
+                for j in active:
+                    a[i][j] -= f * a[pivot][j]
+        rank += 1
+    return rank
+
+
+def g2_rows_to_pencil(a):
+    """Symmetric 2x2 matrices [[a_i1, a_i2], [a_i2, a_i3]] from the rows of a."""
+    return [[[Fraction(r[0]), Fraction(r[1])], [Fraction(r[1]), Fraction(r[2])]]
+            for r in a]
 
 
 def pencil_determinant(mats):

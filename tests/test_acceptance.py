@@ -47,7 +47,6 @@ from siegeltoric.residue_intersect import (
 from siegeltoric.volume_ke import (
     det_t_symbolic,
     g2_closed_form,
-    g2_rows_to_pencil,
     is_ke_point,
     ma_rhs,
     permutation_check,
@@ -56,6 +55,8 @@ from siegeltoric.volume_ke import (
     volume_function_from_pencil,
 )
 from siegeltoric.cone_lattice import Fan, gl_act
+
+from naive_oracle import g2_rows_to_pencil
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

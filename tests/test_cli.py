@@ -108,6 +108,28 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "non-finite" in proc.stderr
 
+    @pytest.mark.parametrize("sub,u", [
+        ("nilpotent", {"a": 1}),
+        ("weight", {"a": 1}),
+        ("weight", [[1, 0], [0, float("inf")]]),
+    ], ids=["nilpotent-object", "weight-object", "weight-infinity"])
+    def test_bad_nilpotent_block_is_two(self, sub, u, tmp_path):
+        path = tmp_path / "nilp.json"
+        path.write_text(json.dumps({"g": 2, "k": 0, "u": u}))
+        proc = run_cli("hodge", sub, str(path))
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [("residue", "--d", "1"), ("intersect", "--edges", "1")],
+                             ids=["residue", "intersect"])
+    def test_residue_cost_guard_is_two(self, args, tmp_path):
+        path = tmp_path / "g4.json"
+        path.write_text(json.dumps(cone_to_json(principal_cone(4))))
+        proc = subprocess.run(CLI + [args[0], str(path), *args[1:]],
+                              capture_output=True, text=True, timeout=15)
+        assert proc.returncode == 2
+        assert "N <= 6" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)
         assert proc.returncode == 1

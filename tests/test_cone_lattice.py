@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,12 +28,15 @@ from siegeltoric.cone_lattice import (
     matrix_rank,
     primitive_ray,
     psd_rank,
+    rational_det,
     smith_divisors,
     sym_dim,
     transform_matrix,
 )
 from siegeltoric.catalog import principal_cone
 from siegeltoric.exactlp import cone_membership, feasible_eq_nonneg
+
+import naive_oracle as oracle
 
 E11 = ((1, 0), (0, 0))
 E22 = ((0, 0), (0, 1))
@@ -212,6 +216,68 @@ class TestEdgeClass:
             gram = [[sum(b[k][i] * b[k][j] for k in range(len(b)))
                      for j in range(g)] for i in range(g)]
             assert psd_rank(gram) == matrix_rank(gram)
+
+
+def _rational(rng, bound=4, den=3):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+
+def _kernel_cases(rng):
+    """Seeded (family, matrix) pairs: rational, singular and non-square
+    matrices (the latter with zero columns, which the rank search skips),
+    indefinite symmetric ones, some with zero diagonal, and rational Gram
+    (PSD) matrices."""
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        yield "rational", [[_rational(rng) for _ in range(n)] for _ in range(n)]
+        yield "integer", [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rows = [[_rational(rng) for _ in range(n)] for _ in range(max(1, n - 1))]
+        mix = [sum((_rational(rng) * r[j] for r in rows), Fraction(0)) for j in range(n)]
+        yield "singular", rows + [mix] if len(rows) < n else [[0] * n]
+        cols = rng.randint(1, 6)
+        zero = set(rng.sample(range(cols), rng.randint(0, cols - 1)))
+        yield "non-square", [[0 if j in zero else _rational(rng) for j in range(cols)]
+                             for _ in range(rng.randint(1, 6))]
+        sym = [[_rational(rng) for _ in range(n)] for _ in range(n)]
+        hollow = rng.random() < 0.3
+        yield "symmetric", [[0 if hollow and i == j else sym[min(i, j)][max(i, j)]
+                             for j in range(n)] for i in range(n)]
+        b = [[_rational(rng, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        yield "psd", [[sum((r[i] * r[j] for r in b), Fraction(0)) for j in range(n)]
+                      for i in range(n)]
+
+
+class TestEliminationKernel:
+    """The one Bareiss kernel against the Fraction loops it replaced."""
+
+    def test_agrees_with_fraction_oracles(self):
+        rng = random.Random(2718)
+        seen = {"not psd": 0, "psd singular": 0, "singular": 0, "rank deficient": 0}
+        for family, m in _kernel_cases(rng):
+            rank = matrix_rank(m)
+            assert rank == oracle.frac_rank(m), (family, m)
+            square = all(len(row) == len(m) for row in m)
+            if square:
+                det = rational_det(m)
+                assert det == oracle.frac_det(m), (family, m)
+                seen["singular"] += det == 0
+                if family == "integer":
+                    assert int_det(m) == det
+            if family in ("symmetric", "psd"):
+                pr = psd_rank(m)
+                assert pr == oracle.schur_psd_rank(m), (family, m)
+                seen["not psd"] += pr is None
+                seen["psd singular"] += pr is not None and pr < len(m)
+            elif family == "non-square":
+                seen["rank deficient"] += rank < min(len(m), len(m[0]))
+        assert all(seen.values()), seen
+
+    def test_row_scales_do_not_leak_into_det(self):
+        m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+        assert rational_det(m) == Fraction(1, 14) - Fraction(1, 15)
+        assert rational_det([[0, 1], [1, 0]]) == -1
+        with pytest.raises(ConeShapeError):
+            rational_det([[1, 2]])
 
 
 class TestGlAct:

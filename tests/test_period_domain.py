@@ -16,11 +16,15 @@ from siegeltoric.period_domain import (
     riemann_check,
     siegel_membership,
     symplectic_form,
-    symplectic_involution_image,
     weight_filtration,
 )
 
 TOL = 1e-9
+
+
+def symplectic_involution_image(tau: np.ndarray) -> np.ndarray:
+    """Image -tau^{-1} of tau under the standard symplectic involution."""
+    return -np.linalg.inv(np.asarray(tau, dtype=complex))
 
 
 class TestSymplecticForm:

@@ -16,7 +16,6 @@ from siegeltoric.volume_ke import (
     det_t_symbolic,
     euler_t_det,
     g2_closed_form,
-    g2_rows_to_pencil,
     is_ke_point,
     ke_coefficient,
     ma_rhs,
@@ -434,7 +433,7 @@ class TestG2ClosedForm:
         count = 0
         while count < 10:
             rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-            pencil = g2_rows_to_pencil(rows)
+            pencil = oracle.g2_rows_to_pencil(rows)
             f = pencil_det(pencil)
             a, b, c, l, m, n = g2_closed_form(rows)
             assert f.coeff((2, 0, 0)) == a
