@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 when every checked property holds, 1 when a mathematical
-property fails (with a witness in the report), 2 on input errors.  Reports
+property fails (with a witness in the report), 2 on any input error, a
+symbolic cost guard included, and 3 on an internal error.  Input problems
+raise ValueError wherever they are found, and `main` alone maps exceptions
+to exit codes: a ValueError prints `error: <msg>`, any other exception one
+`internal error: <Type>: <msg>` line, never a traceback.  Reports
 are JSON by default; --output text renders the same object readably.
 Defaults for seed/trials/tol/output may be placed in a JSON config file
 pointed to by the SIEGELTORIC_CONFIG environment variable; explicit flags
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,17 +24,18 @@ from fractions import Fraction
 
 from . import catalog as catalog_mod
 from . import cone_lattice, jsonio, period_domain, residue_intersect, volume_ke
-from .cone_lattice import ConeShapeError, DegenerateConeError, NotInLatticeError
+from .cone_lattice import DegenerateConeError
 from .exact_algebra import poly_to_json
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 CONFIG_ENV_VAR = "SIEGELTORIC_CONFIG"
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -41,10 +47,15 @@ class RunConfig:
     output: str = "json"
 
     def __post_init__(self):
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, (int, float))
+                or not math.isfinite(self.tol) or self.tol <= 0):
+            raise InputError(f"tol must be a finite positive number, got {self.tol!r}")
         if self.output not in ("json", "text"):
             raise InputError(f"unknown output mode {self.output!r}")
 
@@ -53,11 +64,7 @@ def _load_config_defaults() -> dict:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"config {path} must hold a JSON object")
     return data
@@ -90,16 +97,26 @@ def _load_json(path: str):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read") from None
 
 
-def _resolve_cone(spec: str) -> cone_lattice.MarkedCone:
-    """A cone argument is a JSON file path or a builtin catalog name."""
+def _read(path: str, parse):
+    """parse(JSON of path), with the path in front of any input error."""
+    obj = _load_json(path)
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _resolve_cone(spec: str, parse):
+    """A cone argument is a JSON file path, read by parse, or a builtin
+    catalog name."""
     if os.path.exists(spec):
-        obj = _load_json(spec)
-        try:
-            return jsonio.cone_from_json(obj)
-        except jsonio.InputFormatError as exc:
-            raise InputError(f"{spec}: {exc}") from exc
+        return _read(spec, parse)
     try:
         return catalog_mod.catalog_get(spec).cone
     except catalog_mod.UnknownCatalogEntryError:
@@ -118,7 +135,7 @@ def _emit(report: dict, config: RunConfig) -> None:
 
 
 def _cmd_cone_check(args, config: RunConfig) -> int:
-    cone = _resolve_cone(args.cone)
+    cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     edge_reports = []
     all_psd = True
     for idx, gen in enumerate(cone.generators):
@@ -159,11 +176,8 @@ def _cmd_cone_check(args, config: RunConfig) -> int:
 
 
 def _cmd_cone_volume(args, config: RunConfig) -> int:
-    cone = _resolve_cone(args.cone)
-    try:
-        v = volume_ke.volume_function(cone)
-    except DegenerateConeError as exc:
-        raise InputError(str(exc)) from exc
+    cone = _resolve_cone(args.cone, jsonio.cone_from_json)
+    v = volume_ke.volume_function(cone)
     report = {
         "check": "cone-volume",
         "g": cone.g,
@@ -177,17 +191,11 @@ def _cmd_cone_volume(args, config: RunConfig) -> int:
 
 
 def _cmd_ma_verify(args, config: RunConfig) -> int:
-    cone = _resolve_cone(args.cone)
-    try:
-        v = volume_ke.volume_function(cone)
-    except DegenerateConeError as exc:
-        raise InputError(str(exc)) from exc
+    cone = _resolve_cone(args.cone, jsonio.cone_from_json)
+    v = volume_ke.volume_function(cone)
     mode = "randomized" if args.randomized else "symbolic"
-    try:
-        result = volume_ke.verify_ma_identity(
-            v, mode=mode, trials=config.trials, seed=config.seed)
-    except volume_ke.CostGuardError as exc:
-        raise InputError(str(exc)) from exc
+    result = volume_ke.verify_ma_identity(
+        v, mode=mode, trials=config.trials, seed=config.seed)
     report = {
         "identity": "monge-ampere",
         "mode": result.mode,
@@ -209,15 +217,12 @@ def _cmd_ma_verify(args, config: RunConfig) -> int:
 
 
 def _cmd_ke_test(args, config: RunConfig) -> int:
-    cone = _resolve_cone(args.cone)
+    cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     mats = [
         [[Fraction(v, cone.scale) for v in row] for row in gen]
         for gen in cone.generators
     ]
-    try:
-        member = volume_ke.is_ke_point(mats)
-    except (DegenerateConeError, volume_ke.CostGuardError) as exc:
-        raise InputError(str(exc)) from exc
+    member = volume_ke.is_ke_point(mats)
     report = {
         "check": "ke-membership",
         "g": cone.g,
@@ -229,13 +234,9 @@ def _cmd_ke_test(args, config: RunConfig) -> int:
 
 
 def _cmd_residue(args, config: RunConfig) -> int:
-    cone = _resolve_cone(args.cone)
-    try:
-        v = volume_ke.volume_function(cone)
-        rc = residue_intersect.residue_chain(v, args.d)
-    except (DegenerateConeError, residue_intersect.DegenerateResidueError,
-            ValueError, volume_ke.CostGuardError) as exc:
-        raise InputError(str(exc)) from exc
+    cone = _resolve_cone(args.cone, jsonio.cone_from_json)
+    v = volume_ke.volume_function(cone)
+    rc = residue_intersect.residue_chain(v, args.d)
     chi = residue_intersect.chi_descriptor(rc)
     report = {
         "d": rc.d,
@@ -259,28 +260,25 @@ def _parse_edge_list(text: str) -> list[int]:
         raise InputError(f"bad --edges list {text!r}") from exc
 
 
+def _cone_or_fan(obj):
+    if isinstance(obj, dict) and "cones" in obj:
+        return jsonio.fan_from_json(obj)
+    return jsonio.cone_from_json(obj)
+
+
 def _cmd_intersect(args, config: RunConfig) -> int:
     indices = _parse_edge_list(args.edges)
-    obj = None
-    if os.path.exists(args.target):
-        obj = _load_json(args.target)
-    if isinstance(obj, dict) and "cones" in obj:
-        try:
-            fan = jsonio.fan_from_json(obj)
-        except jsonio.InputFormatError as exc:
-            raise InputError(f"{args.target}: {exc}") from exc
+    target = _resolve_cone(args.target, _cone_or_fan)
+    if isinstance(target, cone_lattice.Fan):
+        fan = target
         rays = sorted({ray for c in fan.cones for ray in c.rays()})
-        try:
-            edges = [cone_lattice.matrix_from_coords(
-                [fan.scale * v for v in rays[i]], fan.g) for i in indices]
-        except IndexError:
+        if not all(0 <= i < len(rays) for i in indices):
             raise InputError(
-                f"edge index out of range; fan has {len(rays)} distinct rays") from None
+                f"edge index out of range; fan has {len(rays)} distinct rays")
+        edges = [cone_lattice.matrix_from_coords(
+            [fan.scale * v for v in rays[i]], fan.g) for i in indices]
         edges_int = [[[int(x) for x in row] for row in e] for e in edges]
-        try:
-            verdict = residue_intersect.toric_verdict(fan, edges_int)
-        except (ValueError, ConeShapeError) as exc:
-            raise InputError(str(exc)) from exc
+        verdict = residue_intersect.toric_verdict(fan, edges_int)
         report = {
             "check": "toric-intersection",
             "value": verdict.value,
@@ -291,11 +289,7 @@ def _cmd_intersect(args, config: RunConfig) -> int:
         }
         _emit(report, config)
         return EXIT_PASS
-    cone = _resolve_cone(args.target)
-    try:
-        verdict = residue_intersect.intersection_vanishing(cone, indices)
-    except (ValueError, volume_ke.CostGuardError) as exc:
-        raise InputError(str(exc)) from exc
+    verdict = residue_intersect.intersection_vanishing(target, indices)
     report = {
         "check": "intersection-vanishing",
         "value": verdict.value,
@@ -314,11 +308,7 @@ def _cmd_intersect(args, config: RunConfig) -> int:
 
 
 def _cmd_fan_check(args, config: RunConfig) -> int:
-    obj = _load_json(args.fan)
-    try:
-        fan = jsonio.fan_from_json(obj)
-    except jsonio.InputFormatError as exc:
-        raise InputError(f"{args.fan}: {exc}") from exc
+    fan = _read(args.fan, jsonio.fan_from_json)
     result = cone_lattice.is_fan(fan.cones)
     report = {
         "check": "fan",
@@ -334,12 +324,8 @@ def _cmd_fan_check(args, config: RunConfig) -> int:
 
 
 def _cmd_separable(args, config: RunConfig) -> int:
-    fan_obj = _load_json(args.fan)
-    try:
-        fan = jsonio.fan_from_json(fan_obj)
-        group = jsonio.group_from_json(_load_json(args.group))
-    except jsonio.InputFormatError as exc:
-        raise InputError(str(exc)) from exc
+    fan = _read(args.fan, jsonio.fan_from_json)
+    group = _read(args.group, jsonio.group_from_json)
     result = cone_lattice.is_separable(fan.cones, group)
     # canonical report ordering: sort by cone label, then group element
     labels = []
@@ -374,50 +360,41 @@ def _cmd_hodge(args, config: RunConfig) -> int:
     obj = _load_json(args.file)
     tol = config.tol
     sub = args.subcheck
-    try:
-        if sub == "siegel":
-            tau = jsonio.complex_matrix_from_json(obj)
-            ok = period_domain.siegel_membership(tau, tol)
-            report = {"check": "hodge-siegel", "tol": tol, "ok": bool(ok)}
-        elif sub == "riemann":
-            mat = jsonio.complex_matrix_from_json(obj)
-            if mat.shape[0] == mat.shape[1]:
-                mat = period_domain.filtration_from_tau(mat)
-            ok = period_domain.riemann_check(mat, tol)
-            report = {"check": "hodge-riemann", "tol": tol, "ok": bool(ok)}
-        elif sub in ("nilpotent", "weight"):
-            g = jsonio.decode_int(obj["g"])
-            k = jsonio.decode_int(obj.get("k", 0))
-            u = jsonio.real_matrix_from_json(obj["u"])
-            nilp = period_domain.CuspNilpotent(g=g, k=k, u=u)
-            if sub == "weight":
-                rank, nullity, _, _ = period_domain.weight_filtration(nilp, tol)
-                report = {
-                    "check": "hodge-weight",
-                    "dim_image": rank,
-                    "dim_kernel": nullity,
-                    "tol": tol,
-                    "ok": True,
-                }
-            else:
-                tau_cusp = None
-                if "tau_cusp" in obj and obj["tau_cusp"] is not None:
-                    tau_cusp = jsonio.complex_matrix_from_json(obj["tau_cusp"])
-                fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
-                ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
-                report = {"check": "hodge-nilpotent", "tol": tol, "ok": bool(ok)}
-        elif sub == "block-volume":
-            tau_prime = jsonio.complex_matrix_from_json(obj["tau_prime"])
-            z = jsonio.complex_matrix_from_json(obj["Z"])
-            s = jsonio.complex_matrix_from_json(obj["S"])
-            ok = period_domain.block_volume_identity(tau_prime, z, s, tol)
-            report = {"check": "hodge-block-volume", "tol": tol, "ok": bool(ok)}
+    if sub == "siegel":
+        tau = jsonio.complex_matrix_from_json(obj)
+        ok = period_domain.siegel_membership(tau, tol)
+        report = {"check": "hodge-siegel", "tol": tol, "ok": bool(ok)}
+    elif sub == "riemann":
+        mat = jsonio.complex_matrix_from_json(obj)
+        if mat.shape[0] == mat.shape[1]:
+            mat = period_domain.filtration_from_tau(mat)
+        ok = period_domain.riemann_check(mat, tol)
+        report = {"check": "hodge-riemann", "tol": tol, "ok": bool(ok)}
+    elif sub in ("nilpotent", "weight"):
+        g = jsonio.field(obj, "g", jsonio.decode_int)
+        k = jsonio.field(obj, "k", jsonio.decode_int, 0)
+        u = jsonio.field(obj, "u", jsonio.real_matrix_from_json)
+        nilp = period_domain.CuspNilpotent(g=g, k=k, u=u)
+        if sub == "weight":
+            rank, nullity, _, _ = period_domain.weight_filtration(nilp, tol)
+            report = {
+                "check": "hodge-weight",
+                "dim_image": rank,
+                "dim_kernel": nullity,
+                "tol": tol,
+                "ok": True,
+            }
         else:
-            raise InputError(f"unknown hodge subcheck {sub!r}")
-    except (KeyError, ValueError, jsonio.InputFormatError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(str(exc)) from exc
+            tau_cusp = jsonio.field(obj, "tau_cusp", jsonio.complex_matrix_from_json, None)
+            fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
+            ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
+            report = {"check": "hodge-nilpotent", "tol": tol, "ok": bool(ok)}
+    else:  # block-volume
+        tau_prime = jsonio.field(obj, "tau_prime", jsonio.complex_matrix_from_json)
+        z = jsonio.field(obj, "Z", jsonio.complex_matrix_from_json)
+        s = jsonio.field(obj, "S", jsonio.complex_matrix_from_json)
+        ok = period_domain.block_volume_identity(tau_prime, z, s, tol)
+        report = {"check": "hodge-block-volume", "tol": tol, "ok": bool(ok)}
     _emit(report, config)
     return EXIT_PASS if report["ok"] else EXIT_PROPERTY
 
@@ -530,12 +507,12 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return args.handler(args, config)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotInLatticeError, ConeShapeError, jsonio.InputFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,10 +78,6 @@ class MultiPoly:
         exp[idx] = 1
         return cls(nvars, {tuple(exp): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, nvars: int, exp: Sequence[int], coeff: Fraction | int) -> "MultiPoly":
-        return cls(nvars, {tuple(exp): Fraction(coeff)})
-
     # ------------------------------------------------------------------
     # basic queries
 
@@ -98,9 +94,6 @@ class MultiPoly:
 
     def coeff(self, exp: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(exp), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.nvars, Fraction(0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

@@ -42,6 +42,22 @@ def decode_int(v) -> int:
     raise InputFormatError(f"expected integer, got {v!r}")
 
 
+_REQUIRED = object()
+
+
+def field(obj, key: str, parse, default=_REQUIRED):
+    """parse(obj[key]) from a JSON object; an absent or null value gives
+    default, and is an error when no default is given."""
+    if not isinstance(obj, Mapping):
+        raise InputFormatError(f"expected a JSON object, got {type(obj).__name__}")
+    value = obj.get(key)
+    if value is not None:
+        return parse(value)
+    if default is _REQUIRED:
+        raise InputFormatError(f"missing key {key!r}")
+    return default
+
+
 def int_matrix_to_json(m: Sequence[Sequence[int]]):
     return [[encode_int(int(v)) for v in row] for row in m]
 
@@ -139,6 +155,8 @@ def complex_matrix_from_json(obj: Mapping) -> np.ndarray:
         re_obj, im_obj = obj["re"], obj["im"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad complex matrix: {exc}") from exc
+    _check_rows(re_obj)
+    _check_rows(im_obj)
     re_part = _finite_array(re_obj, "complex matrix")
     im_part = _finite_array(im_obj, "complex matrix")
     if re_part.shape != im_part.shape:

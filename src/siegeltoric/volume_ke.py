@@ -60,8 +60,9 @@ SYMBOLIC_NVARS_MAX = 6
 RANDOM_COORD_MAX = 10 ** 6
 
 
-class CostGuardError(RuntimeError):
-    """Symbolic mode requested beyond the N <= 6 cost guard."""
+class CostGuardError(ValueError):
+    """Symbolic mode requested beyond the N <= 6 cost guard; the input is
+    too large, so the CLI reports it as an input error."""
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from siegeltoric import cli
 from siegeltoric.catalog import principal_cone
 from siegeltoric.cli import main
 from siegeltoric.jsonio import cone_to_json
@@ -72,10 +73,54 @@ class TestExitCodes:
     def test_unknown_name_is_two(self):
         assert run_cli("cone", "check", "no-such-entry").returncode == 2
 
-    def test_bad_run_config_is_two(self):
+    def test_bad_run_config_is_two(self, tmp_path, monkeypatch, capsys):
         assert run_cli("ma", "verify", "principal-g2", "--randomized",
                        "--trials", "0").returncode == 2
         assert run_cli("--tol", "-1", "catalog", "list").returncode == 2
+        assert main(["--tol", "nan", "catalog", "list"]) == 2
+        cfg = tmp_path / "cfg.json"
+        monkeypatch.setenv("SIEGELTORIC_CONFIG", str(cfg))
+        for bad in ({"trials": "x"}, {"tol": "x"}, {"seed": "abc"}, {"trials": True},
+                    {"seed": 1.5}):
+            cfg.write_text(json.dumps(bad))
+            assert main(["ma", "verify", "principal-g2", "--randomized"]) == 2, bad
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        assert main(["catalog", "list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(line.startswith("error:") for line in captured.err.splitlines())
+
+    def test_ke_test_wrong_generator_count_is_two(self, tmp_path):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({
+            "g": 2, "scale": 1, "generators": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}))
+        proc = run_cli("ke", "test", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_intersect_fan_negative_edge_is_two(self, fan_file):
+        proc = run_cli("intersect", fan_file, "--edges=-1,0,1")
+        assert proc.returncode == 2, proc.stdout
+        assert "out of range" in proc.stderr
+
+    @pytest.mark.parametrize("content", [b'{"g": 2, "\xff": 1}', b"[" * 100000],
+                             ids=["non-utf8", "nested-too-deeply"])
+    def test_unreadable_cone_file_is_two(self, content, tmp_path):
+        path = tmp_path / "cone.json"
+        path.write_bytes(content)
+        proc = run_cli("cone", "check", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {path}") and "Traceback" not in proc.stderr
+
+    def test_internal_error_is_three(self, monkeypatch, capsys):
+        def broken(args, config):
+            raise TypeError("handler bug")
+
+        monkeypatch.setattr(cli, "_cmd_catalog_list", broken)
+        assert main(["catalog", "list"]) == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: TypeError: handler bug\n"
 
     def test_ke_test_cost_guard_is_two(self, tmp_path):
         path = tmp_path / "g4.json"
@@ -107,6 +152,24 @@ class TestExitCodes:
         proc = run_cli("hodge", "siegel", str(path))
         assert proc.returncode == 2
         assert "non-finite" in proc.stderr
+
+    @pytest.mark.parametrize("sub,obj,message", [
+        ("weight", [1], "expected a JSON object"),
+        ("nilpotent", [1], "expected a JSON object"),
+        ("block-volume", [1], "expected a JSON object"),
+        ("block-volume", {"tau_prime": {"re": [[0.0]], "im": [[1.0]]},
+                          "S": {"re": [[0.5]], "im": [[0.25]]}}, "missing key 'Z'"),
+        ("riemann", {"re": [], "im": []}, "nonempty list of rows"),
+        ("riemann", {"re": 5, "im": 5}, "nonempty list of rows"),
+    ], ids=["weight-list", "nilpotent-list", "block-volume-list", "block-volume-no-Z",
+            "riemann-empty", "riemann-number"])
+    def test_bad_hodge_file_is_two(self, sub, obj, message, tmp_path):
+        path = tmp_path / "hodge.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("hodge", sub, str(path))
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
     @pytest.mark.parametrize("sub,u", [
         ("nilpotent", {"a": 1}),

@@ -15,6 +15,7 @@ from siegeltoric.jsonio import (
     dump_report,
     encode_int,
     fan_from_json,
+    field,
     group_from_json,
     int_matrix_from_json,
     render_text,
@@ -82,6 +83,24 @@ def test_complex_matrix_round_trip():
 def test_complex_matrix_shape_mismatch():
     with pytest.raises(InputFormatError):
         complex_matrix_from_json({"re": [[1, 2]], "im": [[1]]})
+
+
+@pytest.mark.parametrize("obj", [{"re": [], "im": []}, {"re": 5, "im": 5},
+                                 {"re": [[1]], "im": [1]}])
+def test_complex_matrix_needs_rows(obj):
+    with pytest.raises(InputFormatError, match="nonempty list of rows"):
+        complex_matrix_from_json(obj)
+
+
+def test_field_reads_a_key_of_an_object():
+    obj = {"g": 2, "k": None}
+    assert field(obj, "g", decode_int) == 2
+    assert field(obj, "k", decode_int, 0) == 0
+    assert field(obj, "tau_cusp", complex_matrix_from_json, None) is None
+    with pytest.raises(InputFormatError, match="missing key 'u'"):
+        field(obj, "u", int_matrix_from_json)
+    with pytest.raises(InputFormatError, match="expected a JSON object, got list"):
+        field([1], "g", decode_int)
 
 
 def test_dump_report_is_canonical():
