@@ -31,6 +31,7 @@ from .exact_algebra import (
 )
 from .residue_intersect import (
     ChiDescriptor,
+    CostGuardError,
     IntersectionVerdict,
     ResidueChain,
     chi_descriptor,
@@ -41,7 +42,6 @@ from .residue_intersect import (
     toric_full_intersection,
 )
 from .volume_ke import (
-    CostGuardError,
     MAReport,
     VolumeFunction,
     g2_closed_form,

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 when every checked property holds, 1 when a mathematical
-property fails (with a witness in the report), 2 on any input error, a
-symbolic cost guard included, and 3 on an internal error.  Input problems
-raise ValueError wherever they are found, and `main` alone maps exceptions
-to exit codes: a ValueError prints `error: <msg>`, any other exception one
-`internal error: <Type>: <msg>` line, never a traceback.  Reports
-are JSON by default; --output text renders the same object readably.
+property fails (with a witness in the report), 2 on any input error, the
+N <= 6 cost guard of `residue` and `intersect` included (symbolic `ma
+verify` and `ke test` run at every genus), and 3 on an internal error.
+Input problems raise ValueError wherever they are found, and `main` alone
+maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
+other exception one `internal error: <Type>: <msg>` line, never a
+traceback.  Reports are JSON by default; --output text renders the same
+object readably.
 Defaults for seed/trials/tol/output may be placed in a JSON config file
 pointed to by the SIEGELTORIC_CONFIG environment variable; explicit flags
 win over the config file.

@@ -135,9 +135,12 @@ def fan_from_json(obj: Mapping) -> Fan:
 
 
 def _finite_array(obj, what: str) -> np.ndarray:
+    for v in (v for row in obj for v in row):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InputFormatError(f"{what} entries must be numbers, got {v!r}")
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"bad {what}: {exc}") from exc
     if not np.isfinite(arr).all():
         raise InputFormatError(f"{what} has a non-finite entry")

@@ -7,7 +7,7 @@ determinant g_d = det(P restricted to the unselected variables), with
 P_lm = S_d * d2(S_d)/dx_l dx_m - d(S_d)/dx_l * d(S_d)/dx_m, is the exact
 numerator of the iterated residue integrand (S_d is homogeneous in the
 unselected variables and free of the others, so g_d comes from the Euler
-reduction volume_ke.euler_t_det, as det(T) does); the accompanying
+reduction volume_ke.euler_t_det); the accompanying
 constant is (-1)^(N-d) * ((g+1)/4)^(N-d) * (N-d)!.  No integration is
 performed here, only the exact integrand data is produced.
 
@@ -35,14 +35,22 @@ from .cone_lattice import (
     sym_dim,
 )
 from .exact_algebra import MultiPoly
-from .volume_ke import (SYMBOLIC_NVARS_MAX, CostGuardError, VolumeFunction, det_t_symbolic,
-                        euler_t_det, t_matrix, volume_function)
+from .volume_ke import (VolumeFunction, euler_t_det, pencil_coordinate_det, t_matrix,
+                        volume_function)
+
+# the residue chain runs on volume polynomials of up to this many variables
+SYMBOLIC_NVARS_MAX = 6
 
 ZERO_D_GE_G_MINUS_1 = "d_ge_g_minus_1"
 ZERO_INTERIOR_EDGE = "interior_edge"
 ZERO_GENUS_TWO_TOP = "genus_two_top"
 ZERO_TORIC_EMPTY = "toric_empty"
 ONE_TORIC_COMMON_CONE = "toric_common_cone"
+
+
+class CostGuardError(ValueError):
+    """A residue chain requested beyond the N <= 6 cost guard; the input is
+    too large, so the CLI reports it as an input error."""
 
 
 class DegenerateResidueError(ValueError):
@@ -83,7 +91,7 @@ class TDegreeReport:
     det_bound_checked: bool
 
 
-def t_degree_bounds(v: VolumeFunction, include_det: bool = True) -> TDegreeReport:
+def t_degree_bounds(v: VolumeFunction) -> TDegreeReport:
     """Per-variable degree bounds on the log-Hessian numerator matrix:
 
         deg_k T_kk = 2 deg_k F - 2,
@@ -91,8 +99,8 @@ def t_degree_bounds(v: VolumeFunction, include_det: bool = True) -> TDegreeRepor
         deg_k T_ij <= 2 deg_k F       (i, j != k),
         deg_k det T <= 2 N deg_k F - 2.
 
-    The det bound needs the full determinant, so it is skipped when
-    include_det is false or N exceeds the symbolic cost guard.
+    The det bound needs no det T: by its closed form (volume_ke), deg_k
+    det T = (g+1)(g-1) deg_k F, or -1 (the zero polynomial) if det M = 0.
     """
     n = v.nvars
     t = t_matrix(v)
@@ -114,17 +122,14 @@ def t_degree_bounds(v: VolumeFunction, include_det: bool = True) -> TDegreeRepor
                     if dk > 2 * degf[k]:
                         failures.append(
                             f"deg_{k + 1} T[{i + 1},{j + 1}] = {dk} > {2 * degf[k]}")
-    det_checked = False
-    if include_det and n <= SYMBOLIC_NVARS_MAX:
-        det_t = det_t_symbolic(v)
-        det_checked = True
-        for k in range(n):
-            dk = det_t.degree_in(k)
-            if dk > 2 * n * degf[k] - 2:
-                failures.append(
-                    f"deg_{k + 1} det T = {dk} > {2 * n * degf[k] - 2}")
+    dependent = pencil_coordinate_det(v.pencil) == 0
+    for k in range(n):
+        dk = -1 if dependent else (v.g + 1) * (v.g - 1) * degf[k]
+        if dk > 2 * n * degf[k] - 2:
+            failures.append(
+                f"deg_{k + 1} det T = {dk} > {2 * n * degf[k] - 2}")
     return TDegreeReport(ok=not failures, failures=tuple(failures),
-                         det_bound_checked=det_checked)
+                         det_bound_checked=True)
 
 
 @dataclass(frozen=True)

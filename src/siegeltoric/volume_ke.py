@@ -10,32 +10,47 @@ The Kaehler-Einstein metric forces the determinant identity
 
     det(T) = (-1)^N * 2^(g(g-1)/2) * vol^2 * F^((g+1)(g-1)),
 
-where vol is the lattice volume of the cone.  Checking that identity,
-symbolically or at random rational points, is what this module does; the
-set of coefficient equations it encodes cuts out the KE-characteristic
-variety, and integral matrix pencils can be tested for membership.
+where vol is the lattice volume of the cone.  This module proves it for
+every genus, checks it at random rational points, and tests integral
+pencils for membership in the variety its coefficient equations cut out.
 
-det(T) is never expanded.  Let f be homogeneous of degree e >= 2 in M
-variables x and free of any others, with Hessian H and gradient u.
-Euler's relations H x = (e-1) u and x . u = e f give adj(H) u =
-det(H) x / (e-1), so the rank-one update det(f H - u u^T) = f^M det(H) -
-f^(M-1) u^T adj(H) u, which needs no invertibility, collapses to
--f^M det(H) / (e-1).  For e <= 1 the entries are constants and their
-determinant is taken as it stands.  As (g+1)(g-1) >= N and Q[x] is a
-domain, the identity for g >= 2 reads
+Euler reduction.  Let f be homogeneous of degree e >= 2 in M variables x
+and free of any others, with Hessian H and gradient u.  Euler's relations
+H x = (e-1) u and x . u = e f give adj(H) u = det(H) x / (e-1), so the
+rank-one update det(f H - u u^T) = f^M det(H) - f^(M-1) u^T adj(H) u
+collapses to -f^M det(H) / (e-1).  For e <= 1 the entries are constants.
 
-    det(H) = -(g-1) * (-1)^N 2^(g(g-1)/2) vol^2 * F^((g+1)(g-2)/2),
+Closed form.  Write F = det(L x), L x = sum x_mu A_mu, and let M be the
+N x N matrix whose column mu holds the delta-coordinates (entries (i, j),
+i <= j) of A_mu; let h(Y) be the determinant of the Hessian of det at Y
+in those coordinates.  The chain rule gives Hess F(x) = M^T Hess det(L x)
+M, so det H = det(M)^2 h(L x).  Y -> A Y A^T is linear on Sym_g with
+determinant det(A)^(g+1) and multiplies det by det(A)^2, so
+h(A Y A^T) = det(A)^(2(N-g-1)) h(Y); as every positive definite Y is
+A A^T and that cone is Zariski dense, h(Y) = h(I) det(Y)^((g+1)(g-2)/2),
+the relative invariance of det on Sym_g (Sato-Kimura, Nagoya Math. J. 65,
+1977; Faraut-Koranyi, Analysis on Symmetric Cones, ch. II-III).  At I
+only y_ii y_jj and -y_ij^2 have nonzero second derivatives, so
+Hess det(I) = diag(J_g - I_g, -2 I_{g(g-1)/2}) and
+h(I) = -(g-1) (-1)^N 2^(g(g-1)/2).  With the Euler reduction (e = g),
+for every pencil of N matrices, dependent ones included,
 
-the relative invariance of det on the prehomogeneous space Sym_g
-(Sato-Kimura, Nagoya Math. J. 65, 1977); at g = 1 the 1 x 1 T is compared
-directly.  Randomized mode evaluates H, not T, and reports
--F^N det(H) / (g-1), which is det(T) at the point exactly.
+    det(T) = (-1)^N 2^(g(g-1)/2) det(M)^2 F^((g+1)(g-1)),
+
+and at g = 1 (F = a x, T = -a^2, det M = a) too.  So the symbolic
+identity holds exactly when det(M)^2 = vol^2: one rational determinant at
+every genus.  As vol = |det M| for a cone, it holds for every
+nondegenerate cone, is_ke_point is True on every independent pencil, and
+ke_coefficient is always 0.  The direct det(T) and Hessian routes are
+test oracles.  Randomized mode evaluates H at each point and reports
+-F^N det(H) / (g-1), which is det(T) there exactly; the residue minor
+uses the Euler reduction as well.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -54,15 +69,7 @@ from .exact_algebra import (
     pencil_det,
 )
 
-# symbolic verification is allowed up to this many pencil variables
-SYMBOLIC_NVARS_MAX = 6
-
 RANDOM_COORD_MAX = 10 ** 6
-
-
-class CostGuardError(ValueError):
-    """Symbolic mode requested beyond the N <= 6 cost guard; the input is
-    too large, so the CLI reports it as an input error."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +110,31 @@ def volume_function(c: MarkedCone) -> VolumeFunction:
     return VolumeFunction(g=c.g, nvars=n, pencil=pencil, F=f, vol=vol, cone=c)
 
 
+def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
+    """det M, the determinant of the delta-coordinates of mats (module
+    docstring); a malformed pencil raises DimensionError."""
+    n = len(mats)
+    g = len(mats[0])
+    if n != sym_dim(g):
+        raise DimensionError(
+            f"expected {sym_dim(g)} matrices for g={g}, got {n}")
+    rows = []
+    for m in mats:
+        if len(m) != g or any(len(r) != g for r in m):
+            raise DimensionError("ragged pencil")
+        if any(Fraction(m[i][j]) != Fraction(m[j][i]) for i in range(g) for j in range(i)):
+            raise DimensionError("pencil matrix is not symmetric")
+        rows.append([Fraction(m[i][j]) for i, j in delta_index_pairs(g)])
+    return rational_det(rows)
+
+
 def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]]],
                                 g: int, vol: int) -> VolumeFunction:
-    """Volume-function wrapper around an explicit pencil (no cone attached)."""
+    """Volume-function wrapper around an explicit pencil (no cone attached);
+    its N matrices must be symmetric, but need not be independent."""
     pencil = tuple(
         tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats)
+    pencil_coordinate_det(pencil)
     f = pencil_det(pencil)
     if f.is_zero():
         raise DegenerateConeError("degenerate pencil: det vanishes identically")
@@ -152,18 +179,16 @@ def _euler_degree(f: MultiPoly, keep: Sequence[int]) -> int:
 def euler_t_det(f: MultiPoly, keep: Sequence[int]) -> MultiPoly:
     """det(f*H - grad grad^T) over `keep`, for f homogeneous of degree e in
     those variables and free of the rest: -f^M det(H) / (e-1) for e >= 2,
-    the determinant of the constant entries otherwise (module docstring).
+    with f^M left unexpanded when det(H) is 0, and the determinant of the
+    constant entries otherwise (module docstring).
     """
     e = _euler_degree(f, keep)
     if e < 2:
         return _t_matrix(f, keep).det()
-    hess = _symmetric(len(keep), _hessian_entries(f, keep))
-    return (f ** len(keep) * hess.det()).scale(Fraction(-1, e - 1))
-
-
-def det_t_symbolic(v: VolumeFunction) -> MultiPoly:
-    """Exact det(T) through the Euler reduction (euler_t_det on all variables)."""
-    return euler_t_det(v.F, range(v.nvars))
+    det_h = _symmetric(len(keep), _hessian_entries(f, keep)).det()
+    if det_h.is_zero():
+        return det_h
+    return (f ** len(keep) * det_h).scale(Fraction(-1, e - 1))
 
 
 def ma_rhs_constant(g: int, vol: Fraction | int) -> Fraction:
@@ -174,21 +199,13 @@ def ma_rhs_constant(g: int, vol: Fraction | int) -> Fraction:
 
 def ma_rhs(v: VolumeFunction) -> MultiPoly:
     """(-1)^N 2^(g(g-1)/2) vol^2 F^((g+1)(g-1))."""
-    power = (v.g + 1) * (v.g - 1)
-    return (v.F ** power).scale(ma_rhs_constant(v.g, v.vol))
+    return (v.F ** ((v.g + 1) * (v.g - 1))).scale(ma_rhs_constant(v.g, v.vol))
 
 
-def _ma_defect(v: VolumeFunction, c: Fraction) -> MultiPoly:
-    """det(T) - c F^((g+1)(g-1)), divided by the nonzero -F^N/(g-1) when
-    g >= 2, which leaves det(H) + (g-1) c F^((g+1)(g-2)/2).  Every symbolic
-    check goes through here, and so through the N <= 6 cost guard."""
-    g, n = v.g, v.nvars
-    if n > SYMBOLIC_NVARS_MAX:
-        raise CostGuardError(f"symbolic mode limited to N <= {SYMBOLIC_NVARS_MAX}, got N={n}")
-    if g < 2:
-        return det_t_symbolic(v) - MultiPoly.const(n, c)
-    det_h = _symmetric(n, _hessian_entries(v.F, range(n))).det()
-    return det_h + (v.F ** ((g + 1) * (g - 2) // 2)).scale((g - 1) * c)
+def det_t_symbolic(v: VolumeFunction) -> MultiPoly:
+    """Exact det(T) in closed form: ma_rhs with vol := det M (module docstring)."""
+    d = pencil_coordinate_det(v.pencil)
+    return ma_rhs(replace(v, vol=d)) if d else MultiPoly.zero(v.nvars)
 
 
 @dataclass(frozen=True)
@@ -238,14 +255,15 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
                        trials: int = 20, seed: int = 0) -> MAReport:
     """Check det(T) = (-1)^N 2^(g(g-1)/2) vol^2 F^((g+1)(g-1)).
 
-    Symbolic mode proves exact polynomial equality (guarded to N <= 6);
-    randomized mode compares both sides at `trials` random rational points
-    with numerators and denominators in [1, 10^6], recording any failing
-    point as an exact, replayable witness.
+    Symbolic mode proves exact polynomial equality at every genus: by the
+    closed form it holds exactly when det(M)^2 = vol^2.  Randomized mode
+    compares both sides at `trials` random rational points with numerators
+    and denominators in [1, 10^6], recording any failing point as an exact,
+    replayable witness.
     """
     if mode == "symbolic":
-        holds = _ma_defect(v, ma_rhs_constant(v.g, v.vol)).is_zero()
-        return MAReport(holds=holds, mode="symbolic", g=v.g, vol=v.vol)
+        d = pencil_coordinate_det(v.pencil)
+        return MAReport(holds=d * d == v.vol * v.vol, mode="symbolic", g=v.g, vol=v.vol)
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
@@ -267,39 +285,16 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
 # KE-characteristic membership for integral pencils
 
 
-def _pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
-    """det of the N x N matrix whose rows are the delta-coordinates of mats."""
-    n = len(mats)
-    g = len(mats[0])
-    if n != sym_dim(g):
-        raise DimensionError(
-            f"expected {sym_dim(g)} matrices for g={g}, got {n}")
-    rows = []
-    for m in mats:
-        if len(m) != g or any(len(r) != g for r in m):
-            raise DimensionError("ragged pencil")
-        for i in range(g):
-            for j in range(g):
-                if Fraction(m[i][j]) != Fraction(m[j][i]):
-                    raise DimensionError("pencil matrix is not symmetric")
-        rows.append([Fraction(m[i][j]) for i, j in delta_index_pairs(g)])
-    return rational_det(rows)
-
-
 def is_ke_point(mats: Sequence[Sequence[Sequence[int]]]) -> bool:
     """Membership of an independent symmetric pencil in the variety cut out
-    by the Monge-Ampere coefficient equations.
-
-    Equivalent to the symbolic identity det(T) = (-1)^N 2^(g(g-1)/2) D^2
-    F^((g+1)(g-1)) with F = det(sum x_i mats[i]) and D the determinant of
-    the coordinate matrix of the pencil; symbolic, so guarded to N <= 6.
+    by the Monge-Ampere coefficient equations: det(T) = (-1)^N 2^(g(g-1)/2)
+    D^2 F^((g+1)(g-1)) with F = det(sum x_i mats[i]) and D = det M.  The
+    closed form (module docstring) proves it for every pencil, so this is
+    True unless the pencil is dependent, which raises DegenerateConeError.
     """
-    d = _pencil_coordinate_det(mats)
-    if d == 0:
+    if pencil_coordinate_det(mats) == 0:
         raise DegenerateConeError("matrices are linearly dependent")
-    g = len(mats[0])
-    v = volume_function_from_pencil(mats, g=g, vol=1)
-    return _ma_defect(v, ma_rhs_constant(g, d)).is_zero()
+    return True
 
 
 def ke_coefficient(mats: Sequence[Sequence[Sequence[int]]],
@@ -308,7 +303,9 @@ def ke_coefficient(mats: Sequence[Sequence[Sequence[int]]],
     F^((g+1)(g-1)) D^2, evaluated at the given pencil.
 
     The admissible multi-indices sum to g(g^2-1), the x-degree of both
-    determinant sides.
+    determinant sides.  The closed form (module docstring) makes the
+    difference the zero polynomial for every pencil, so once the arguments
+    are checked every coefficient is 0.
     """
     g = len(mats[0])
     target = g * (g * g - 1)
@@ -316,17 +313,10 @@ def ke_coefficient(mats: Sequence[Sequence[Sequence[int]]],
     if sum(idx) != target or any(e < 0 for e in idx):
         raise ValueError(
             f"multi-index must consist of nonnegative entries summing to {target}")
-    d = _pencil_coordinate_det(mats)
+    pencil_coordinate_det(mats)
     if len(idx) != len(mats):
         raise DimensionError("multi-index length must match the pencil size")
-    try:
-        v = volume_function_from_pencil(mats, g=g, vol=1)
-    except DegenerateConeError:
-        return Fraction(0)  # F = 0: both sides vanish
-    defect = _ma_defect(v, ma_rhs_constant(g, d))
-    if g >= 2 and defect:
-        defect = (v.F ** v.nvars * defect).scale(Fraction(-1, g - 1))
-    return defect.coeff(idx)
+    return Fraction(0)
 
 
 def permutation_check(mats: Sequence[Sequence[Sequence[int]]],
@@ -335,9 +325,8 @@ def permutation_check(mats: Sequence[Sequence[Sequence[int]]],
     """Reindexing symmetry of the pencil determinant.
 
     Confirms det(sum_i x_i Y(perm(i))) = det(sum_i x_{perm^-1(i)} Y(i)) at
-    random rational points, and that KE membership does not change when the
-    pencil list is permuted (skipped for dependent pencils, where
-    membership is undefined).
+    random rational points.  KE membership needs no check: it holds on
+    every independent pencil, in any order (module docstring).
     """
     n = len(mats)
     p = tuple(int(k) for k in perm)
@@ -354,9 +343,6 @@ def permutation_check(mats: Sequence[Sequence[Sequence[int]]],
         point = random_rational_point(rng, n)
         moved_point = tuple(point[inv[i]] for i in range(n))
         if f_perm.eval_at(point) != f_orig.eval_at(moved_point):
-            return False
-    if _pencil_coordinate_det(mats) != 0:
-        if is_ke_point(mats) != is_ke_point(permuted):
             return False
     return True
 

@@ -216,6 +216,38 @@ def t_matrix_grid(f, nvars):
              for j in range(nvars)] for i in range(nvars)]
 
 
+def hessian_grid(f, nvars):
+    firsts = [p_partial(f, i) for i in range(nvars)]
+    return [[p_partial(firsts[i], j) for j in range(nvars)] for i in range(nvars)]
+
+
+def det_t_hessian(f, nvars):
+    """det T by the Euler reduction, -f^N det(Hess f) / (deg f - 1), with the
+    Hessian determinant expanded by cofactors: the direct route that the
+    closed form in siegeltoric.volume_ke replaced.  For deg f <= 1 the
+    entries of T are constants and their determinant is taken as it stands."""
+    deg = max(sum(e) for e in f)
+    if deg < 2:
+        return det_cofactor(t_matrix_grid(f, nvars))
+    det_h = det_cofactor(hessian_grid(f, nvars))
+    return p_scale(p_mul(p_pow(f, nvars), det_h), Fraction(-1, deg - 1))
+
+
+def delta_hessian_det_at_identity(g):
+    """det of the Hessian of det on Sym_g at the identity, in the
+    coordinates y_ij (i <= j) of the basis E_ii, E_ij + E_ji."""
+    pairs = [(i, j) for i in range(g) for j in range(i, g)]
+    basis = []
+    for i, j in pairs:
+        m = [[0] * g for _ in range(g)]
+        m[i][j] = m[j][i] = 1
+        basis.append(m)
+    det = pencil_determinant(basis)
+    identity = [1 if i == j else 0 for i, j in pairs]
+    return frac_det([[p_eval(h, identity) for h in row]
+                     for row in hessian_grid(det, len(pairs))])
+
+
 def residue_chain_naive(f, nvars, d):
     """S_0 = f, S_k = leading coefficient of S_{k-1} in variable k-1;
     g_d = cofactor determinant of the minor of P on the unselected block."""

@@ -122,12 +122,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "internal error: TypeError: handler bug\n"
 
-    def test_ke_test_cost_guard_is_two(self, tmp_path):
-        path = tmp_path / "g4.json"
-        path.write_text(json.dumps(cone_to_json(principal_cone(4))))
-        proc = run_cli("ke", "test", str(path))
-        assert proc.returncode == 2
-        assert "N <= 6" in proc.stderr and "Traceback" not in proc.stderr
+    def test_symbolic_ma_and_ke_run_past_genus_3(self, tmp_path):
+        # one rational determinant decides both at every genus
+        for g in (4, 5):
+            path = tmp_path / f"g{g}.json"
+            path.write_text(json.dumps(cone_to_json(principal_cone(g))))
+            proc = run_cli("ma", "verify", str(path), "--symbolic")
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            assert report["holds"] is True and report["mode"] == "symbolic" and report["g"] == g
+        proc = run_cli("ke", "test", str(tmp_path / "g4.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["member"] is True
 
     @pytest.mark.parametrize("fan", [
         5,
@@ -182,6 +188,19 @@ class TestExitCodes:
         proc = run_cli("hodge", sub, str(path))
         assert proc.returncode == 2, proc.stdout
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sub,obj", [
+        ("weight", {"g": 2, "u": [["1", "0"], ["0", True]]}),
+        ("weight", {"g": 1, "u": [[True]]}),
+        ("siegel", {"re": [["0"]], "im": [[1]]}),
+        ("siegel", {"re": [[0]], "im": [[True]]}),
+    ], ids=["u-string", "u-bool", "re-string", "im-bool"])
+    def test_non_number_matrix_entry_is_two(self, sub, obj, tmp_path):
+        path = tmp_path / "hodge.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("hodge", sub, str(path))
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error:") and "must be numbers" in proc.stderr
 
     @pytest.mark.parametrize("args", [("residue", "--d", "1"), ("intersect", "--edges", "1")],
                              ids=["residue", "intersect"])

@@ -90,10 +90,6 @@ class TestTDegreeBounds:
         report = t_degree_bounds(volume_function(c))
         assert report.ok
 
-    def test_det_bound_can_be_skipped(self):
-        report = t_degree_bounds(V2, include_det=False)
-        assert report.ok and not report.det_bound_checked
-
     def test_t11_degree_zero_in_x1(self):
         # T_11 = -(y+z)^2 for the principal cone: degree 0 = 2*1-2 in x1
         from siegeltoric.volume_ke import t_matrix

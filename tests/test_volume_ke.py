@@ -6,12 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from siegeltoric.catalog import principal_cone
-from siegeltoric.cone_lattice import DegenerateConeError, MarkedCone, gl_act
+from siegeltoric.catalog import catalog_get, catalog_names, principal_cone
+from siegeltoric.cone_lattice import DegenerateConeError, MarkedCone, gl_act, sym_dim
 from siegeltoric.exact_algebra import MultiPoly, PolyMatrix, pencil_det
 from siegeltoric.volume_ke import (
-    CostGuardError,
-    SYMBOLIC_NVARS_MAX,
     VolumeFunction,
     det_t_symbolic,
     euler_t_det,
@@ -19,6 +17,8 @@ from siegeltoric.volume_ke import (
     is_ke_point,
     ke_coefficient,
     ma_rhs,
+    ma_rhs_constant,
+    pencil_coordinate_det,
     permutation_check,
     t_matrix,
     verify_ma_identity,
@@ -56,6 +56,43 @@ def direct_t_det(f, keep):
     m = len(keep)
     return PolyMatrix(m, m, [f * grads[a].partial(keep[b]) - grads[a] * grads[b]
                              for a in range(m) for b in range(m)]).det()
+
+
+def unit_matrix(g, i, j):
+    m = [[0] * g for _ in range(g)]
+    m[i][j] = m[j][i] = 1
+    return m
+
+
+def random_g2_pencils():
+    """Six dense indefinite integer pencils (seed 41): not cones, F need
+    not be positive."""
+    rng = random.Random(41)
+    pencils = []
+    while len(pencils) < 6:
+        mats = [random_symmetric(rng, 2, 4) for _ in range(3)]
+        if not pencil_det(mats).is_zero():
+            pencils.append(mats)
+    return pencils
+
+
+def sparse_g3_pencils():
+    """Indefinite genus-3 pencils (seeds 0 and 1): the coordinate pencil with
+    random nonzero scalings, each off-diagonal matrix shifted by a random
+    diagonal unit (sparse enough that the direct det stays cheap)."""
+    pencils = []
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        mats = []
+        for i, j in [(i, j) for i in range(3) for j in range(i, 3)]:
+            m = [[0] * 3 for _ in range(3)]
+            m[i][j] = m[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+            if i != j:
+                k = rng.randrange(3)
+                m[k][k] += rng.choice((-1, 0, 1))
+            mats.append(m)
+        pencils.append(mats)
+    return pencils
 
 
 def random_invertible_rows(rng):
@@ -166,31 +203,12 @@ class TestMAIdentity:
         assert det_t_symbolic(vs[1]) == MultiPoly.const(1, -4)
 
     def test_det_t_symbolic_equals_direct_det_random_g2_pencils(self):
-        # dense indefinite integer pencils: not cones, F need not be positive
-        rng = random.Random(41)
-        checked = 0
-        while checked < 6:
-            mats = [random_symmetric(rng, 2, 4) for _ in range(3)]
-            if pencil_det(mats).is_zero():
-                continue
+        for mats in random_g2_pencils():
             v = volume_function_from_pencil(mats, g=2, vol=1)
             assert det_t_symbolic(v) == t_matrix(v).det(), mats
-            checked += 1
 
     def test_det_t_symbolic_equals_direct_det_random_g3_pencils(self):
-        # indefinite genus-3 pencils: the coordinate pencil with random
-        # nonzero scalings, each off-diagonal matrix shifted by a random
-        # diagonal unit (sparse enough that the direct det stays cheap)
-        for seed in (0, 1):
-            rng = random.Random(seed)
-            mats = []
-            for i, j in [(i, j) for i in range(3) for j in range(i, 3)]:
-                m = [[0] * 3 for _ in range(3)]
-                m[i][j] = m[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
-                if i != j:
-                    k = rng.randrange(3)
-                    m[k][k] += rng.choice((-1, 0, 1))
-                mats.append(m)
+        for mats in sparse_g3_pencils():
             v = volume_function_from_pencil(mats, g=3, vol=1)
             assert det_t_symbolic(v) == t_matrix(v).det(), mats
 
@@ -206,6 +224,13 @@ class TestMAIdentity:
         # f free of x_0, homogeneous of degree 2 in x_1, x_2
         f = MultiPoly(3, {(0, 2, 0): 3, (0, 1, 1): -1, (0, 0, 2): 2})
         assert euler_t_det(f, [1, 2]) == direct_t_det(f, [1, 2])
+
+    def test_euler_t_det_stops_at_a_zero_hessian(self):
+        # S_1 of the principal genus-4 F has rank-1 leading edge E_11, and its
+        # Hessian over x_2..x_10 is singular; the zero comes back without
+        # expanding S_1^9 (degree 27)
+        _, s1 = volume_function(principal_cone(4)).F.leading_coeff_in(0)
+        assert euler_t_det(s1, range(1, 10)).is_zero()
 
     def test_euler_t_det_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
@@ -227,6 +252,69 @@ class TestMAIdentity:
                            for i in range(6)]
             det_at_pt = oracle.det_cofactor(scalar_grid).get((), Fraction(0))
             assert det_at_pt == det_t.eval_at(pt)
+
+    def test_closed_form_matches_hessian_oracle(self):
+        # the closed form against the oracle's cofactor Hessian route on
+        # g = 1 pencils, the principal g = 2 cones, the seed-41 genus-2
+        # pencils, the sparse genus-3 pencils and dependent (det M = 0)
+        # pencils of genus 2 and 3, where both sides vanish
+        vs = [volume_function_from_pencil([[[c]]], g=1, vol=1) for c in (1, -2, 5)]
+        vs += [volume_function(c) for c in (SIGMA0, principal_cone(2, scale=3))]
+        vs += [volume_function_from_pencil(m, g=2, vol=1) for m in random_g2_pencils()]
+        vs += [volume_function_from_pencil(m, g=3, vol=1) for m in sparse_g3_pencils()]
+        dependent = [
+            [[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            [unit_matrix(3, i, j) for i, j in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]]
+            + [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+        ]
+        for mats in dependent:
+            assert pencil_coordinate_det(mats) == 0
+            v = volume_function_from_pencil(mats, g=len(mats[0]), vol=1)
+            assert det_t_symbolic(v).is_zero() and t_matrix(v).det().is_zero()
+            vs.append(v)
+        for v in vs:
+            assert det_t_symbolic(v).terms == oracle.det_t_hessian(v.F.terms, v.nvars)
+
+    def test_closed_form_on_catalog(self):
+        # every catalog cone: the oracle's cofactor Hessian determinant is
+        # det(M)^2 h(I) F^((g+1)(g-2)/2), and at g = 2 the closed form is
+        # the direct determinant of T (principal-g3 is compared pointwise
+        # with the oracle's T in the test below)
+        for name in catalog_names():
+            v = volume_function(catalog_get(name).cone)
+            g, n = v.g, v.nvars
+            d = pencil_coordinate_det(v.pencil)
+            h_identity = oracle.delta_hessian_det_at_identity(g)
+            det_h = oracle.det_cofactor(oracle.hessian_grid(v.F.terms, n))
+            assert det_h == oracle.p_scale(
+                oracle.p_pow(v.F.terms, (g + 1) * (g - 2) // 2), d * d * h_identity), name
+            if g == 2:
+                assert det_t_symbolic(v) == t_matrix(v).det(), name
+
+    def test_delta_hessian_at_identity(self):
+        # h(I) = -(g-1)(-1)^N 2^(g(g-1)/2), computed directly from det on Sym_g
+        for g in range(2, 6):
+            expected = -(g - 1) * (-1) ** sym_dim(g) * 2 ** (g * (g - 1) // 2)
+            assert oracle.delta_hessian_det_at_identity(g) == expected
+            assert expected == -(g - 1) * ma_rhs_constant(g, 1)
+
+    def test_symbolic_verdict_matches_oracle_on_wrong_volumes(self):
+        # the identity holds exactly when vol^2 = det(M)^2, as the oracle's
+        # expanded sides confirm at g = 1, 2 and 3; randomized mode agrees
+        cases = [volume_function_from_pencil([[[-3]]], g=1, vol=3), volume_function(SIGMA0)]
+        cases += [volume_function_from_pencil(m, g=3, vol=1) for m in sparse_g3_pencils()]
+        for v in cases:
+            g = v.g
+            d = abs(oracle.frac_det([[m[i][j] for i in range(g) for j in range(i, g)]
+                                     for m in v.pencil]))
+            lhs = oracle.det_t_hessian(v.F.terms, v.nvars)
+            for vol in (d, d + 1, 2 * d):
+                rhs = oracle.p_scale(oracle.p_pow(v.F.terms, (g + 1) * (g - 1)),
+                                     (-1) ** v.nvars * 2 ** (g * (g - 1) // 2) * vol * vol)
+                w = VolumeFunction(g=g, nvars=v.nvars, pencil=v.pencil, F=v.F, vol=vol)
+                report = verify_ma_identity(w, "symbolic")
+                assert report.holds == (lhs == rhs) == (vol == d), (g, vol)
+                assert verify_ma_identity(w, "randomized", trials=2, seed=5).holds == report.holds
 
     def test_degenerate_pencil_errors_not_false(self):
         with pytest.raises(Exception):
@@ -255,23 +343,27 @@ class TestMAIdentity:
                            for i in range(3)]
             assert w.lhs == oracle.det_cofactor(scalar_grid).get((), Fraction(0))
 
-    def test_cost_guard(self):
+    def test_certificate_agrees_with_randomized_at_g4_g5(self):
+        # symbolic mode is one rational determinant at every genus; at
+        # g = 4 and 5 it must give randomized mode's verdict, for the right
+        # volume and for a wrong one
         pencil = [[[Fraction(1 if i == j == k else 0) for j in range(4)]
                    for i in range(4)] for k in range(4)]
-        extra = []
         for a in range(4):
             for b in range(a + 1, 4):
                 m = [[Fraction(0)] * 4 for _ in range(4)]
                 m[a][b] = m[b][a] = Fraction(1)
                 m[a][a] = m[b][b] = Fraction(1)
-                extra.append(m)
-        mats = pencil + extra  # 10 = dim Sym_4
-        f = pencil_det(mats)
-        v = VolumeFunction(g=4, nvars=10, pencil=tuple(
-            tuple(tuple(x for x in row) for row in m) for m in mats), F=f, vol=1)
-        assert v.nvars > SYMBOLIC_NVARS_MAX
-        with pytest.raises(CostGuardError):
-            verify_ma_identity(v, "symbolic")
+                pencil.append(m)  # 10 = dim Sym_4
+        cases = [(volume_function_from_pencil(pencil, g=4, vol=1), 3),
+                 (volume_function(principal_cone(4)), 3),
+                 (volume_function(principal_cone(5)), 1)]
+        for v, trials in cases:
+            for vol in (v.vol, v.vol + 1):
+                w = VolumeFunction(g=v.g, nvars=v.nvars, pencil=v.pencil, F=v.F, vol=vol)
+                symbolic = verify_ma_identity(w, "symbolic")
+                randomized = verify_ma_identity(w, "randomized", trials=trials, seed=4)
+                assert symbolic.holds == randomized.holds == (vol == v.vol), (v.g, vol)
 
     def test_sign_flip_invariance(self):
         # degree g(g^2-1) is even, so both sides agree at -x as well
