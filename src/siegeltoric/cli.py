@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as catalog_mod
-from . import cone_lattice, jsonio, period_domain, residue_intersect, volume_ke
+from . import cone_lattice, jsonio, residue_intersect, volume_ke
 from .cone_lattice import DegenerateConeError
 from .exact_algebra import poly_to_json
 
@@ -359,6 +359,9 @@ def _cmd_separable(args, config: RunConfig) -> int:
 
 
 def _cmd_hodge(args, config: RunConfig) -> int:
+    # the only numeric subcommand: numpy loads here, not at start-up
+    from . import period_domain
+
     obj = _load_json(args.file)
     tol = config.tol
     sub = args.subcheck
@@ -368,7 +371,7 @@ def _cmd_hodge(args, config: RunConfig) -> int:
         report = {"check": "hodge-siegel", "tol": tol, "ok": bool(ok)}
     elif sub == "riemann":
         mat = jsonio.complex_matrix_from_json(obj)
-        if mat.shape[0] == mat.shape[1]:
+        if len(mat) == len(mat[0]):
             mat = period_domain.filtration_from_tau(mat)
         ok = period_domain.riemann_check(mat, tol)
         report = {"check": "hodge-riemann", "tol": tol, "ok": bool(ok)}

@@ -2,17 +2,18 @@
 
 Integers are emitted as JSON numbers up to 2^53 and as decimal strings
 beyond; readers accept both.  Complex matrices travel as {"re": [[...]],
-"im": [[...]]}.  All emitters produce deterministic output (sorted keys,
-fixed separators) so identical runs are byte-identical.
+"im": [[...]]}; numeric matrices are read into nested lists of Python
+floats or complex numbers, so reading never imports numpy.  All emitters
+produce deterministic output (sorted keys, fixed separators) so identical
+runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
-
-import numpy as np
 
 from .cone_lattice import ConeShapeError, Fan, GroupElement, MarkedCone
 
@@ -134,37 +135,41 @@ def fan_from_json(obj: Mapping) -> Fan:
         raise InputFormatError(f"invalid fan: {exc}") from exc
 
 
-def _finite_array(obj, what: str) -> np.ndarray:
+def _finite_rows(obj, what: str) -> list[list[float]]:
+    """The rows of a JSON number matrix as floats: rectangular and finite."""
     for v in (v for row in obj for v in row):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise InputFormatError(f"{what} entries must be numbers, got {v!r}")
+    if any(len(row) != len(obj[0]) for row in obj):
+        raise InputFormatError(f"bad {what}: rows have unequal lengths")
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        rows = [[float(v) for v in row] for row in obj]
+    except OverflowError as exc:
         raise InputFormatError(f"bad {what}: {exc}") from exc
-    if not np.isfinite(arr).all():
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise InputFormatError(f"{what} has a non-finite entry")
-    return arr
+    return rows
 
 
-def real_matrix_from_json(obj) -> np.ndarray:
-    """A nonempty list of rows of finite numbers."""
+def real_matrix_from_json(obj) -> list[list[float]]:
+    """A nonempty list of equal-length rows of finite numbers, as floats."""
     _check_rows(obj)
-    return _finite_array(obj, "matrix")
+    return _finite_rows(obj, "matrix")
 
 
-def complex_matrix_from_json(obj: Mapping) -> np.ndarray:
+def complex_matrix_from_json(obj: Mapping) -> list[list[complex]]:
+    """{"re": rows, "im": rows} of one shape, as rows of complex numbers."""
     try:
         re_obj, im_obj = obj["re"], obj["im"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad complex matrix: {exc}") from exc
     _check_rows(re_obj)
     _check_rows(im_obj)
-    re_part = _finite_array(re_obj, "complex matrix")
-    im_part = _finite_array(im_obj, "complex matrix")
-    if re_part.shape != im_part.shape:
+    re_rows = _finite_rows(re_obj, "complex matrix")
+    im_rows = _finite_rows(im_obj, "complex matrix")
+    if len(re_rows) != len(im_rows) or len(re_rows[0]) != len(im_rows[0]):
         raise InputFormatError("re/im shapes disagree")
-    return re_part + 1j * im_part
+    return [[complex(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(re_rows, im_rows)]
 
 
 def fraction_to_json(x: Fraction) -> str:

@@ -12,6 +12,11 @@ Conventions (worked once at tau = i*I):
   * the filtration of tau is spanned by the columns of [tau; I_g];
   * the positivity form is H = i * F^T psi conj(F), which equals 2*I at
     tau = i*I.
+
+Arithmetic runs in binary64 with numpy's overflow warnings silenced: an
+intermediate that leaves the finite range raises a ValueError naming the
+stage instead of deciding a verdict on inf or nan.  This is the only
+module that imports numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def _finite(stage: str, arr) -> np.ndarray:
+    """arr as an array, or a ValueError when an entry is not finite."""
+    arr = np.asarray(arr)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{stage} is not finite in binary64")
+    return arr
 
 
 def symplectic_form(g: int) -> np.ndarray:
@@ -42,6 +57,7 @@ class CuspNilpotent:
     k: int
     u: np.ndarray
 
+    @_quiet
     def __post_init__(self):
         if not 0 <= self.k < self.g:
             raise ValueError(f"need 0 <= k < g, got k={self.k}, g={self.g}")
@@ -49,7 +65,7 @@ class CuspNilpotent:
         m = self.g - self.k
         if u.shape != (m, m):
             raise ValueError(f"u must be {m}x{m}, got {u.shape}")
-        if not np.allclose(u, u.T, atol=1e-12, rtol=0):
+        if np.max(np.abs(_finite("u - u^T", u - u.T))) > 1e-12:
             raise ValueError("u must be symmetric")
         if not np.any(u):
             raise ValueError("u must be nonzero")
@@ -63,15 +79,16 @@ class CuspNilpotent:
         return n
 
 
+@_quiet
 def siegel_membership(tau: np.ndarray, tol: float) -> bool:
     """tau symmetric within tol and Im(tau) positive definite beyond tol."""
     tau = np.asarray(tau, dtype=complex)
     if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
         raise ValueError(f"tau must be square, got shape {tau.shape}")
-    if np.max(np.abs(tau - tau.T)) > tol:
+    if np.max(_finite("|tau - tau^T|", np.abs(tau - tau.T))) > tol:
         return False
-    im = (tau.imag + tau.imag.T) / 2
-    return float(np.linalg.eigvalsh(im).min()) > tol
+    im = _finite("Im(tau) + Im(tau)^T", (tau.imag + tau.imag.T) / 2)
+    return float(_finite("eigenvalues of Im(tau)", np.linalg.eigvalsh(im)).min()) > tol
 
 
 def filtration_from_tau(tau: np.ndarray) -> np.ndarray:
@@ -83,6 +100,7 @@ def filtration_from_tau(tau: np.ndarray) -> np.ndarray:
     return np.vstack([tau, np.eye(g)])
 
 
+@_quiet
 def riemann_check(filt: np.ndarray, tol: float) -> bool:
     """Riemann bilinear relations for a rank-g filtration basis:
     F^T psi F = 0 and H = i F^T psi conj(F) positive definite."""
@@ -90,21 +108,22 @@ def riemann_check(filt: np.ndarray, tol: float) -> bool:
     if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
         raise ValueError(f"filtration must be 2g x g, got {f.shape}")
     g = f.shape[1]
-    smallest_sv = np.linalg.svd(f, compute_uv=False).min()
+    smallest_sv = _finite("singular values of F", np.linalg.svd(f, compute_uv=False)).min()
     if smallest_sv <= tol:
         raise ValueError("filtration basis is rank deficient")
     psi = symplectic_form(g)
-    if np.max(np.abs(f.T @ psi @ f)) > tol:
+    if np.max(_finite("|F^T psi F|", np.abs(f.T @ psi @ f))) > tol:
         return False
     h = 1j * (f.T @ psi @ f.conj())
-    h = (h + h.conj().T) / 2
-    return float(np.linalg.eigvalsh(h).min()) > tol
+    h = _finite("i F^T psi conj(F)", (h + h.conj().T) / 2)
+    return float(_finite("eigenvalues of H", np.linalg.eigvalsh(h)).min()) > tol
 
 
+@_quiet
 def positive_cone_membership(n: CuspNilpotent, tol: float) -> bool:
     """u symmetric positive definite beyond tol."""
-    u = (n.u + n.u.T) / 2
-    return float(np.linalg.eigvalsh(u).min()) > tol
+    u = _finite("u + u^T", (n.u + n.u.T) / 2)
+    return float(_finite("eigenvalues of u", np.linalg.eigvalsh(u)).min()) > tol
 
 
 def weight_filtration(n: CuspNilpotent, tol: float):
@@ -117,6 +136,7 @@ def weight_filtration(n: CuspNilpotent, tol: float):
     if np.max(np.abs(mat @ mat)) > tol:
         raise ValueError("N^2 != 0 beyond tolerance")
     u, s, vt = np.linalg.svd(mat)
+    _finite("singular values of N", s)
     rank = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 1.0)))
     dim = mat.shape[0]
     image_basis = u[:, :rank]
@@ -171,6 +191,7 @@ def nilpotent_orbit_check(fdual: np.ndarray, n: CuspNilpotent, tol: float) -> bo
     return riemann_check(exp_i_n(n) @ fdual, tol)
 
 
+@_quiet
 def assemble_block_tau(tau_prime: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Siegel point from cusp coordinates (tau', Z, S), S = A + iB:
 
@@ -185,9 +206,10 @@ def assemble_block_tau(tau_prime: np.ndarray, z: np.ndarray, s: np.ndarray) -> n
     corner = z + b.T @ tau_prime @ b - (a.T @ b + b.T @ a) / 2
     top = np.hstack([tau_prime, upper])
     bottom = np.hstack([upper.T, corner])
-    return np.vstack([top, bottom])
+    return _finite("assembled tau", np.vstack([top, bottom]))
 
 
+@_quiet
 def block_volume_identity(tau_prime: np.ndarray, z: np.ndarray,
                           s: np.ndarray, tol: float) -> bool:
     """det Im(tau) = det Im(tau') * det Im(Z) for the assembled block point."""
@@ -204,8 +226,9 @@ def block_volume_identity(tau_prime: np.ndarray, z: np.ndarray,
     tau = assemble_block_tau(tau_prime, z, s)
     if not siegel_membership(tau, tol):
         return False
-    lhs = float(np.linalg.det(tau.imag))
-    rhs = float(np.linalg.det(tau_prime.imag)) * float(np.linalg.det(z.imag))
+    lhs = float(_finite("det Im(tau)", np.linalg.det(tau.imag)))
+    rhs = float(_finite("det Im(tau') det Im(Z)",
+                        np.linalg.det(tau_prime.imag) * np.linalg.det(z.imag)))
     return abs(lhs - rhs) <= tol * (1 + abs(lhs))
 
 

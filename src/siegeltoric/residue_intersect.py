@@ -38,7 +38,8 @@ from .exact_algebra import MultiPoly
 from .volume_ke import (VolumeFunction, euler_t_det, pencil_coordinate_det, t_matrix,
                         volume_function)
 
-# the residue chain runs on volume polynomials of up to this many variables
+# the residue chain and the T degree bounds run on volume polynomials of up
+# to this many variables
 SYMBOLIC_NVARS_MAX = 6
 
 ZERO_D_GE_G_MINUS_1 = "d_ge_g_minus_1"
@@ -49,8 +50,8 @@ ONE_TORIC_COMMON_CONE = "toric_common_cone"
 
 
 class CostGuardError(ValueError):
-    """A residue chain requested beyond the N <= 6 cost guard; the input is
-    too large, so the CLI reports it as an input error."""
+    """A symbolic computation requested beyond the N <= 6 cost guard; the
+    input is too large, so the CLI reports it as an input error."""
 
 
 class DegenerateResidueError(ValueError):
@@ -101,8 +102,11 @@ def t_degree_bounds(v: VolumeFunction) -> TDegreeReport:
 
     The det bound needs no det T: by its closed form (volume_ke), deg_k
     det T = (g+1)(g-1) deg_k F, or -1 (the zero polynomial) if det M = 0.
+    The entry bounds expand the full N x N matrix T, so guarded to N <= 6.
     """
     n = v.nvars
+    if n > SYMBOLIC_NVARS_MAX:
+        raise CostGuardError(f"T degree bounds limited to N <= {SYMBOLIC_NVARS_MAX}, got N={n}")
     t = t_matrix(v)
     failures = []
     degf = [v.F.degree_in(k) for k in range(n)]

@@ -64,6 +64,20 @@ def p_pow(a, k):
     return out
 
 
+def p_pow_by_squaring(a, k):
+    """The same power by repeated squaring, a route independent of p_pow."""
+    nvars = len(next(iter(a))) if a else 0
+    out = {(0,) * nvars: Fraction(1)}
+    base = a
+    while k:
+        if k & 1:
+            out = p_mul(out, base)
+        k >>= 1
+        if k:
+            base = p_mul(base, base)
+    return out
+
+
 def p_partial(a, var):
     out = {}
     for e, c in a.items():

@@ -202,6 +202,22 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stdout
         assert proc.stderr.startswith("error:") and "must be numbers" in proc.stderr
 
+    @pytest.mark.parametrize("sub,obj,stage", [
+        ("riemann", {"re": [[1e200, 0], [0, 1], [1e200, 0], [0, 1]],
+                     "im": [[1e200, 0], [0, 1], [0, 0], [0, 0]]}, "F^T psi F"),
+        ("block-volume", {"tau_prime": {"re": [[1e300]], "im": [[1e300]]},
+                          "Z": {"re": [[0]], "im": [[1]]},
+                          "S": {"re": [[1e300]], "im": [[1e300]]}}, "assembled tau"),
+        ("siegel", {"re": [[0]], "im": [[1e308]]}, "Im(tau)"),
+    ], ids=["riemann", "block-volume", "siegel"])
+    def test_binary64_overflow_is_two(self, sub, obj, stage, tmp_path):
+        path = tmp_path / "hodge.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("hodge", sub, str(path))
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error:") and stage in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
+
     @pytest.mark.parametrize("args", [("residue", "--d", "1"), ("intersect", "--edges", "1")],
                              ids=["residue", "intersect"])
     def test_residue_cost_guard_is_two(self, args, tmp_path):
@@ -289,6 +305,14 @@ class TestHodgeCommands:
         path = tmp_path / "tau.json"
         path.write_text(json.dumps({"re": [[1.0]], "im": [[0.0]]}))
         assert run_cli("hodge", "siegel", str(path)).returncode == 1
+
+    def test_riemann_on_large_tau(self, tmp_path):
+        # [tau; I] multiplies no two entries of tau, so 1e200 stays in range
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"re": [[1e200, 0], [0, 1]], "im": [[1e200, 0], [0, 1]]}))
+        proc = run_cli("hodge", "riemann", str(path))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["ok"] is True
 
     def test_block_volume(self, tmp_path):
         path = tmp_path / "block.json"

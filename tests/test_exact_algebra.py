@@ -148,6 +148,20 @@ class TestArithmetic:
         assert (X + Y) ** 2 == X * X + (X * Y).scale(2) + Y * Y
         assert X ** 0 == MultiPoly.const(3, 1)
 
+    def test_pow_matches_squaring_oracle(self):
+        from siegeltoric.catalog import principal_cone
+        from siegeltoric.volume_ke import volume_function
+        f = volume_function(principal_cone(3)).F
+        for k in range(5):
+            assert (f ** k).terms == oracle.p_pow_by_squaring(f.terms, k), k
+        rng = random.Random(77)
+        for _ in range(10):
+            p = random_poly(rng, rng.randint(1, 4))
+            k = rng.randint(0, 5)
+            if p.is_zero():
+                continue
+            assert (p ** k).terms == oracle.p_pow_by_squaring(p.terms, k), (p, k)
+
 
 class TestPartialEval:
     def test_partial_sum_rule(self):

@@ -1,8 +1,8 @@
 """On-disk format round trips and big-integer handling."""
 
 import json
+import re
 
-import numpy as np
 import pytest
 
 from siegeltoric.cone_lattice import MarkedCone
@@ -18,6 +18,7 @@ from siegeltoric.jsonio import (
     field,
     group_from_json,
     int_matrix_from_json,
+    real_matrix_from_json,
     render_text,
 )
 
@@ -69,15 +70,32 @@ def test_fan_requires_cones_key():
         fan_from_json({})
 
 
-def complex_matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
-
-
 def test_complex_matrix_round_trip():
-    m = np.array([[1 + 2j, 0.5], [-1j, 3]])
-    got = complex_matrix_from_json(complex_matrix_to_json(m))
-    assert np.allclose(got, m)
+    got = complex_matrix_from_json({"re": [[1, 0.5], [0, 3]], "im": [[2, 0], [-1, 0]]})
+    assert got == [[1 + 2j, 0.5], [-1j, 3]]
+    assert all(type(v) is complex for row in got for v in row)
+
+
+def test_real_matrix_reads_floats():
+    got = real_matrix_from_json([[1, 2.5], [-3, 0]])
+    assert got == [[1.0, 2.5], [-3.0, 0.0]]
+    assert all(type(v) is float for row in got for v in row)
+
+
+@pytest.mark.parametrize("obj,message", [
+    ([[1, 2], [3]], "bad matrix: rows have unequal lengths"),
+    ([[10 ** 400]], "bad matrix: int too large to convert to float"),
+    ([[1e400]], "matrix has a non-finite entry"),
+    ([[1, "2"]], "matrix entries must be numbers"),
+], ids=["ragged", "huge-int", "infinite", "string"])
+def test_real_matrix_rejects(obj, message):
+    with pytest.raises(InputFormatError, match=re.escape(message)):
+        real_matrix_from_json(obj)
+
+
+def test_complex_matrix_ragged_rows():
+    with pytest.raises(InputFormatError, match="bad complex matrix: rows have unequal"):
+        complex_matrix_from_json({"re": [[1, 2], [3, 4]], "im": [[1, 2], [3]]})
 
 
 def test_complex_matrix_shape_mismatch():

@@ -272,3 +272,29 @@ class TestBlockVolume:
         with pytest.raises(ValueError):
             block_volume_identity(1j * np.eye(2), 1j * np.eye(1),
                                   np.zeros((1, 2)), 1e-9)
+
+
+class TestBinary64Overflow:
+    """An intermediate outside the binary64 range raises a ValueError that
+    names the stage, and numpy warns nothing (warnings fail the suite).
+    The CLI tests cover the Im(tau), F^T psi F and block-assembly stages."""
+
+    def test_asymmetry(self):
+        tau = np.array([[1j, 1e308], [-1e308, 1j]])
+        with pytest.raises(ValueError, match=r"\|tau - tau\^T\| is not finite"):
+            siegel_membership(tau, TOL)
+
+    def test_positive_cone_symmetrization(self):
+        n = CuspNilpotent(g=1, k=0, u=np.array([[1.7e308]]))
+        with pytest.raises(ValueError, match=r"u \+ u\^T is not finite"):
+            positive_cone_membership(n, TOL)
+        assert weight_filtration(n, TOL)[:2] == (1, 1)
+
+    def test_weight_singular_values(self):
+        n = CuspNilpotent(g=2, k=0, u=np.full((2, 2), 1e308))
+        with pytest.raises(ValueError, match="singular values of N is not finite"):
+            weight_filtration(n, TOL)
+
+    def test_asymmetric_u(self):
+        with pytest.raises(ValueError, match=r"u - u\^T is not finite"):
+            CuspNilpotent(g=2, k=0, u=np.array([[1, 1e308], [-1e308, 1]]))

@@ -16,6 +16,7 @@ from siegeltoric.residue_intersect import (
     ZERO_D_GE_G_MINUS_1,
     ZERO_INTERIOR_EDGE,
     ZERO_TORIC_EMPTY,
+    CostGuardError,
     chi_descriptor,
     degree_profile,
     intersection_vanishing,
@@ -89,6 +90,10 @@ class TestTDegreeBounds:
         c = MarkedCone(g=1, scale=1, generators=(((1,),),))
         report = t_degree_bounds(volume_function(c))
         assert report.ok
+
+    def test_cost_guard_above_six_variables(self):
+        with pytest.raises(CostGuardError, match="N <= 6, got N=10"):
+            t_degree_bounds(volume_function(principal_cone(4)))
 
     def test_t11_degree_zero_in_x1(self):
         # T_11 = -(y+z)^2 for the principal cone: degree 0 = 2*1-2 in x1
