@@ -31,7 +31,6 @@ from .exact_algebra import (
 )
 from .residue_intersect import (
     ChiDescriptor,
-    CostGuardError,
     IntersectionVerdict,
     ResidueChain,
     chi_descriptor,
@@ -42,6 +41,7 @@ from .residue_intersect import (
     toric_full_intersection,
 )
 from .volume_ke import (
+    CostGuardError,
     MAReport,
     VolumeFunction,
     g2_closed_form,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every checked property holds, 1 when a mathematical
 property fails (with a witness in the report), 2 on any input error, the
-N <= 6 cost guard of `residue` and `intersect` included (symbolic `ma
-verify` and `ke test` run at every genus), and 3 on an internal error.
+cost guards included (N <= 6 for `residue` and `intersect`, N <= 21 for
+the volume polynomial of `cone volume`; `ma verify` and `ke test` never
+expand it and run at every genus), and 3 on an internal error.
 Input problems raise ValueError wherever they are found, and `main` alone
 maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
 other exception one `internal error: <Type>: <msg>` line, never a

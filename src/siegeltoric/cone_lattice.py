@@ -134,7 +134,7 @@ def _int_rows(m) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
-def _bareiss(a: list[list[int]], pick) -> tuple[int, int]:
+def _bareiss(a: list[list[int]], pick, jordan: bool = False) -> tuple[int, int]:
     """Fraction-free (Bareiss) elimination of the int matrix a, in place.
 
     Step k asks pick(a, k) for a pivot (r, c) with r, c >= k and a[r][c]
@@ -146,6 +146,12 @@ def _bareiss(a: list[list[int]], pick) -> tuple[int, int]:
     which is the Schur complement entry times the leading minor on the
     pivots.  Returns the number of pivots k and the signed leading minor
     on them, so det a = that minor when k = len(a) = len(a[0]).
+
+    With jordan=True the rows above the pivot are eliminated too
+    (fraction-free Gauss-Jordan).  Their entries j > k are then the
+    leading minor times those of P^-1 Q, for P the pivot block and Q the
+    columns j beside it, which by Cramer's rule are minors of a as well,
+    so those divisions are exact too.  Columns j <= k are left stale.
     """
     nrows, ncols = len(a), len(a[0]) if a else 0
     sign, prev, k = 1, 1, 0
@@ -163,7 +169,9 @@ def _bareiss(a: list[list[int]], pick) -> tuple[int, int]:
             sign = -sign
         ak = a[k]
         p = ak[k]
-        for i in range(k + 1, nrows):
+        for i in range(0 if jordan else k + 1, nrows):
+            if i == k:
+                continue
             ai = a[i]
             f = ai[k]
             for j in range(k + 1, ncols):
@@ -199,6 +207,29 @@ def rational_det(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
         raise ConeShapeError("determinant of a non-square matrix")
     k, minor = _bareiss(a, _first_nonzero)
     return Fraction(minor, scale) if k == len(a) else Fraction(0)
+
+
+def _in_column(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
+    """Pivot for int_det_adjugate: the first nonzero live entry of column k,
+    so that only rows are swapped."""
+    return next(((r, k) for r in range(k, len(a)) if a[r][k]), None)
+
+
+def int_det_adjugate(y: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
+    """det y and adj y of a square integer matrix y; adj is None when det y
+    is 0.
+
+    Fraction-free Gauss-Jordan on [y | I] turns the right block into
+    d y^-1, where d = +-det y is the last pivot, and adj y = det(y) y^-1.
+    """
+    g = len(y)
+    a = [[int(v) for v in row] + [int(i == j) for j in range(g)]
+         for i, row in enumerate(y)]
+    k, det = _bareiss(a, _in_column, jordan=True)
+    if k < g:
+        return 0, None
+    sign = 1 if det == a[g - 1][g - 1] else -1
+    return det, [[sign * v for v in row[g:]] for row in a]
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

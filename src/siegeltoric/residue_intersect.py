@@ -35,8 +35,8 @@ from .cone_lattice import (
     sym_dim,
 )
 from .exact_algebra import MultiPoly
-from .volume_ke import (VolumeFunction, euler_t_det, pencil_coordinate_det, t_matrix,
-                        volume_function)
+from .volume_ke import (CostGuardError, VolumeFunction, euler_t_det,
+                        pencil_coordinate_det, t_matrix, volume_function)
 
 # the residue chain and the T degree bounds run on volume polynomials of up
 # to this many variables
@@ -47,11 +47,6 @@ ZERO_INTERIOR_EDGE = "interior_edge"
 ZERO_GENUS_TWO_TOP = "genus_two_top"
 ZERO_TORIC_EMPTY = "toric_empty"
 ONE_TORIC_COMMON_CONE = "toric_common_cone"
-
-
-class CostGuardError(ValueError):
-    """A symbolic computation requested beyond the N <= 6 cost guard; the
-    input is too large, so the CLI reports it as an input error."""
 
 
 class DegenerateResidueError(ValueError):

@@ -42,22 +42,43 @@ identity holds exactly when det(M)^2 = vol^2: one rational determinant at
 every genus.  As vol = |det M| for a cone, it holds for every
 nondegenerate cone, is_ke_point is True on every independent pencil, and
 ke_coefficient is always 0.  The direct det(T) and Hessian routes are
-test oracles.  Randomized mode evaluates H at each point and reports
--F^N det(H) / (g-1), which is det(T) there exactly; the residue minor
-uses the Euler reduction as well.
+test oracles.  The residue minor uses the Euler reduction as well.
+
+Randomized mode works at each point p from the pencil alone and never
+expands F.  Write A_mu = G_mu / s with integer G_mu, let D be the lcm of
+the denominators of p and q = D p, and put Y = sum q_mu G_mu, an integer
+matrix with L p = Y / (D s).  One fraction-free Gauss-Jordan elimination
+gives f = det Y and C = adj Y, so F(p) = f / (D s)^g.  Differentiating
+Jacobi's formula d det(Y)[A] = tr(adj(Y) A) once more gives
+f d^2 det(Y)[A, B] = tr(C A) tr(C B) - tr(C A C B) (Griewank and Walther,
+Evaluating Derivatives, 2008), and d^2 det is homogeneous of degree g-2,
+so for g >= 2
+
+    Hess F(p)_ab = (tr(C G_a) tr(C G_b) - tr(C G_a C G_b)) / (f D^(g-2) s^g).
+
+Each entry is an exact Fraction: the numerator is f times the integer
+d^2 det(Y)[G_a, G_b], so the quotient is that integer over D^(g-2) s^g,
+and Fraction reduces it by the common factors, which keeps the N x N
+rational determinant small.  The Euler reduction then gives det(T)(p) =
+-F(p)^N det(Hess F(p)) / (g-1), which is 0 when f = 0; at g = 1, det(T)
+is the constant -A_1^2.  The route that expands F and evaluates its
+N(N+1)/2 second partials at each point is a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cone_lattice import (
     DegenerateConeError,
     MarkedCone,
     delta_index_pairs,
+    int_det_adjugate,
     lattice_volume,
     rational_det,
     sym_dim,
@@ -72,20 +93,37 @@ from .exact_algebra import (
 RANDOM_COORD_MAX = 10 ** 6
 
 
+# F has (g+1)^(g-1) terms on the principal cone: 16807 at g = 6 (N = 21),
+# 262144 at g = 7
+F_NVARS_MAX = 21
+
+
+class CostGuardError(ValueError):
+    """A symbolic computation requested beyond its cost guard; the input is
+    too large, so the CLI reports it as an input error."""
+
+
 @dataclass(frozen=True)
 class VolumeFunction:
-    """Volume polynomial of a marked cone together with its pencil data."""
+    """Pencil data of a marked cone; its volume polynomial F is expanded on
+    first use."""
 
     g: int
     nvars: int
     pencil: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    F: MultiPoly
     vol: int
     cone: Optional[MarkedCone] = None
 
-    def __post_init__(self):
-        if self.F.is_zero():
-            raise DegenerateConeError("volume polynomial is identically zero")
+    @cached_property
+    def F(self) -> MultiPoly:
+        """F = det(sum x_mu A_mu), expanded for N <= F_NVARS_MAX only."""
+        if self.nvars > F_NVARS_MAX:
+            raise CostGuardError(
+                f"volume polynomial limited to N <= {F_NVARS_MAX}, got N={self.nvars}")
+        f = pencil_det(self.pencil)
+        if f.is_zero():
+            raise DegenerateConeError("degenerate pencil: det vanishes identically")
+        return f
 
 
 def _normalized_pencil(c: MarkedCone) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -97,17 +135,15 @@ def _normalized_pencil(c: MarkedCone) -> tuple[tuple[tuple[Fraction, ...], ...],
 
 
 def volume_function(c: MarkedCone) -> VolumeFunction:
-    """Build F = det(sum x_mu A_mu) for the scale-normalized generators."""
+    """Volume function of the scale-normalized generators.  F is not zero:
+    lattice_volume rejects dependent generators, and independent ones span
+    Sym_g, so I as well."""
     n = sym_dim(c.g)
     if len(c.generators) != n:
         raise DegenerateConeError(
             f"volume polynomial needs {n} generators, cone has {len(c.generators)}")
     vol = lattice_volume(c)
-    pencil = _normalized_pencil(c)
-    f = pencil_det(pencil)
-    if f.is_zero():
-        raise DegenerateConeError("degenerate pencil: det vanishes identically")
-    return VolumeFunction(g=c.g, nvars=n, pencil=pencil, F=f, vol=vol, cone=c)
+    return VolumeFunction(g=c.g, nvars=n, pencil=_normalized_pencil(c), vol=vol, cone=c)
 
 
 def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
@@ -134,11 +170,10 @@ def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]
     its N matrices must be symmetric, but need not be independent."""
     pencil = tuple(
         tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats)
-    pencil_coordinate_det(pencil)
-    f = pencil_det(pencil)
-    if f.is_zero():
-        raise DegenerateConeError("degenerate pencil: det vanishes identically")
-    return VolumeFunction(g=g, nvars=len(pencil), pencil=pencil, F=f, vol=vol)
+    v = VolumeFunction(g=g, nvars=len(pencil), pencil=pencil, vol=vol)
+    if pencil_coordinate_det(pencil) == 0:
+        v.F  # expanding F raises if it is 0; independent pencils span I
+    return v
 
 
 def _hessian_entries(f: MultiPoly, keep: Sequence[int]):
@@ -205,7 +240,9 @@ def ma_rhs(v: VolumeFunction) -> MultiPoly:
 def det_t_symbolic(v: VolumeFunction) -> MultiPoly:
     """Exact det(T) in closed form: ma_rhs with vol := det M (module docstring)."""
     d = pencil_coordinate_det(v.pencil)
-    return ma_rhs(replace(v, vol=d)) if d else MultiPoly.zero(v.nvars)
+    if not d:
+        return MultiPoly.zero(v.nvars)
+    return (v.F ** ((v.g + 1) * (v.g - 1))).scale(ma_rhs_constant(v.g, d))
 
 
 @dataclass(frozen=True)
@@ -235,20 +272,43 @@ def random_rational_point(rng: random.Random, nvars: int) -> tuple[Fraction, ...
         for _ in range(nvars))
 
 
-def _det_t_values(f: MultiPoly, points: Sequence[Sequence[Fraction]],
-                  fvals: Sequence[Fraction]) -> list[Fraction]:
-    """det(T) at each point, from the Hessian alone when deg f >= 2; one
-    Hessian entry at a time is built and evaluated at every point."""
-    n = f.nvars
-    e = _euler_degree(f, range(n))
-    if e < 2:
-        t = euler_t_det(f, range(n))
-        return [t.eval_at(p) for p in points]
-    grids = [[[Fraction(0)] * n for _ in range(n)] for _ in points]
-    for a, b, h in _hessian_entries(f, range(n)):
-        for grid, p in zip(grids, points):
-            grid[a][b] = grid[b][a] = h.eval_at(p)
-    return [-fval ** n * rational_det(grid) / (e - 1) for grid, fval in zip(grids, fvals)]
+def det_t_values(v: VolumeFunction, points: Sequence[Sequence[Fraction]]
+                 ) -> list[tuple[Fraction, Fraction]]:
+    """(F(p), det(T)(p)) at each point p, from the pencil alone: F is never
+    expanded (module docstring)."""
+    s = math.lcm(*(x.denominator for m in v.pencil for row in m for x in row))
+    gens = [[[int(x * s) for x in row] for row in m] for m in v.pencil]
+    return [_det_t_at(gens, s, p) for p in points]
+
+
+def _det_t_at(gens: Sequence[Sequence[Sequence[int]]], s: int,
+              point: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """F(p) and det(T)(p) from the integer pencil G_mu / s alone, by one
+    integer adjugate (module docstring)."""
+    g, n = len(gens[0]), len(gens)
+    if g == 1:
+        return (Fraction(sum(x * m[0][0] for x, m in zip(point, gens)), s),
+                Fraction(-gens[0][0][0] ** 2, s * s))
+    d = math.lcm(*(x.denominator for x in point))
+    q = [x.numerator * (d // x.denominator) for x in point]
+    y = [[sum(qm * m[i][j] for qm, m in zip(q, gens)) for j in range(g)]
+         for i in range(g)]
+    f, adj = int_det_adjugate(y)
+    fval = Fraction(f, (d * s) ** g)
+    if f == 0:
+        return fval, Fraction(0)
+    cg = [[[sum(adj[i][k] * m[k][j] for k in range(g)) for j in range(g)]
+           for i in range(g)] for m in gens]
+    tr = [sum(c[i][i] for i in range(g)) for c in cg]
+    den = f * d ** (g - 2) * s ** g
+    hess = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        ca = cg[a]
+        for b in range(a, n):
+            cb = cg[b]
+            tr_ab = sum(ca[i][j] * cb[j][i] for i in range(g) for j in range(g))
+            hess[a][b] = hess[b][a] = Fraction(tr[a] * tr[b] - tr_ab, den)
+    return fval, -fval ** n * rational_det(hess) / (g - 1)
 
 
 def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
@@ -270,10 +330,9 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
         raise ValueError("randomized mode needs trials >= 1")
     rng = random.Random(seed)
     points = [random_rational_point(rng, v.nvars) for _ in range(trials)]
-    fvals = [v.F.eval_at(p) for p in points]
     c = ma_rhs_constant(v.g, v.vol)
     witnesses = []
-    for point, fval, lhs in zip(points, fvals, _det_t_values(v.F, points, fvals)):
+    for point, (fval, lhs) in zip(points, det_t_values(v, points)):
         rhs = c * fval ** ((v.g + 1) * (v.g - 1))
         if lhs != rhs:
             witnesses.append(MAWitness(point=point, lhs=lhs, rhs=rhs))

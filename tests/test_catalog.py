@@ -2,8 +2,14 @@
 
 import pytest
 
-from siegeltoric.catalog import UnknownCatalogEntryError, catalog_get, catalog_names
-from siegeltoric.cone_lattice import edge_class, is_regular, lattice_volume
+from siegeltoric.catalog import (
+    PRINCIPAL_GENUS_MAX,
+    UnknownCatalogEntryError,
+    catalog_get,
+    catalog_names,
+    principal_cone,
+)
+from siegeltoric.cone_lattice import edge_class, is_regular, lattice_volume, sym_dim
 
 
 E11 = ((1, 0), (0, 0))
@@ -34,6 +40,25 @@ def test_level_entries_parameterized():
     assert cone.scale == 4
     assert cone.generators[0] == ((4, 0), (0, 0))
     assert lattice_volume(cone) == 1 and is_regular(cone)
+
+
+def test_genus_family_resolves_unlisted():
+    for g in (1, 4, 7):
+        entry = catalog_get(f"principal-g{g}")
+        assert entry.cone == principal_cone(g) and len(entry.cone.generators) == sym_dim(g)
+        assert lattice_volume(entry.cone) == 1 and is_regular(entry.cone)
+        assert entry.provenance.endswith(f"genus {g}, full level")
+    assert catalog_names() == ["principal-g2", "principal-g3", "principal-g2-level-3"]
+    for name in ("principal-g0", f"principal-g{PRINCIPAL_GENUS_MAX + 1}", "principal-g-2"):
+        with pytest.raises(UnknownCatalogEntryError):
+            catalog_get(name)
+
+
+def test_listed_provenance_bytes():
+    for g in (2, 3):
+        assert catalog_get(f"principal-g{g}").provenance == (
+            "principal cone of the central cone decomposition (Igusa, Namikawa), "
+            f"genus {g}, full level")
 
 
 def test_all_listed_entries_are_regular_with_boundary_edges():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,6 +13,10 @@ from siegeltoric.cli import main
 from siegeltoric.jsonio import cone_to_json
 
 CLI = [sys.executable, "-m", "siegeltoric.cli"]
+
+# wall seconds for one fresh `ma verify principal-g<6|7> --randomized
+# --trials 1`; under 1 s each on a 2-CPU machine
+RANDOMIZED_FRONTIER_BUDGET_S = 5.0
 
 
 def run_cli(*args, env=None):
@@ -227,6 +232,25 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=15)
         assert proc.returncode == 2
         assert "N <= 6" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_volume_polynomial_cost_guard_is_two(self):
+        proc = subprocess.run(CLI + ["cone", "volume", "principal-g7"],
+                              capture_output=True, text=True, timeout=15)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: volume polynomial limited to N <= 21, got N=28\n"
+
+    @pytest.mark.parametrize("g", [6, 7])
+    def test_randomized_ma_frontier_within_budget(self, g):
+        # the pencil alone decides each point; F (262144 terms at g = 7) is
+        # never expanded
+        t0 = time.perf_counter()
+        proc = subprocess.run(CLI + ["ma", "verify", f"principal-g{g}", "--randomized",
+                                     "--trials", "1"],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["holds"] is True
+        assert elapsed < RANDOMIZED_FRONTIER_BUDGET_S, f"g={g}: {elapsed:.2f} s"
 
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)

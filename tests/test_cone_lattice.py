@@ -21,6 +21,7 @@ from siegeltoric.cone_lattice import (
     edge_class,
     gl_act,
     int_det,
+    int_det_adjugate,
     is_fan,
     is_regular,
     is_separable,
@@ -271,6 +272,27 @@ class TestEliminationKernel:
             elif family == "non-square":
                 seen["rank deficient"] += rank < min(len(m), len(m[0]))
         assert all(seen.values()), seen
+
+    def test_adjugate_against_cofactors(self):
+        # fraction-free Gauss-Jordan on [y | I], with row swaps where a
+        # leading entry is 0
+        rng = random.Random(1618)
+        cases = [m for family, m in _kernel_cases(rng) if family == "integer"]
+        cases += [[[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 0], [5, 0, 0]],
+                  [[0, 1, 1], [1, 0, 1], [1, 1, 0]]]
+        for m in cases:
+            n = len(m)
+
+            def cofactor(i, j):
+                minor = [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+                return (-1) ** (i + j) * oracle.frac_det(minor) if n > 1 else 1
+
+            det, adj = int_det_adjugate(m)
+            assert det == oracle.frac_det(m), m
+            assert adj == ([[cofactor(i, j) for j in range(n)] for i in range(n)]
+                           if det else None), m
+        for m in ([[1, 2], [2, 4]], [[0, 1], [0, 2]], [[0]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]):
+            assert int_det_adjugate(m) == (0, None)
 
     def test_row_scales_do_not_leak_into_det(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]

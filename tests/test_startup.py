@@ -49,6 +49,7 @@ def test_exact_subcommands_leave_numpy_unloaded(tmp_path):
         ["cone", "check", "principal-g2"],
         ["cone", "volume", "principal-g3"],
         ["ma", "verify", "principal-g2", "--symbolic"],
+        ["ma", "verify", "principal-g3", "--randomized", "--trials", "2"],
         ["ke", "test", "principal-g2"],
         ["residue", "principal-g2", "--d", "1"],
         ["intersect", "principal-g2", "--edges", "0"],

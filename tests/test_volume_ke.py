@@ -2,16 +2,26 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from siegeltoric.catalog import catalog_get, catalog_names, principal_cone
-from siegeltoric.cone_lattice import DegenerateConeError, MarkedCone, gl_act, sym_dim
+from siegeltoric.cone_lattice import (
+    DegenerateConeError,
+    MarkedCone,
+    gl_act,
+    rational_det,
+    sym_dim,
+)
 from siegeltoric.exact_algebra import MultiPoly, PolyMatrix, pencil_det
 from siegeltoric.volume_ke import (
-    VolumeFunction,
+    F_NVARS_MAX,
+    CostGuardError,
+    MAWitness,
     det_t_symbolic,
+    det_t_values,
     euler_t_det,
     g2_closed_form,
     is_ke_point,
@@ -20,6 +30,7 @@ from siegeltoric.volume_ke import (
     ma_rhs_constant,
     pencil_coordinate_det,
     permutation_check,
+    random_rational_point,
     t_matrix,
     verify_ma_identity,
     volume_function,
@@ -107,6 +118,33 @@ def random_invertible_rows(rng):
             return rows
 
 
+def polynomial_det_t_values(f, points):
+    """(F(p), det(T)(p)) at each point by the polynomial route, the oracle
+    of det_t_values: F is expanded, and for deg F >= 2 each of its second
+    partials is built once and evaluated at every point, det(T) being
+    -F^N det(H) / (deg F - 1) there; for deg F < 2 det(T) is a constant."""
+    n = f.nvars
+    fvals = [f.eval_at(p) for p in points]
+    e = f.total_degree()
+    if e < 2:
+        t = euler_t_det(f, range(n))
+        return [(fval, t.eval_at(p)) for fval, p in zip(fvals, points)]
+    grids = [[[Fraction(0)] * n for _ in range(n)] for _ in points]
+    for a in range(n):
+        fa = f.partial(a)
+        for b in range(a, n):
+            h = fa.partial(b)
+            for grid, p in zip(grids, points):
+                grid[a][b] = grid[b][a] = h.eval_at(p)
+    return [(fval, -fval ** n * rational_det(grid) / (e - 1))
+            for grid, fval in zip(grids, fvals)]
+
+
+def random_points(seed, nvars, count):
+    rng = random.Random(seed)
+    return [random_rational_point(rng, nvars) for _ in range(count)]
+
+
 class TestVolumeFunction:
     def test_principal_g2(self):
         v = volume_function(SIGMA0)
@@ -139,6 +177,33 @@ class TestVolumeFunction:
         leveled = principal_cone(2, scale=5)
         v = volume_function(leveled)
         assert v.F == F_PRINCIPAL and v.vol == 1
+
+    def test_f_is_expanded_only_on_use(self):
+        # ma verify needs det M (symbolic) or the pencil (randomized), never F
+        v = volume_function(principal_cone(4))
+        verify_ma_identity(v, "symbolic")
+        verify_ma_identity(v, "randomized", trials=1)
+        assert "F" not in vars(v)
+        assert v.F.total_degree() == 4 and "F" in vars(v)
+
+    def test_f_cost_guard(self):
+        # F is expanded up to N = 21 (g = 6) and refused beyond; these
+        # dependent pencils have the one-term F = x_1 ... x_g
+        def diagonal_pencil(g):
+            mats = [unit_matrix(g, i, i) for i in range(g)]
+            return mats + [[[0] * g for _ in range(g)]] * (sym_dim(g) - g)
+
+        v6 = volume_function_from_pencil(diagonal_pencil(6), g=6, vol=0)
+        assert v6.nvars == F_NVARS_MAX == 21 and len(v6.F.terms) == 1
+        v7 = volume_function_from_pencil(
+            [unit_matrix(7, i, j) for i in range(7) for j in range(i, 7)], g=7, vol=1)
+        with pytest.raises(CostGuardError, match="N <= 21, got N=28"):
+            v7.F
+
+    def test_pencil_with_zero_f_rejected(self):
+        # a dependent pencil may have F = 0; an independent one spans I
+        with pytest.raises(DegenerateConeError, match="vanishes identically"):
+            volume_function_from_pencil([[[1, 0], [0, 0]]] * 3, g=2, vol=1)
 
     def test_homogeneity_at_random_scalings(self):
         rng = random.Random(19)
@@ -311,7 +376,7 @@ class TestMAIdentity:
             for vol in (d, d + 1, 2 * d):
                 rhs = oracle.p_scale(oracle.p_pow(v.F.terms, (g + 1) * (g - 1)),
                                      (-1) ** v.nvars * 2 ** (g * (g - 1) // 2) * vol * vol)
-                w = VolumeFunction(g=g, nvars=v.nvars, pencil=v.pencil, F=v.F, vol=vol)
+                w = replace(v, vol=vol)
                 report = verify_ma_identity(w, "symbolic")
                 assert report.holds == (lhs == rhs) == (vol == d), (g, vol)
                 assert verify_ma_identity(w, "randomized", trials=2, seed=5).holds == report.holds
@@ -330,8 +395,7 @@ class TestMAIdentity:
 
     def test_randomized_catches_wrong_volume(self):
         v = volume_function(SIGMA0)
-        broken = VolumeFunction(g=v.g, nvars=v.nvars, pencil=v.pencil,
-                                F=v.F, vol=2, cone=v.cone)
+        broken = replace(v, vol=2)
         report = verify_ma_identity(broken, "randomized", trials=4, seed=7)
         assert not report.holds
         # witnesses are exact and replayable: lhs is det T at the point,
@@ -360,7 +424,7 @@ class TestMAIdentity:
                  (volume_function(principal_cone(5)), 1)]
         for v, trials in cases:
             for vol in (v.vol, v.vol + 1):
-                w = VolumeFunction(g=v.g, nvars=v.nvars, pencil=v.pencil, F=v.F, vol=vol)
+                w = replace(v, vol=vol)
                 symbolic = verify_ma_identity(w, "symbolic")
                 randomized = verify_ma_identity(w, "randomized", trials=trials, seed=4)
                 assert symbolic.holds == randomized.holds == (vol == v.vol), (v.g, vol)
@@ -385,6 +449,78 @@ class TestMAIdentity:
             moved = gl_act(gamma, SIGMA0)
             report = verify_ma_identity(volume_function(moved), "symbolic")
             assert report.holds
+
+
+class TestRandomizedFromPencil:
+    """det_t_values (one integer adjugate per point) against the polynomial
+    route, exactly."""
+
+    def assert_matches_oracle(self, v, points):
+        assert det_t_values(v, points) == polynomial_det_t_values(v.F, points)
+
+    def test_principal_cones_and_translates(self):
+        from test_cone_lattice import random_unimodular
+        rng = random.Random(71)
+        for g, count in ((1, 4), (2, 6), (3, 4), (4, 2), (5, 1)):
+            cones = [principal_cone(g)]
+            for _ in range(2):
+                moved = gl_act(random_unimodular(rng, g), cones[0])
+                order = list(range(sym_dim(g)))
+                rng.shuffle(order)
+                cones.append(MarkedCone(g=g, scale=1, generators=tuple(
+                    moved.generators[k] for k in order)))
+            for k, c in enumerate(cones):
+                self.assert_matches_oracle(volume_function(c), random_points(g + k, c.nvars, count))
+
+    def test_level_scaled_cones(self):
+        for g, scale in ((2, 3), (3, 2)):
+            v = volume_function(principal_cone(g, scale=scale))
+            self.assert_matches_oracle(v, random_points(scale, v.nvars, 3))
+
+    def test_rational_pencils(self):
+        # denominators make s > 1 in A_mu = G_mu / s; g = 1 included
+        rng = random.Random(43)
+        pencils = [[[[Fraction(-3, 4)]]]]
+        for mats in random_g2_pencils()[:3] + sparse_g3_pencils():
+            pencils.append([[[Fraction(x, rng.randint(1, 6)) for x in row] for row in m]
+                            for m in mats])
+        for mats in pencils:
+            for m in mats:  # keep each matrix symmetric
+                for i in range(len(m)):
+                    for j in range(i):
+                        m[i][j] = m[j][i]
+            v = volume_function_from_pencil(mats, g=len(mats[0]), vol=1)
+            self.assert_matches_oracle(v, random_points(len(mats), v.nvars, 3))
+
+    def test_points_where_the_pencil_is_singular(self):
+        # L(3, 4, 5) = [[8, 4], [4, 2]] has rank 1; on the g = 3 coordinate
+        # pencil, L p = diag(1, 1, 0) has rank 2 and a nonzero adjugate, and
+        # L p = [[1, 1, 0], [1, 1, 0], [0, 0, 0]] / 2 has rank 1
+        v2 = volume_function_from_pencil(
+            [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], g=2, vol=2)
+        v3 = volume_function_from_pencil(
+            [unit_matrix(3, i, j) for i in range(3) for j in range(i, 3)], g=3, vol=1)
+        cases = [(v2, [(3, 4, 5)]),
+                 (v3, [(1, 0, 0, 1, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0,
+                                             Fraction(1, 2), 0, 0)])]
+        for v, points in cases:
+            points = [tuple(Fraction(x) for x in p) for p in points]
+            assert all(fval == lhs == 0 for fval, lhs in det_t_values(v, points))
+            self.assert_matches_oracle(v, points)
+
+    def test_wrong_volume_witnesses_match_oracle(self):
+        # the reports carry the oracle's witnesses, so their bytes agree too
+        for g, trials in ((2, 6), (3, 4), (4, 2), (5, 1)):
+            v = volume_function(principal_cone(g))
+            for vol in (2, 3):
+                report = verify_ma_identity(replace(v, vol=vol), "randomized",
+                                            trials=trials, seed=g)
+                points = random_points(g, v.nvars, trials)
+                c = ma_rhs_constant(g, vol)
+                expected = tuple(
+                    MAWitness(point=p, lhs=lhs, rhs=c * fval ** ((g + 1) * (g - 1)))
+                    for p, (fval, lhs) in zip(points, polynomial_det_t_values(v.F, points)))
+                assert not report.holds and report.witnesses == expected, (g, vol)
 
 
 class TestKEPoint:
