@@ -1,5 +1,5 @@
 """Exact cone and volume-polynomial machinery for smooth toroidal
-compactifications of Siegel varieties, with numeric period-domain checks.
+compactifications of Siegel varieties, with exact period-domain checks.
 """
 
 from .cone_lattice import (

@@ -3,8 +3,10 @@
 Exit codes: 0 when every checked property holds, 1 when a mathematical
 property fails (with a witness in the report), 2 on any input error, the
 cost guards included (N <= 6 for `residue` and `intersect`, N <= 21 for
-the volume polynomial of `cone volume`; `ma verify` and `ke test` never
-expand it and run at every genus), and 3 on an internal error.
+the volume polynomial of `cone volume`, trials * (N^6 + 4e5) <= 2.5e9 for
+`ma verify --randomized`, g <= 8 for `hodge`; symbolic `ma verify` and
+`ke test` never expand the polynomial and run at every genus), and 3 on
+an internal error.
 Input problems raise ValueError wherever they are found, and `main` alone
 maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
 other exception one `internal error: <Type>: <msg>` line, never a
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as catalog_mod
-from . import cone_lattice, jsonio, residue_intersect, volume_ke
+from . import cone_lattice, jsonio, period_domain, residue_intersect, volume_ke
 from .cone_lattice import DegenerateConeError
 from .exact_algebra import poly_to_json
 
@@ -360,22 +362,19 @@ def _cmd_separable(args, config: RunConfig) -> int:
 
 
 def _cmd_hodge(args, config: RunConfig) -> int:
-    # the only numeric subcommand: numpy loads here, not at start-up
-    from . import period_domain
-
     obj = _load_json(args.file)
     tol = config.tol
     sub = args.subcheck
     if sub == "siegel":
         tau = jsonio.complex_matrix_from_json(obj)
         ok = period_domain.siegel_membership(tau, tol)
-        report = {"check": "hodge-siegel", "tol": tol, "ok": bool(ok)}
+        report = {"check": "hodge-siegel", "tol": tol, "ok": ok}
     elif sub == "riemann":
         mat = jsonio.complex_matrix_from_json(obj)
         if len(mat) == len(mat[0]):
             mat = period_domain.filtration_from_tau(mat)
         ok = period_domain.riemann_check(mat, tol)
-        report = {"check": "hodge-riemann", "tol": tol, "ok": bool(ok)}
+        report = {"check": "hodge-riemann", "tol": tol, "ok": ok}
     elif sub in ("nilpotent", "weight"):
         g = jsonio.field(obj, "g", jsonio.decode_int)
         k = jsonio.field(obj, "k", jsonio.decode_int, 0)
@@ -394,13 +393,13 @@ def _cmd_hodge(args, config: RunConfig) -> int:
             tau_cusp = jsonio.field(obj, "tau_cusp", jsonio.complex_matrix_from_json, None)
             fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
             ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
-            report = {"check": "hodge-nilpotent", "tol": tol, "ok": bool(ok)}
+            report = {"check": "hodge-nilpotent", "tol": tol, "ok": ok}
     else:  # block-volume
         tau_prime = jsonio.field(obj, "tau_prime", jsonio.complex_matrix_from_json)
         z = jsonio.field(obj, "Z", jsonio.complex_matrix_from_json)
         s = jsonio.field(obj, "S", jsonio.complex_matrix_from_json)
         ok = period_domain.block_volume_identity(tau_prime, z, s, tol)
-        report = {"check": "hodge-block-volume", "tol": tol, "ok": bool(ok)}
+        report = {"check": "hodge-block-volume", "tol": tol, "ok": ok}
     _emit(report, config)
     return EXIT_PASS if report["ok"] else EXIT_PROPERTY
 

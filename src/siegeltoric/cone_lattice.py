@@ -119,7 +119,7 @@ def matrix_from_coords(coords: Sequence[int | Fraction], g: int):
 
 # ----------------------------------------------------------------------
 # exact elimination: one fraction-free Bareiss kernel for every rational
-# determinant, rank and PSD test
+# determinant, rank, kernel and PSD test
 
 
 def _int_rows(m) -> tuple[list[list[int]], int]:
@@ -242,6 +242,37 @@ def matrix_rank(m: Sequence[Sequence[int | Fraction]]) -> int:
     return _bareiss(_int_rows(m)[0], _first_nonzero)[0]
 
 
+def column_basis_and_kernel(m: Sequence[Sequence[int | Fraction]]
+                            ) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns of a rational matrix, whose columns there are a basis
+    of its column space, and an integer basis of its right kernel.
+
+    Fraction-free Gauss-Jordan with column-search pivots leaves each
+    non-pivot column j as p P^-1 Q_j on the pivot rows, for p the last
+    pivot (see _bareiss), so x_j = p and x = -that column on the pivots
+    is a kernel vector.
+    """
+    a = _int_rows(m)[0]
+    order = list(range(len(a[0])))
+
+    def pick(a, k):
+        got = _first_nonzero(a, k)
+        if got is not None:
+            order[k], order[got[1]] = order[got[1]], order[k]
+        return got
+
+    k = _bareiss(a, pick, jordan=True)[0]
+    last = a[k - 1][k - 1] if k else 1
+    kernel = []
+    for j in range(k, len(order)):
+        x = [0] * len(order)
+        x[order[j]] = last
+        for i in range(k):
+            x[order[i]] = -a[i][j]
+        kernel.append(x)
+    return sorted(order[:k]), kernel
+
+
 def psd_rank(m: Sequence[Sequence[int | Fraction]]) -> Optional[int]:
     """Rank of a symmetric PSD matrix, or None when it is not PSD.
 
@@ -347,10 +378,17 @@ class MarkedCone:
             if all(v == 0 for row in m for v in row):
                 raise ConeShapeError(f"generator {idx} is zero")
             coords.append(coords_in_lattice(m, self.scale))
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                if _proportional(coords[i], coords[j]):
-                    raise ConeShapeError(f"generators {i} and {j} are proportional")
+        # generators are proportional exactly when their primitive rays
+        # agree up to sign; name the class with the smallest first index
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for idx, c in enumerate(coords):
+            r = primitive_ray(c)
+            if next(v for v in r if v) < 0:
+                r = tuple(-v for v in r)
+            classes.setdefault(r, []).append(idx)
+        dup = min((c for c in classes.values() if len(c) > 1), default=None)
+        if dup is not None:
+            raise ConeShapeError(f"generators {dup[0]} and {dup[1]} are proportional")
         if matrix_rank(coords) != len(coords):
             raise ConeShapeError("generators are linearly dependent (cone not simplicial)")
         if self.labels is not None:
@@ -370,12 +408,6 @@ class MarkedCone:
     def rays(self) -> set[tuple[int, ...]]:
         """Primitive ray directions of the generators."""
         return {primitive_ray(r) for r in self.coordinate_rows()}
-
-
-def _proportional(u: Sequence[int], v: Sequence[int]) -> bool:
-    # nonzero integer vectors u, v: proportional iff cross terms all vanish
-    pairs = [(a, b) for a, b in zip(u, v)]
-    return all(a * d == c * b for (a, b) in pairs for (c, d) in pairs)
 
 
 def primitive_ray(vec: Sequence[int]) -> tuple[int, ...]:

@@ -3,9 +3,8 @@
 Integers are emitted as JSON numbers up to 2^53 and as decimal strings
 beyond; readers accept both.  Complex matrices travel as {"re": [[...]],
 "im": [[...]]}; numeric matrices are read into nested lists of Python
-floats or complex numbers, so reading never imports numpy.  All emitters
-produce deterministic output (sorted keys, fixed separators) so identical
-runs are byte-identical.
+floats or complex numbers.  All emitters produce deterministic output
+(sorted keys, fixed separators) so identical runs are byte-identical.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Numeric checks on the Siegel space, its period-domain model, and cusps.
+"""Exact checks on the Siegel space, its period-domain model, and cusps.
 
-Everything here is floating point with explicit tolerances: Siegel
-membership, the Hodge filtration attached to a point tau, the Riemann
-bilinear relations, positive-cone membership for cusp nilpotents, weight
-filtrations, the nilpotent-orbit test exp(iN) Fdual, and the block
-determinant identity det Im(tau) = det Im(tau') det Im(Z).
+Siegel membership, the Hodge filtration attached to a point tau, the
+Riemann bilinear relations, positive-cone membership for cusp nilpotents,
+weight filtrations, the nilpotent-orbit test exp(iN) Fdual, and the block
+determinant identity det Im(tau) = det Im(tau') det Im(Z), each with an
+explicit tolerance.
 
 Conventions (worked once at tau = i*I):
   * psi is the symplectic Gram matrix [[0, -I], [I, 0]], so
@@ -13,35 +13,177 @@ Conventions (worked once at tau = i*I):
   * the positivity form is H = i * F^T psi conj(F), which equals 2*I at
     tau = i*I.
 
-Arithmetic runs in binary64 with numpy's overflow warnings silenced: an
-intermediate that leaves the finite range raises a ValueError naming the
-stage instead of deciding a verdict on inf or nan.  This is the only
-module that imports numpy.
+Inputs are read as binary64 numbers, and every binary64 number is a
+rational, so each check is decided exactly on its inputs: a complex matrix
+is carried as the pair (Re, Im) of Fraction matrices, nothing is rounded
+and no intermediate can overflow.  Each tolerance keeps its binary64
+meaning and becomes a test of positive definiteness (Rump, "Verification
+of positive definiteness", BIT 46, 2006), which psd_rank decides on the
+Bareiss kernel of cone_lattice:
+  * the smallest eigenvalue of a symmetric M exceeds tol exactly when
+    M - tol I is positive definite; a Hermitian A + iB is tested through
+    its real embedding [[A, -B], [B, A]], which has the same eigenvalues,
+    each twice;
+  * the smallest singular value of F is <= tol exactly when
+    F*F - tol^2 I is not positive definite;
+  * an entry bound |z| <= tol is re^2 + im^2 <= tol^2.
+exp(iN) = I + iN, the assembled block point and its determinants need no
+decision.  The one count, the rank of weight_filtration, is made exactly
+by Descartes' rule of signs (see there).
+
+Exact elimination grows steeply with the genus, so every check refuses
+g > HODGE_GENUS_MAX with a CostGuardError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import numpy as np
+from .cone_lattice import column_basis_and_kernel, psd_rank, rational_det
+from .volume_ke import CostGuardError
 
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# The worst inputs found are Riemann checks of a point whose entries
+# spread over the binary64 range (integers of about 2000 bits after
+# scaling): 1.9 s per fresh process at g = 8, 3.0 s at g = 9 and 5.8 s at
+# g = 10 on a 2-CPU machine; cli-mix-style points take 0.2 s at g = 12.
+HODGE_GENUS_MAX = 8
+
+Matrix = list[list[Fraction]]
+CMatrix = tuple[Matrix, Matrix]
 
 
-def _finite(stage: str, arr) -> np.ndarray:
-    """arr as an array, or a ValueError when an entry is not finite."""
-    arr = np.asarray(arr)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{stage} is not finite in binary64")
-    return arr
+def _check_genus(g: int) -> None:
+    if g > HODGE_GENUS_MAX:
+        raise CostGuardError(
+            f"period-domain checks limited to g <= {HODGE_GENUS_MAX}, got g={g}")
 
 
-def symplectic_form(g: int) -> np.ndarray:
+# ----------------------------------------------------------------------
+# exact matrices
+
+
+def _rows(m, what: str) -> list[list]:
+    """The rows of the matrix-like m: a nonempty list of equal-length rows."""
+    try:
+        rows = [list(row) for row in m]
+    except TypeError:
+        raise ValueError(f"{what} must be a matrix") from None
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"{what} must be a nonempty list of equal-length rows")
+    return rows
+
+
+def _exact(rows: list[list[float]], what: str) -> Matrix:
+    """Binary64 rows as the rationals they are."""
+    try:
+        return [[Fraction(v) for v in row] for row in rows]
+    except (OverflowError, ValueError):
+        raise ValueError(f"{what} has a non-finite entry") from None
+
+
+def _complex_rows(m, what: str) -> list[list[complex]]:
+    """The rows of m as binary64 complex numbers."""
+    try:
+        return [[complex(v) for v in row] for row in _rows(m, what)]
+    except TypeError:
+        raise ValueError(f"{what} entries must be numbers") from None
+
+
+def _complex(m, what: str) -> CMatrix:
+    """m read as a binary64 complex matrix, as the exact pair (Re, Im)."""
+    rows = _complex_rows(m, what)
+    return (_exact([[v.real for v in row] for row in rows], what),
+            _exact([[v.imag for v in row] for row in rows], what))
+
+
+def _shape(m: CMatrix) -> tuple[int, int]:
+    return len(m[0]), len(m[0][0])
+
+
+def _t(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)]
+
+
+def _neg(a: Matrix) -> Matrix:
+    return [[-v for v in row] for row in a]
+
+
+def _add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _sub(a: Matrix, b: Matrix) -> Matrix:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _int_scaled(a: Matrix) -> tuple[list[list[int]], int]:
+    d = math.lcm(*(v.denominator for row in a for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in a], d
+
+
+def _mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product, over one integer product and a common denominator."""
+    (ai, da), (bi, db) = _int_scaled(a), _int_scaled(b)
+    cols = list(zip(*bi))
+    return [[Fraction(sum(x * y for x, y in zip(row, col)), da * db) for col in cols]
+            for row in ai]
+
+
+def _cmul(x: CMatrix, y: CMatrix) -> CMatrix:
+    (a, b), (c, d) = x, y
+    return _sub(_mul(a, c), _mul(b, d)), _add(_mul(a, d), _mul(b, c))
+
+
+def _psi(a: Matrix) -> Matrix:
+    """psi a = [-bottom; top] for psi = [[0, -I], [I, 0]]."""
+    g = len(a) // 2
+    return _neg(a[g:]) + [list(row) for row in a[:g]]
+
+
+def _entry_above(z: CMatrix, tol) -> bool:
+    """Some entry of z has modulus above tol."""
+    t2 = Fraction(tol) ** 2
+    return any(x * x + y * y > t2 for rx, ry in zip(*z) for x, y in zip(rx, ry))
+
+
+def _min_eig_above(m: Matrix, tol) -> bool:
+    """The smallest eigenvalue of the symmetric part of m exceeds tol:
+    that part minus tol I is positive definite."""
+    t = Fraction(tol)
+    n = len(m)
+    shifted = [[(m[i][j] + m[j][i]) / 2 - (t if i == j else 0) for j in range(n)]
+               for i in range(n)]
+    return psd_rank(shifted) == n
+
+
+def _hermitian_min_eig_above(z: CMatrix, tol) -> bool:
+    """The same for the Hermitian part of z = A + iB, through the real
+    embedding [[A, -B], [B, A]], whose symmetric part embeds it."""
+    a, b = z
+    embedding = ([ra + [-v for v in rb] for ra, rb in zip(a, b)]
+                 + [rb + ra for ra, rb in zip(a, b)])
+    return _min_eig_above(embedding, tol)
+
+
+def _in_siegel(tau: CMatrix, tol) -> bool:
+    n, m = _shape(tau)
+    if n != m:
+        raise ValueError(f"tau must be square, got {n}x{m}")
+    re, im = tau
+    if _entry_above((_sub(re, _t(re)), _sub(im, _t(im))), tol):
+        return False
+    return _min_eig_above(im, tol)
+
+
+# ----------------------------------------------------------------------
+# public checks
+
+
+def symplectic_form(g: int) -> list[list[int]]:
     """Gram matrix [[0, -I_g], [I_g, 0]]; squares to -identity."""
-    psi = np.zeros((2 * g, 2 * g))
-    psi[:g, g:] = -np.eye(g)
-    psi[g:, :g] = np.eye(g)
-    return psi
+    return _psi([[int(i == j) for j in range(2 * g)] for i in range(2 * g)])
 
 
 @dataclass(frozen=True)
@@ -49,107 +191,194 @@ class CuspNilpotent:
     """Nilpotent direction at the depth-k cusp chain.
 
     The only nonzero block of the 2g x 2g matrix N sits in rows k+1..g and
-    columns g+k+1..2g and equals the symmetric (g-k) x (g-k) matrix u; in
-    the positive cone u is positive definite.  N^2 = 0 by construction.
+    columns g+k+1..2g and equals the symmetric (g-k) x (g-k) matrix u,
+    held as rows of binary64 floats; in the positive cone u is positive
+    definite.  N^2 = 0 by construction.
     """
 
     g: int
     k: int
-    u: np.ndarray
+    u: tuple[tuple[float, ...], ...]
 
-    @_quiet
     def __post_init__(self):
         if not 0 <= self.k < self.g:
             raise ValueError(f"need 0 <= k < g, got k={self.k}, g={self.g}")
-        u = np.asarray(self.u, dtype=float)
+        _check_genus(self.g)
+        try:
+            u = tuple(tuple(float(v) for v in row) for row in _rows(self.u, "u"))
+        except TypeError:
+            raise ValueError("u entries must be real numbers") from None
         m = self.g - self.k
-        if u.shape != (m, m):
-            raise ValueError(f"u must be {m}x{m}, got {u.shape}")
-        if np.max(np.abs(_finite("u - u^T", u - u.T))) > 1e-12:
-            raise ValueError("u must be symmetric")
-        if not np.any(u):
-            raise ValueError("u must be nonzero")
+        if len(u) != m or len(u[0]) != m:
+            raise ValueError(f"u must be {m}x{m}, got {len(u)}x{len(u[0])}")
         object.__setattr__(self, "u", u)
+        exact = _exact(u, "u")
+        if any(abs(x - y) > Fraction(1e-12) for rx, ry in zip(exact, _t(exact))
+               for x, y in zip(rx, ry)):
+            raise ValueError("u must be symmetric")
+        if not any(any(row) for row in u):
+            raise ValueError("u must be nonzero")
 
     @property
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> list[list[float]]:
         g, k = self.g, self.k
-        n = np.zeros((2 * g, 2 * g))
-        n[k:g, g + k:2 * g] = self.u
+        n = [[0.0] * (2 * g) for _ in range(2 * g)]
+        for i, row in enumerate(self.u):
+            n[k + i][g + k:] = row
         return n
 
 
-@_quiet
-def siegel_membership(tau: np.ndarray, tol: float) -> bool:
+def siegel_membership(tau, tol: float) -> bool:
     """tau symmetric within tol and Im(tau) positive definite beyond tol."""
-    tau = np.asarray(tau, dtype=complex)
-    if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
-        raise ValueError(f"tau must be square, got shape {tau.shape}")
-    if np.max(_finite("|tau - tau^T|", np.abs(tau - tau.T))) > tol:
-        return False
-    im = _finite("Im(tau) + Im(tau)^T", (tau.imag + tau.imag.T) / 2)
-    return float(_finite("eigenvalues of Im(tau)", np.linalg.eigvalsh(im)).min()) > tol
+    tau = _complex(tau, "tau")
+    _check_genus(_shape(tau)[0])
+    return _in_siegel(tau, tol)
 
 
-def filtration_from_tau(tau: np.ndarray) -> np.ndarray:
+def filtration_from_tau(tau) -> list[list[complex]]:
     """The 2g x g filtration basis [tau; I_g]."""
-    tau = np.asarray(tau, dtype=complex)
-    if not siegel_membership(tau, 1e-12):
+    rows = _complex_rows(tau, "tau")
+    if not siegel_membership(rows, 1e-12):
         raise ValueError("tau is not in the Siegel space")
-    g = tau.shape[0]
-    return np.vstack([tau, np.eye(g)])
+    g = len(rows)
+    return rows + [[complex(i == j) for j in range(g)] for i in range(g)]
 
 
-@_quiet
-def riemann_check(filt: np.ndarray, tol: float) -> bool:
+def riemann_check(filt, tol: float) -> bool:
     """Riemann bilinear relations for a rank-g filtration basis:
     F^T psi F = 0 and H = i F^T psi conj(F) positive definite."""
-    f = np.asarray(filt, dtype=complex)
-    if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
-        raise ValueError(f"filtration must be 2g x g, got {f.shape}")
-    g = f.shape[1]
-    smallest_sv = _finite("singular values of F", np.linalg.svd(f, compute_uv=False)).min()
-    if smallest_sv <= tol:
+    f = _complex(filt, "filtration")
+    n, g = _shape(f)
+    if n != 2 * g:
+        raise ValueError(f"filtration must be 2g x g, got {n}x{g}")
+    _check_genus(g)
+    return _riemann(f, tol)
+
+
+def _riemann(f: CMatrix, tol) -> bool:
+    re, im = f
+    ft = (_t(re), _t(im))
+    gram = _cmul((ft[0], _neg(ft[1])), f)
+    if not _hermitian_min_eig_above(gram, Fraction(tol) ** 2):
         raise ValueError("filtration basis is rank deficient")
-    psi = symplectic_form(g)
-    if np.max(_finite("|F^T psi F|", np.abs(f.T @ psi @ f))) > tol:
+    if _entry_above(_cmul(ft, (_psi(re), _psi(im))), tol):
         return False
-    h = 1j * (f.T @ psi @ f.conj())
-    h = _finite("i F^T psi conj(F)", (h + h.conj().T) / 2)
-    return float(_finite("eigenvalues of H", np.linalg.eigvalsh(h)).min()) > tol
+    a, b = _cmul(ft, (_psi(re), _neg(_psi(im))))
+    return _hermitian_min_eig_above((_neg(b), a), tol)
 
 
-@_quiet
 def positive_cone_membership(n: CuspNilpotent, tol: float) -> bool:
     """u symmetric positive definite beyond tol."""
-    u = _finite("u + u^T", (n.u + n.u.T) / 2)
-    return float(_finite("eigenvalues of u", np.linalg.eigvalsh(u)).min()) > tol
+    return _min_eig_above(_exact(n.u, "u"), tol)
 
 
 def weight_filtration(n: CuspNilpotent, tol: float):
-    """Rank/nullity data of N with orthonormal bases.
+    """Rank/nullity data of N with exact bases.
 
-    Returns (dim Im(N), dim Ker(N), image_basis, kernel_basis); requires
-    N^2 = 0 within tol, which forces Im(N) inside Ker(N).
+    Returns (dim Im(N), dim Ker(N), image_basis, kernel_basis); N^2 = 0
+    by the block layout, which puts Im(N) inside Ker(N).
+
+    The rank counts the singular values s of N, which are those of u,
+    with s > tol * max(1, s_max'), where s_max' is the largest one
+    rounded up to 53 significant bits, as a floating-point SVD compares
+    with a binary64 s_max.  Every comparison is exact: with u = U / D for
+    an integer matrix U, the eigenvalues of A = U^T U are D^2 s^2, all
+    real, so Descartes' rule of signs counts exactly those above any
+    rational x, as the sign changes of the coefficients of
+    det((y + x) I - A) in y.  s_max <= x is the count 0 above D^2 x^2,
+    so s_max' is found by binary search over the 53-bit numbers.  Its
+    rounding moves the threshold by at most a relative 2^-52, and spares
+    deciding whether an eigenvalue equals tol^2 times an irrational one.
+
+    The bases are columns (of the returned 2g-row matrices): the columns
+    of N at the pivot columns of u, and e_1..e_{g+k} with the integer
+    kernel of u in the last g-k coordinates.  They are exact, so they
+    have the exact rank and nullity, which differ from the returned
+    dimensions only when u has a nonzero singular value at or below the
+    threshold.
     """
-    mat = n.matrix
-    if np.max(np.abs(mat @ mat)) > tol:
-        raise ValueError("N^2 != 0 beyond tolerance")
-    u, s, vt = np.linalg.svd(mat)
-    _finite("singular values of N", s)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 1.0)))
-    dim = mat.shape[0]
-    image_basis = u[:, :rank]
-    kernel_basis = vt[rank:, :].conj().T
-    return rank, dim - rank, image_basis, kernel_basis
+    g, k = n.g, n.k
+    u = _exact(n.u, "u")
+    m = g - k
+    ints, d = _int_scaled(u)
+    p = _charpoly([[sum(ints[r][i] * ints[r][j] for r in range(m)) for j in range(m)]
+                   for i in range(m)])
+
+    def at_most(x: Fraction) -> bool:  # s_max <= x
+        return _roots_above(p, d * d * x * x) == 0
+
+    s_max = Fraction(1)
+    if not at_most(s_max):
+        top = 1
+        while not at_most(Fraction(2) ** top):
+            top *= 2
+        # the 53-bit numbers in [1, 2^top], in order: index i is
+        # (2^52 + i mod 2^52) 2^(i div 2^52 - 52)
+        lo, hi = 0, top << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if at_most(_from_index(mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        s_max = _from_index(lo)
+    rank = _roots_above(p, (d * Fraction(tol) * s_max) ** 2)
+    cols, kernel = column_basis_and_kernel(u)
+    image = [[Fraction(0)] * len(cols) for _ in range(2 * g)]
+    for t, c in enumerate(cols):
+        for i in range(m):
+            image[k + i][t] = u[i][c]
+    units = [[int(i == j) for i in range(2 * g)] for j in range(g + k)]
+    vectors = units + [[0] * (g + k) + x for x in kernel]
+    return rank, 2 * g - rank, image, _t(vectors)
 
 
-def exp_i_n(n: CuspNilpotent) -> np.ndarray:
+def _from_index(i: int) -> Fraction:
+    e, k = divmod(i, 1 << 52)
+    return (2 ** 52 + k) * Fraction(2) ** (e - 52)
+
+
+def _charpoly(a: list[list[int]]) -> list[int]:
+    """Coefficients of det(x I - a), lowest degree first, by
+    Faddeev-LeVerrier; each division by k is exact on integers."""
+    m = len(a)
+    coeffs = [0] * m + [1]
+    mk = [[0] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        c = coeffs[m - k + 1]
+        mk = [[sum(a[i][l] * mk[l][j] for l in range(m)) + (c if i == j else 0)
+               for j in range(m)] for i in range(m)]
+        trace = sum(a[i][l] * mk[l][i] for i in range(m) for l in range(m))
+        coeffs[m - k] = -trace // k
+    return coeffs
+
+
+def _roots_above(p: list[int], x: Fraction) -> int:
+    """Roots above x, with multiplicity, of a real-rooted integer
+    polynomial p (lowest degree first): by Descartes' rule of signs, exact
+    when every root is real, the sign changes of the coefficients of
+    p(y + x), shifted on integers as b^m p((y + a) / b) for x = a / b."""
+    a, b = x.numerator, x.denominator
+    m = len(p) - 1
+    h = [c * b ** (m - i) for i, c in enumerate(p)][::-1]
+    for i in range(m):
+        for j in range(1, m + 1 - i):
+            h[j] += a * h[j - 1]
+    signs = [c > 0 for c in h if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+# ----------------------------------------------------------------------
+# cusps
+
+
+def exp_i_n(n: CuspNilpotent) -> list[list[complex]]:
     """exp(iN) = I + iN, exact because N^2 = 0."""
-    return np.eye(2 * n.g, dtype=complex) + 1j * n.matrix
+    return [[complex(i == j, v) for j, v in enumerate(row)]
+            for i, row in enumerate(n.matrix)]
 
 
-def dual_cusp_filtration(n: CuspNilpotent, tau_cusp: np.ndarray | None = None) -> np.ndarray:
+def dual_cusp_filtration(n: CuspNilpotent, tau_cusp=None) -> list[list[complex]]:
     """Filtration basis of the dual cusp.
 
     Spanned by the dual isotropic directions e_{g+k+1}..e_{2g} together
@@ -158,83 +387,80 @@ def dual_cusp_filtration(n: CuspNilpotent, tau_cusp: np.ndarray | None = None) -
     factor is empty and tau_cusp must be omitted.
     """
     g, k = n.g, n.k
+    cols = [[0j] * (2 * g) for _ in range(g)]
     if k == 0:
-        if tau_cusp is not None and np.asarray(tau_cusp).size:
+        if tau_cusp is not None and any(len(row) for row in tau_cusp):
             raise ValueError("depth k=0 has no cusp Siegel factor")
-        cols = []
     else:
-        tau_c = np.asarray(tau_cusp, dtype=complex)
-        if tau_c.shape != (k, k):
-            raise ValueError(f"tau_cusp must be {k}x{k}, got {tau_c.shape}")
+        if tau_cusp is None:
+            raise ValueError(f"tau_cusp must be {k}x{k}, got none")
+        tau_c = _complex_rows(tau_cusp, "tau_cusp")
+        if len(tau_c) != k or len(tau_c[0]) != k:
+            raise ValueError(f"tau_cusp must be {k}x{k}, got {len(tau_c)}x{len(tau_c[0])}")
         if not siegel_membership(tau_c, 1e-12):
             raise ValueError("tau_cusp is not in the depth-k Siegel space")
-        cols = []
         for j in range(k):
-            col = np.zeros(2 * g, dtype=complex)
-            col[:k] = tau_c[:, j]
-            col[g + j] = 1.0
-            cols.append(col)
+            cols[j][:k] = [row[j] for row in tau_c]
+            cols[j][g + j] = 1 + 0j
     for j in range(g - k):
-        col = np.zeros(2 * g, dtype=complex)
-        col[g + k + j] = 1.0
-        cols.append(col)
-    return np.column_stack(cols)
+        cols[k + j][g + k + j] = 1 + 0j
+    return [list(row) for row in zip(*cols)]
 
 
-def nilpotent_orbit_check(fdual: np.ndarray, n: CuspNilpotent, tol: float) -> bool:
+def nilpotent_orbit_check(fdual, n: CuspNilpotent, tol: float) -> bool:
     """exp(iN) applied to the dual filtration lands in the period domain."""
     if not positive_cone_membership(n, tol):
         raise ValueError("nilpotent is not in the positive cone")
-    fdual = np.asarray(fdual, dtype=complex)
-    if fdual.shape != (2 * n.g, n.g):
-        raise ValueError(f"filtration must be {2 * n.g}x{n.g}, got {fdual.shape}")
-    return riemann_check(exp_i_n(n) @ fdual, tol)
+    f = _complex(fdual, "filtration")
+    rows, cols = _shape(f)
+    if (rows, cols) != (2 * n.g, n.g):
+        raise ValueError(f"filtration must be {2 * n.g}x{n.g}, got {rows}x{cols}")
+    re, im = f
+    nm = _exact(n.matrix, "N")
+    # (I + iN)(Re + i Im) = (Re - N Im) + i (Im + N Re)
+    return _riemann((_sub(re, _mul(nm, im)), _add(im, _mul(nm, re))), tol)
 
 
-@_quiet
-def assemble_block_tau(tau_prime: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+def assemble_block_tau(tau_prime, z, s) -> CMatrix:
     """Siegel point from cusp coordinates (tau', Z, S), S = A + iB:
 
         tau = [[tau',            A - tau' B],
-               [(A - tau' B)^T,  Z + B^T tau' B - (A^T B + B^T A)/2]].
+               [(A - tau' B)^T,  Z + B^T tau' B - (A^T B + B^T A)/2]],
+
+    returned exactly as the pair (Re tau, Im tau) of Fraction matrices.
     """
-    tau_prime = np.asarray(tau_prime, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    a, b = s.real, s.imag
-    upper = a - tau_prime @ b
-    corner = z + b.T @ tau_prime @ b - (a.T @ b + b.T @ a) / 2
-    top = np.hstack([tau_prime, upper])
-    bottom = np.hstack([upper.T, corner])
-    return _finite("assembled tau", np.vstack([top, bottom]))
+    return _assemble(_complex(tau_prime, "tau'"), _complex(z, "Z"), _complex(s, "S"))
 
 
-@_quiet
-def block_volume_identity(tau_prime: np.ndarray, z: np.ndarray,
-                          s: np.ndarray, tol: float) -> bool:
+def _assemble(tau_prime: CMatrix, z: CMatrix, s: CMatrix) -> CMatrix:
+    (tr, ti), (zr, zi), (a, b) = tau_prime, z, s
+    bt = _t(b)
+    upper = (_sub(a, _mul(tr, b)), _neg(_mul(ti, b)))
+    sym = _mul(_t(a), b)
+    corner = (_sub(_add(zr, _mul(bt, _mul(tr, b))),
+                   [[(x + y) / 2 for x, y in zip(r1, r2)] for r1, r2 in zip(sym, _t(sym))]),
+              _add(zi, _mul(bt, _mul(ti, b))))
+    return tuple(
+        [r1 + r2 for r1, r2 in zip(top, up)] + [r1 + r2 for r1, r2 in zip(_t(up), low)]
+        for top, up, low in zip(tau_prime, upper, corner))
+
+
+def block_volume_identity(tau_prime, z, s, tol: float) -> bool:
     """det Im(tau) = det Im(tau') * det Im(Z) for the assembled block point."""
-    tau_prime = np.asarray(tau_prime, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    if not siegel_membership(tau_prime, 1e-12):
+    tau_prime = _complex(tau_prime, "tau'")
+    z = _complex(z, "Z")
+    s = _complex(s, "S")
+    _check_genus(_shape(tau_prime)[0] + _shape(z)[0])
+    if not _in_siegel(tau_prime, 1e-12):
         raise ValueError("tau' is not in its Siegel space")
-    if not siegel_membership(z, 1e-12):
+    if not _in_siegel(z, 1e-12):
         raise ValueError("Z is not in its Siegel space")
-    if s.shape != (tau_prime.shape[0], z.shape[0]):
-        raise ValueError(
-            f"S must be {tau_prime.shape[0]}x{z.shape[0]}, got {s.shape}")
-    tau = assemble_block_tau(tau_prime, z, s)
-    if not siegel_membership(tau, tol):
+    want, got = (_shape(tau_prime)[0], _shape(z)[0]), _shape(s)
+    if got != want:
+        raise ValueError(f"S must be {want[0]}x{want[1]}, got {got[0]}x{got[1]}")
+    tau = _assemble(tau_prime, z, s)
+    if not _in_siegel(tau, tol):
         return False
-    lhs = float(_finite("det Im(tau)", np.linalg.det(tau.imag)))
-    rhs = float(_finite("det Im(tau') det Im(Z)",
-                        np.linalg.det(tau_prime.imag) * np.linalg.det(z.imag)))
-    return abs(lhs - rhs) <= tol * (1 + abs(lhs))
-
-
-def random_siegel_point(g: int, rng: np.random.Generator) -> np.ndarray:
-    """X + i(QQ^T + 0.1 I) with X symmetric; in the Siegel space by construction."""
-    x = rng.standard_normal((g, g))
-    x = (x + x.T) / 2
-    q = rng.standard_normal((g, g))
-    return x + 1j * (q @ q.T + 0.1 * np.eye(g))
+    lhs = rational_det(tau[1])
+    rhs = rational_det(tau_prime[1]) * rational_det(z[1])
+    return abs(lhs - rhs) <= Fraction(tol) * (1 + abs(lhs))

@@ -98,6 +98,14 @@ RANDOM_COORD_MAX = 10 ** 6
 F_NVARS_MAX = 21
 
 
+# Randomized mode's predicted work: trials * (N^6 + 4*10^5) units.  One
+# point of the principal cone took 0.6 ms at N = 6 and then about 1.4 ns
+# per unit at N = 15-36 (0.014, 0.10, 0.65 and 3.6 s at g = 5-8; 2-CPU
+# machine), so the bound admits about 4 s of points: one at g = 8, five at
+# g = 7, none at g = 9.
+RANDOMIZED_WORK_MAX = 2_500_000_000
+
+
 class CostGuardError(ValueError):
     """A symbolic computation requested beyond its cost guard; the input is
     too large, so the CLI reports it as an input error."""
@@ -328,6 +336,11 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
         raise ValueError("randomized mode needs trials >= 1")
+    work = trials * (v.nvars ** 6 + 400_000)
+    if work > RANDOMIZED_WORK_MAX:
+        raise CostGuardError(
+            f"randomized check limited to trials * (N^6 + 4e5) <= {RANDOMIZED_WORK_MAX}, "
+            f"got {work} (N={v.nvars}, trials={trials})")
     rng = random.Random(seed)
     points = [random_rational_point(rng, v.nvars) for _ in range(trials)]
     c = ma_rhs_constant(v.g, v.vol)

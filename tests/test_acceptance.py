@@ -34,7 +34,6 @@ from siegeltoric.period_domain import (
     dual_cusp_filtration,
     filtration_from_tau,
     nilpotent_orbit_check,
-    random_siegel_point,
     riemann_check,
 )
 from siegeltoric.residue_intersect import (
@@ -57,6 +56,7 @@ from siegeltoric.volume_ke import (
 from siegeltoric.cone_lattice import Fan, gl_act
 
 from naive_oracle import g2_rows_to_pencil
+from period_domain_oracle import random_siegel_point
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

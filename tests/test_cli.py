@@ -1,13 +1,14 @@
 """CLI exit codes, report formats, determinism, config resolution."""
 
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from siegeltoric import cli
+from siegeltoric import cli, period_domain, volume_ke
 from siegeltoric.catalog import principal_cone
 from siegeltoric.cli import main
 from siegeltoric.jsonio import cone_to_json
@@ -17,6 +18,10 @@ CLI = [sys.executable, "-m", "siegeltoric.cli"]
 # wall seconds for one fresh `ma verify principal-g<6|7> --randomized
 # --trials 1`; under 1 s each on a 2-CPU machine
 RANDOMIZED_FRONTIER_BUDGET_S = 5.0
+
+# wall seconds for one fresh `hodge riemann` at the genus bound on entries
+# spread over the binary64 range; about 1.9 s on a 2-CPU machine
+HODGE_BUDGET_S = 5.0
 
 
 def run_cli(*args, env=None):
@@ -207,21 +212,58 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stdout
         assert proc.stderr.startswith("error:") and "must be numbers" in proc.stderr
 
-    @pytest.mark.parametrize("sub,obj,stage", [
+    @pytest.mark.parametrize("sub,obj,code", [
+        # F^T psi F is exactly 0 and H = diag(2e400, 2)
         ("riemann", {"re": [[1e200, 0], [0, 1], [1e200, 0], [0, 1]],
-                     "im": [[1e200, 0], [0, 1], [0, 0], [0, 0]]}, "F^T psi F"),
+                     "im": [[1e200, 0], [0, 1], [0, 0], [0, 0]]}, 0),
+        # the identity holds, but the assembled Im(tau) = [[r, -r^2], [-r^2, 1 + r^3]]
+        # (r = 1e300) has smallest eigenvalue about 1/r^2, below tol
         ("block-volume", {"tau_prime": {"re": [[1e300]], "im": [[1e300]]},
                           "Z": {"re": [[0]], "im": [[1]]},
-                          "S": {"re": [[1e300]], "im": [[1e300]]}}, "assembled tau"),
-        ("siegel", {"re": [[0]], "im": [[1e308]]}, "Im(tau)"),
+                          "S": {"re": [[1e300]], "im": [[1e300]]}}, 1),
+        ("siegel", {"re": [[0]], "im": [[1e308]]}, 0),
     ], ids=["riemann", "block-volume", "siegel"])
-    def test_binary64_overflow_is_two(self, sub, obj, stage, tmp_path):
+    def test_binary64_overflow_gets_exact_verdict(self, sub, obj, code, tmp_path):
+        # these intermediates overflow binary64; exact arithmetic decides them
         path = tmp_path / "hodge.json"
         path.write_text(json.dumps(obj))
         proc = run_cli("hodge", sub, str(path))
-        assert proc.returncode == 2, proc.stdout
-        assert proc.stderr.startswith("error:") and stage in proc.stderr
-        assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
+        assert proc.returncode == code and proc.stderr == ""
+        assert json.loads(proc.stdout)["ok"] is (code == 0)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-bound", "above-bound"])
+    def test_hodge_cost_guard(self, extra, tmp_path):
+        # full-mantissa entries whose exponents spread over the binary64
+        # range: Y is diagonally dominant, so tau is a Siegel point
+        rng = random.Random(8)
+        g = period_domain.HODGE_GENUS_MAX + extra
+
+        def entry(lo, hi):
+            return rng.choice((-1, 1)) * (1 + rng.random()) * 2.0 ** rng.randint(lo, hi)
+
+        exps = [rng.randint(0, 900) for _ in range(g)]
+        re = [[0.0] * g for _ in range(g)]
+        im = [[0.0] * g for _ in range(g)]
+        for i in range(g):
+            im[i][i] = 2.0 ** exps[i]
+            for j in range(i, g):
+                re[i][j] = re[j][i] = entry(-1000, 900)
+                if j > i:
+                    im[i][j] = im[j][i] = entry(-1070, min(exps[i], exps[j]) - 8)
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"re": re, "im": im}))
+        t0 = time.perf_counter()
+        proc = subprocess.run(CLI + ["hodge", "riemann", str(path)],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        if extra:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == (f"error: period-domain checks limited to "
+                                   f"g <= {g - 1}, got g={g}\n")
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["ok"] is True
+            assert elapsed < HODGE_BUDGET_S, f"{elapsed:.2f} s"
 
     @pytest.mark.parametrize("args", [("residue", "--d", "1"), ("intersect", "--edges", "1")],
                              ids=["residue", "intersect"])
@@ -251,6 +293,25 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["holds"] is True
         assert elapsed < RANDOMIZED_FRONTIER_BUDGET_S, f"g={g}: {elapsed:.2f} s"
+
+    def test_randomized_cost_guard_is_two(self):
+        # 1000 points at g = 8 would take about an hour
+        t0 = time.perf_counter()
+        proc = subprocess.run(CLI + ["ma", "verify", "principal-g8", "--randomized",
+                                     "--trials", "1000"],
+                              capture_output=True, text=True, timeout=15)
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: randomized check limited to trials * (N^6 + 4e5)")
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+    def test_randomized_cost_guard_evaluates_no_point(self, monkeypatch, capsys):
+        def evaluated(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(volume_ke, "_det_t_at", evaluated)
+        assert main(["ma", "verify", "principal-g9", "--randomized", "--trials", "1"]) == 2
+        assert "N=45, trials=1" in capsys.readouterr().err
 
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)

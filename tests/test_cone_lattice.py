@@ -552,6 +552,14 @@ class TestConstructionInvariants:
         with pytest.raises(ConeShapeError):
             cone2(E11, ((2, 0), (0, 0)))
 
+    def test_proportional_classes_name_first_pair(self):
+        # classes {0, 3} (a negative multiple) and {1, 2}; the class with the
+        # smallest first index is named, not the first repeat met (2)
+        e11, e22 = ((1, 0, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0), (0, 0, 0))
+        gens = (e11, e22, ((0, 0, 0), (0, 3, 0), (0, 0, 0)), ((-2, 0, 0), (0, 0, 0), (0, 0, 0)))
+        with pytest.raises(ConeShapeError, match=r"^generators 0 and 3 are proportional$"):
+            MarkedCone(g=3, scale=1, generators=gens)
+
     def test_dependent_generators_rejected(self):
         with pytest.raises(ConeShapeError):
             cone2(E11, E22, ((1, 0), (0, 1)))
