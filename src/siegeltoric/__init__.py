@@ -48,7 +48,6 @@ from .volume_ke import (
     is_ke_point,
     ke_coefficient,
     permutation_check,
-    t_matrix,
     verify_ma_identity,
     volume_function,
 )

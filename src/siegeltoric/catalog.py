@@ -74,10 +74,8 @@ def catalog_get(name: str) -> CatalogEntry:
     raise UnknownCatalogEntryError(f"no catalog entry named {name!r}")
 
 
-def catalog_names(representative_level: int = 3) -> list[str]:
-    """Concrete catalog names; the level family is listed at one
-    representative level (any 'principal-g2-level-<n>' resolves), and of the
-    genus family only genus 2 and 3 (any 'principal-g<n>' up to
-    PRINCIPAL_GENUS_MAX resolves)."""
-    return ["principal-g2", "principal-g3",
-            f"principal-g2-level-{representative_level}"]
+def catalog_names() -> list[str]:
+    """Concrete catalog names; the level family is listed at level 3 (any
+    'principal-g2-level-<n>' resolves), and of the genus family only genus
+    2 and 3 (any 'principal-g<n>' up to PRINCIPAL_GENUS_MAX resolves)."""
+    return ["principal-g2", "principal-g3", "principal-g2-level-3"]

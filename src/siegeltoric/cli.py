@@ -2,11 +2,12 @@
 
 Exit codes: 0 when every checked property holds, 1 when a mathematical
 property fails (with a witness in the report), 2 on any input error, the
-cost guards included (N <= 6 for `residue` and `intersect`, N <= 21 for
-the volume polynomial of `cone volume`, trials * (N^6 + 4e5) <= 2.5e9 for
-`ma verify --randomized`, g <= 8 for `hodge`; symbolic `ma verify` and
-`ke test` never expand the polynomial and run at every genus), and 3 on
-an internal error.
+cost guards included (N <= 21 for the volume polynomial of `cone
+volume`, `residue` and `intersect`, at most 250000 predicted terms of
+the power of S_d that the residue minor of `residue` and `intersect`
+expands, trials * (N^6 + 4e5) <= 2.5e9 for `ma verify --randomized`,
+g <= 8 for `hodge`; symbolic `ma verify` and `ke test` never expand the
+polynomial and run at every genus), and 3 on an internal error.
 Input problems raise ValueError wherever they are found, and `main` alone
 maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
 other exception one `internal error: <Type>: <msg>` line, never a
@@ -238,6 +239,15 @@ def _cmd_ke_test(args, config: RunConfig) -> int:
     return EXIT_PASS if member else EXIT_PROPERTY
 
 
+def _chi_json(chi: residue_intersect.ChiDescriptor) -> dict:
+    return {
+        "constant": jsonio.fraction_to_json(chi.constant),
+        "numerator": poly_to_json(chi.numerator),
+        "denominator_base": poly_to_json(chi.denominator_base),
+        "denominator_exp": chi.denominator_exp,
+    }
+
+
 def _cmd_residue(args, config: RunConfig) -> int:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     v = volume_ke.volume_function(cone)
@@ -247,12 +257,7 @@ def _cmd_residue(args, config: RunConfig) -> int:
         "d": rc.d,
         "S": [poly_to_json(s) for s in rc.S],
         "g_d": poly_to_json(rc.gd),
-        "chi": {
-            "constant": jsonio.fraction_to_json(chi.constant),
-            "numerator": poly_to_json(chi.numerator),
-            "denominator_base": poly_to_json(chi.denominator_base),
-            "denominator_exp": chi.denominator_exp,
-        },
+        "chi": _chi_json(chi),
     }
     _emit(report, config)
     return EXIT_PASS
@@ -302,12 +307,7 @@ def _cmd_intersect(args, config: RunConfig) -> int:
         "selected": indices,
     }
     if verdict.chi is not None:
-        report["chi"] = {
-            "constant": jsonio.fraction_to_json(verdict.chi.constant),
-            "numerator": poly_to_json(verdict.chi.numerator),
-            "denominator_base": poly_to_json(verdict.chi.denominator_base),
-            "denominator_exp": verdict.chi.denominator_exp,
-        }
+        report["chi"] = _chi_json(verdict.chi)
     _emit(report, config)
     return EXIT_PASS
 

@@ -5,11 +5,44 @@ polynomial: S_0 = F, and S_k is the coefficient of the top power of the
 k-th marked variable in S_{k-1}.  After d steps the chain's minor
 determinant g_d = det(P restricted to the unselected variables), with
 P_lm = S_d * d2(S_d)/dx_l dx_m - d(S_d)/dx_l * d(S_d)/dx_m, is the exact
-numerator of the iterated residue integrand (S_d is homogeneous in the
-unselected variables and free of the others, so g_d comes from the Euler
-reduction volume_ke.euler_t_det); the accompanying
-constant is (-1)^(N-d) * ((g+1)/4)^(N-d) * (N-d)!.  No integration is
-performed here, only the exact integrand data is produced.
+numerator of the iterated residue integrand; the accompanying constant is
+(-1)^(N-d) * ((g+1)/4)^(N-d) * (N-d)!.  No integration is performed here,
+only the exact integrand data is produced.
+
+Residue minor in closed form.  Let the pencil A_1..A_N span Sym_g, as the
+generators of a full cone do (residue_chain refuses any other pencil).
+Suppose S = c det(L x) with c a nonzero constant and L linear from the
+variables onto Sym_e, and let B be the matrix of x_k in L x, of rank r.
+With B = Q diag(D, 0) Q^T, D invertible of order r and Q invertible,
+
+    det(L x) = det(Q)^2 det(x_k diag(D, 0) + Q^-1 (L x - x_k B) Q^-T).
+
+x_k B adds nothing to the lower right block of order e - r, so that block
+is still onto Sym_(e-r) in the other variables; the top power of x_k is
+x_k^r, with coefficient det(D) times the determinant of that block, which
+is not zero as the block is onto.  By
+induction from S_0 = F = det(L x), each S_d = c_d det(L_d x) with c_d a
+nonzero constant and L_d linear from the M = N - d unselected variables
+onto Sym_e, e = deg S_d.  The chain rule gives
+Hess S_d = c_d L_d^T Hess det(L_d x) L_d, of rank at most sym_dim(e), and
+M >= sym_dim(e) as L_d is onto.
+
+- M > sym_dim(e): det Hess S_d = 0, so g_d = 0 by the Euler reduction
+  (volume_ke) for e >= 2; for e <= 1, P = -grad grad^T has rank at most
+  1 < M.
+- M = sym_dim(e): L_d is invertible, and the closed form of volume_ke,
+  applied to the pencil L_d at genus e, makes g_d a constant multiple of
+  S_d^((e+1)(e-1)) (the factor c_d multiplies P by c_d^2).  So
+  g_d = lambda S_d^((e+1)(e-1)), with lambda read off as
+  det P(p) / S_d(p)^((e+1)(e-1)) at one rational point p with S_d(p) != 0.
+
+If the first d generators are positive semidefinite, g_d = 0.  Each of
+them vanishes as a form on the e-dimensional subspace V where the final
+block lives, so it lies in the matrices that kill V, a space of dimension
+sym_dim(g - e); they are independent, so d <= sym_dim(g - e) and
+M >= sym_dim(e) + e(g - e), which exceeds sym_dim(e) for 0 < e < g
+(e = g would make them zero, and sym_dim(0) = 0 < M).  A dependent pencil
+breaks the first step: L need not be onto, and the closed form can miss.
 
 Intersection verdicts implement the vanishing criteria for products of
 boundary divisors (d >= g-1, interior edges, the genus-two top case) with
@@ -19,12 +52,15 @@ regular fan.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cone_lattice import (
     ConeShapeError,
+    DegenerateConeError,
     Fan,
     MarkedCone,
     edge_class,
@@ -32,25 +68,24 @@ from .cone_lattice import (
     matrix_rank,
     primitive_ray,
     coords_in_lattice,
+    rational_det,
     sym_dim,
 )
 from .exact_algebra import MultiPoly
-from .volume_ke import (CostGuardError, VolumeFunction, euler_t_det,
-                        pencil_coordinate_det, t_matrix, volume_function)
+from .volume_ke import (RANDOM_COORD_MAX, CostGuardError, VolumeFunction,
+                        pencil_coordinate_det, volume_function)
 
-# the residue chain and the T degree bounds run on volume polynomials of up
-# to this many variables
-SYMBOLIC_NVARS_MAX = 6
+# S_d^((e+1)(e-1)) is expanded only if it can have at most this many terms:
+# every genus-4 cone passes (at most 118755 terms, 16 s on a 2-CPU machine),
+# and the bound is about the size of the largest F that VolumeFunction
+# expands (a dense form of degree 6 in 21 variables has 230230 terms)
+RESIDUE_TERMS_MAX = 250_000
 
 ZERO_D_GE_G_MINUS_1 = "d_ge_g_minus_1"
 ZERO_INTERIOR_EDGE = "interior_edge"
 ZERO_GENUS_TWO_TOP = "genus_two_top"
 ZERO_TORIC_EMPTY = "toric_empty"
 ONE_TORIC_COMMON_CONE = "toric_common_cone"
-
-
-class DegenerateResidueError(ValueError):
-    """A leading-coefficient step hit the zero polynomial."""
 
 
 @dataclass(frozen=True)
@@ -95,32 +130,18 @@ def t_degree_bounds(v: VolumeFunction) -> TDegreeReport:
         deg_k T_ij <= 2 deg_k F       (i, j != k),
         deg_k det T <= 2 N deg_k F - 2.
 
-    The det bound needs no det T: by its closed form (volume_ke), deg_k
-    det T = (g+1)(g-1) deg_k F, or -1 (the zero polynomial) if det M = 0.
-    The entry bounds expand the full N x N matrix T, so guarded to N <= 6.
+    None of them needs T.  With D = deg_k F >= 1 and a_D the coefficient of
+    x_k^D in F, the x_k^(2D-2) coefficient of T_kk = F F_kk - F_k^2 is
+    D(D-1) a_D^2 - D^2 a_D^2 = -D a_D^2, which is not zero, and the other two
+    entry bounds follow from the degrees of the factors.  With D = 0, row
+    and column k of T are zero, so only T_kk (degree -1) fails.  By the
+    closed form of det T (volume_ke), deg_k det T = (g+1)(g-1) deg_k F, or
+    -1 (the zero polynomial) if det M = 0.
     """
     n = v.nvars
-    if n > SYMBOLIC_NVARS_MAX:
-        raise CostGuardError(f"T degree bounds limited to N <= {SYMBOLIC_NVARS_MAX}, got N={n}")
-    t = t_matrix(v)
-    failures = []
     degf = [v.F.degree_in(k) for k in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                dk = t.entry(i, j).degree_in(k)
-                if i == k and j == k:
-                    if dk != 2 * degf[k] - 2:
-                        failures.append(
-                            f"deg_{k + 1} T[{i + 1},{j + 1}] = {dk}, expected exactly {2 * degf[k] - 2}")
-                elif i == k or j == k:
-                    if dk > 2 * degf[k] - 1:
-                        failures.append(
-                            f"deg_{k + 1} T[{i + 1},{j + 1}] = {dk} > {2 * degf[k] - 1}")
-                else:
-                    if dk > 2 * degf[k]:
-                        failures.append(
-                            f"deg_{k + 1} T[{i + 1},{j + 1}] = {dk} > {2 * degf[k]}")
+    failures = [f"deg_{k + 1} T[{k + 1},{k + 1}] = -1, expected exactly -2"
+                for k in range(n) if degf[k] == 0]
     dependent = pencil_coordinate_det(v.pencil) == 0
     for k in range(n):
         dk = -1 if dependent else (v.g + 1) * (v.g - 1) * degf[k]
@@ -148,24 +169,46 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
 
     Variable order follows the cone's marking order; callers that want a
     different divisor selection permute the marking first (see
-    intersection_vanishing).  Symbolic, so guarded to N <= 6.
+    intersection_vanishing).  The pencil must span Sym_g (module docstring).
     """
     n = v.nvars
     if not 1 <= d <= n - 1:
         raise ValueError(f"d must be in [1, {n - 1}], got {d}")
-    if n > SYMBOLIC_NVARS_MAX:
-        raise CostGuardError(f"residue chain limited to N <= {SYMBOLIC_NVARS_MAX}, got N={n}")
+    if pencil_coordinate_det(v.pencil) == 0:
+        raise DegenerateConeError("residue chain needs linearly independent generators")
     chain = [v.F]
-    current = v.F
-    for k in range(1, d + 1):
-        if current.is_zero():
-            raise DegenerateResidueError(f"S_{k - 1} is the zero polynomial")
-        _, current = current.leading_coeff_in(k - 1)
-        if current.is_zero():
-            raise DegenerateResidueError(f"S_{k} is the zero polynomial")
-        chain.append(current)
-    gd = euler_t_det(chain[-1], range(d, n))
-    return ResidueChain(d=d, S=tuple(chain), gd=gd, g=v.g, nvars=n, vol=v.vol)
+    for k in range(d):
+        chain.append(chain[-1].leading_coeff_in(k)[1])
+    return ResidueChain(d=d, S=tuple(chain), gd=_residue_minor(chain[-1], d),
+                        g=v.g, nvars=n, vol=v.vol)
+
+
+def _residue_minor(s: MultiPoly, d: int) -> MultiPoly:
+    """g_d from S_d = s, free of the first d variables (module docstring)."""
+    n, m, e = s.nvars, s.nvars - d, s.total_degree()
+    if m > sym_dim(e):
+        return MultiPoly.zero(n)
+    k = (e + 1) * (e - 1)
+    # S_d^k has at most as many terms as there are monomials of degree k e
+    # in m variables, or multisets of k of the terms of S_d
+    t = s.num_terms()
+    terms = min(math.comb(k * e + m - 1, m - 1), math.comb(k + t - 1, t - 1))
+    if terms > RESIDUE_TERMS_MAX:
+        raise CostGuardError(
+            f"residue minor limited to {RESIDUE_TERMS_MAX} terms of S_d^{k}, "
+            f"predicted up to {terms} (N={n}, d={d})")
+    rng = random.Random(0)
+    while True:
+        p = [rng.randint(1, RANDOM_COORD_MAX) for _ in range(n)]
+        sp = s.eval_at(p)
+        if sp:
+            break
+    keep = range(d, n)
+    grads = [s.partial(i) for i in keep]
+    gp = [gr.eval_at(p) for gr in grads]
+    t_at_p = [[sp * grads[a].partial(keep[b]).eval_at(p) - gp[a] * gp[b]
+               for b in range(m)] for a in range(m)]
+    return (s ** k).scale(rational_det(t_at_p) / sp ** k)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ identity holds exactly when det(M)^2 = vol^2: one rational determinant at
 every genus.  As vol = |det M| for a cone, it holds for every
 nondegenerate cone, is_ke_point is True on every independent pencil, and
 ke_coefficient is always 0.  The direct det(T) and Hessian routes are
-test oracles.  The residue minor uses the Euler reduction as well.
+test oracles.
 
 Randomized mode works at each point p from the pencil alone and never
 expands F.  Write A_mu = G_mu / s with integer G_mu, let D be the lcm of
@@ -83,12 +83,7 @@ from .cone_lattice import (
     rational_det,
     sym_dim,
 )
-from .exact_algebra import (
-    DimensionError,
-    MultiPoly,
-    PolyMatrix,
-    pencil_det,
-)
+from .exact_algebra import DimensionError, MultiPoly, pencil_det
 
 RANDOM_COORD_MAX = 10 ** 6
 
@@ -120,7 +115,6 @@ class VolumeFunction:
     nvars: int
     pencil: tuple[tuple[tuple[Fraction, ...], ...], ...]
     vol: int
-    cone: Optional[MarkedCone] = None
 
     @cached_property
     def F(self) -> MultiPoly:
@@ -151,7 +145,7 @@ def volume_function(c: MarkedCone) -> VolumeFunction:
         raise DegenerateConeError(
             f"volume polynomial needs {n} generators, cone has {len(c.generators)}")
     vol = lattice_volume(c)
-    return VolumeFunction(g=c.g, nvars=n, pencil=_normalized_pencil(c), vol=vol, cone=c)
+    return VolumeFunction(g=c.g, nvars=n, pencil=_normalized_pencil(c), vol=vol)
 
 
 def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
@@ -182,56 +176,6 @@ def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]
     if pencil_coordinate_det(pencil) == 0:
         v.F  # expanding F raises if it is 0; independent pencils span I
     return v
-
-
-def _hessian_entries(f: MultiPoly, keep: Sequence[int]):
-    """Upper-triangle second partials (a, b, f_ab) over `keep`, one at a time."""
-    for a, i in enumerate(keep):
-        fi = f.partial(i)
-        for b in range(a, len(keep)):
-            yield a, b, fi.partial(keep[b])
-
-
-def _symmetric(m: int, upper) -> PolyMatrix:
-    """The m x m PolyMatrix with upper triangle given as (a, b, entry)."""
-    entries: list[Optional[MultiPoly]] = [None] * (m * m)
-    for a, b, x in upper:
-        entries[a * m + b] = entries[b * m + a] = x
-    return PolyMatrix(m, m, entries)  # type: ignore[arg-type]
-
-
-def _t_matrix(f: MultiPoly, keep: Sequence[int]) -> PolyMatrix:
-    grads = [f.partial(i) for i in keep]
-    return _symmetric(len(keep), ((a, b, f * h - grads[a] * grads[b])
-                                  for a, b, h in _hessian_entries(f, keep)))
-
-
-def t_matrix(v: VolumeFunction) -> PolyMatrix:
-    """The N x N matrix T_ij = F*F_ij - F_i*F_j (symmetric, degree 2g-2)."""
-    return _t_matrix(v.F, range(v.nvars))
-
-
-def _euler_degree(f: MultiPoly, keep: Sequence[int]) -> int:
-    """Degree of f, checked to be homogeneous in `keep` and free of the rest."""
-    e = f.total_degree()
-    if any(sum(exp[i] for i in keep) != e for exp in f.terms):
-        raise ValueError("f must be homogeneous in the kept variables, free of the rest")
-    return e
-
-
-def euler_t_det(f: MultiPoly, keep: Sequence[int]) -> MultiPoly:
-    """det(f*H - grad grad^T) over `keep`, for f homogeneous of degree e in
-    those variables and free of the rest: -f^M det(H) / (e-1) for e >= 2,
-    with f^M left unexpanded when det(H) is 0, and the determinant of the
-    constant entries otherwise (module docstring).
-    """
-    e = _euler_degree(f, keep)
-    if e < 2:
-        return _t_matrix(f, keep).det()
-    det_h = _symmetric(len(keep), _hessian_entries(f, keep)).det()
-    if det_h.is_zero():
-        return det_h
-    return (f ** len(keep) * det_h).scale(Fraction(-1, e - 1))
 
 
 def ma_rhs_constant(g: int, vol: Fraction | int) -> Fraction:

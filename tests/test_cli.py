@@ -12,12 +12,18 @@ from siegeltoric import cli, period_domain, volume_ke
 from siegeltoric.catalog import principal_cone
 from siegeltoric.cli import main
 from siegeltoric.jsonio import cone_to_json
+from test_residue_intersect import invertible_case_cone
 
 CLI = [sys.executable, "-m", "siegeltoric.cli"]
 
 # wall seconds for one fresh `ma verify principal-g<6|7> --randomized
 # --trials 1`; under 1 s each on a 2-CPU machine
 RANDOMIZED_FRONTIER_BUDGET_S = 5.0
+
+# wall seconds for one fresh `residue principal-g<4|5|6> --d 1` or
+# `intersect principal-g<4|5|6> --edges 1`; about 1 s at g = 6 on a 2-CPU
+# machine, most of it expanding F
+RESIDUE_FRONTIER_BUDGET_S = 10.0
 
 # wall seconds for one fresh `hodge riemann` at the genus bound on entries
 # spread over the binary64 range; about 1.9 s on a 2-CPU machine
@@ -265,15 +271,32 @@ class TestExitCodes:
             assert json.loads(proc.stdout)["ok"] is True
             assert elapsed < HODGE_BUDGET_S, f"{elapsed:.2f} s"
 
+    @pytest.mark.parametrize("g", [4, 5, 6])
     @pytest.mark.parametrize("args", [("residue", "--d", "1"), ("intersect", "--edges", "1")],
                              ids=["residue", "intersect"])
-    def test_residue_cost_guard_is_two(self, args, tmp_path):
-        path = tmp_path / "g4.json"
-        path.write_text(json.dumps(cone_to_json(principal_cone(4))))
-        proc = subprocess.run(CLI + [args[0], str(path), *args[1:]],
+    def test_residue_frontier_within_budget(self, args, g):
+        # g_d = 0 by rank alone, wherever F expands (N <= 21)
+        t0 = time.perf_counter()
+        proc = subprocess.run(CLI + [args[0], f"principal-g{g}", *args[1:]],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        gd = report["g_d"] if args[0] == "residue" else report["chi"]["numerator"]
+        assert gd == {"nvars": g * (g + 1) // 2, "terms": []}
+        assert elapsed < RESIDUE_FRONTIER_BUDGET_S, f"g={g}: {elapsed:.2f} s"
+
+    def test_residue_term_guard_is_two(self, tmp_path):
+        # S_5^15 of the genus-5 invertible case could have 3e8 terms
+        path = tmp_path / "g5.json"
+        path.write_text(json.dumps(cone_to_json(invertible_case_cone(5))))
+        t0 = time.perf_counter()
+        proc = subprocess.run(CLI + ["residue", str(path), "--d", "5"],
                               capture_output=True, text=True, timeout=15)
-        assert proc.returncode == 2
-        assert "N <= 6" in proc.stderr and "Traceback" not in proc.stderr
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: residue minor limited to 250000 terms")
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
 
     def test_volume_polynomial_cost_guard_is_two(self):
         proc = subprocess.run(CLI + ["cone", "volume", "principal-g7"],

@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 from siegeltoric.catalog import principal_cone
-from siegeltoric.cone_lattice import Fan, GroupElement, MarkedCone, gl_act
+from siegeltoric.cone_lattice import (
+    DegenerateConeError,
+    Fan,
+    GroupElement,
+    MarkedCone,
+    gl_act,
+    sym_dim,
+)
 from siegeltoric.exact_algebra import MultiPoly, poly_from_json
 from siegeltoric.residue_intersect import (
     ONE_TORIC_COMMON_CONE,
@@ -25,9 +32,15 @@ from siegeltoric.residue_intersect import (
     toric_full_intersection,
     toric_verdict,
 )
-from siegeltoric.volume_ke import volume_function, volume_function_from_pencil
+from siegeltoric.volume_ke import (
+    pencil_coordinate_det,
+    volume_function,
+    volume_function_from_pencil,
+)
 
 import naive_oracle as oracle
+import t_matrix_oracle
+from test_volume_ke import random_symmetric, unit_matrix
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -39,6 +52,48 @@ V3 = volume_function(SIGMA0_G3)
 
 def pencil_vf(mats, g, vol=1):
     return volume_function_from_pencil(mats, g=g, vol=vol)
+
+
+def invertible_case_cone(g):
+    """E_11 and E_1j + E_j1 first, then the other coordinate matrices: after
+    d = g steps S_d is det of the generic symmetric matrix of order g - 1 in
+    its N - g = sym_dim(g - 1) variables, so g_d is not zero."""
+    first = [(0, j) for j in range(g)]
+    rest = [(i, j) for i in range(1, g) for j in range(i, g)]
+    return MarkedCone(g=g, scale=1, generators=tuple(
+        tuple(map(tuple, unit_matrix(g, i, j))) for i, j in first + rest))
+
+
+def random_full_pencils(rng, g, count):
+    """Independent genus-g pencils: Gram matrices of random rank (PSD),
+    dense indefinite matrices, and invertible-case cones whose unselected
+    matrices are mixed by a random integer matrix and whose whole pencil
+    is moved by a random Y -> P Y P^T."""
+    from test_cone_lattice import random_unimodular
+    n = sym_dim(g)
+    pencils = []
+    while len(pencils) < count:
+        kind = len(pencils) % 3
+        if kind == 0:
+            mats = []
+            for _ in range(n):
+                b = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(rng.randint(1, g))]
+                mats.append([[sum(r[i] * r[j] for r in b) for j in range(g)]
+                             for i in range(g)])
+        elif kind == 1:
+            mats = [random_symmetric(rng, g, 2) for _ in range(n)]
+        else:
+            base = [list(map(list, m)) for m in invertible_case_cone(g).generators]
+            mix = [[rng.randint(-2, 2) for _ in range(g, n)] for _ in range(g, n)]
+            mats = base[:g] + [
+                [[sum(c * base[g + k][i][j] for k, c in enumerate(row)) for j in range(g)]
+                 for i in range(g)] for row in mix]
+            p = random_unimodular(rng, g).matrix
+            mats = [[[sum(p[i][a] * m[a][b] * p[j][b] for a in range(g) for b in range(g))
+                      for j in range(g)] for i in range(g)] for m in mats]
+        if pencil_coordinate_det(mats) != 0:
+            pencils.append(mats)
+    return pencils
 
 
 class TestDegreeProfile:
@@ -91,19 +146,43 @@ class TestTDegreeBounds:
         report = t_degree_bounds(volume_function(c))
         assert report.ok
 
-    def test_cost_guard_above_six_variables(self):
-        with pytest.raises(CostGuardError, match="N <= 6, got N=10"):
-            t_degree_bounds(volume_function(principal_cone(4)))
+    def test_runs_past_six_variables(self):
+        # T is never built, so genus 4 to 6 (N = 10, 15, 21) pass wherever F
+        # expands
+        for g in (4, 5, 6):
+            assert t_degree_bounds(volume_function(principal_cone(g))).ok, g
+
+    def test_matches_oracle_on_full_cones(self):
+        for v in (V2, V3, volume_function(principal_cone(2, scale=3)),
+                  volume_function(invertible_case_cone(3))):
+            assert t_degree_bounds(v) == t_matrix_oracle.t_degree_bounds(v)
+
+    def test_matches_oracle_where_f_is_free_of_a_variable(self):
+        # dependent pencils with deg_k F = 0, the only place the bounds fail:
+        # F = -x3^2, F = x1 x2, F = -x4^2 (x5 + x6), and zero matrices put
+        # into random genus-2 and genus-3 pencils
+        e11, e12, e22 = [[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+        zero2 = [[0, 0], [0, 0]]
+        u = [unit_matrix(3, i, j) for i, j in [(0, 0), (0, 1), (0, 2), (1, 1)]]
+        pencils = [[e11, e11, e12], [e11, e22, zero2],
+                   [u[0], u[0], u[1], u[2], u[3], u[3]]]
+        rng = random.Random(29)
+        for g in (2, 2, 3, 3):
+            mats = [random_symmetric(rng, g, 3) for _ in range(sym_dim(g))]
+            mats[rng.randrange(len(mats))] = [[0] * g for _ in range(g)]
+            pencils.append(mats)
+        for mats in pencils:
+            v = pencil_vf(mats, len(mats[0]))
+            report = t_degree_bounds(v)
+            assert not report.ok and report == t_matrix_oracle.t_degree_bounds(v), mats
 
     def test_t11_degree_zero_in_x1(self):
         # T_11 = -(y+z)^2 for the principal cone: degree 0 = 2*1-2 in x1
-        from siegeltoric.volume_ke import t_matrix
-        t = t_matrix(V2)
+        t = t_matrix_oracle.t_matrix(V2)
         assert t.entry(0, 0).degree_in(0) == 0
 
     def test_t23_degree(self):
-        from siegeltoric.volume_ke import t_matrix
-        t = t_matrix(V2)
+        t = t_matrix_oracle.t_matrix(V2)
         # T_23 = -x^2: degree 2 in x1, within the bound 2*deg_1 F = 2
         assert t.entry(1, 2).degree_in(0) == 2
 
@@ -145,8 +224,8 @@ class TestResidueChain:
         assert rc.gd.terms == gd
 
     def test_g3_minor_matches_oracle_for_every_d(self):
-        # deg S_d is 2, 1, 0, 0, 0 for d = 1..5: every branch of the Euler
-        # reduction against the oracle's cofactor determinant of P
+        # deg S_d is 2, 1, 0, 0, 0 for d = 1..5: the closed form against the
+        # oracle's cofactor determinant of P
         degrees = []
         for d in range(1, 6):
             chain, gd = oracle.residue_chain_naive(V3.F.terms, 6, d)
@@ -197,6 +276,54 @@ class TestResidueChain:
             rc = residue_chain(volume_function(cone), 1)
             assert rc.gd.is_zero(), rows
             checked += 1
+
+
+class TestResidueMinorClosedForm:
+    """g_d in closed form against the Euler route of t_matrix_oracle."""
+
+    def test_random_full_cones_every_d(self):
+        rng = random.Random(83)
+        nonzero = 0
+        for g, count in ((2, 12), (3, 9)):
+            for mats in random_full_pencils(rng, g, count):
+                v = pencil_vf(mats, g)
+                for d in range(1, v.nvars):
+                    gd = residue_chain(v, d).gd
+                    assert gd == t_matrix_oracle.residue_minor(v, d), (mats, d)
+                    nonzero += not gd.is_zero()
+        assert nonzero >= 6
+
+    def test_psd_generators_give_zero(self):
+        rng = random.Random(89)
+        for g in (2, 3):
+            for mats in random_full_pencils(rng, g, 6)[::3]:
+                v = pencil_vf(mats, g)
+                assert all(residue_chain(v, d).gd.is_zero() for d in range(1, v.nvars))
+
+    def test_invertible_case_family(self):
+        # N - d = sym_dim(deg S_d) at d = g, where g_d is not zero; at
+        # g = 2, S_2 = x3 and g_2 = -1
+        rc = residue_chain(volume_function(invertible_case_cone(2)), 2)
+        assert rc.gd == MultiPoly.const(3, -1)
+        for g in (2, 3, 4):
+            v = volume_function(invertible_case_cone(g))
+            for d in range(1, v.nvars) if g < 4 else (g,):
+                gd = residue_chain(v, d).gd
+                assert gd == t_matrix_oracle.residue_minor(v, d), (g, d)
+                assert d != g or not gd.is_zero(), g
+
+    def test_term_guard(self):
+        # g = 5: S_5^15 could have 3e8 terms; refused before any is expanded
+        v = volume_function(invertible_case_cone(5))
+        assert residue_chain(v, 4).gd.is_zero()
+        with pytest.raises(CostGuardError, match="limited to 250000 terms of S_d"):
+            residue_chain(v, 5)
+
+    def test_dependent_pencil_refused(self):
+        # F = (x1 + x2)(x1 + x3) is not zero, but the pencil does not span Sym_2
+        v = pencil_vf([[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]], 2)
+        with pytest.raises(DegenerateConeError, match="independent"):
+            residue_chain(v, 1)
 
 
 class TestChiDescriptor:

@@ -22,7 +22,6 @@ from siegeltoric.volume_ke import (
     MAWitness,
     det_t_symbolic,
     det_t_values,
-    euler_t_det,
     g2_closed_form,
     is_ke_point,
     ke_coefficient,
@@ -31,13 +30,13 @@ from siegeltoric.volume_ke import (
     pencil_coordinate_det,
     permutation_check,
     random_rational_point,
-    t_matrix,
     verify_ma_identity,
     volume_function,
     volume_function_from_pencil,
 )
 
 import naive_oracle as oracle
+from t_matrix_oracle import euler_t_det, t_matrix
 
 SIGMA0 = principal_cone(2)
 SIGMA0_G3 = principal_cone(3)
