@@ -25,7 +25,6 @@ from .cone_lattice import (
 from .exact_algebra import (
     DimensionError,
     MultiPoly,
-    PolyMatrix,
     ZeroPolynomialError,
     pencil_det,
 )
@@ -37,7 +36,6 @@ from .residue_intersect import (
     degree_profile,
     intersection_vanishing,
     residue_chain,
-    t_degree_bounds,
     toric_full_intersection,
 )
 from .volume_ke import (
@@ -46,7 +44,6 @@ from .volume_ke import (
     VolumeFunction,
     g2_closed_form,
     is_ke_point,
-    ke_coefficient,
     permutation_check,
     verify_ma_identity,
     volume_function,

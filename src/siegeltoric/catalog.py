@@ -44,7 +44,8 @@ def principal_cone(g: int, scale: int = 1) -> MarkedCone:
 
 
 # resolving a name builds and validates all N = g(g+1)/2 generators of the
-# cone, in about 0.5 s at g = 12 and 4 s at g = 16
+# cone, in 0.033 s at g = 12 and 0.14 s at g = 16 (in process, 2-CPU
+# machine); the bound is the documented range of catalog names, not a cost
 PRINCIPAL_GENUS_MAX = 12
 
 _GENUS_PATTERN = re.compile(r"^principal-g(\d+)$")

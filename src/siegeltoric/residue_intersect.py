@@ -1,4 +1,4 @@
-"""Degree diagnostics, the residue chain, and boundary intersection verdicts.
+"""The degree profile, the residue chain, and boundary intersection verdicts.
 
 The residue chain iterates leading-coefficient extraction on a volume
 polynomial: S_0 = F, and S_k is the coefficient of the top power of the
@@ -116,43 +116,6 @@ def degree_profile(v: VolumeFunction) -> DegreeProfile:
 
 
 @dataclass(frozen=True)
-class TDegreeReport:
-    ok: bool
-    failures: tuple[str, ...]
-    det_bound_checked: bool
-
-
-def t_degree_bounds(v: VolumeFunction) -> TDegreeReport:
-    """Per-variable degree bounds on the log-Hessian numerator matrix:
-
-        deg_k T_kk = 2 deg_k F - 2,
-        deg_k T_kj <= 2 deg_k F - 1   (j != k),
-        deg_k T_ij <= 2 deg_k F       (i, j != k),
-        deg_k det T <= 2 N deg_k F - 2.
-
-    None of them needs T.  With D = deg_k F >= 1 and a_D the coefficient of
-    x_k^D in F, the x_k^(2D-2) coefficient of T_kk = F F_kk - F_k^2 is
-    D(D-1) a_D^2 - D^2 a_D^2 = -D a_D^2, which is not zero, and the other two
-    entry bounds follow from the degrees of the factors.  With D = 0, row
-    and column k of T are zero, so only T_kk (degree -1) fails.  By the
-    closed form of det T (volume_ke), deg_k det T = (g+1)(g-1) deg_k F, or
-    -1 (the zero polynomial) if det M = 0.
-    """
-    n = v.nvars
-    degf = [v.F.degree_in(k) for k in range(n)]
-    failures = [f"deg_{k + 1} T[{k + 1},{k + 1}] = -1, expected exactly -2"
-                for k in range(n) if degf[k] == 0]
-    dependent = pencil_coordinate_det(v.pencil) == 0
-    for k in range(n):
-        dk = -1 if dependent else (v.g + 1) * (v.g - 1) * degf[k]
-        if dk > 2 * n * degf[k] - 2:
-            failures.append(
-                f"deg_{k + 1} det T = {dk} > {2 * n * degf[k] - 2}")
-    return TDegreeReport(ok=not failures, failures=tuple(failures),
-                         det_bound_checked=True)
-
-
-@dataclass(frozen=True)
 class ResidueChain:
     """Successive leading coefficients S_0..S_d and the minor determinant."""
 
@@ -220,9 +183,6 @@ class ChiDescriptor:
     denominator_base: MultiPoly
     denominator_exp: int
 
-    def is_identically_zero(self) -> bool:
-        return self.numerator.is_zero()
-
 
 def chi_descriptor(rc: ResidueChain) -> ChiDescriptor:
     n, d = rc.nvars, rc.d
@@ -253,7 +213,7 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     Precedence of the zero criteria is fixed: d >= g-1 first, then an
     interior (positive definite) selected edge, then the genus-two top
     case.  Anything surviving all three is reported unknown, with the
-    exact residue integrand attached when d < g-1.
+    exact residue integrand attached when the cone is full.
     """
     n = sym_dim(c.g)
     sel = [int(i) for i in selected]
@@ -272,7 +232,7 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     if c.g == 2 and d == 1:
         return IntersectionVerdict(value="zero", reason=ZERO_GENUS_TWO_TOP)
     chi = None
-    if d < c.g - 1 and len(c.generators) == n:
+    if len(c.generators) == n:
         rest = [i for i in range(n) if i not in sel]
         order = sel + rest
         permuted = MarkedCone(

@@ -40,9 +40,9 @@ for every pencil of N matrices, dependent ones included,
 and at g = 1 (F = a x, T = -a^2, det M = a) too.  So the symbolic
 identity holds exactly when det(M)^2 = vol^2: one rational determinant at
 every genus.  As vol = |det M| for a cone, it holds for every
-nondegenerate cone, is_ke_point is True on every independent pencil, and
-ke_coefficient is always 0.  The direct det(T) and Hessian routes are
-test oracles.
+nondegenerate cone, and is_ke_point is True on every independent pencil:
+every coefficient of det(T) minus the right side is 0.  The direct det(T)
+and Hessian routes are test oracles.
 
 Randomized mode works at each point p from the pencil alone and never
 expands F.  Write A_mu = G_mu / s with integer G_mu, let D be the lcm of
@@ -164,18 +164,6 @@ def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) ->
             raise DimensionError("pencil matrix is not symmetric")
         rows.append([Fraction(m[i][j]) for i, j in delta_index_pairs(g)])
     return rational_det(rows)
-
-
-def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]]],
-                                g: int, vol: int) -> VolumeFunction:
-    """Volume-function wrapper around an explicit pencil (no cone attached);
-    its N matrices must be symmetric, but need not be independent."""
-    pencil = tuple(
-        tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats)
-    v = VolumeFunction(g=g, nvars=len(pencil), pencil=pencil, vol=vol)
-    if pencil_coordinate_det(pencil) == 0:
-        v.F  # expanding F raises if it is 0; independent pencils span I
-    return v
 
 
 def ma_rhs_constant(g: int, vol: Fraction | int) -> Fraction:
@@ -311,28 +299,6 @@ def is_ke_point(mats: Sequence[Sequence[Sequence[int]]]) -> bool:
     if pencil_coordinate_det(mats) == 0:
         raise DegenerateConeError("matrices are linearly dependent")
     return True
-
-
-def ke_coefficient(mats: Sequence[Sequence[Sequence[int]]],
-                   multi_index: Sequence[int]) -> Fraction:
-    """Coefficient of x^multi_index in det(T) - (-1)^N 2^(g(g-1)/2)
-    F^((g+1)(g-1)) D^2, evaluated at the given pencil.
-
-    The admissible multi-indices sum to g(g^2-1), the x-degree of both
-    determinant sides.  The closed form (module docstring) makes the
-    difference the zero polynomial for every pencil, so once the arguments
-    are checked every coefficient is 0.
-    """
-    g = len(mats[0])
-    target = g * (g * g - 1)
-    idx = tuple(int(e) for e in multi_index)
-    if sum(idx) != target or any(e < 0 for e in idx):
-        raise ValueError(
-            f"multi-index must consist of nonnegative entries summing to {target}")
-    pencil_coordinate_det(mats)
-    if len(idx) != len(mats):
-        raise DimensionError("multi-index length must match the pencil size")
-    return Fraction(0)
 
 
 def permutation_check(mats: Sequence[Sequence[Sequence[int]]],

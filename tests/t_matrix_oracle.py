@@ -6,14 +6,28 @@ and the per-variable degree bounds read off the expanded entries of T.
 These expand symbolic Hessians, so they are test oracles for
 siegeltoric.volume_ke and siegeltoric.residue_intersect, not package code.
 The Euler reduction is derived in the siegeltoric.volume_ke docstring.
+volume_function_from_pencil builds the VolumeFunction of an explicit
+pencil, dependent ones included, which no cone and no CLI path produces.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from siegeltoric.exact_algebra import MultiPoly, PolyMatrix
-from siegeltoric.residue_intersect import TDegreeReport
 from siegeltoric.volume_ke import VolumeFunction, pencil_coordinate_det
+
+
+def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]]],
+                                g: int, vol: int) -> VolumeFunction:
+    """Volume-function wrapper around an explicit pencil (no cone attached);
+    its N matrices must be symmetric, but need not be independent."""
+    pencil = tuple(
+        tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats)
+    v = VolumeFunction(g=g, nvars=len(pencil), pencil=pencil, vol=vol)
+    if pencil_coordinate_det(pencil) == 0:
+        v.F  # expanding F raises if it is 0; independent pencils span I
+    return v
 
 
 def _hessian_entries(f: MultiPoly, keep: Sequence[int]):
@@ -74,9 +88,30 @@ def residue_minor(v: VolumeFunction, d: int) -> MultiPoly:
     return euler_t_det(s, range(d, v.nvars))
 
 
+@dataclass(frozen=True)
+class TDegreeReport:
+    ok: bool
+    failures: tuple[str, ...]
+    det_bound_checked: bool
+
+
 def t_degree_bounds(v: VolumeFunction) -> TDegreeReport:
-    """The degree bounds of residue_intersect.t_degree_bounds, read off the
-    expanded entries of T."""
+    """Per-variable degree bounds on T, the entry bounds read off its
+    expanded entries:
+
+        deg_k T_kk = 2 deg_k F - 2,
+        deg_k T_kj <= 2 deg_k F - 1   (j != k),
+        deg_k T_ij <= 2 deg_k F       (i, j != k),
+        deg_k det T <= 2 N deg_k F - 2.
+
+    With D = deg_k F >= 1 and a_D the coefficient of x_k^D in F, the
+    x_k^(2D-2) coefficient of T_kk = F F_kk - F_k^2 is -D a_D^2, which is not
+    zero, and the other entry bounds follow from the degrees of the factors;
+    with D = 0, T_kk is 0 and fails.  By the closed form of det T
+    (volume_ke), deg_k det T = (g+1)(g-1) deg_k F, or -1 if det M = 0, which
+    meets its bound exactly when D >= 1.  So the bounds fail exactly where
+    deg_k F = 0, never on a cone, where deg_k F = rank A_k >= 1.
+    """
     n = v.nvars
     t = t_matrix(v)
     failures = []

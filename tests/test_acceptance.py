@@ -51,12 +51,12 @@ from siegeltoric.volume_ke import (
     permutation_check,
     verify_ma_identity,
     volume_function,
-    volume_function_from_pencil,
 )
 from siegeltoric.cone_lattice import Fan, gl_act
 
 from naive_oracle import g2_rows_to_pencil
 from period_domain_oracle import random_siegel_point
+from t_matrix_oracle import volume_function_from_pencil
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -378,6 +378,18 @@ class TestReports:
         assert report["value"] == "zero"
         assert report["reason"] == "d_ge_g_minus_1"
 
+    def test_intersect_partial_cone_unknown_without_chi(self, tmp_path):
+        # d = 1 < g - 1 on a boundary edge, but 2 of the 6 generators give
+        # no volume polynomial, so no residue integrand is attached
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"g": 3, "scale": 1, "generators": [
+            [[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]}))
+        proc = run_cli("intersect", str(path), "--edges", "0")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["value"] == "unknown" and report["reason"] is None
+        assert "chi" not in report
+
     def test_intersect_fan_toric(self, fan_file):
         report = json.loads(run_cli(
             "intersect", fan_file, "--edges", "0,1,2").stdout)

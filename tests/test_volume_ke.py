@@ -24,7 +24,6 @@ from siegeltoric.volume_ke import (
     det_t_values,
     g2_closed_form,
     is_ke_point,
-    ke_coefficient,
     ma_rhs,
     ma_rhs_constant,
     pencil_coordinate_det,
@@ -32,11 +31,10 @@ from siegeltoric.volume_ke import (
     random_rational_point,
     verify_ma_identity,
     volume_function,
-    volume_function_from_pencil,
 )
 
 import naive_oracle as oracle
-from t_matrix_oracle import euler_t_det, t_matrix
+from t_matrix_oracle import euler_t_det, t_matrix, volume_function_from_pencil
 
 SIGMA0 = principal_cone(2)
 SIGMA0_G3 = principal_cone(3)
@@ -560,40 +558,22 @@ class TestKEPoint:
 
 
 class TestKECoefficient:
-    def test_principal_all_zero(self):
-        mats = [list(map(list, m)) for m in SIGMA0.generators]
-        rng = random.Random(11)
-        for _ in range(5):
-            idx = [0, 0, 0]
-            remaining = 6
-            for i in range(2):
-                idx[i] = rng.randint(0, remaining)
-                remaining -= idx[i]
-            idx[2] = remaining
-            assert ke_coefficient(mats, idx) == 0
-
-    def test_g1_trivial_index(self):
-        # T_11 = -c^2 and D^2 = c^2 cancel for every 1x1 pencil [c]
-        assert ke_coefficient([[[1]]], [0]) == 0
-        assert ke_coefficient([[[2]]], [0]) == 0
-
     def test_coefficient_matches_full_expansion(self):
-        # independent route: expand both determinant sides with the oracle
+        # the KE coefficients, those of det T - (-1)^N 2^(g(g-1)/2) D^2
+        # F^((g+1)(g-1)) with D = det M, are all 0: the oracle expands both
+        # sides by cofactors, and their difference is the empty polynomial
         rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        mats = [[[r[0], r[1]], [r[1], r[2]]] for r in rows]
-        f = oracle.pencil_determinant(mats)
-        grid = oracle.t_matrix_grid(f, 3)
-        lhs = oracle.det_cofactor(grid)
-        d = Fraction(1)  # det of identity coordinate matrix
-        rhs = oracle.p_scale(oracle.p_pow(f, 3), Fraction(-2) * d * d)
-        diff = oracle.p_sub(lhs, rhs)
-        for idx in [(2, 2, 2), (6, 0, 0), (3, 2, 1)]:
-            assert ke_coefficient(mats, idx) == diff.get(idx, Fraction(0))
-
-    def test_bad_index_sum(self):
-        mats = [list(map(list, m)) for m in SIGMA0.generators]
-        with pytest.raises(ValueError):
-            ke_coefficient(mats, [1, 1, 1])
+        pencils = [[[[1]]], [[[2]]], [[[r[0], r[1]], [r[1], r[2]]] for r in rows],
+                   [list(map(list, m)) for m in SIGMA0.generators]]
+        for mats in pencils:
+            g, n = len(mats[0]), len(mats)
+            f = oracle.pencil_determinant(mats)
+            lhs = oracle.det_cofactor(oracle.t_matrix_grid(f, n))
+            d = oracle.frac_det([[m[i][j] for i in range(g) for j in range(i, g)]
+                                 for m in mats])
+            rhs = oracle.p_scale(oracle.p_pow(f, (g + 1) * (g - 1)),
+                                 (-1) ** n * 2 ** (g * (g - 1) // 2) * d * d)
+            assert lhs and oracle.p_sub(lhs, rhs) == {}, mats
 
 
 class TestPermutationCheck:
