@@ -12,7 +12,7 @@ lexicographic order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cone_lattice import MarkedCone, zeta_matrix
 
@@ -21,8 +21,7 @@ class UnknownCatalogEntryError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     cone: MarkedCone
     provenance: str

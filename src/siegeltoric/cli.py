@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import catalog as catalog_mod
 from . import cone_lattice, jsonio, period_domain, residue_intersect, volume_ke
@@ -44,25 +43,23 @@ class InputError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    trials: int = 20
-    tol: float = 1e-9
-    output: str = "json"
-
-    def __post_init__(self):
-        for name in ("seed", "trials"):
-            value = getattr(self, name)
+    def __init__(self, seed: int = 0, trials: int = 20, tol: float = 1e-9,
+                 output: str = "json"):
+        for name, value in (("seed", seed), ("trials", trials)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
+        if trials < 1:
             raise InputError("trials must be >= 1")
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, (int, float))
-                or not math.isfinite(self.tol) or self.tol <= 0):
-            raise InputError(f"tol must be a finite positive number, got {self.tol!r}")
-        if self.output not in ("json", "text"):
-            raise InputError(f"unknown output mode {self.output!r}")
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not math.isfinite(tol) or tol <= 0):
+            raise InputError(f"tol must be a finite positive number, got {tol!r}")
+        if output not in ("json", "text"):
+            raise InputError(f"unknown output mode {output!r}")
+        self.seed = seed
+        self.trials = trials
+        self.tol = tol
+        self.output = output
 
 
 def _load_config_defaults() -> dict:
@@ -167,12 +164,12 @@ def _cmd_cone_check(args, config: RunConfig) -> int:
     report = {
         "check": "cone",
         "g": cone.g,
-        "scale": cone.scale,
+        "scale": jsonio.encode_int(cone.scale),
         "num_generators": len(cone.generators),
         "full_dimensional": full,
         "generators_psd": all_psd,
         "regular": regular,
-        "lattice_volume": vol,
+        "lattice_volume": None if vol is None else jsonio.encode_int(vol),
         "edges": edge_reports,
         "ok": ok,
     }
@@ -186,8 +183,8 @@ def _cmd_cone_volume(args, config: RunConfig) -> int:
     report = {
         "check": "cone-volume",
         "g": cone.g,
-        "scale": cone.scale,
-        "lattice_volume": v.vol,
+        "scale": jsonio.encode_int(cone.scale),
+        "lattice_volume": jsonio.encode_int(v.vol),
         "volume_polynomial": poly_to_json(v.F),
         "ok": True,
     }
@@ -205,7 +202,7 @@ def _cmd_ma_verify(args, config: RunConfig) -> int:
         "identity": "monge-ampere",
         "mode": result.mode,
         "holds": result.holds,
-        "vol": result.vol,
+        "vol": jsonio.encode_int(result.vol),
         "g": result.g,
         "witnesses": [
             {
@@ -215,7 +212,7 @@ def _cmd_ma_verify(args, config: RunConfig) -> int:
             }
             for w in result.witnesses
         ],
-        "seed": result.seed,
+        "seed": None if result.seed is None else jsonio.encode_int(result.seed),
     }
     _emit(report, config)
     return EXIT_PASS if result.holds else EXIT_PROPERTY
@@ -289,7 +286,7 @@ def _cmd_intersect(args, config: RunConfig) -> int:
             "value": verdict.value,
             "reason": verdict.reason,
             "intersection_number": 1 if verdict.value == "one" else 0,
-            "rays": [list(r) for r in rays],
+            "rays": [[jsonio.encode_int(v) for v in r] for r in rays],
             "selected": indices,
         }
         _emit(report, config)
@@ -313,7 +310,7 @@ def _cmd_fan_check(args, config: RunConfig) -> int:
     report = {
         "check": "fan",
         "g": fan.g,
-        "scale": fan.scale,
+        "scale": jsonio.encode_int(fan.scale),
         "num_cones": len(fan.cones),
         "is_fan": result.ok,
         "violations": list(result.violations),
@@ -406,7 +403,7 @@ def _cmd_catalog_list(args, config: RunConfig) -> int:
         entries.append({
             "name": entry.name,
             "g": entry.cone.g,
-            "scale": entry.cone.scale,
+            "scale": jsonio.encode_int(entry.cone.scale),
             "num_generators": len(entry.cone.generators),
             "provenance": entry.provenance,
         })

@@ -14,9 +14,8 @@ linear feasibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactlp import cone_membership, feasible_eq_nonneg, maximal_support
 
@@ -347,37 +346,31 @@ def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
 # domain types
 
 
-@dataclass(frozen=True)
 class MarkedCone:
     """Simplicial cone in scale*Sym_g(Z) with an ordered generator list."""
 
-    g: int
-    scale: int
-    generators: tuple[IntMatrix, ...]
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise ConeShapeError(f"g must be positive, got {self.g}")
-        if self.scale < 1:
-            raise ConeShapeError(f"scale must be positive, got {self.scale}")
-        n = sym_dim(self.g)
-        gens = tuple(as_int_matrix(m) for m in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, g: int, scale: int, generators: Sequence[IntMatrix],
+                 labels: Optional[Sequence[str]] = None):
+        if g < 1:
+            raise ConeShapeError(f"g must be positive, got {g}")
+        if scale < 1:
+            raise ConeShapeError(f"scale must be positive, got {scale}")
+        n = sym_dim(g)
+        gens = tuple(as_int_matrix(m) for m in generators)
         if not gens:
             raise ConeShapeError("cone needs at least one generator")
         if len(gens) > n:
             raise ConeShapeError(
-                f"{len(gens)} generators exceed dim Sym_{self.g} = {n}")
+                f"{len(gens)} generators exceed dim Sym_{g} = {n}")
         coords = []
         for idx, m in enumerate(gens):
-            if len(m) != self.g:
-                raise ConeShapeError(f"generator {idx} is not {self.g}x{self.g}")
+            if len(m) != g:
+                raise ConeShapeError(f"generator {idx} is not {g}x{g}")
             if not is_symmetric(m):
                 raise ConeShapeError(f"generator {idx} is not symmetric")
             if all(v == 0 for row in m for v in row):
                 raise ConeShapeError(f"generator {idx} is zero")
-            coords.append(coords_in_lattice(m, self.scale))
+            coords.append(coords_in_lattice(m, scale))
         # generators are proportional exactly when their primitive rays
         # agree up to sign; name the class with the smallest first index
         classes: dict[tuple[int, ...], list[int]] = {}
@@ -391,11 +384,22 @@ class MarkedCone:
             raise ConeShapeError(f"generators {dup[0]} and {dup[1]} are proportional")
         if matrix_rank(coords) != len(coords):
             raise ConeShapeError("generators are linearly dependent (cone not simplicial)")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
             if len(labels) != len(gens):
                 raise ConeShapeError("labels/generators length mismatch")
-            object.__setattr__(self, "labels", labels)
+        self.g = g
+        self.scale = scale
+        self.generators: tuple[IntMatrix, ...] = gens
+        self.labels: Optional[tuple[str, ...]] = labels
+
+    def __eq__(self, other):
+        if type(other) is not MarkedCone:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self.g, self.scale, self.generators, self.labels))
 
     @property
     def nvars(self) -> int:
@@ -417,16 +421,12 @@ def primitive_ray(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vec)
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Unimodular integer matrix acting on Sym_g by A -> f A f^T."""
 
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        mat = as_int_matrix(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        d = int_det(mat)
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        self.matrix: IntMatrix = as_int_matrix(matrix)
+        d = int_det(self.matrix)
         if d not in (1, -1):
             raise ConeShapeError(f"matrix has determinant {d}, expected +-1")
 
@@ -435,21 +435,18 @@ class GroupElement:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
 class Fan:
     """A list of marked cones sharing g and scale, to be checked by is_fan."""
 
-    cones: tuple[MarkedCone, ...]
-
-    def __post_init__(self):
-        cones = tuple(self.cones)
-        object.__setattr__(self, "cones", cones)
+    def __init__(self, cones: Sequence[MarkedCone]):
+        cones = tuple(cones)
         if not cones:
             raise ConeShapeError("empty fan")
         g, scale = cones[0].g, cones[0].scale
         for c in cones:
             if c.g != g or c.scale != scale:
                 raise ConeShapeError("fan cones disagree on g or scale")
+        self.cones = cones
 
     @property
     def g(self) -> int:
@@ -460,8 +457,7 @@ class Fan:
         return self.cones[0].scale
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(NamedTuple):
     kind: str                     # "interior" | "boundary" | "invalid"
     rank: Optional[int] = None    # None only for invalid edges
     flagged: bool = False         # rank strictly between 1 and g
@@ -559,8 +555,7 @@ def _support(own: list[tuple[int, ...]], other: list[tuple[int, ...]]) -> list[i
     return maximal_support(rows, len(own) + len(other), len(own))
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...] = ()
 
@@ -603,15 +598,13 @@ def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
     return FanReport(ok=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class SeparabilityViolation:
+class SeparabilityViolation(NamedTuple):
     group_index: int
     cone_index: int
     moved_generator: int
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
+class SeparabilityReport(NamedTuple):
     separable: bool
     violations: tuple[SeparabilityViolation, ...] = ()
 

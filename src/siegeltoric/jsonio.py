@@ -75,7 +75,7 @@ def int_matrix_from_json(obj) -> tuple[tuple[int, ...], ...]:
 def cone_to_json(c: MarkedCone) -> dict:
     out: dict[str, Any] = {
         "g": c.g,
-        "scale": c.scale,
+        "scale": encode_int(c.scale),
         "generators": [int_matrix_to_json(m) for m in c.generators],
     }
     if c.labels is not None:

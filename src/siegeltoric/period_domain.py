@@ -38,7 +38,6 @@ g > HODGE_GENUS_MAX with a CostGuardError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone_lattice import column_basis_and_kernel, psd_rank, rational_det
@@ -186,7 +185,6 @@ def symplectic_form(g: int) -> list[list[int]]:
     return _psi([[int(i == j) for j in range(2 * g)] for i in range(2 * g)])
 
 
-@dataclass(frozen=True)
 class CuspNilpotent:
     """Nilpotent direction at the depth-k cusp chain.
 
@@ -196,28 +194,26 @@ class CuspNilpotent:
     definite.  N^2 = 0 by construction.
     """
 
-    g: int
-    k: int
-    u: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if not 0 <= self.k < self.g:
-            raise ValueError(f"need 0 <= k < g, got k={self.k}, g={self.g}")
-        _check_genus(self.g)
+    def __init__(self, g: int, k: int, u):
+        if not 0 <= k < g:
+            raise ValueError(f"need 0 <= k < g, got k={k}, g={g}")
+        _check_genus(g)
         try:
-            u = tuple(tuple(float(v) for v in row) for row in _rows(self.u, "u"))
+            u = tuple(tuple(float(v) for v in row) for row in _rows(u, "u"))
         except TypeError:
             raise ValueError("u entries must be real numbers") from None
-        m = self.g - self.k
+        m = g - k
         if len(u) != m or len(u[0]) != m:
             raise ValueError(f"u must be {m}x{m}, got {len(u)}x{len(u[0])}")
-        object.__setattr__(self, "u", u)
         exact = _exact(u, "u")
         if any(abs(x - y) > Fraction(1e-12) for rx, ry in zip(exact, _t(exact))
                for x, y in zip(rx, ry)):
             raise ValueError("u must be symmetric")
         if not any(any(row) for row in u):
             raise ValueError("u must be nonzero")
+        self.g = g
+        self.k = k
+        self.u: tuple[tuple[float, ...], ...] = u
 
     @property
     def matrix(self) -> list[list[float]]:

@@ -54,9 +54,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cone_lattice import (
     ConeShapeError,
@@ -88,8 +87,7 @@ ZERO_TORIC_EMPTY = "toric_empty"
 ONE_TORIC_COMMON_CONE = "toric_common_cone"
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     entries: tuple[tuple[int, int], ...]   # (deg_i F, rank A_i) per variable
     violations: tuple[int, ...]            # variable indices where they differ
 
@@ -115,8 +113,7 @@ def degree_profile(v: VolumeFunction) -> DegreeProfile:
     return DegreeProfile(entries=tuple(entries), violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class ResidueChain:
+class ResidueChain(NamedTuple):
     """Successive leading coefficients S_0..S_d and the minor determinant."""
 
     d: int
@@ -135,6 +132,8 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
     intersection_vanishing).  The pencil must span Sym_g (module docstring).
     """
     n = v.nvars
+    if n == 1:
+        raise ValueError("N = 1 has no residue chain (d must be in [1, N - 1])")
     if not 1 <= d <= n - 1:
         raise ValueError(f"d must be in [1, {n - 1}], got {d}")
     if pencil_coordinate_det(v.pencil) == 0:
@@ -174,8 +173,7 @@ def _residue_minor(s: MultiPoly, d: int) -> MultiPoly:
     return (s ** k).scale(rational_det(t_at_p) / sp ** k)
 
 
-@dataclass(frozen=True)
-class ChiDescriptor:
+class ChiDescriptor(NamedTuple):
     """Exact residue integrand: constant * numerator / denominator_base^exp."""
 
     constant: Fraction
@@ -194,17 +192,16 @@ def chi_descriptor(rc: ResidueChain) -> ChiDescriptor:
                          denominator_exp=2 * (n - d))
 
 
-@dataclass(frozen=True)
 class IntersectionVerdict:
-    value: str                     # "zero" | "one" | "unknown"
-    reason: Optional[str] = None
-    chi: Optional[ChiDescriptor] = None
-
-    def __post_init__(self):
-        if self.value == "zero" and self.reason is None:
+    def __init__(self, value: str, reason: Optional[str] = None,
+                 chi: Optional[ChiDescriptor] = None):
+        if value == "zero" and reason is None:
             raise ValueError("a zero verdict needs exactly one reason")
-        if self.value == "one" and self.reason != ONE_TORIC_COMMON_CONE:
+        if value == "one" and reason != ONE_TORIC_COMMON_CONE:
             raise ValueError("value one arises only from the toric full-product rule")
+        self.value = value             # "zero" | "one" | "unknown"
+        self.reason = reason
+        self.chi = chi
 
 
 def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> IntersectionVerdict:
@@ -222,6 +219,8 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     if any(not 0 <= i < len(c.generators) for i in sel):
         raise ValueError("selected edge index out of range")
     d = len(sel)
+    if n == 1:
+        raise ValueError("N = 1 has no selection (its size must be in [1, N - 1])")
     if not 1 <= d <= n - 1:
         raise ValueError(f"selection size must be in [1, {n - 1}], got {d}")
     if d >= c.g - 1:

@@ -69,10 +69,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cone_lattice import (
     DegenerateConeError,
@@ -106,15 +105,16 @@ class CostGuardError(ValueError):
     too large, so the CLI reports it as an input error."""
 
 
-@dataclass(frozen=True)
 class VolumeFunction:
     """Pencil data of a marked cone; its volume polynomial F is expanded on
     first use."""
 
-    g: int
-    nvars: int
-    pencil: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    vol: int
+    def __init__(self, g: int, nvars: int,
+                 pencil: tuple[tuple[tuple[Fraction, ...], ...], ...], vol: int):
+        self.g = g
+        self.nvars = nvars
+        self.pencil = pencil
+        self.vol = vol
 
     @cached_property
     def F(self) -> MultiPoly:
@@ -185,25 +185,28 @@ def det_t_symbolic(v: VolumeFunction) -> MultiPoly:
     return (v.F ** ((v.g + 1) * (v.g - 1))).scale(ma_rhs_constant(v.g, d))
 
 
-@dataclass(frozen=True)
-class MAWitness:
+class MAWitness(NamedTuple):
     point: tuple[Fraction, ...]
     lhs: Fraction
     rhs: Fraction
 
 
-@dataclass(frozen=True)
 class MAReport:
-    holds: bool
-    mode: str                      # "symbolic" | "randomized"
-    witnesses: tuple[MAWitness, ...] = ()
-    seed: Optional[int] = None
-    g: int = 0
-    vol: int = 0
-
-    def __post_init__(self):
-        if self.holds and self.witnesses:
+    def __init__(self, holds: bool, mode: str, witnesses: tuple[MAWitness, ...] = (),
+                 seed: Optional[int] = None, g: int = 0, vol: int = 0):
+        if holds and witnesses:
             raise ValueError("a holding identity cannot carry failure witnesses")
+        self.holds = holds
+        self.mode = mode               # "symbolic" | "randomized"
+        self.witnesses = witnesses
+        self.seed = seed
+        self.g = g
+        self.vol = vol
+
+    def __eq__(self, other):
+        if type(other) is not MAReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def random_rational_point(rng: random.Random, nvars: int) -> tuple[Fraction, ...]:

@@ -128,6 +128,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {path}") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["residue", "principal-g1", "--d", "1"], "N = 1 has no residue chain"),
+        (["intersect", "principal-g1", "--edges", "0"], "N = 1 has no selection"),
+    ], ids=["residue", "intersect"])
+    def test_genus_one_has_no_chain_or_selection(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "[1, 0]" not in err
+
     def test_internal_error_is_three(self, monkeypatch, capsys):
         def broken(args, config):
             raise TypeError("handler bug")
@@ -400,6 +409,41 @@ class TestReports:
         proc = run_cli("fan", "check", fan_file)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_fan"] is True
+
+    def test_large_catalog_level_is_a_string(self, tmp_path, capsys):
+        # integers beyond 2^53 are decimal strings in every report
+        big = 2 ** 60
+        level = f"principal-g2-level-{big}"
+        fan = tmp_path / "fan.json"
+        fan.write_text(json.dumps({"cones": [cone_to_json(principal_cone(2, big))]}))
+        for argv in (["cone", "check", level], ["cone", "volume", level],
+                     ["fan", "check", str(fan)]):
+            assert main(argv) == 0, argv
+            assert json.loads(capsys.readouterr().out)["scale"] == str(big), argv
+
+    def test_large_ray_coordinate_is_a_string(self, tmp_path, capsys):
+        big = 2 ** 60
+        fan = tmp_path / "fan.json"
+        fan.write_text(json.dumps({"cones": [{"g": 2, "generators": [
+            [[big, 1], [1, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 0]]]}]}))
+        assert main(["intersect", str(fan), "--edges", "0,1,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["rays"][2] == [str(big), 1, 0]
+
+    def test_large_lattice_volume_is_a_string(self, tmp_path, capsys):
+        big = 2 ** 60
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"g": 1, "generators": [[[str(big)]]]}))
+        for argv, key in ((["cone", "check", str(path)], "lattice_volume"),
+                          (["cone", "volume", str(path)], "lattice_volume"),
+                          (["ma", "verify", str(path)], "vol")):
+            assert main(argv) == 0, argv
+            assert json.loads(capsys.readouterr().out)[key] == str(big), argv
+
+    def test_large_seed_is_a_string(self, capsys):
+        big = 2 ** 60
+        assert main(["ma", "verify", "principal-g2", "--randomized", "--trials", "2",
+                     "--seed", str(big)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == str(big)
 
     def test_text_output_renders_same_data(self, cone_file):
         text = run_cli("--output", "text", "cone", "volume", cone_file).stdout

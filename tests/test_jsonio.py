@@ -53,6 +53,14 @@ def test_cone_with_huge_entries_round_trips():
     assert cone_from_json(json.loads(blob)) == cone
 
 
+def test_cone_with_huge_scale_round_trips():
+    big = 2 ** 60
+    cone = MarkedCone(g=1, scale=big, generators=(((big,),),))
+    obj = cone_to_json(cone)
+    assert obj["scale"] == str(big)
+    assert cone_from_json(json.loads(json.dumps(obj))) == cone
+
+
 def test_invalid_cone_reports_format_error():
     with pytest.raises(InputFormatError):
         cone_from_json({"g": 2, "scale": 1, "generators": [[[1, 2], [3, 4]]]})

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from siegeltoric.volume_ke import (
     F_NVARS_MAX,
     CostGuardError,
     MAWitness,
+    VolumeFunction,
     det_t_symbolic,
     det_t_values,
     g2_closed_form,
@@ -373,7 +373,7 @@ class TestMAIdentity:
             for vol in (d, d + 1, 2 * d):
                 rhs = oracle.p_scale(oracle.p_pow(v.F.terms, (g + 1) * (g - 1)),
                                      (-1) ** v.nvars * 2 ** (g * (g - 1) // 2) * vol * vol)
-                w = replace(v, vol=vol)
+                w = VolumeFunction(v.g, v.nvars, v.pencil, vol)
                 report = verify_ma_identity(w, "symbolic")
                 assert report.holds == (lhs == rhs) == (vol == d), (g, vol)
                 assert verify_ma_identity(w, "randomized", trials=2, seed=5).holds == report.holds
@@ -392,7 +392,7 @@ class TestMAIdentity:
 
     def test_randomized_catches_wrong_volume(self):
         v = volume_function(SIGMA0)
-        broken = replace(v, vol=2)
+        broken = VolumeFunction(v.g, v.nvars, v.pencil, 2)
         report = verify_ma_identity(broken, "randomized", trials=4, seed=7)
         assert not report.holds
         # witnesses are exact and replayable: lhs is det T at the point,
@@ -421,7 +421,7 @@ class TestMAIdentity:
                  (volume_function(principal_cone(5)), 1)]
         for v, trials in cases:
             for vol in (v.vol, v.vol + 1):
-                w = replace(v, vol=vol)
+                w = VolumeFunction(v.g, v.nvars, v.pencil, vol)
                 symbolic = verify_ma_identity(w, "symbolic")
                 randomized = verify_ma_identity(w, "randomized", trials=trials, seed=4)
                 assert symbolic.holds == randomized.holds == (vol == v.vol), (v.g, vol)
@@ -510,8 +510,8 @@ class TestRandomizedFromPencil:
         for g, trials in ((2, 6), (3, 4), (4, 2), (5, 1)):
             v = volume_function(principal_cone(g))
             for vol in (2, 3):
-                report = verify_ma_identity(replace(v, vol=vol), "randomized",
-                                            trials=trials, seed=g)
+                w = VolumeFunction(v.g, v.nvars, v.pencil, vol)
+                report = verify_ma_identity(w, "randomized", trials=trials, seed=g)
                 points = random_points(g, v.nvars, trials)
                 c = ma_rhs_constant(g, vol)
                 expected = tuple(
