@@ -11,8 +11,11 @@ polynomial and run at every genus), and 3 on an internal error.
 Input problems raise ValueError wherever they are found, and `main` alone
 maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
 other exception one `internal error: <Type>: <msg>` line, never a
-traceback.  Reports are JSON by default; --output text renders the same
-object readably.
+traceback.  Each subcommand handler returns `(report, holds)`: the
+report holds the package's own values (ints, Fractions, polynomials,
+records, tuples), and `main` alone encodes it with
+`jsonio.report_value`, writes it as JSON (the default) or, under
+--output text, readably, and maps `holds` to exit 0 or 1.
 Defaults for seed/trials/tol/output may be placed in a JSON config file
 pointed to by the SIEGELTORIC_CONFIG environment variable; explicit flags
 win over the config file.
@@ -28,8 +31,6 @@ import sys
 
 from . import catalog as catalog_mod
 from . import cone_lattice, jsonio, period_domain, residue_intersect, volume_ke
-from .cone_lattice import DegenerateConeError
-from .exact_algebra import poly_to_json
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
@@ -125,18 +126,11 @@ def _resolve_cone(spec: str, parse):
         raise InputError(f"{spec!r} is neither a file nor a catalog entry") from None
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    if config.output == "json":
-        sys.stdout.write(jsonio.dump_report(report))
-    else:
-        sys.stdout.write(jsonio.render_text(report) + "\n")
-
-
 # ----------------------------------------------------------------------
-# subcommand handlers (each returns an exit code)
+# subcommand handlers (each returns the report and whether it holds)
 
 
-def _cmd_cone_check(args, config: RunConfig) -> int:
+def _cmd_cone_check(args, config: RunConfig) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     edge_reports = []
     all_psd = True
@@ -152,47 +146,37 @@ def _cmd_cone_check(args, config: RunConfig) -> int:
             "rank": ec.rank,
             "flagged": ec.flagged,
         })
-    regular = cone_lattice.is_regular(cone)
     full = len(cone.generators) == cone.nvars
-    vol = None
-    if full:
-        try:
-            vol = cone_lattice.lattice_volume(cone)
-        except DegenerateConeError:
-            vol = None
-    ok = all_psd
     report = {
         "check": "cone",
         "g": cone.g,
-        "scale": jsonio.encode_int(cone.scale),
+        "scale": cone.scale,
         "num_generators": len(cone.generators),
         "full_dimensional": full,
         "generators_psd": all_psd,
-        "regular": regular,
-        "lattice_volume": None if vol is None else jsonio.encode_int(vol),
+        "regular": cone_lattice.is_regular(cone),
+        "lattice_volume": cone_lattice.lattice_volume(cone) if full else None,
         "edges": edge_reports,
-        "ok": ok,
+        "ok": all_psd,
     }
-    _emit(report, config)
-    return EXIT_PASS if ok else EXIT_PROPERTY
+    return report, all_psd
 
 
-def _cmd_cone_volume(args, config: RunConfig) -> int:
+def _cmd_cone_volume(args, config: RunConfig) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     v = volume_ke.volume_function(cone)
     report = {
         "check": "cone-volume",
         "g": cone.g,
-        "scale": jsonio.encode_int(cone.scale),
-        "lattice_volume": jsonio.encode_int(v.vol),
-        "volume_polynomial": poly_to_json(v.F),
+        "scale": cone.scale,
+        "lattice_volume": v.vol,
+        "volume_polynomial": v.F,
         "ok": True,
     }
-    _emit(report, config)
-    return EXIT_PASS
+    return report, True
 
 
-def _cmd_ma_verify(args, config: RunConfig) -> int:
+def _cmd_ma_verify(args, config: RunConfig) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     v = volume_ke.volume_function(cone)
     mode = "randomized" if args.randomized else "symbolic"
@@ -202,23 +186,15 @@ def _cmd_ma_verify(args, config: RunConfig) -> int:
         "identity": "monge-ampere",
         "mode": result.mode,
         "holds": result.holds,
-        "vol": jsonio.encode_int(result.vol),
+        "vol": result.vol,
         "g": result.g,
-        "witnesses": [
-            {
-                "point": [jsonio.fraction_to_json(x) for x in w.point],
-                "lhs": jsonio.fraction_to_json(w.lhs),
-                "rhs": jsonio.fraction_to_json(w.rhs),
-            }
-            for w in result.witnesses
-        ],
-        "seed": None if result.seed is None else jsonio.encode_int(result.seed),
+        "witnesses": result.witnesses,
+        "seed": result.seed,
     }
-    _emit(report, config)
-    return EXIT_PASS if result.holds else EXIT_PROPERTY
+    return report, result.holds
 
 
-def _cmd_ke_test(args, config: RunConfig) -> int:
+def _cmd_ke_test(args, config: RunConfig) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     member = volume_ke.is_ke_point(cone.generators)
     report = {
@@ -227,32 +203,20 @@ def _cmd_ke_test(args, config: RunConfig) -> int:
         "member": member,
         "ok": member,
     }
-    _emit(report, config)
-    return EXIT_PASS if member else EXIT_PROPERTY
+    return report, member
 
 
-def _chi_json(chi: residue_intersect.ChiDescriptor) -> dict:
-    return {
-        "constant": jsonio.fraction_to_json(chi.constant),
-        "numerator": poly_to_json(chi.numerator),
-        "denominator_base": poly_to_json(chi.denominator_base),
-        "denominator_exp": chi.denominator_exp,
-    }
-
-
-def _cmd_residue(args, config: RunConfig) -> int:
+def _cmd_residue(args, config: RunConfig) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     v = volume_ke.volume_function(cone)
     rc = residue_intersect.residue_chain(v, args.d)
-    chi = residue_intersect.chi_descriptor(rc)
     report = {
         "d": rc.d,
-        "S": [poly_to_json(s) for s in rc.S],
-        "g_d": poly_to_json(rc.gd),
-        "chi": _chi_json(chi),
+        "S": rc.S,
+        "g_d": rc.gd,
+        "chi": residue_intersect.chi_descriptor(rc),
     }
-    _emit(report, config)
-    return EXIT_PASS
+    return report, True
 
 
 def _parse_edge_list(text: str) -> list[int]:
@@ -268,7 +232,7 @@ def _cone_or_fan(obj):
     return jsonio.cone_from_json(obj)
 
 
-def _cmd_intersect(args, config: RunConfig) -> int:
+def _cmd_intersect(args, config: RunConfig) -> tuple[dict, bool]:
     indices = _parse_edge_list(args.edges)
     target = _resolve_cone(args.target, _cone_or_fan)
     if isinstance(target, cone_lattice.Fan):
@@ -286,11 +250,10 @@ def _cmd_intersect(args, config: RunConfig) -> int:
             "value": verdict.value,
             "reason": verdict.reason,
             "intersection_number": 1 if verdict.value == "one" else 0,
-            "rays": [[jsonio.encode_int(v) for v in r] for r in rays],
+            "rays": rays,
             "selected": indices,
         }
-        _emit(report, config)
-        return EXIT_PASS
+        return report, True
     verdict = residue_intersect.intersection_vanishing(target, indices)
     report = {
         "check": "intersection-vanishing",
@@ -299,28 +262,26 @@ def _cmd_intersect(args, config: RunConfig) -> int:
         "selected": indices,
     }
     if verdict.chi is not None:
-        report["chi"] = _chi_json(verdict.chi)
-    _emit(report, config)
-    return EXIT_PASS
+        report["chi"] = verdict.chi
+    return report, True
 
 
-def _cmd_fan_check(args, config: RunConfig) -> int:
+def _cmd_fan_check(args, config: RunConfig) -> tuple[dict, bool]:
     fan = _read(args.fan, jsonio.fan_from_json)
     result = cone_lattice.is_fan(fan.cones)
     report = {
         "check": "fan",
         "g": fan.g,
-        "scale": jsonio.encode_int(fan.scale),
+        "scale": fan.scale,
         "num_cones": len(fan.cones),
         "is_fan": result.ok,
-        "violations": list(result.violations),
+        "violations": result.violations,
         "ok": result.ok,
     }
-    _emit(report, config)
-    return EXIT_PASS if result.ok else EXIT_PROPERTY
+    return report, result.ok
 
 
-def _cmd_separable(args, config: RunConfig) -> int:
+def _cmd_separable(args, config: RunConfig) -> tuple[dict, bool]:
     fan = _read(args.fan, jsonio.fan_from_json)
     group = _read(args.group, jsonio.group_from_json)
     result = cone_lattice.is_separable(fan.cones, group)
@@ -349,11 +310,10 @@ def _cmd_separable(args, config: RunConfig) -> int:
         "note": "certificate relative to the supplied group elements only",
         "ok": result.separable,
     }
-    _emit(report, config)
-    return EXIT_PASS if result.separable else EXIT_PROPERTY
+    return report, result.separable
 
 
-def _cmd_hodge(args, config: RunConfig) -> int:
+def _cmd_hodge(args, config: RunConfig) -> tuple[dict, bool]:
     obj = _load_json(args.file)
     tol = config.tol
     sub = args.subcheck
@@ -392,23 +352,21 @@ def _cmd_hodge(args, config: RunConfig) -> int:
         s = jsonio.field(obj, "S", jsonio.complex_matrix_from_json)
         ok = period_domain.block_volume_identity(tau_prime, z, s, tol)
         report = {"check": "hodge-block-volume", "tol": tol, "ok": ok}
-    _emit(report, config)
-    return EXIT_PASS if report["ok"] else EXIT_PROPERTY
+    return report, report["ok"]
 
 
-def _cmd_catalog_list(args, config: RunConfig) -> int:
+def _cmd_catalog_list(args, config: RunConfig) -> tuple[dict, bool]:
     entries = []
     for name in catalog_mod.catalog_names():
         entry = catalog_mod.catalog_get(name)
         entries.append({
             "name": entry.name,
             "g": entry.cone.g,
-            "scale": jsonio.encode_int(entry.cone.scale),
+            "scale": entry.cone.scale,
             "num_generators": len(entry.cone.generators),
             "provenance": entry.provenance,
         })
-    _emit({"check": "catalog", "entries": entries, "ok": True}, config)
-    return EXIT_PASS
+    return {"check": "catalog", "entries": entries, "ok": True}, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,13 +461,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        return args.handler(args, config)
+        report, holds = args.handler(args, config)
+        # a report integer may pass the 4300-digit limit that Python
+        # (3.10.7 on) sets on int-to-str conversion: lift it while the
+        # report is encoded, and only then, so that input parsing keeps it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            report = jsonio.report_value(report)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        if config.output == "json":
+            sys.stdout.write(jsonio.dump_report(report))
+        else:
+            sys.stdout.write(jsonio.render_text(report) + "\n")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_PASS if holds else EXIT_PROPERTY
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -625,7 +625,7 @@ def is_separable(cones: Sequence[MarkedCone],
             if not cones_meet_nontrivially(moved, cone):
                 continue
             for k, gen in enumerate(cone.generators):
-                if transform_matrix(gamma, gen) != gen:
+                if moved.generators[k] != gen:
                     violations.append(SeparabilityViolation(
                         group_index=gi, cone_index=ci, moved_generator=k))
                     break

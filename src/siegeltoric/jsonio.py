@@ -1,7 +1,9 @@
 """JSON readers/writers for the on-disk formats.
 
-Integers are emitted as JSON numbers up to 2^53 and as decimal strings
-beyond; readers accept both.  Complex matrices travel as {"re": [[...]],
+`report_value` alone writes the package's values as JSON: integers are
+JSON numbers up to 2^53 and decimal strings beyond (readers accept
+both), Fractions are "n/d" strings and polynomials follow
+`poly_to_json`.  Complex matrices travel as {"re": [[...]],
 "im": [[...]]}; numeric matrices are read into nested lists of Python
 floats or complex numbers.  All emitters produce deterministic output
 (sorted keys, fixed separators) so identical runs are byte-identical.
@@ -12,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .cone_lattice import ConeShapeError, Fan, GroupElement, MarkedCone
+from .exact_algebra import MultiPoly, poly_to_json
 
 INT_JSON_MAX = 2 ** 53
 
@@ -58,10 +61,6 @@ def field(obj, key: str, parse, default=_REQUIRED):
     return default
 
 
-def int_matrix_to_json(m: Sequence[Sequence[int]]):
-    return [[encode_int(int(v)) for v in row] for row in m]
-
-
 def _check_rows(obj) -> None:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputFormatError("matrix must be a nonempty list of rows")
@@ -73,14 +72,10 @@ def int_matrix_from_json(obj) -> tuple[tuple[int, ...], ...]:
 
 
 def cone_to_json(c: MarkedCone) -> dict:
-    out: dict[str, Any] = {
-        "g": c.g,
-        "scale": encode_int(c.scale),
-        "generators": [int_matrix_to_json(m) for m in c.generators],
-    }
+    out: dict[str, Any] = {"g": c.g, "scale": c.scale, "generators": c.generators}
     if c.labels is not None:
-        out["labels"] = list(c.labels)
-    return out
+        out["labels"] = c.labels
+    return report_value(out)
 
 
 def cone_from_json(obj: Mapping) -> MarkedCone:
@@ -171,8 +166,27 @@ def complex_matrix_from_json(obj: Mapping) -> list[list[complex]]:
     return [[complex(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(re_rows, im_rows)]
 
 
-def fraction_to_json(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def report_value(v):
+    """The JSON form of a report value: ints beyond +-2^53 as decimal
+    strings, Fractions as "n/d", polynomials by poly_to_json, NamedTuple
+    records as objects keyed by field name, tuples as lists; containers
+    are converted entry by entry, and bools, None, floats and strings
+    stay as they are."""
+    if v is None or isinstance(v, (bool, float, str)):
+        return v
+    if isinstance(v, int):
+        return encode_int(v)
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, MultiPoly):
+        return poly_to_json(v)
+    if isinstance(v, dict):
+        return {k: report_value(x) for k, x in v.items()}
+    if hasattr(v, "_fields"):
+        return {k: report_value(x) for k, x in zip(v._fields, v)}
+    if isinstance(v, (tuple, list)):
+        return [report_value(x) for x in v]
+    raise TypeError(f"no JSON form for {type(v).__name__}")
 
 
 def dump_report(report: dict) -> str:

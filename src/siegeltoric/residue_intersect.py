@@ -121,7 +121,6 @@ class ResidueChain(NamedTuple):
     gd: MultiPoly
     g: int
     nvars: int
-    vol: int
 
 
 def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
@@ -142,7 +141,7 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
     for k in range(d):
         chain.append(chain[-1].leading_coeff_in(k)[1])
     return ResidueChain(d=d, S=tuple(chain), gd=_residue_minor(chain[-1], d),
-                        g=v.g, nvars=n, vol=v.vol)
+                        g=v.g, nvars=n)
 
 
 def _residue_minor(s: MultiPoly, d: int) -> MultiPoly:

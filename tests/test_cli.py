@@ -439,6 +439,24 @@ class TestReports:
             assert main(argv) == 0, argv
             assert json.loads(capsys.readouterr().out)[key] == str(big), argv
 
+    def test_report_integer_beyond_str_digit_limit(self, tmp_path, capsys):
+        # a = 10^2200 + 1; the lattice volume a^3 has 6601 digits, past
+        # Python's default 4300-digit limit on int-to-str conversion
+        a = 10 ** 2200 + 1
+        gap = "0" * 2199
+        cube = f"1{gap}3{gap}3{gap}1"
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"g": 2, "generators": [
+            [[str(a), 0], [0, 0]], [[0, 0], [0, str(a)]], [[str(a), str(a)], [str(a), str(a)]]]}))
+        limit = sys.get_int_max_str_digits()
+        for argv, key in ((["cone", "check", str(path)], "lattice_volume"),
+                          (["cone", "volume", str(path)], "lattice_volume"),
+                          (["ma", "verify", str(path)], "vol")):
+            assert main(argv) == 0, argv
+            out, err = capsys.readouterr()
+            assert err == "" and json.loads(out)[key] == cube, argv
+            assert sys.get_int_max_str_digits() == limit
+
     def test_large_seed_is_a_string(self, capsys):
         big = 2 ** 60
         assert main(["ma", "verify", "principal-g2", "--randomized", "--trials", "2",

@@ -2,10 +2,12 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from siegeltoric.cone_lattice import MarkedCone
+from siegeltoric.cone_lattice import MarkedCone, SeparabilityViolation
+from siegeltoric.exact_algebra import MultiPoly, poly_to_json
 from siegeltoric.jsonio import (
     InputFormatError,
     complex_matrix_from_json,
@@ -20,6 +22,7 @@ from siegeltoric.jsonio import (
     int_matrix_from_json,
     real_matrix_from_json,
     render_text,
+    report_value,
 )
 
 
@@ -27,6 +30,29 @@ def test_int_encoding_threshold():
     assert encode_int(2 ** 53) == 2 ** 53
     assert encode_int(2 ** 53 + 1) == str(2 ** 53 + 1)
     assert encode_int(-(2 ** 60)) == str(-(2 ** 60))
+
+
+def test_report_value_int_threshold():
+    assert report_value(2 ** 53) == 2 ** 53 and report_value(-(2 ** 53)) == -(2 ** 53)
+    assert report_value(2 ** 53 + 1) == str(2 ** 53 + 1)
+    assert report_value(-(2 ** 53 + 1)) == str(-(2 ** 53 + 1))
+
+
+def test_report_value_scalars():
+    assert report_value(True) is True and dump_report({"ok": report_value(True)}) == '{"ok": true}\n'
+    assert report_value(Fraction(5)) == "5/1"
+    assert report_value(Fraction(-3, 4)) == "-3/4"
+    assert report_value(1e-09) == 1e-09 and report_value(None) is None
+    assert report_value("edge0") == "edge0"
+
+
+def test_report_value_polynomial_and_records():
+    p = MultiPoly(2, {(1, 1): Fraction(1, 2), (0, 0): Fraction(-3)})
+    assert report_value(p) == poly_to_json(p)
+    assert report_value(SeparabilityViolation(group_index=0, cone_index=1, moved_generator=2)) \
+        == {"group_index": 0, "cone_index": 1, "moved_generator": 2}
+    assert report_value(((1, 2), (3, (2 ** 60,)))) == [[1, 2], [3, [str(2 ** 60)]]]
+    assert report_value({"S": (p,), "c": Fraction(1, 3)}) == {"S": [poly_to_json(p)], "c": "1/3"}
 
 
 def test_decode_accepts_numbers_and_strings():
