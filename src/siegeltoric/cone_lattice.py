@@ -8,7 +8,9 @@ the generators carry a fixed order.  GL(g,Z) acts by A -> f A f^T.
 All predicates here are exact (integer / Fraction arithmetic); rational
 determinants, ranks and PSD ranks share one fraction-free elimination
 kernel, and membership and intersection questions reduce to rational
-linear feasibility.
+linear feasibility.  A cone is regular when the lattice its generators
+span has index 1 in Lambda, which `lattice_index` reads off an integer
+column reduction.
 """
 
 from __future__ import annotations
@@ -288,58 +290,39 @@ def psd_rank(m: Sequence[Sequence[int | Fraction]]) -> Optional[int]:
     return k
 
 
-def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero elementary divisors of an integer matrix."""
-    a = [[int(v) for v in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    divisors = []
-    top = 0
-    while top < m and top < n:
-        # locate a minimal nonzero entry in the remaining block
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = a[top][top]
-        clean = True
-        for i in range(top + 1, m):
-            q = a[i][top] // pivot
-            if q:
-                a[i] = [vi - q * vt for vi, vt in zip(a[i], a[top])]
-            if a[i][top] != 0:
-                clean = False
-        for j in range(top + 1, n):
-            q = a[top][j] // pivot
-            if q:
-                for row in a:
-                    row[j] -= q * row[top]
-            if a[top][j] != 0:
-                clean = False
-        if not clean:
-            continue
-        # ensure the pivot divides the remaining block
-        offender = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
+def lattice_index(rows: Sequence[Sequence[int]]) -> int:
+    """Index in Z^k of the lattice spanned by the columns of a k x n
+    integer matrix, or 0 when its rows are linearly dependent.
+
+    Row by row, Euclid's algorithm on the row's entries in the columns not
+    yet used, by unimodular column operations (swap, subtract an integer
+    multiple), leaves one column holding their gcd and zeroes the others.
+    Such operations keep the lattice spanned by the columns, so the matrix
+    ends lower triangular with nonzero diagonal entries and the index is
+    the product of their absolute values; a row whose remaining entries all
+    vanish is a combination of the rows above it.  The index is the gcd of
+    the k x k minors, that is the product of the elementary divisors, so
+    it is 1 exactly when every elementary divisor is 1 (Smith).  Columns
+    are kept from entry i on: the used rows of the remaining columns are
+    zero, and a pivot column is dropped once its diagonal entry is read.
+    """
+    cols = [[int(v) for v in col] for col in zip(*rows)]
+    index = 1
+    for i in range(len(rows)):
+        while True:
+            live = [c for c in cols if c[i]]
+            if not live:
+                return 0
+            pivot = min(live, key=lambda c: abs(c[i]))
+            if len(live) == 1:
                 break
-        if offender is not None:
-            a[top] = [vt + vo for vt, vo in zip(a[top], a[offender])]
-            continue
-        divisors.append(abs(pivot))
-        top += 1
-    return divisors
+            for c in live:
+                if c is not pivot:
+                    q = c[i] // pivot[i]
+                    c[i:] = [x - q * y for x, y in zip(c[i:], pivot[i:])]
+        index *= abs(pivot[i])
+        cols = [c for c in cols if c is not pivot]
+    return index
 
 
 # ----------------------------------------------------------------------
@@ -482,12 +465,11 @@ def lattice_volume(c: MarkedCone) -> int:
 
 def is_regular(c: MarkedCone) -> bool:
     """True iff the generators extend to a Z-basis of the lattice
-    (all elementary divisors of the coordinate matrix equal 1)."""
-    rows = c.coordinate_rows()
-    divs = smith_divisors(rows)
-    if len(divs) != len(rows):
+    (the coordinate matrix's columns span a lattice of index 1)."""
+    index = lattice_index(c.coordinate_rows())
+    if index == 0:
         raise DegenerateConeError("generators are linearly dependent")
-    return all(d == 1 for d in divs)
+    return index == 1
 
 
 def edge_class(m: Sequence[Sequence[int]]) -> EdgeClass:

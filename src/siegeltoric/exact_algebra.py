@@ -265,32 +265,6 @@ class MultiPoly:
         """Terms in descending graded-lex order."""
         return sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.sorted_terms():
-            factors = []
-            for i, k in enumerate(exp):
-                if k == 1:
-                    factors.append(f"x{i + 1}")
-                elif k > 1:
-                    factors.append(f"x{i + 1}^{k}")
-            body = "*".join(factors)
-            if not body:
-                text = str(coeff)
-            elif coeff == 1:
-                text = body
-            elif coeff == -1:
-                text = "-" + body
-            else:
-                text = f"{coeff}*{body}"
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self._terms!r})"
 

@@ -20,6 +20,7 @@ from .cone_lattice import ConeShapeError, Fan, GroupElement, MarkedCone
 from .exact_algebra import MultiPoly, poly_to_json
 
 INT_JSON_MAX = 2 ** 53
+_QUOTE_MAX = 40   # characters of a rejected literal quoted in an error
 
 
 class InputFormatError(ValueError):
@@ -39,7 +40,13 @@ def decode_int(v) -> int:
         try:
             return int(v)
         except ValueError as exc:
-            raise InputFormatError(f"bad integer literal {v!r}") from exc
+            msg = f"bad integer literal {v[:_QUOTE_MAX]!r}"
+            if len(v) > _QUOTE_MAX:
+                msg += f"... ({len(v)} characters)"
+            # Python's other reason, an invalid literal, quotes it in full
+            if str(exc).startswith("Exceeds the limit"):
+                msg += f": {exc}"
+            raise InputFormatError(msg) from exc
     if isinstance(v, float) and v.is_integer():
         return int(v)
     raise InputFormatError(f"expected integer, got {v!r}")

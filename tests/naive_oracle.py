@@ -4,10 +4,13 @@ Deliberately naive and separate from the package: polynomials are plain
 dicts of exponent tuples with Fraction coefficients, polynomial
 determinants are always cofactor expansions, the leading-coefficient chain
 is written directly off its definition, and rational determinants, ranks
-and PSD ranks are Fraction Gauss, Gauss-Jordan and Schur-complement loops.
+and PSD ranks are Fraction Gauss, Gauss-Jordan and Schur-complement loops,
+and a lattice index is the gcd of all maximal minors.
 No shared code with siegeltoric.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 
@@ -171,6 +174,18 @@ def frac_rank(rows):
         if rank == len(a):
             break
     return rank
+
+
+def minors_gcd(rows):
+    """gcd of all k x k minors of a k x n integer matrix (0 when k > n or
+    the rows are dependent): the index in Z^k of the lattice spanned by
+    its columns."""
+    k = len(rows)
+    n = len(rows[0]) if k else 0
+    g = 0
+    for cols in itertools.combinations(range(n), k):
+        g = math.gcd(g, int(frac_det([[row[c] for c in cols] for row in rows])))
+    return g
 
 
 def schur_psd_rank(rows):

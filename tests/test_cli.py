@@ -86,6 +86,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "line" in proc.stderr
 
+    def test_long_integer_literal_error_is_short(self, tmp_path, capsys):
+        path = tmp_path / "cone.json"
+        for literal, reason in (("7" * 5000, "Exceeds the limit (4300 digits)"),
+                                ("12x" + "7" * 5000, None)):
+            path.write_text(json.dumps({"g": 1, "generators": [[[literal]]]}))
+            assert main(["cone", "check", str(path)]) == 2
+            out, err = capsys.readouterr()
+            [line] = err.splitlines()
+            assert out == "" and line.startswith("error:") and len(line) < 400, line
+            assert f"({len(literal)} characters)" in line
+            assert reason is None or reason in line
+
     def test_unknown_name_is_two(self):
         assert run_cli("cone", "check", "no-such-entry").returncode == 2
 

@@ -25,12 +25,12 @@ from siegeltoric.cone_lattice import (
     is_fan,
     is_regular,
     is_separable,
+    lattice_index,
     lattice_volume,
     matrix_rank,
     primitive_ray,
     psd_rank,
     rational_det,
-    smith_divisors,
     sym_dim,
     transform_matrix,
 )
@@ -154,13 +154,31 @@ class TestRegularity:
     def test_partial_basis_regular(self):
         assert is_regular(cone2(E11, E22))
 
-    def test_smith_divisors_match(self):
-        assert smith_divisors([(1, 0, 0), (0, 0, 1)]) == [1, 1]
-        assert smith_divisors([(2, 0, 0)]) == [2]
-        assert smith_divisors([(2, 0), (0, 3)]) == [1, 6]
-        assert smith_divisors([(2, 0), (0, 4)]) == [2, 4]
-        # chain d1 | d2 | d3 with product |det| = 624
-        assert smith_divisors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+    def test_lattice_index_table(self):
+        # the index is the product of the elementary divisors (in comments)
+        assert lattice_index([(1, 0, 0), (0, 0, 1)]) == 1     # 1, 1
+        assert lattice_index([(2, 0, 0)]) == 2                # 2
+        assert lattice_index([(2, 0), (0, 3)]) == 6           # 1, 6
+        assert lattice_index([(2, 0), (0, 4)]) == 8           # 2, 4
+        assert lattice_index([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == 624  # 2, 2, 156
+        # dependent rows
+        assert lattice_index([(1, 2, 3), (2, 4, 6)]) == 0
+        assert lattice_index([(1, 0), (0, 1), (1, 1)]) == 0
+
+    def test_lattice_index_matches_minors_gcd(self):
+        rng = random.Random(1009)
+        for _ in range(400):
+            k, n = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+            assert lattice_index(rows) == oracle.minors_gcd(rows), rows
+
+    def test_primitive_generators_spanning_index_two(self):
+        # coordinates (1,0,1) and (1,0,-1): each primitive, but their sum
+        # (2,0,0) is twice a lattice vector missing from their span
+        c = cone2(((1, 0), (0, 1)), ((1, 0), (0, -1)))
+        assert c.coordinate_rows() == [(1, 0, 1), (1, 0, -1)]
+        assert lattice_index(c.coordinate_rows()) == 2
+        assert not is_regular(c)
 
     def test_regular_iff_volume_one_fulldim(self):
         rng = random.Random(5)
