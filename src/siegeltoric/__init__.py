@@ -10,10 +10,8 @@ from .cone_lattice import (
     GroupElement,
     MarkedCone,
     NotInLatticeError,
-    component_count,
     cones_meet_nontrivially,
     coords_in_lattice,
-    delta_basis,
     edge_class,
     gl_act,
     is_fan,
@@ -33,18 +31,14 @@ from .residue_intersect import (
     IntersectionVerdict,
     ResidueChain,
     chi_descriptor,
-    degree_profile,
     intersection_vanishing,
     residue_chain,
-    toric_full_intersection,
 )
 from .volume_ke import (
     CostGuardError,
     MAReport,
     VolumeFunction,
-    g2_closed_form,
     is_ke_point,
-    permutation_check,
     verify_ma_identity,
     volume_function,
 )

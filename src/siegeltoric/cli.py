@@ -49,14 +49,14 @@ class RunConfig:
                  output: str = "json"):
         for name, value in (("seed", seed), ("trials", trials)):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+                raise InputError(f"{name} must be an integer, got {jsonio.quote(value)}")
         if trials < 1:
             raise InputError("trials must be >= 1")
         if (isinstance(tol, bool) or not isinstance(tol, (int, float))
                 or not math.isfinite(tol) or tol <= 0):
-            raise InputError(f"tol must be a finite positive number, got {tol!r}")
+            raise InputError(f"tol must be a finite positive number, got {jsonio.quote(tol)}")
         if output not in ("json", "text"):
-            raise InputError(f"unknown output mode {output!r}")
+            raise InputError(f"unknown output mode {jsonio.quote(output)}")
         self.seed = seed
         self.trials = trials
         self.tol = tol

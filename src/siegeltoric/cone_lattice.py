@@ -59,21 +59,6 @@ def is_symmetric(m: IntMatrix) -> bool:
     return all(m[i][j] == m[j][i] for i in range(g) for j in range(i + 1, g))
 
 
-def delta_basis(g: int) -> list[IntMatrix]:
-    """Standard Z-basis of Sym_g(Z): E_ii and E_ij + E_ji for i < j."""
-    if g < 1:
-        raise ConeShapeError(f"g must be positive, got {g}")
-    basis = []
-    for i, j in delta_index_pairs(g):
-        rows = [[0] * g for _ in range(g)]
-        rows[i][j] = 1
-        rows[j][i] = 1
-        if i == j:
-            rows[i][i] = 1
-        basis.append(as_int_matrix(rows))
-    return basis
-
-
 def zeta_matrix(g: int, i: int, j: int) -> IntMatrix:
     """Principal-cone edge generators: E_ii on the diagonal and
     -E_ij - E_ji + E_ii + E_jj off it (0-based indices, i <= j)."""
@@ -613,13 +598,3 @@ def is_separable(cones: Sequence[MarkedCone],
                     break
     return SeparabilityReport(separable=not violations,
                               violations=tuple(violations))
-
-
-def component_count(index: int, interior_orbits: int) -> int:
-    """Number of irreducible boundary components:
-    index * (1 + number of interior-edge orbits)."""
-    if index < 1:
-        raise ValueError(f"group index must be positive, got {index}")
-    if interior_orbits < 0:
-        raise ValueError("interior orbit count must be nonnegative")
-    return index * (1 + interior_orbits)

@@ -108,10 +108,6 @@ class MultiPoly:
             return -1
         return max(e[var] for e in self._terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
-
     def num_terms(self) -> int:
         return len(self._terms)
 

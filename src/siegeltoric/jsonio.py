@@ -20,11 +20,23 @@ from .cone_lattice import ConeShapeError, Fan, GroupElement, MarkedCone
 from .exact_algebra import MultiPoly, poly_to_json
 
 INT_JSON_MAX = 2 ** 53
-_QUOTE_MAX = 40   # characters of a rejected literal quoted in an error
+_QUOTE_MAX = 40   # characters of a rejected value quoted in an error
 
 
 class InputFormatError(ValueError):
     pass
+
+
+def quote(v) -> str:
+    """repr(v) for an error message, bounded: a longer string is cut to its
+    first _QUOTE_MAX characters and any other value to the first
+    _QUOTE_MAX characters of its repr, followed by "... (N characters)"."""
+    text = repr(v)
+    n = len(v) if isinstance(v, str) else len(text)
+    if n <= _QUOTE_MAX:
+        return text
+    head = repr(v[:_QUOTE_MAX]) if isinstance(v, str) else text[:_QUOTE_MAX]
+    return f"{head}... ({n} characters)"
 
 
 def encode_int(v: int):
@@ -33,23 +45,21 @@ def encode_int(v: int):
 
 def decode_int(v) -> int:
     if isinstance(v, bool):
-        raise InputFormatError(f"expected integer, got {v!r}")
+        raise InputFormatError(f"expected integer, got {quote(v)}")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
         try:
             return int(v)
         except ValueError as exc:
-            msg = f"bad integer literal {v[:_QUOTE_MAX]!r}"
-            if len(v) > _QUOTE_MAX:
-                msg += f"... ({len(v)} characters)"
+            msg = f"bad integer literal {quote(v)}"
             # Python's other reason, an invalid literal, quotes it in full
             if str(exc).startswith("Exceeds the limit"):
                 msg += f": {exc}"
             raise InputFormatError(msg) from exc
     if isinstance(v, float) and v.is_integer():
         return int(v)
-    raise InputFormatError(f"expected integer, got {v!r}")
+    raise InputFormatError(f"expected integer, got {quote(v)}")
 
 
 _REQUIRED = object()
@@ -140,7 +150,7 @@ def _finite_rows(obj, what: str) -> list[list[float]]:
     """The rows of a JSON number matrix as floats: rectangular and finite."""
     for v in (v for row in obj for v in row):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputFormatError(f"{what} entries must be numbers, got {v!r}")
+            raise InputFormatError(f"{what} entries must be numbers, got {quote(v)}")
     if any(len(row) != len(obj[0]) for row in obj):
         raise InputFormatError(f"bad {what}: rows have unequal lengths")
     try:

@@ -28,8 +28,9 @@ Bareiss kernel of cone_lattice:
     F*F - tol^2 I is not positive definite;
   * an entry bound |z| <= tol is re^2 + im^2 <= tol^2.
 exp(iN) = I + iN, the assembled block point and its determinants need no
-decision.  The one count, the rank of weight_filtration, is made exactly
-by Descartes' rule of signs (see there).
+decision; like psi, they are applied inside the checks, not exported.
+The one count, the rank of weight_filtration, is made exactly by
+Descartes' rule of signs (see there).
 
 Exact elimination grows steeply with the genus, so every check refuses
 g > HODGE_GENUS_MAX with a CostGuardError.
@@ -178,11 +179,6 @@ def _in_siegel(tau: CMatrix, tol) -> bool:
 
 # ----------------------------------------------------------------------
 # public checks
-
-
-def symplectic_form(g: int) -> list[list[int]]:
-    """Gram matrix [[0, -I_g], [I_g, 0]]; squares to -identity."""
-    return _psi([[int(i == j) for j in range(2 * g)] for i in range(2 * g)])
 
 
 class CuspNilpotent:
@@ -368,12 +364,6 @@ def _roots_above(p: list[int], x: Fraction) -> int:
 # cusps
 
 
-def exp_i_n(n: CuspNilpotent) -> list[list[complex]]:
-    """exp(iN) = I + iN, exact because N^2 = 0."""
-    return [[complex(i == j, v) for j, v in enumerate(row)]
-            for i, row in enumerate(n.matrix)]
-
-
 def dual_cusp_filtration(n: CuspNilpotent, tau_cusp=None) -> list[list[complex]]:
     """Filtration basis of the dual cusp.
 
@@ -417,7 +407,7 @@ def nilpotent_orbit_check(fdual, n: CuspNilpotent, tol: float) -> bool:
     return _riemann((_sub(re, _mul(nm, im)), _add(im, _mul(nm, re))), tol)
 
 
-def assemble_block_tau(tau_prime, z, s) -> CMatrix:
+def _assemble(tau_prime: CMatrix, z: CMatrix, s: CMatrix) -> CMatrix:
     """Siegel point from cusp coordinates (tau', Z, S), S = A + iB:
 
         tau = [[tau',            A - tau' B],
@@ -425,10 +415,6 @@ def assemble_block_tau(tau_prime, z, s) -> CMatrix:
 
     returned exactly as the pair (Re tau, Im tau) of Fraction matrices.
     """
-    return _assemble(_complex(tau_prime, "tau'"), _complex(z, "Z"), _complex(s, "S"))
-
-
-def _assemble(tau_prime: CMatrix, z: CMatrix, s: CMatrix) -> CMatrix:
     (tr, ti), (zr, zi), (a, b) = tau_prime, z, s
     bt = _t(b)
     upper = (_sub(a, _mul(tr, b)), _neg(_mul(ti, b)))

@@ -1,4 +1,4 @@
-"""The degree profile, the residue chain, and boundary intersection verdicts.
+"""The residue chain and boundary intersection verdicts.
 
 The residue chain iterates leading-coefficient extraction on a volume
 polynomial: S_0 = F, and S_k is the coefficient of the top power of the
@@ -64,7 +64,6 @@ from .cone_lattice import (
     MarkedCone,
     edge_class,
     is_regular,
-    matrix_rank,
     primitive_ray,
     coords_in_lattice,
     rational_det,
@@ -85,32 +84,6 @@ ZERO_INTERIOR_EDGE = "interior_edge"
 ZERO_GENUS_TWO_TOP = "genus_two_top"
 ZERO_TORIC_EMPTY = "toric_empty"
 ONE_TORIC_COMMON_CONE = "toric_common_cone"
-
-
-class DegreeProfile(NamedTuple):
-    entries: tuple[tuple[int, int], ...]   # (deg_i F, rank A_i) per variable
-    violations: tuple[int, ...]            # variable indices where they differ
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def degree_profile(v: VolumeFunction) -> DegreeProfile:
-    """Per-variable degree of F next to the rank of the pencil matrix.
-
-    For volume polynomials of pencils positive somewhere in the open
-    orthant these must agree; disagreements are reported, not raised.
-    """
-    entries = []
-    violations = []
-    for i in range(v.nvars):
-        deg = v.F.degree_in(i)
-        rank = matrix_rank(v.pencil[i])
-        entries.append((deg, rank))
-        if deg != rank:
-            violations.append(i)
-    return DegreeProfile(entries=tuple(entries), violations=tuple(violations))
 
 
 class ResidueChain(NamedTuple):
@@ -241,12 +214,10 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     return IntersectionVerdict(value="unknown", chi=chi)
 
 
-def toric_full_intersection(fan: Fan, edges: Sequence[Sequence[Sequence[int]]]) -> int:
-    """Toric 0/1 rule for a full product of boundary divisors.
-
-    Returns 1 iff the N given edge rays are exactly the edges of one
-    common top-dimensional cone of the (regular) fan, else 0.
-    """
+def toric_verdict(fan: Fan, edges: Sequence[Sequence[Sequence[int]]]) -> IntersectionVerdict:
+    """Toric 0/1 rule for a full product of boundary divisors: value "one"
+    iff the N given edge rays are exactly the edges of one common
+    top-dimensional cone of the (regular) fan, else "zero"."""
     n = sym_dim(fan.g)
     if len(edges) != n:
         raise ValueError(f"need exactly {n} edges, got {len(edges)}")
@@ -254,20 +225,9 @@ def toric_full_intersection(fan: Fan, edges: Sequence[Sequence[Sequence[int]]]) 
     for c in top_cones:
         if not is_regular(c):
             raise ConeShapeError("fan has a non-regular top cone; unsupported")
-    rays = []
-    for e in edges:
-        rays.append(primitive_ray(coords_in_lattice(e, fan.scale)))
-    if len(set(rays)) != n:
+    rays = {primitive_ray(coords_in_lattice(e, fan.scale)) for e in edges}
+    if len(rays) != n:
         raise ValueError("edge rays must be pairwise distinct")
-    ray_set = set(rays)
-    for c in top_cones:
-        if c.rays() == ray_set:
-            return 1
-    return 0
-
-
-def toric_verdict(fan: Fan, edges: Sequence[Sequence[Sequence[int]]]) -> IntersectionVerdict:
-    """IntersectionVerdict wrapper around toric_full_intersection."""
-    if toric_full_intersection(fan, edges) == 1:
+    if any(c.rays() == rays for c in top_cones):
         return IntersectionVerdict(value="one", reason=ONE_TORIC_COMMON_CONE)
     return IntersectionVerdict(value="zero", reason=ZERO_TORIC_EMPTY)

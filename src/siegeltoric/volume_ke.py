@@ -302,49 +302,3 @@ def is_ke_point(mats: Sequence[Sequence[Sequence[int]]]) -> bool:
     if pencil_coordinate_det(mats) == 0:
         raise DegenerateConeError("matrices are linearly dependent")
     return True
-
-
-def permutation_check(mats: Sequence[Sequence[Sequence[int]]],
-                      perm: Sequence[int], trials: int = 20,
-                      seed: int = 0) -> bool:
-    """Reindexing symmetry of the pencil determinant.
-
-    Confirms det(sum_i x_i Y(perm(i))) = det(sum_i x_{perm^-1(i)} Y(i)) at
-    random rational points.  KE membership needs no check: it holds on
-    every independent pencil, in any order (module docstring).
-    """
-    n = len(mats)
-    p = tuple(int(k) for k in perm)
-    if sorted(p) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    inv = [0] * n
-    for i, k in enumerate(p):
-        inv[k] = i
-    permuted = [mats[p[i]] for i in range(n)]
-    f_perm = pencil_det(permuted)
-    f_orig = pencil_det(mats)
-    rng = random.Random(seed)
-    for _ in range(max(1, trials)):
-        point = random_rational_point(rng, n)
-        moved_point = tuple(point[inv[i]] for i in range(n))
-        if f_perm.eval_at(point) != f_orig.eval_at(moved_point):
-            return False
-    return True
-
-
-def g2_closed_form(a: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
-    """Closed-form coefficients (A, B, C, L, M, N) of the genus-2 volume
-    polynomial F = A x^2 + B y^2 + C z^2 + L xy + M xz + N yz built from the
-    rows a_i = (a_i1, a_i2, a_i3) of a 3 x 3 matrix, where row i encodes
-    the symmetric matrix [[a_i1, a_i2], [a_i2, a_i3]]."""
-    if len(a) != 3 or any(len(row) != 3 for row in a):
-        raise DimensionError("expected a 3x3 coefficient matrix")
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = (
-        tuple(Fraction(v) for v in row) for row in a)
-    coeff_a = a11 * a13 - a12 * a12
-    coeff_b = a21 * a23 - a22 * a22
-    coeff_c = a31 * a33 - a32 * a32
-    coeff_l = a11 * a23 + a21 * a13 - 2 * a12 * a22
-    coeff_m = a11 * a33 + a31 * a13 - 2 * a12 * a32
-    coeff_n = a21 * a33 + a31 * a23 - 2 * a22 * a32
-    return (coeff_a, coeff_b, coeff_c, coeff_l, coeff_m, coeff_n)

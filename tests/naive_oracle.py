@@ -5,7 +5,8 @@ dicts of exponent tuples with Fraction coefficients, polynomial
 determinants are always cofactor expansions, the leading-coefficient chain
 is written directly off its definition, and rational determinants, ranks
 and PSD ranks are Fraction Gauss, Gauss-Jordan and Schur-complement loops,
-and a lattice index is the gcd of all maximal minors.
+a lattice index is the gcd of all maximal minors, and the genus-2 volume
+polynomial's coefficients are written out by hand.
 No shared code with siegeltoric.
 """
 
@@ -218,6 +219,37 @@ def g2_rows_to_pencil(a):
     """Symmetric 2x2 matrices [[a_i1, a_i2], [a_i2, a_i3]] from the rows of a."""
     return [[[Fraction(r[0]), Fraction(r[1])], [Fraction(r[1]), Fraction(r[2])]]
             for r in a]
+
+
+def g2_closed_form(a):
+    """Closed-form coefficients (A, B, C, L, M, N) of the genus-2 volume
+    polynomial F = A x^2 + B y^2 + C z^2 + L xy + M xz + N yz built from the
+    rows a_i = (a_i1, a_i2, a_i3) of a 3 x 3 matrix, where row i encodes
+    the symmetric matrix [[a_i1, a_i2], [a_i2, a_i3]]."""
+    if len(a) != 3 or any(len(row) != 3 for row in a):
+        raise ValueError("expected a 3x3 coefficient matrix")
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = (
+        tuple(Fraction(v) for v in row) for row in a)
+    return (a11 * a13 - a12 * a12,
+            a21 * a23 - a22 * a22,
+            a31 * a33 - a32 * a32,
+            a11 * a23 + a21 * a13 - 2 * a12 * a22,
+            a11 * a33 + a31 * a13 - 2 * a12 * a32,
+            a21 * a33 + a31 * a23 - 2 * a22 * a32)
+
+
+def reindexed(terms, perm):
+    """The term map {e: c} with each exponent re-indexed as e'[perm[i]] = e[i].
+
+    det(sum_i y_i A_perm[i]) is det(sum_j x_j A_j) at x_perm[i] = y_i, so
+    reindexing the terms of the first gives those of the second."""
+    out = {}
+    for e, c in terms.items():
+        moved = [0] * len(e)
+        for i, k in enumerate(perm):
+            moved[k] = e[i]
+        out[tuple(moved)] = c
+    return out
 
 
 def pencil_determinant(mats):

@@ -6,14 +6,17 @@ and the per-variable degree bounds read off the expanded entries of T.
 These expand symbolic Hessians, so they are test oracles for
 siegeltoric.volume_ke and siegeltoric.residue_intersect, not package code.
 The Euler reduction is derived in the siegeltoric.volume_ke docstring.
+degree_profile sets deg_i F beside rank A_i, which the
+siegeltoric.residue_intersect docstring proves equal on every cone.
 volume_function_from_pencil builds the VolumeFunction of an explicit
 pencil, dependent ones included, which no cone and no CLI path produces.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from siegeltoric.cone_lattice import matrix_rank
 from siegeltoric.exact_algebra import MultiPoly, PolyMatrix
 from siegeltoric.volume_ke import VolumeFunction, pencil_coordinate_det
 
@@ -86,6 +89,27 @@ def residue_minor(v: VolumeFunction, d: int) -> MultiPoly:
     for k in range(d):
         _, s = s.leading_coeff_in(k)
     return euler_t_det(s, range(d, v.nvars))
+
+
+class DegreeProfile(NamedTuple):
+    entries: tuple[tuple[int, int], ...]   # (deg_i F, rank A_i) per variable
+    violations: tuple[int, ...]            # variable indices where they differ
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def degree_profile(v: VolumeFunction) -> DegreeProfile:
+    """Per-variable degree of F next to the rank of the pencil matrix.
+
+    For volume polynomials of pencils positive somewhere in the open
+    orthant these must agree; disagreements are reported, not raised.
+    """
+    entries = tuple((v.F.degree_in(i), matrix_rank(v.pencil[i]))
+                    for i in range(v.nvars))
+    return DegreeProfile(entries=entries, violations=tuple(
+        i for i, (deg, rank) in enumerate(entries) if deg != rank))
 
 
 @dataclass(frozen=True)

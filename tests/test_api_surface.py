@@ -1,0 +1,62 @@
+"""Every public top-level function and class of the package is used by the
+package itself.
+
+A name that only tests call belongs in an oracle module under tests/, not
+in src/.  The scan parses each module of src/siegeltoric/ and counts a name
+as used when a Name or Attribute node refers to it in package code outside
+its own definition and outside __init__.py, whose re-exports do not count.
+"""
+
+import ast
+import os
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "siegeltoric")
+
+# public names kept without a package caller, one reason each
+KEEP = {
+    "det_t_symbolic": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "ma_rhs": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "cone_to_json": "writer of the cone file format that cone_from_json reads",
+    "poly_from_json": "reader of the polynomial format that poly_to_json writes",
+}
+
+
+def _modules():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def _scan():
+    """The public top-level names defined outside __init__.py, and every
+    name referred to outside its own top-level definition there."""
+    defs, used = set(), set()
+    for name, tree in _modules():
+        if name == "__init__.py":
+            continue
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and not own.startswith("_"):
+                defs.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                else:
+                    continue
+                if ref != own:
+                    used.add(ref)
+    return defs, used
+
+
+def test_public_names_have_a_package_caller():
+    defs, used = _scan()
+    assert sorted(defs - used - set(KEEP)) == []
+
+
+def test_keep_list_is_minimal():
+    # an entry that gains a caller, or whose definition is gone, leaves the list
+    defs, used = _scan()
+    assert sorted(set(KEEP) - (defs - used)) == []

@@ -98,6 +98,28 @@ class TestExitCodes:
             assert f"({len(literal)} characters)" in line
             assert reason is None or reason in line
 
+    @pytest.mark.parametrize("argv, data, config", [
+        (["cone", "check", "{path}"],
+         {"g": 1, "generators": [[[list(range(3000))]]]}, False),
+        (["hodge", "siegel", "{path}"], {"re": [["x" * 5000]], "im": [[0]]}, False),
+        (["catalog", "list"], {"seed": "x" * 5000}, True),
+        (["catalog", "list"], {"output": "x" * 5000}, True),
+        (["catalog", "list"], {"tol": "x" * 5000}, True),
+    ], ids=["integer-entry", "number-entry", "config-seed", "config-output", "config-tol"])
+    def test_long_file_value_error_is_short(self, argv, data, config, tmp_path,
+                                            monkeypatch, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        if config:
+            monkeypatch.setenv("SIEGELTORIC_CONFIG", str(path))
+        else:
+            monkeypatch.delenv("SIEGELTORIC_CONFIG", raising=False)
+        assert main([a.format(path=path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and line.startswith("error:") and len(line) < 400, line
+        assert " characters)" in line
+
     def test_unknown_name_is_two(self):
         assert run_cli("cone", "check", "no-such-entry").returncode == 2
 

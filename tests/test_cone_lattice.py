@@ -14,10 +14,9 @@ from siegeltoric.cone_lattice import (
     GroupElement,
     MarkedCone,
     NotInLatticeError,
-    component_count,
     cones_meet_nontrivially,
     coords_in_lattice,
-    delta_basis,
+    delta_index_pairs,
     edge_class,
     gl_act,
     int_det,
@@ -69,21 +68,35 @@ def random_unimodular(rng, g):
     return GroupElement(matrix=tuple(tuple(r) for r in m))
 
 
+def delta_basis(g):
+    """Standard Z-basis of Sym_g(Z) in the package's coordinate order:
+    E_11, E_12 + E_21, ..., E_1g + E_g1, E_22, ..., E_gg."""
+    basis = []
+    for i in range(g):
+        for j in range(i, g):
+            rows = [[0] * g for _ in range(g)]
+            rows[i][j] = rows[j][i] = 1
+            basis.append(tuple(map(tuple, rows)))
+    return basis
+
+
 class TestDeltaBasis:
     def test_g1(self):
-        assert delta_basis(1) == [((1,),)]
+        assert delta_index_pairs(1) == [(0, 0)]
 
     def test_g2(self):
+        assert delta_index_pairs(2) == [(0, 0), (0, 1), (1, 1)]
         assert delta_basis(2) == [E11, ((0, 1), (1, 0)), E22]
 
     def test_g3_count(self):
-        assert len(delta_basis(3)) == 6
+        assert len(delta_index_pairs(3)) == sym_dim(3) == 6
 
     def test_order_convention(self):
-        # pairs run (1,1),(1,2),...,(1,g),(2,2),...
-        basis = delta_basis(3)
-        assert basis[1][0][1] == 1 and basis[1][1][0] == 1  # delta_12
-        assert basis[3][1][1] == 1                          # delta_22
+        # pairs run (1,1),(1,2),...,(1,g),(2,2),...: the coordinates of
+        # coords_in_lattice follow the same order
+        assert delta_index_pairs(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        for k, d in enumerate(delta_basis(3)):
+            assert coords_in_lattice(d, 1) == tuple(int(i == k) for i in range(6))
 
 
 class TestCoords:
@@ -548,21 +561,6 @@ class TestSeparable:
     def test_minus_identity_acts_trivially(self):
         report = is_separable([SIGMA0], [GroupElement(matrix=((-1, 0), (0, -1)))])
         assert report.separable
-
-
-class TestComponentCount:
-    def test_central_cone_all_boundary(self):
-        assert component_count(10, 0) == 10
-
-    def test_trivial(self):
-        assert component_count(1, 0) == 1
-
-    def test_arithmetic(self):
-        assert component_count(2, 3) == 8
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            component_count(0, 1)
 
 
 class TestConstructionInvariants:

@@ -25,10 +25,8 @@ from siegeltoric.residue_intersect import (
     ZERO_TORIC_EMPTY,
     CostGuardError,
     chi_descriptor,
-    degree_profile,
     intersection_vanishing,
     residue_chain,
-    toric_full_intersection,
     toric_verdict,
 )
 from siegeltoric.volume_ke import pencil_coordinate_det, volume_function
@@ -93,17 +91,17 @@ def random_full_pencils(rng, g, count):
 
 class TestDegreeProfile:
     def test_principal_g2(self):
-        prof = degree_profile(V2)
+        prof = t_matrix_oracle.degree_profile(V2)
         assert prof.entries == ((1, 1), (1, 1), (1, 1)) and prof.ok
 
     def test_g1(self):
         c = MarkedCone(g=1, scale=1, generators=(((1,),),))
-        prof = degree_profile(volume_function(c))
+        prof = t_matrix_oracle.degree_profile(volume_function(c))
         assert prof.entries == ((1, 1),) and prof.ok
 
     def test_full_rank_first_matrix(self):
         mats = [[[1, 0], [0, 1]], [[0, 0], [0, 1]], [[1, -1], [-1, 1]]]
-        prof = degree_profile(pencil_vf(mats, 2))
+        prof = t_matrix_oracle.degree_profile(pencil_vf(mats, 2))
         assert prof.entries[0] == (2, 2)
 
     def test_random_psd_pencils(self):
@@ -126,7 +124,7 @@ class TestDegreeProfile:
             total = [[sum(m[i][j] for m in mats) for j in range(g)] for i in range(g)]
             if psd_rank(total) != g:
                 continue  # needs an interior point
-            prof = degree_profile(pencil_vf(mats, g))
+            prof = t_matrix_oracle.degree_profile(pencil_vf(mats, g))
             assert prof.ok, (mats, prof)
             checked += 1
 
@@ -393,12 +391,12 @@ def _two_chamber_fan():
 class TestToric:
     def test_edges_of_sigma0_give_one(self):
         fan = _two_chamber_fan()
-        assert toric_full_intersection(fan, list(SIGMA0.generators)) == 1
+        assert toric_verdict(fan, list(SIGMA0.generators)).value == "one"
 
     def test_mixed_edges_give_zero(self):
         fan = _two_chamber_fan()
         edges = [((1, -1), (-1, 1)), ((1, 1), (1, 1)), ((1, 0), (0, 0))]
-        assert toric_full_intersection(fan, edges) == 0
+        assert toric_verdict(fan, edges).value == "zero"
 
     def test_exhaustive_g2_subsets(self):
         fan = _two_chamber_fan()
@@ -410,7 +408,7 @@ class TestToric:
             edges = [[[int(x) for x in row]
                       for row in matrix_from_coords(r, 2)] for r in subset]
             expected = 1 if any(set(subset) == c.rays() for c in fan.cones) else 0
-            assert toric_full_intersection(fan, edges) == expected
+            assert toric_verdict(fan, edges).value == ("one" if expected else "zero")
             hits += expected
         assert hits == 2  # exactly the two chambers
 
@@ -418,12 +416,12 @@ class TestToric:
         fan = _two_chamber_fan()
         edges = list(SIGMA0.generators)
         for perm in itertools.permutations(range(3)):
-            assert toric_full_intersection(fan, [edges[i] for i in perm]) == 1
+            assert toric_verdict(fan, [edges[i] for i in perm]).value == "one"
 
     def test_duplicate_edges_rejected(self):
         fan = _two_chamber_fan()
         with pytest.raises(ValueError):
-            toric_full_intersection(
+            toric_verdict(
                 fan, [SIGMA0.generators[0]] * 2 + [SIGMA0.generators[1]])
 
     def test_non_regular_fan_rejected(self):
@@ -431,7 +429,7 @@ class TestToric:
             ((2, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 0), (0, 1))))
         from siegeltoric.cone_lattice import ConeShapeError
         with pytest.raises(ConeShapeError):
-            toric_full_intersection(Fan(cones=(bad,)), list(bad.generators))
+            toric_verdict(Fan(cones=(bad,)), list(bad.generators))
 
     def test_verdict_wrapper(self):
         fan = _two_chamber_fan()

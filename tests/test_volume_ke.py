@@ -22,12 +22,10 @@ from siegeltoric.volume_ke import (
     VolumeFunction,
     det_t_symbolic,
     det_t_values,
-    g2_closed_form,
     is_ke_point,
     ma_rhs,
     ma_rhs_constant,
     pencil_coordinate_det,
-    permutation_check,
     random_rational_point,
     verify_ma_identity,
     volume_function,
@@ -156,7 +154,7 @@ class TestVolumeFunction:
         rng = random.Random(9)
         rows = random_invertible_rows(rng)
         v = volume_function(cone_from_rows(rows))
-        a, b, c, l, m, n = g2_closed_form(rows)
+        a, b, c, l, m, n = oracle.g2_closed_form(rows)
         assert v.F.coeff((2, 0, 0)) == a
         assert v.F.coeff((0, 2, 0)) == b
         assert v.F.coeff((0, 0, 2)) == c
@@ -232,7 +230,7 @@ class TestTMatrix:
             for j in range(6):
                 e = t.entry(i, j)
                 if not e.is_zero():
-                    assert e.is_homogeneous() and e.total_degree() == 4
+                    assert {sum(x) for x in e.terms} == {4}
 
     def test_matches_naive_oracle(self):
         v = volume_function(SIGMA0)
@@ -576,14 +574,21 @@ class TestKECoefficient:
             assert lhs and oracle.p_sub(lhs, rhs) == {}, mats
 
 
+def assert_reindexing_symmetry(mats, perm):
+    """pencil_det of mats[perm[i]] is pencil_det(mats) with its variables
+    renamed: the same term map up to the exponent re-indexing."""
+    permuted = pencil_det([mats[k] for k in perm])
+    assert oracle.reindexed(permuted.terms, perm) == pencil_det(mats).terms
+
+
 class TestPermutationCheck:
     def test_identity_permutation(self):
         mats = [list(map(list, m)) for m in SIGMA0.generators]
-        assert permutation_check(mats, [0, 1, 2], trials=5, seed=1)
+        assert_reindexing_symmetry(mats, [0, 1, 2])
 
     def test_swap_on_principal(self):
         mats = [list(map(list, m)) for m in SIGMA0.generators]
-        assert permutation_check(mats, [1, 0, 2], trials=5, seed=2)
+        assert_reindexing_symmetry(mats, [1, 0, 2])
 
     def test_random_pencils_random_cycles(self):
         rng = random.Random(59)
@@ -596,12 +601,7 @@ class TestPermutationCheck:
                 continue
             perm = list(range(3))
             rng.shuffle(perm)
-            assert permutation_check(mats, perm, trials=20, seed=rng.randint(0, 999))
-
-    def test_bad_permutation(self):
-        mats = [list(map(list, m)) for m in SIGMA0.generators]
-        with pytest.raises(ValueError):
-            permutation_check(mats, [0, 0, 1])
+            assert_reindexing_symmetry(mats, perm)
 
 
 class TestConcurrency:
@@ -625,15 +625,15 @@ class TestConcurrency:
 
 class TestG2ClosedForm:
     def test_principal_rows(self):
-        assert g2_closed_form([[1, 0, 0], [0, 0, 1], [1, -1, 1]]) == (0, 0, 0, 1, 1, 1)
+        assert oracle.g2_closed_form([[1, 0, 0], [0, 0, 1], [1, -1, 1]]) == (0, 0, 0, 1, 1, 1)
 
     def test_identity_rows(self):
         # direct substitution into the closed form: F = det(xE11 + yE12s + zE22)
         # = xz - y^2, so (A, B, C, L, M, N) = (0, -1, 0, 0, 1, 0)
-        assert g2_closed_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (0, -1, 0, 0, 1, 0)
+        assert oracle.g2_closed_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (0, -1, 0, 0, 1, 0)
 
     def test_zero_rows(self):
-        assert g2_closed_form([[0] * 3] * 3) == (0,) * 6
+        assert oracle.g2_closed_form([[0] * 3] * 3) == (0,) * 6
 
     def test_matches_pencil_det_random(self):
         rng = random.Random(83)
@@ -642,7 +642,7 @@ class TestG2ClosedForm:
             rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
             pencil = oracle.g2_rows_to_pencil(rows)
             f = pencil_det(pencil)
-            a, b, c, l, m, n = g2_closed_form(rows)
+            a, b, c, l, m, n = oracle.g2_closed_form(rows)
             assert f.coeff((2, 0, 0)) == a
             assert f.coeff((0, 2, 0)) == b
             assert f.coeff((0, 0, 2)) == c

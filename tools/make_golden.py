@@ -1,9 +1,10 @@
 """Regenerate the frozen golden files from the naive oracle.
 
 Run from the repository root:  python3 tools/make_golden.py
-The outputs land in tests/golden/ and are committed; the test suite only
-reads them.  The oracle lives in tests/naive_oracle.py and shares no code
-with the package.
+The outputs land in tests/golden/ and are committed; the test suite
+reads them, and tests/test_golden_drift.py requires them to equal what
+golden_files() returns.  The oracle lives in tests/naive_oracle.py and
+shares no code with the package.
 """
 
 import json
@@ -42,16 +43,14 @@ def poly_json(p, nvars):
     }
 
 
-def main():
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
-    os.makedirs(out_dir, exist_ok=True)
-
+def golden_files():
+    """{file name: text} of each golden file under tests/golden/."""
     # residue chain for the genus-3 principal cone, one selected divisor
     g = 3
     nvars = g * (g + 1) // 2
     f = oracle.pencil_determinant(principal_pencil(g))
     chain, gd = oracle.residue_chain_naive(f, nvars, d=1)
-    golden = {
+    residue = {
         "case": "principal-g3-residue-d1",
         "g": g,
         "nvars": nvars,
@@ -59,24 +58,26 @@ def main():
         "S": [poly_json(s, nvars) for s in chain],
         "g_d": poly_json(gd, nvars),
     }
-    path = os.path.join(out_dir, "residue_g3_d1.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print("wrote", path)
-
     # genus-3 principal cone volume polynomial, for cross-checks
-    golden_f = {
+    volume = {
         "case": "principal-g3-volume-polynomial",
         "g": g,
         "nvars": nvars,
         "F": poly_json(f, nvars),
     }
-    path = os.path.join(out_dir, "volume_poly_g3.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(golden_f, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print("wrote", path)
+    return {name: json.dumps(obj, indent=1, sort_keys=True) + "\n"
+            for name, obj in (("residue_g3_d1.json", residue),
+                              ("volume_poly_g3.json", volume))}
+
+
+def main():
+    out_dir = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in golden_files().items():
+        path = os.path.join(out_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print("wrote", path)
 
 
 if __name__ == "__main__":
