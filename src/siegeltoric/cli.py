@@ -241,10 +241,7 @@ def _cmd_intersect(args, config: RunConfig) -> tuple[dict, bool]:
         if not all(0 <= i < len(rays) for i in indices):
             raise InputError(
                 f"edge index out of range; fan has {len(rays)} distinct rays")
-        edges = [cone_lattice.matrix_from_coords(
-            [fan.scale * v for v in rays[i]], fan.g) for i in indices]
-        edges_int = [[[int(x) for x in row] for row in e] for e in edges]
-        verdict = residue_intersect.toric_verdict(fan, edges_int)
+        verdict = residue_intersect.toric_verdict(fan, [rays[i] for i in indices])
         report = {
             "check": "toric-intersection",
             "value": verdict.value,
@@ -313,43 +310,47 @@ def _cmd_separable(args, config: RunConfig) -> tuple[dict, bool]:
     return report, result.separable
 
 
+def _nilpotent_from_json(obj) -> period_domain.CuspNilpotent:
+    return period_domain.CuspNilpotent(
+        g=jsonio.field(obj, "g", jsonio.decode_int),
+        k=jsonio.field(obj, "k", jsonio.decode_int, 0),
+        u=jsonio.field(obj, "u", jsonio.real_matrix_from_json))
+
+
 def _cmd_hodge(args, config: RunConfig) -> tuple[dict, bool]:
-    obj = _load_json(args.file)
     tol = config.tol
     sub = args.subcheck
     if sub == "siegel":
-        tau = jsonio.complex_matrix_from_json(obj)
+        tau = _read(args.file, jsonio.complex_matrix_from_json)
         ok = period_domain.siegel_membership(tau, tol)
         report = {"check": "hodge-siegel", "tol": tol, "ok": ok}
     elif sub == "riemann":
-        mat = jsonio.complex_matrix_from_json(obj)
+        mat = _read(args.file, jsonio.complex_matrix_from_json)
         if len(mat) == len(mat[0]):
             mat = period_domain.filtration_from_tau(mat)
         ok = period_domain.riemann_check(mat, tol)
         report = {"check": "hodge-riemann", "tol": tol, "ok": ok}
-    elif sub in ("nilpotent", "weight"):
-        g = jsonio.field(obj, "g", jsonio.decode_int)
-        k = jsonio.field(obj, "k", jsonio.decode_int, 0)
-        u = jsonio.field(obj, "u", jsonio.real_matrix_from_json)
-        nilp = period_domain.CuspNilpotent(g=g, k=k, u=u)
-        if sub == "weight":
-            rank, nullity, _, _ = period_domain.weight_filtration(nilp, tol)
-            report = {
-                "check": "hodge-weight",
-                "dim_image": rank,
-                "dim_kernel": nullity,
-                "tol": tol,
-                "ok": True,
-            }
-        else:
-            tau_cusp = jsonio.field(obj, "tau_cusp", jsonio.complex_matrix_from_json, None)
-            fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
-            ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
-            report = {"check": "hodge-nilpotent", "tol": tol, "ok": ok}
+    elif sub == "weight":
+        nilp = _read(args.file, _nilpotent_from_json)
+        rank, nullity, _, _ = period_domain.weight_filtration(nilp, tol)
+        report = {
+            "check": "hodge-weight",
+            "dim_image": rank,
+            "dim_kernel": nullity,
+            "tol": tol,
+            "ok": True,
+        }
+    elif sub == "nilpotent":
+        nilp, tau_cusp = _read(args.file, lambda obj: (
+            _nilpotent_from_json(obj),
+            jsonio.field(obj, "tau_cusp", jsonio.complex_matrix_from_json, None)))
+        fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
+        ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
+        report = {"check": "hodge-nilpotent", "tol": tol, "ok": ok}
     else:  # block-volume
-        tau_prime = jsonio.field(obj, "tau_prime", jsonio.complex_matrix_from_json)
-        z = jsonio.field(obj, "Z", jsonio.complex_matrix_from_json)
-        s = jsonio.field(obj, "S", jsonio.complex_matrix_from_json)
+        tau_prime, z, s = _read(args.file, lambda obj: [
+            jsonio.field(obj, key, jsonio.complex_matrix_from_json)
+            for key in ("tau_prime", "Z", "S")])
         ok = period_domain.block_volume_identity(tau_prime, z, s, tol)
         report = {"check": "hodge-block-volume", "tol": tol, "ok": ok}
     return report, report["ok"]

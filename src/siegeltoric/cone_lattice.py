@@ -19,9 +19,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .exactlp import cone_membership, feasible_eq_nonneg, maximal_support
+from .exactlp import cone_membership, maximal_support
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+_QUOTE_MAX = 40   # characters of a rejected value quoted in an error
 
 
 class NotInLatticeError(ValueError):
@@ -34,6 +36,18 @@ class DegenerateConeError(ValueError):
 
 class ConeShapeError(ValueError):
     """Structurally invalid cone or group data."""
+
+
+def quote(v) -> str:
+    """repr(v) for an error message, bounded: a longer string is cut to its
+    first _QUOTE_MAX characters and any other value to the first
+    _QUOTE_MAX characters of its repr, followed by "... (N characters)"."""
+    text = repr(v)
+    n = len(v) if isinstance(v, str) else len(text)
+    if n <= _QUOTE_MAX:
+        return text
+    head = repr(v[:_QUOTE_MAX]) if isinstance(v, str) else text[:_QUOTE_MAX]
+    return f"{head}... ({n} characters)"
 
 
 def sym_dim(g: int) -> int:
@@ -82,25 +96,16 @@ def coords_in_lattice(m: Sequence[Sequence[int]], scale: int) -> tuple[int, ...]
     if not is_symmetric(mat):
         raise ConeShapeError("matrix is not symmetric")
     if scale < 1:
-        raise ConeShapeError(f"scale must be positive, got {scale}")
+        raise ConeShapeError(f"scale must be positive, got {quote(scale)}")
     g = len(mat)
     coords = []
     for i, j in delta_index_pairs(g):
         v = mat[i][j]
         if v % scale != 0:
             raise NotInLatticeError(
-                f"entry ({i + 1},{j + 1})={v} not divisible by scale {scale}")
+                f"entry ({i + 1},{j + 1})={quote(v)} not divisible by scale {quote(scale)}")
         coords.append(v // scale)
     return tuple(coords)
-
-
-def matrix_from_coords(coords: Sequence[int | Fraction], g: int):
-    """Symmetric matrix with the given delta-basis coordinates."""
-    rows = [[Fraction(0)] * g for _ in range(g)]
-    for (i, j), c in zip(delta_index_pairs(g), coords):
-        rows[i][j] = Fraction(c)
-        rows[j][i] = Fraction(c)
-    return [list(r) for r in rows]
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +325,9 @@ class MarkedCone:
     def __init__(self, g: int, scale: int, generators: Sequence[IntMatrix],
                  labels: Optional[Sequence[str]] = None):
         if g < 1:
-            raise ConeShapeError(f"g must be positive, got {g}")
+            raise ConeShapeError(f"g must be positive, got {quote(g)}")
         if scale < 1:
-            raise ConeShapeError(f"scale must be positive, got {scale}")
+            raise ConeShapeError(f"scale must be positive, got {quote(scale)}")
         n = sym_dim(g)
         gens = tuple(as_int_matrix(m) for m in generators)
         if not gens:
@@ -333,7 +338,7 @@ class MarkedCone:
         coords = []
         for idx, m in enumerate(gens):
             if len(m) != g:
-                raise ConeShapeError(f"generator {idx} is not {g}x{g}")
+                raise ConeShapeError(f"generator {idx} is not {quote(g)}x{quote(g)}")
             if not is_symmetric(m):
                 raise ConeShapeError(f"generator {idx} is not symmetric")
             if all(v == 0 for row in m for v in row):
@@ -360,6 +365,7 @@ class MarkedCone:
         self.scale = scale
         self.generators: tuple[IntMatrix, ...] = gens
         self.labels: Optional[tuple[str, ...]] = labels
+        self.coords: tuple[tuple[int, ...], ...] = tuple(coords)  # in scale*delta
 
     def __eq__(self, other):
         if type(other) is not MarkedCone:
@@ -373,13 +379,9 @@ class MarkedCone:
     def nvars(self) -> int:
         return sym_dim(self.g)
 
-    def coordinate_rows(self) -> list[tuple[int, ...]]:
-        """Generator coordinates relative to the lattice scale*delta basis."""
-        return [coords_in_lattice(m, self.scale) for m in self.generators]
-
     def rays(self) -> set[tuple[int, ...]]:
         """Primitive ray directions of the generators."""
-        return {primitive_ray(r) for r in self.coordinate_rows()}
+        return {primitive_ray(r) for r in self.coords}
 
 
 def primitive_ray(vec: Sequence[int]) -> tuple[int, ...]:
@@ -396,7 +398,7 @@ class GroupElement:
         self.matrix: IntMatrix = as_int_matrix(matrix)
         d = int_det(self.matrix)
         if d not in (1, -1):
-            raise ConeShapeError(f"matrix has determinant {d}, expected +-1")
+            raise ConeShapeError(f"matrix has determinant {quote(d)}, expected +-1")
 
     @property
     def g(self) -> int:
@@ -438,11 +440,10 @@ class EdgeClass(NamedTuple):
 def lattice_volume(c: MarkedCone) -> int:
     """|det| of the generator-coordinate matrix; needs all N generators."""
     n = sym_dim(c.g)
-    rows = c.coordinate_rows()
-    if len(rows) != n:
+    if len(c.coords) != n:
         raise DegenerateConeError(
-            f"lattice volume needs {n} generators, cone has {len(rows)}")
-    d = int_det(rows)
+            f"lattice volume needs {n} generators, cone has {len(c.coords)}")
+    d = int_det(c.coords)
     if d == 0:
         raise DegenerateConeError("generator coordinate matrix is singular")
     return abs(d)
@@ -451,7 +452,7 @@ def lattice_volume(c: MarkedCone) -> int:
 def is_regular(c: MarkedCone) -> bool:
     """True iff the generators extend to a Z-basis of the lattice
     (the coordinate matrix's columns span a lattice of index 1)."""
-    index = lattice_index(c.coordinate_rows())
+    index = lattice_index(c.coords)
     if index == 0:
         raise DegenerateConeError("generators are linearly dependent")
     return index == 1
@@ -488,36 +489,22 @@ def gl_act(gamma: GroupElement, c: MarkedCone) -> MarkedCone:
 def transform_matrix(gamma: GroupElement, m: Sequence[Sequence[int]]) -> IntMatrix:
     """gamma m gamma^T for a single symmetric matrix."""
     f = gamma.matrix
-    g = len(f)
-    a = as_int_matrix(m)
-    fa = [[sum(f[i][k] * a[k][j] for k in range(g)) for j in range(g)]
-          for i in range(g)]
-    return as_int_matrix(
-        [[sum(fa[i][k] * f[j][k] for k in range(g)) for j in range(g)]
-         for i in range(g)])
+    fa = [[sum(x * y for x, y in zip(fi, col)) for col in zip(*m)] for fi in f]
+    return tuple(tuple(sum(x * y for x, y in zip(row, fj)) for fj in f) for row in fa)
 
 
 def cones_meet_nontrivially(a: MarkedCone, b: MarkedCone) -> bool:
-    """True iff the cones share a nonzero point.
-
-    Decided exactly: sum lambda_i u_i = sum mu_j v_j with lambda, mu >= 0
-    and sum lambda_i = 1 (legitimate normalization because the generators
-    of each cone are linearly independent, so no nonzero nonnegative
-    combination vanishes).
-    """
+    """True iff the cones share a nonzero point: the support of a cap b in
+    a's generators is not empty (see is_fan).  The lattice scales are
+    positive, so they rescale the weights and leave the support alone."""
     if a.g != b.g:
         raise ConeShapeError("cones live in different Sym_g")
-    ua = a.coordinate_rows()
-    vb = b.coordinate_rows()
-    rows = [[a.scale * u[k] for u in ua] + [-b.scale * v[k] for v in vb]
-            for k in range(sym_dim(a.g))]
-    rows.append([1] * len(ua) + [0] * len(vb))
-    return feasible_eq_nonneg(rows, [0] * (len(rows) - 1) + [1], len(ua) + len(vb))
+    return bool(_support(a.coords, b.coords))
 
 
-def _support(own: list[tuple[int, ...]], other: list[tuple[int, ...]]) -> list[int]:
+def _support(own: Sequence[Sequence[int]], other: Sequence[Sequence[int]]) -> list[int]:
     """Indices i with lambda_i > 0 at some point sum lambda_i own_i of
-    cone(own) cap cone(other), for coordinate rows on one lattice scale."""
+    cone(own) cap cone(other)."""
     rows = [[u[k] for u in own] + [-v[k] for v in other] for k in range(len(own[0]))]
     return maximal_support(rows, len(own) + len(other), len(own))
 
@@ -546,7 +533,7 @@ def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
     for c in cones:
         if c.g != g or c.scale != scale:
             raise ConeShapeError("cones disagree on g or scale")
-    coords = [c.coordinate_rows() for c in cones]
+    coords = [c.coords for c in cones]
     violations: list[str] = []
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
@@ -581,20 +568,19 @@ def is_separable(cones: Sequence[MarkedCone],
     """Separability certificate against an explicit list of group elements.
 
     For every pair (gamma, sigma) whose transformed cone still meets sigma
-    nontrivially, gamma must fix every generator of sigma exactly; any
-    moved generator is recorded as a violation.  Sound but incomplete: it
-    certifies nothing about group elements outside the supplied list.
+    nontrivially, gamma must fix every generator of sigma exactly; the
+    first moved generator is recorded as a violation.  A gamma that moves
+    no generator needs no moved cone and no meeting test.  Sound but
+    incomplete: it certifies nothing about group elements outside the
+    supplied list.
     """
     violations: list[SeparabilityViolation] = []
     for gi, gamma in enumerate(group):
         for ci, cone in enumerate(cones):
-            moved = gl_act(gamma, cone)
-            if not cones_meet_nontrivially(moved, cone):
-                continue
-            for k, gen in enumerate(cone.generators):
-                if moved.generators[k] != gen:
-                    violations.append(SeparabilityViolation(
-                        group_index=gi, cone_index=ci, moved_generator=k))
-                    break
+            k = next((k for k, gen in enumerate(cone.generators)
+                      if transform_matrix(gamma, gen) != gen), None)
+            if k is not None and cones_meet_nontrivially(gl_act(gamma, cone), cone):
+                violations.append(SeparabilityViolation(
+                    group_index=gi, cone_index=ci, moved_generator=k))
     return SeparabilityReport(separable=not violations,
                               violations=tuple(violations))

@@ -16,27 +16,14 @@ import math
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .cone_lattice import ConeShapeError, Fan, GroupElement, MarkedCone
+from .cone_lattice import ConeShapeError, Fan, GroupElement, MarkedCone, quote
 from .exact_algebra import MultiPoly, poly_to_json
 
 INT_JSON_MAX = 2 ** 53
-_QUOTE_MAX = 40   # characters of a rejected value quoted in an error
 
 
 class InputFormatError(ValueError):
     pass
-
-
-def quote(v) -> str:
-    """repr(v) for an error message, bounded: a longer string is cut to its
-    first _QUOTE_MAX characters and any other value to the first
-    _QUOTE_MAX characters of its repr, followed by "... (N characters)"."""
-    text = repr(v)
-    n = len(v) if isinstance(v, str) else len(text)
-    if n <= _QUOTE_MAX:
-        return text
-    head = repr(v[:_QUOTE_MAX]) if isinstance(v, str) else text[:_QUOTE_MAX]
-    return f"{head}... ({n} characters)"
 
 
 def encode_int(v: int):

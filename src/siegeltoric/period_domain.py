@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cone_lattice import column_basis_and_kernel, psd_rank, rational_det
+from .cone_lattice import column_basis_and_kernel, psd_rank, quote, rational_det
 from .volume_ke import CostGuardError
 
 # The worst inputs found are Riemann checks of a point whose entries
@@ -57,7 +57,7 @@ CMatrix = tuple[Matrix, Matrix]
 def _check_genus(g: int) -> None:
     if g > HODGE_GENUS_MAX:
         raise CostGuardError(
-            f"period-domain checks limited to g <= {HODGE_GENUS_MAX}, got g={g}")
+            f"period-domain checks limited to g <= {HODGE_GENUS_MAX}, got g={quote(g)}")
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +192,7 @@ class CuspNilpotent:
 
     def __init__(self, g: int, k: int, u):
         if not 0 <= k < g:
-            raise ValueError(f"need 0 <= k < g, got k={k}, g={g}")
+            raise ValueError(f"need 0 <= k < g, got k={quote(k)}, g={quote(g)}")
         _check_genus(g)
         try:
             u = tuple(tuple(float(v) for v in row) for row in _rows(u, "u"))

@@ -65,7 +65,6 @@ from .cone_lattice import (
     edge_class,
     is_regular,
     primitive_ray,
-    coords_in_lattice,
     rational_det,
     sym_dim,
 )
@@ -214,18 +213,20 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     return IntersectionVerdict(value="unknown", chi=chi)
 
 
-def toric_verdict(fan: Fan, edges: Sequence[Sequence[Sequence[int]]]) -> IntersectionVerdict:
+def toric_verdict(fan: Fan, rays: Sequence[Sequence[int]]) -> IntersectionVerdict:
     """Toric 0/1 rule for a full product of boundary divisors: value "one"
-    iff the N given edge rays are exactly the edges of one common
-    top-dimensional cone of the (regular) fan, else "zero"."""
+    iff the N given rays (directions in MarkedCone.coords) are exactly the
+    rays of one common top-dimensional cone of the (regular) fan, else "zero"."""
     n = sym_dim(fan.g)
-    if len(edges) != n:
-        raise ValueError(f"need exactly {n} edges, got {len(edges)}")
+    if len(rays) != n:
+        raise ValueError(f"need exactly {n} edges, got {len(rays)}")
     top_cones = [c for c in fan.cones if len(c.generators) == n]
     for c in top_cones:
         if not is_regular(c):
             raise ConeShapeError("fan has a non-regular top cone; unsupported")
-    rays = {primitive_ray(coords_in_lattice(e, fan.scale)) for e in edges}
+    if any(len(r) != n or not all(type(v) is int for v in r) or not any(r) for r in rays):
+        raise ValueError(f"each ray must be a nonzero integer vector of length {n}")
+    rays = {primitive_ray(r) for r in rays}
     if len(rays) != n:
         raise ValueError("edge rays must be pairwise distinct")
     if any(c.rays() == rays for c in top_cones):

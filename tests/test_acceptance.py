@@ -23,7 +23,6 @@ from siegeltoric.cone_lattice import (
     int_det,
     is_fan,
     is_separable,
-    matrix_from_coords,
     psd_rank,
     sym_dim,
 )
@@ -206,10 +205,8 @@ def test_criterion_07_intersection_verdicts(capsys):
     rays = sorted({ray for c in fan.cones for ray in c.rays()})
     hits = 0
     for subset in itertools.combinations(rays, 3):
-        edges = [[[int(x) for x in row] for row in matrix_from_coords(r, 2)]
-                 for r in subset]
         expected = 1 if any(set(subset) == c.rays() for c in fan.cones) else 0
-        got = 1 if toric_verdict(fan, edges).value == "one" else 0
+        got = 1 if toric_verdict(fan, subset).value == "one" else 0
         ok = ok and got == expected
         hits += got
     ok = ok and hits == 2

@@ -105,7 +105,11 @@ class TestExitCodes:
         (["catalog", "list"], {"seed": "x" * 5000}, True),
         (["catalog", "list"], {"output": "x" * 5000}, True),
         (["catalog", "list"], {"tol": "x" * 5000}, True),
-    ], ids=["integer-entry", "number-entry", "config-seed", "config-output", "config-tol"])
+        (["cone", "check", "{path}"], {"g": int("9" * 4000), "generators": [[[1]]]}, False),
+        (["hodge", "weight", "{path}"], {"g": 2, "k": int("9" * 4000), "u": [[1.0]]}, False),
+        (["hodge", "weight", "{path}"], {"g": int("9" * 4000), "u": [[1.0]]}, False),
+    ], ids=["integer-entry", "number-entry", "config-seed", "config-output", "config-tol",
+            "cone-genus", "hodge-depth", "hodge-genus"])
     def test_long_file_value_error_is_short(self, argv, data, config, tmp_path,
                                             monkeypatch, capsys):
         path = tmp_path / "input.json"
@@ -235,6 +239,25 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stdout
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("sub,obj,message", [
+        ("siegel", {"re": [["x"]], "im": [[0]]},
+         "complex matrix entries must be numbers, got 'x'"),
+        ("riemann", {"re": [["x"]], "im": [[0]]},
+         "complex matrix entries must be numbers, got 'x'"),
+        ("weight", {"g": 2, "k": 5, "u": [[1.0]]}, "need 0 <= k < g, got k=5, g=2"),
+        ("nilpotent", {"g": 2, "k": 1, "u": [[1.0]], "tau_cusp": {"re": [["x"]], "im": [[0]]}},
+         "complex matrix entries must be numbers, got 'x'"),
+        ("block-volume", {"tau_prime": {"re": [[0.0]], "im": [[1.0]]}}, "missing key 'Z'"),
+    ], ids=["siegel", "riemann", "weight", "nilpotent", "block-volume"])
+    def test_hodge_input_error_names_the_file(self, sub, obj, message, tmp_path,
+                                              monkeypatch, capsys):
+        # the prefix every file-reading subcommand puts before an input error
+        monkeypatch.delenv("SIEGELTORIC_CONFIG", raising=False)
+        path = tmp_path / "hodge.json"
+        path.write_text(json.dumps(obj))
+        assert main(["hodge", sub, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     @pytest.mark.parametrize("sub,u", [
         ("nilpotent", {"a": 1}),

@@ -7,7 +7,11 @@ intersect-pair-fan-edges012.json, hodge-weight-g3.json and
 hodge-siegel-g2.txt were captured at commit bed151f, the last commit
 whose handlers encoded their own reports: `siegeltoric.cli.main(argv)`
 ran in process on each of their requests below, with the input files
-written as in the test, and its stdout was stored unchanged.
+written as in the test, and its stdout was stored unchanged.  The pins
+hodge-riemann-g2.json, hodge-nilpotent-g3.json,
+hodge-block-volume-g3.json, fan-check-pair-fan.json and
+intersect-pair-fan-edges013.json were captured the same way at commit
+b1b6229.
 """
 
 import json
@@ -44,6 +48,12 @@ INPUTS = {
     "swap_reflect": [{"matrix": [[0, 1], [1, 0]]}, {"matrix": [[1, 0], [0, -1]]}],
     "weight_g3": {"g": 3, "k": 1, "u": [[2.0, 0.5], [0.5, 1.0]]},
     "tau_g2": {"re": [[0.5, 0.1], [0.1, -0.25]], "im": [[2.0, 0.5], [0.5, 1.0]]},
+    "nilpotent_g3": {"g": 3, "k": 1, "u": [[2.0, 0.5], [0.5, 1.0]],
+                     "tau_cusp": {"re": [[0.25]], "im": [[1.5]]}},
+    # tau' at genus 1 and Z at genus 2 (tau_g2), glued by a 1x2 S
+    "block_g3": {"tau_prime": {"re": [[0.5]], "im": [[2.0]]},
+                 "Z": {"re": [[0.5, 0.1], [0.1, -0.25]], "im": [[2.0, 0.5], [0.5, 1.0]]},
+                 "S": {"re": [[0.25, -0.5]], "im": [[0.5, 0.25]]}},
 }
 
 # golden file -> (argv, exit code)
@@ -65,6 +75,12 @@ REQUESTS = {
     "intersect-pair-fan-edges012.json": (["intersect", "{pair_fan}", "--edges", "0,1,2"], 0),
     "hodge-weight-g3.json": (["hodge", "weight", "{weight_g3}"], 0),
     "hodge-siegel-g2.txt": (["hodge", "siegel", "{tau_g2}", "--output", "text"], 0),
+    "hodge-riemann-g2.json": (["hodge", "riemann", "{tau_g2}"], 0),
+    "hodge-nilpotent-g3.json": (["hodge", "nilpotent", "{nilpotent_g3}"], 0),
+    "hodge-block-volume-g3.json": (["hodge", "block-volume", "{block_g3}"], 0),
+    "fan-check-pair-fan.json": (["fan", "check", "{pair_fan}"], 0),
+    # rays 0 and 1 lie in the second cone only, ray 3 in the first only
+    "intersect-pair-fan-edges013.json": (["intersect", "{pair_fan}", "--edges", "0,1,3"], 0),
 }
 
 

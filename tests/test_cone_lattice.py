@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from siegeltoric import cone_lattice
 from siegeltoric.cone_lattice import (
     ConeShapeError,
     DegenerateConeError,
@@ -189,8 +190,8 @@ class TestRegularity:
         # coordinates (1,0,1) and (1,0,-1): each primitive, but their sum
         # (2,0,0) is twice a lattice vector missing from their span
         c = cone2(((1, 0), (0, 1)), ((1, 0), (0, -1)))
-        assert c.coordinate_rows() == [(1, 0, 1), (1, 0, -1)]
-        assert lattice_index(c.coordinate_rows()) == 2
+        assert c.coords == ((1, 0, 1), (1, 0, -1))
+        assert lattice_index(c.coords) == 2
         assert not is_regular(c)
 
     def test_regular_iff_volume_one_fulldim(self):
@@ -360,6 +361,12 @@ class TestGlAct:
         with pytest.raises(ConeShapeError):
             GroupElement(matrix=((2, 0), (0, 1)))
 
+    def test_long_determinant_is_quoted_short(self):
+        with pytest.raises(ConeShapeError,
+                           match=r"^matrix has determinant 9{40}\.\.\. \(4000 characters\), "
+                                 r"expected \+-1$"):
+            GroupElement(matrix=((int("9" * 4000),),))
+
 
 class TestMeet:
     def test_reflexive(self):
@@ -389,6 +396,35 @@ class TestMeet:
             except ConeShapeError:
                 continue
             assert cones_meet_nontrivially(a, b) == cones_meet_nontrivially(b, a)
+
+    def test_matches_oracle_on_random_pairs(self):
+        rng = random.Random(4243)
+        seen = set()
+        for _ in range(300):
+            g = rng.choice((2, 2, 3))
+            a, b = (_random_cone(rng, g, rng.choice((1, 2))) for _ in range(2))
+            got = cones_meet_nontrivially(a, b)
+            assert got == meet_oracle(a, b), (a.generators, a.scale, b.generators, b.scale)
+            seen.add((a.scale, b.scale, got))
+        # both verdicts on every combination of lattice scales 1 and 2
+        assert seen == {(s, t, m) for s in (1, 2) for t in (1, 2) for m in (False, True)}
+
+
+def _random_cone(rng, g, scale):
+    """A simplicial cone of 1..N small random generators in scale*Sym_g(Z)."""
+    n = sym_dim(g)
+    while True:
+        gens = []
+        for _ in range(rng.randint(1, n)):
+            c = [rng.randint(-2, 2) for _ in range(n)]
+            m = [[0] * g for _ in range(g)]
+            for (i, j), v in zip(delta_index_pairs(g), c):
+                m[i][j] = m[j][i] = scale * v
+            gens.append(tuple(map(tuple, m)))
+        try:
+            return MarkedCone(g=g, scale=scale, generators=tuple(gens))
+        except ConeShapeError:
+            continue
 
 
 def _faces_of(cone):
@@ -425,14 +461,27 @@ class TestFan:
 
 
 # ----------------------------------------------------------------------
-# oracle for is_fan: one pinned LP per generator for the support, a
-# separate LP for whether the cones meet, membership of scaled points
+# oracles for is_fan and cones_meet_nontrivially: one pinned LP per
+# generator for the support, a normalization-row LP for whether the cones
+# meet, membership of scaled points
+
+
+def meet_oracle(a, b):
+    """True iff some sum lambda_i u_i = sum mu_j v_j with lambda, mu >= 0
+    and sum lambda_i = 1.  The normalization is legitimate because the
+    generators of each cone are linearly independent, so no nonzero
+    nonnegative combination of them vanishes."""
+    ua, vb = a.coords, b.coords
+    rows = [[a.scale * u[k] for u in ua] + [-b.scale * v[k] for v in vb]
+            for k in range(sym_dim(a.g))]
+    rows.append([1] * len(ua) + [0] * len(vb))
+    return feasible_eq_nonneg(rows, [0] * (len(rows) - 1) + [1], len(ua) + len(vb))
 
 
 def _support_indices_oracle(a, b):
     """Indices i of a's generators with lambda_i > 0 somewhere on a cap b:
     feasibility of the meet system with lambda_i pinned to 1."""
-    ua, vb = a.coordinate_rows(), b.coordinate_rows()
+    ua, vb = a.coords, b.coords
     nvars = len(ua) + len(vb)
     rows = [[a.scale * u[k] for u in ua] + [-b.scale * v[k] for v in vb]
             for k in range(sym_dim(a.g))]
@@ -442,8 +491,8 @@ def _support_indices_oracle(a, b):
 
 
 def _gen_in_cone_oracle(a, idx, b):
-    point = [a.scale * v for v in a.coordinate_rows()[idx]]
-    return cone_membership(point, [[b.scale * v for v in row] for row in b.coordinate_rows()])
+    point = [a.scale * v for v in a.coords[idx]]
+    return cone_membership(point, [[b.scale * v for v in row] for row in b.coords])
 
 
 def is_fan_oracle(cones):
@@ -451,7 +500,7 @@ def is_fan_oracle(cones):
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             a, b = cones[i], cones[j]
-            if not cones_meet_nontrivially(a, b):
+            if not meet_oracle(a, b):
                 continue
             for idx in _support_indices_oracle(a, b):
                 if not _gen_in_cone_oracle(a, idx, b):
@@ -561,6 +610,42 @@ class TestSeparable:
     def test_minus_identity_acts_trivially(self):
         report = is_separable([SIGMA0], [GroupElement(matrix=((-1, 0), (0, -1)))])
         assert report.separable
+
+    def test_elements_fixing_each_cone_need_no_meeting_test(self, monkeypatch):
+        def meet(a, b):
+            raise AssertionError("meeting test called")
+
+        monkeypatch.setattr(cone_lattice, "cones_meet_nontrivially", meet)
+        cones = _translate_fan(random.Random(5501), 2, 4)
+        group = [GroupElement(matrix=((1, 0), (0, 1))),
+                 GroupElement(matrix=((-1, 0), (0, -1)))]
+        assert is_separable(cones, group).separable
+
+    def test_matches_oracle_on_translates(self):
+        # the oracle asks whether the cones meet first, then for the first
+        # moved generator
+        rng = random.Random(6607)
+        kinds = set()
+        for _ in range(12):
+            g = rng.choice((2, 2, 3))
+            cones = _translate_fan(rng, g, rng.randint(1, 3))
+            group = [random_unimodular(rng, g) for _ in range(3)]
+            group.append(GroupElement(matrix=tuple(
+                tuple(-int(i == j) for j in range(g)) for i in range(g))))
+            want = []
+            for gi, gamma in enumerate(group):
+                for ci, cone in enumerate(cones):
+                    moved = gl_act(gamma, cone)
+                    meets = meet_oracle(moved, cone)
+                    k = next((k for k, gen in enumerate(cone.generators)
+                              if moved.generators[k] != gen), None)
+                    kinds.add((meets, k is not None))
+                    if meets and k is not None:
+                        want.append((gi, ci, k))
+            report = is_separable(cones, group)
+            assert [tuple(v) for v in report.violations] == want
+        # fixed cones, and moved cones that meet their original or miss it
+        assert kinds == {(True, False), (True, True), (False, True)}
 
 
 class TestConstructionInvariants:

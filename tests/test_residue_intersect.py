@@ -391,50 +391,58 @@ def _two_chamber_fan():
 class TestToric:
     def test_edges_of_sigma0_give_one(self):
         fan = _two_chamber_fan()
-        assert toric_verdict(fan, list(SIGMA0.generators)).value == "one"
+        assert toric_verdict(fan, SIGMA0.coords).value == "one"
 
     def test_mixed_edges_give_zero(self):
         fan = _two_chamber_fan()
-        edges = [((1, -1), (-1, 1)), ((1, 1), (1, 1)), ((1, 0), (0, 0))]
-        assert toric_verdict(fan, edges).value == "zero"
+        # the rays of zeta_12, [[1, 1], [1, 1]] and E_11
+        rays = [(1, -1, 1), (1, 1, 1), (1, 0, 0)]
+        assert toric_verdict(fan, rays).value == "zero"
 
     def test_exhaustive_g2_subsets(self):
         fan = _two_chamber_fan()
         all_rays = sorted({ray for c in fan.cones for ray in c.rays()})
         assert len(all_rays) == 4
-        from siegeltoric.cone_lattice import matrix_from_coords
         hits = 0
         for subset in itertools.combinations(all_rays, 3):
-            edges = [[[int(x) for x in row]
-                      for row in matrix_from_coords(r, 2)] for r in subset]
             expected = 1 if any(set(subset) == c.rays() for c in fan.cones) else 0
-            assert toric_verdict(fan, edges).value == ("one" if expected else "zero")
+            assert toric_verdict(fan, subset).value == ("one" if expected else "zero")
             hits += expected
         assert hits == 2  # exactly the two chambers
 
     def test_permutation_invariance(self):
         fan = _two_chamber_fan()
-        edges = list(SIGMA0.generators)
+        rays = SIGMA0.coords
         for perm in itertools.permutations(range(3)):
-            assert toric_verdict(fan, [edges[i] for i in perm]).value == "one"
+            assert toric_verdict(fan, [rays[i] for i in perm]).value == "one"
+
+    def test_positive_multiples_name_the_same_ray(self):
+        fan = _two_chamber_fan()
+        rays = [tuple(k * v for v in r) for k, r in zip((2, 1, 5), SIGMA0.coords)]
+        assert toric_verdict(fan, rays).value == "one"
 
     def test_duplicate_edges_rejected(self):
         fan = _two_chamber_fan()
-        with pytest.raises(ValueError):
-            toric_verdict(
-                fan, [SIGMA0.generators[0]] * 2 + [SIGMA0.generators[1]])
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            toric_verdict(fan, [SIGMA0.coords[0]] * 2 + [SIGMA0.coords[1]])
+
+    @pytest.mark.parametrize("bad", [(0, 0, 0), (1, 0), (1, 0, 0, 0), (1.0, 0, 0),
+                                     (True, 0, 0), ("1", 0, 0)])
+    def test_malformed_ray_rejected(self, bad):
+        fan = _two_chamber_fan()
+        with pytest.raises(ValueError, match="nonzero integer vector of length 3"):
+            toric_verdict(fan, [bad, (0, 0, 1), (1, -1, 1)])
 
     def test_non_regular_fan_rejected(self):
         bad = MarkedCone(g=2, scale=1, generators=(
             ((2, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 0), (0, 1))))
         from siegeltoric.cone_lattice import ConeShapeError
         with pytest.raises(ConeShapeError):
-            toric_verdict(Fan(cones=(bad,)), list(bad.generators))
+            toric_verdict(Fan(cones=(bad,)), bad.coords)
 
     def test_verdict_wrapper(self):
         fan = _two_chamber_fan()
-        v1 = toric_verdict(fan, list(SIGMA0.generators))
+        v1 = toric_verdict(fan, SIGMA0.coords)
         assert v1.value == "one" and v1.reason == ONE_TORIC_COMMON_CONE
-        edges = [((1, -1), (-1, 1)), ((1, 1), (1, 1)), ((1, 0), (0, 0))]
-        v0 = toric_verdict(fan, edges)
+        v0 = toric_verdict(fan, [(1, -1, 1), (1, 1, 1), (1, 0, 0)])
         assert v0.value == "zero" and v0.reason == ZERO_TORIC_EMPTY
