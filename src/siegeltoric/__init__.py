@@ -11,7 +11,6 @@ from .cone_lattice import (
     MarkedCone,
     NotInLatticeError,
     cones_meet_nontrivially,
-    coords_in_lattice,
     edge_class,
     gl_act,
     is_fan,

@@ -463,17 +463,10 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         report, holds = args.handler(args, config)
-        # a report integer may pass the 4300-digit limit that Python
-        # (3.10.7 on) sets on int-to-str conversion: lift it while the
-        # report is encoded, and only then, so that input parsing keeps it
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
-            report = jsonio.report_value(report)
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+        # a report integer may pass Python's int-to-str digit limit: lift
+        # it while the report is encoded, and only then, so that input
+        # parsing keeps it
+        report = cone_lattice._unlimited_digits(jsonio.report_value, report)
         if config.output == "json":
             sys.stdout.write(jsonio.dump_report(report))
         else:

@@ -7,15 +7,16 @@ the generators carry a fixed order.  GL(g,Z) acts by A -> f A f^T.
 
 All predicates here are exact (integer / Fraction arithmetic); rational
 determinants, ranks and PSD ranks share one fraction-free elimination
-kernel, and membership and intersection questions reduce to rational
-linear feasibility.  A cone is regular when the lattice its generators
-span has index 1 in Lambda, which `lattice_index` reads off an integer
-column reduction.
+kernel, and membership and intersection questions reduce to maximal
+supports of rational cones (`exactlp`).  A cone is regular when the
+lattice its generators span has index 1 in Lambda, which `lattice_index`
+reads off an integer column reduction.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -38,11 +39,25 @@ class ConeShapeError(ValueError):
     """Structurally invalid cone or group data."""
 
 
+def _unlimited_digits(fn, *args):
+    """fn(*args) with the limit that Python (3.10.7 on) sets on int-to-str
+    conversion lifted, so that an int of any size can be written."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def quote(v) -> str:
     """repr(v) for an error message, bounded: a longer string is cut to its
     first _QUOTE_MAX characters and any other value to the first
-    _QUOTE_MAX characters of its repr, followed by "... (N characters)"."""
-    text = repr(v)
+    _QUOTE_MAX characters of its repr, followed by "... (N characters)".
+    An int of any size is quoted."""
+    text = _unlimited_digits(repr, v)
     n = len(v) if isinstance(v, str) else len(text)
     if n <= _QUOTE_MAX:
         return text
@@ -85,27 +100,6 @@ def zeta_matrix(g: int, i: int, j: int) -> IntMatrix:
         rows[i][j] = -1
         rows[j][i] = -1
     return as_int_matrix(rows)
-
-
-def coords_in_lattice(m: Sequence[Sequence[int]], scale: int) -> tuple[int, ...]:
-    """Coordinates c with m = scale * sum_k c_k delta_k.
-
-    Raises NotInLatticeError when some entry is not divisible by scale.
-    """
-    mat = as_int_matrix(m)
-    if not is_symmetric(mat):
-        raise ConeShapeError("matrix is not symmetric")
-    if scale < 1:
-        raise ConeShapeError(f"scale must be positive, got {quote(scale)}")
-    g = len(mat)
-    coords = []
-    for i, j in delta_index_pairs(g):
-        v = mat[i][j]
-        if v % scale != 0:
-            raise NotInLatticeError(
-                f"entry ({i + 1},{j + 1})={quote(v)} not divisible by scale {quote(scale)}")
-        coords.append(v // scale)
-    return tuple(coords)
 
 
 # ----------------------------------------------------------------------
@@ -335,15 +329,24 @@ class MarkedCone:
         if len(gens) > n:
             raise ConeShapeError(
                 f"{len(gens)} generators exceed dim Sym_{g} = {n}")
+        # coordinates c with m = scale * sum_k c_k delta_k; the upper
+        # triangle of a symmetric m holds them all, so c = 0 iff m = 0
         coords = []
         for idx, m in enumerate(gens):
             if len(m) != g:
                 raise ConeShapeError(f"generator {idx} is not {quote(g)}x{quote(g)}")
             if not is_symmetric(m):
                 raise ConeShapeError(f"generator {idx} is not symmetric")
-            if all(v == 0 for row in m for v in row):
+            c = []
+            for i, j in delta_index_pairs(g):
+                v = m[i][j]
+                if v % scale:
+                    raise NotInLatticeError(
+                        f"entry ({i + 1},{j + 1})={quote(v)} not divisible by scale {quote(scale)}")
+                c.append(v // scale)
+            if not any(c):
                 raise ConeShapeError(f"generator {idx} is zero")
-            coords.append(coords_in_lattice(m, scale))
+            coords.append(tuple(c))
         # generators are proportional exactly when their primitive rays
         # agree up to sign; name the class with the smallest first index
         classes: dict[tuple[int, ...], list[int]] = {}
@@ -499,14 +502,16 @@ def cones_meet_nontrivially(a: MarkedCone, b: MarkedCone) -> bool:
     positive, so they rescale the weights and leave the support alone."""
     if a.g != b.g:
         raise ConeShapeError("cones live in different Sym_g")
-    return bool(_support(a.coords, b.coords))
+    return bool(_support(a.coords, b.coords, len(a.coords)))
 
 
-def _support(own: Sequence[Sequence[int]], other: Sequence[Sequence[int]]) -> list[int]:
-    """Indices i with lambda_i > 0 at some point sum lambda_i own_i of
-    cone(own) cap cone(other)."""
-    rows = [[u[k] for u in own] + [-v[k] for v in other] for k in range(len(own[0]))]
-    return maximal_support(rows, len(own) + len(other), len(own))
+def _support(own: Sequence[Sequence[int]], other: Sequence[Sequence[int]],
+             k: int) -> list[int]:
+    """Indices i < k of the maximal support of the cone of (lambda, mu) >= 0
+    with sum lambda_i own_i = sum mu_j other_j: i < len(own) names own_i,
+    and len(own) + j names other_j."""
+    rows = [[u[r] for u in own] + [-v[r] for v in other] for r in range(len(own[0]))]
+    return maximal_support(rows, len(own) + len(other), k)
 
 
 class FanReport(NamedTuple):
@@ -517,14 +522,20 @@ class FanReport(NamedTuple):
 def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
     """Check the fan condition: every pairwise intersection is a common face.
 
-    For simplicial cones sigma, tau the intersection is a common face iff
-    every generator of sigma that can appear with positive weight in a
-    point of sigma cap tau lies in tau, and symmetrically.  Those
-    generators form the maximal support of sigma cap tau in sigma's
-    coordinates, found by one LP (`exactlp.maximal_support`); an empty
-    support means the cones meet only at 0.  So each pair costs one
-    support LP per side, plus a membership LP per supported generator up
-    to the first that escapes, which the violation names.
+    For simplicial cones sigma, tau let S be the maximal support of
+    sigma cap tau in sigma's generators and T that in tau's; both come
+    from one LP (`exactlp.maximal_support`).  A point of sigma cap tau
+    positive on all of S lies in the relative interior of cone(sigma_S),
+    so cone(sigma_S) is the smallest face of sigma that contains
+    sigma cap tau, and cone(tau_T) is the same for tau.  The intersection
+    is a common face iff it equals both, that is iff the two faces are
+    equal: then each lies in sigma and in tau, so in sigma cap tau, which
+    lies in each.  Faces of simplicial cones are equal iff their
+    generators span the same rays.  A pair whose rays differ has a
+    generator in S or in T outside the other cone, since otherwise both
+    faces would lie in, hence equal, sigma cap tau; membership LPs on S,
+    then on T, name the first, which the violation reports.  An empty S
+    (and then T) means the cones meet only at 0.
     """
     cones = list(cones)
     if not cones:
@@ -534,13 +545,17 @@ def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
         if c.g != g or c.scale != scale:
             raise ConeShapeError("cones disagree on g or scale")
     coords = [c.coords for c in cones]
+    rays = [[primitive_ray(u) for u in c] for c in coords]
     violations: list[str] = []
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            for own, other in ((i, j), (j, i)):
-                support = _support(coords[own], coords[other])
-                if not support:
-                    break
+            n = len(coords[i])
+            both = _support(coords[i], coords[j], n + len(coords[j]))
+            s = [k for k in both if k < n]
+            t = [k - n for k in both if k >= n]
+            if {rays[i][k] for k in s} == {rays[j][k] for k in t}:
+                continue
+            for own, other, support in ((i, j, s), (j, i, t)):
                 escaping = next((idx for idx in support
                                  if not cone_membership(coords[own][idx], coords[other])),
                                 None)

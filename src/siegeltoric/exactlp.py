@@ -13,16 +13,21 @@ replaces every other row by pv * row_i - row_i[e] * row_r, which keeps
 each row's sign, and the ratio test compares rhs_i / row_i[e] by
 cross-multiplication.
 
-Phase 1 minimises the sum of one artificial variable per row; artificial
-columns are never stored, since an artificial that leaves the basis never
-re-enters.  `feasible_eq_nonneg` stops there.  `maximal_support` drives
-the zero-level artificials out and runs phase 2 on
+One formulation serves every question, `maximal_support`.  It starts
+from one artificial variable per row; artificial columns are never
+stored, since an artificial that leaves the basis never re-enters.  The
+rows have zero rhs, so the artificials sit at level zero and phase 1 is
+over before it starts: they are driven out of the basis, and phase 2
+runs on
 
     maximise sum_i t_i   subject to   A x = 0,  0 <= t_i <= x_i,  t_i <= 1,
 
 whose optimum has t_i = 1 exactly on the maximal support of the cone
 {x >= 0 : A x = 0} (the sum of points positive at each i is positive at
 all of them, and the cone is closed under scaling) and t_i = 0 elsewhere.
+Feasibility is homogenized: some x >= 0 solves A x = b exactly when the
+cone {(s, x) >= 0 : A x - s b = 0} has s in its maximal support, since
+(s, x) with s > 0 gives the solution x / s and a solution x gives (1, x).
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ def feasible_eq_nonneg(
         raise ValueError("row length disagrees with nvars")
     if len(rows) != len(rhs):
         raise ValueError("rows/rhs length mismatch")
-    tab = [_int_row([*row, b]) for row, b in zip(rows, rhs)]
-    return _phase1(tab, [nvars + i for i in range(len(tab))], nvars)
+    return bool(maximal_support([[-b, *row] for row, b in zip(rows, rhs)], nvars + 1, 1))
 
 
 def cone_membership(
@@ -115,13 +119,9 @@ def _pivot(tab, basis, obj, r: int, e: int) -> None:
     basis[r] = e
 
 
-def _run(tab, basis, obj, ncols: int, stop_at_zero: bool = False) -> None:
-    """Bland's rule on obj (enter while some obj[j] > 0, j < ncols).
-
-    With stop_at_zero the loop also ends once obj's rhs reaches 0, which
-    in phase 1 means the artificials are all at level zero.
-    """
-    while not (stop_at_zero and obj[-1] == 0):
+def _run(tab, basis, obj, ncols: int) -> None:
+    """Bland's rule on obj (enter while some obj[j] > 0, j < ncols)."""
+    while True:
         # basic columns have obj[j] == 0, so this scans the nonbasic ones
         e = next((j for j in range(ncols) if obj[j] > 0), None)
         if e is None:
@@ -137,24 +137,9 @@ def _run(tab, basis, obj, ncols: int, stop_at_zero: bool = False) -> None:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
                     r = i
         if r is None:
-            # phase 1 and the support LP are bounded
+            # the support LP is bounded: t_i <= 1
             raise ArithmeticError("unbounded linear program")
         _pivot(tab, basis, obj, r, e)
-
-
-def _phase1(tab, basis, ncols: int) -> bool:
-    """Phase 1 with one artificial per row; True iff the rows are feasible.
-
-    Rows are negated where needed so every rhs is nonnegative.  The
-    objective row is the sum of the rows: the artificial sum equals its
-    rhs minus obj . x over the nonbasic columns, up to a positive factor.
-    """
-    for i, row in enumerate(tab):
-        if row[-1] < 0:
-            tab[i] = [-v for v in row]
-    obj = [sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
-    _run(tab, basis, obj, ncols, stop_at_zero=True)
-    return obj[-1] == 0
 
 
 def _drive_out_artificials(tab, basis, obj, ncols: int) -> None:

@@ -124,6 +124,17 @@ class TestExitCodes:
         assert out == "" and line.startswith("error:") and len(line) < 400, line
         assert " characters)" in line
 
+    def test_determinant_beyond_digit_limit_is_quoted(self, fan_file, tmp_path, capsys):
+        # det = 10^5000 - 1 has more digits than Python converts to str by default
+        big = str(10 ** 2500)
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps([{"matrix": [[big, 1], [1, big]]}]))
+        assert main(["separable", fan_file, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: {path}: invalid group element: matrix has determinant "
+            f"{'9' * 40}... (5000 characters), expected +-1\n")
+
     def test_unknown_name_is_two(self):
         assert run_cli("cone", "check", "no-such-entry").returncode == 2
 

@@ -16,7 +16,6 @@ from siegeltoric.cone_lattice import (
     MarkedCone,
     NotInLatticeError,
     cones_meet_nontrivially,
-    coords_in_lattice,
     delta_index_pairs,
     edge_class,
     gl_act,
@@ -35,7 +34,7 @@ from siegeltoric.cone_lattice import (
     transform_matrix,
 )
 from siegeltoric.catalog import principal_cone
-from siegeltoric.exactlp import cone_membership, feasible_eq_nonneg
+from siegeltoric.exactlp import cone_membership, feasible_eq_nonneg, maximal_support
 
 import naive_oracle as oracle
 
@@ -79,6 +78,12 @@ def delta_basis(g):
             rows[i][j] = rows[j][i] = 1
             basis.append(tuple(map(tuple, rows)))
     return basis
+
+
+def coords_in_lattice(m, scale):
+    """Coordinates c with m = scale * sum_k c_k delta_k, as MarkedCone
+    computes them for a one-generator cone."""
+    return MarkedCone(g=len(m), scale=scale, generators=(m,)).coords[0]
 
 
 class TestDeltaBasis:
@@ -518,6 +523,29 @@ def is_fan_oracle(cones):
     return FanReport(ok=not violations, violations=tuple(violations))
 
 
+def is_fan_per_side_oracle(cones):
+    """The fan check with one support LP per side of a pair: the maximal
+    support of sigma cap tau in sigma's generators, then a membership LP
+    per supported generator up to the first outside tau, and the same
+    with the cones swapped."""
+    violations = []
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            for own, other in ((i, j), (j, i)):
+                u, v = cones[own].coords, cones[other].coords
+                rows = [[a[r] for a in u] + [-b[r] for b in v] for r in range(len(u[0]))]
+                support = maximal_support(rows, len(u) + len(v), len(u))
+                if not support:
+                    break
+                escaping = next((k for k in support if not cone_membership(u[k], v)), None)
+                if escaping is not None:
+                    violations.append(
+                        f"cones {i} and {j}: intersection is not a face of cone {own} "
+                        f"(generator {escaping} escapes)")
+                    break
+    return FanReport(ok=not violations, violations=tuple(violations))
+
+
 def _marked(cone, marking):
     return MarkedCone(g=cone.g, scale=cone.scale,
                       generators=tuple(cone.generators[k] for k in marking))
@@ -546,6 +574,38 @@ def _subcone(rng, cone):
             return MarkedCone(g=cone.g, scale=cone.scale, generators=tuple(gens))
         except ConeShapeError:
             continue
+
+
+def _merged(rng, cone):
+    """cone with two generators replaced by their sum: inside cone, and
+    not a face of it."""
+    a, b = sorted(rng.sample(range(len(cone.generators)), 2))
+    u = cone.generators
+    merged = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(u[a], u[b]))
+    gens = [merged] + [m for k, m in enumerate(u) if k not in (a, b)]
+    rng.shuffle(gens)
+    return MarkedCone(g=cone.g, scale=cone.scale, generators=tuple(gens))
+
+
+def _mixed_fan(rng, g):
+    """Translates of the principal cone beside faces, subcones and merged
+    cones of some of them, shuffled."""
+    base = principal_cone(g)
+    translates = [gl_act(random_unimodular(rng, g), base) for _ in range(rng.randint(2, 4))]
+    cones = list(translates)
+    for _ in range(rng.randint(1, 3)):
+        sigma = rng.choice(translates)
+        kind = rng.random()
+        if kind < 0.3:
+            keep = sorted(rng.sample(range(len(base.generators)),
+                                     rng.randint(1, len(base.generators) - 1)))
+            cones.append(_marked(sigma, keep))
+        elif kind < 0.65:
+            cones.append(_subcone(rng, sigma))
+        else:
+            cones.append(_merged(rng, sigma))
+    rng.shuffle(cones)
+    return cones
 
 
 # relative positions of two genus-3 principal-cone translates: (h, marking
@@ -595,6 +655,39 @@ class TestFanOracle:
         report = is_fan(cones)
         assert report == is_fan_oracle(cones)
         assert report.ok
+
+
+class TestFanSingleLP:
+    """is_fan reads both smallest faces from one support LP per pair."""
+
+    def test_matches_per_side_oracle_on_mixed_fans(self):
+        rng = random.Random(1907)
+        violations, fans = 0, 0
+        for g in (2, 2, 2, 3, 3, 3, 4, 4):
+            for _ in range(4):
+                cones = _mixed_fan(rng, g)
+                report = is_fan(cones)
+                assert report == is_fan_per_side_oracle(cones), [c.generators for c in cones]
+                violations += len(report.violations)
+                fans += report.ok
+        assert violations >= 40 and fans
+
+    def test_valid_fan_runs_one_support_lp_per_pair(self, monkeypatch):
+        calls = {"support": 0, "membership": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cone_lattice, "maximal_support",
+                            counted("support", maximal_support))
+        monkeypatch.setattr(cone_lattice, "cone_membership",
+                            counted("membership", cone_membership))
+        cones = _translate_fan(random.Random(1913), 3, 8)
+        assert is_fan(cones).ok
+        assert calls == {"support": 8 * 7 // 2, "membership": 0}
 
 
 class TestSeparable:
