@@ -332,7 +332,7 @@ def _cmd_hodge(args, config: RunConfig) -> tuple[dict, bool]:
         report = {"check": "hodge-riemann", "tol": tol, "ok": ok}
     elif sub == "weight":
         nilp = _read(args.file, _nilpotent_from_json)
-        rank, nullity, _, _ = period_domain.weight_filtration(nilp, tol)
+        rank, nullity = period_domain.weight_filtration(nilp, tol)
         report = {
             "check": "hodge-weight",
             "dim_image": rank,

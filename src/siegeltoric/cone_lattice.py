@@ -104,7 +104,7 @@ def zeta_matrix(g: int, i: int, j: int) -> IntMatrix:
 
 # ----------------------------------------------------------------------
 # exact elimination: one fraction-free Bareiss kernel for every rational
-# determinant, rank, kernel and PSD test
+# determinant, adjugate, rank and PSD test
 
 
 def _int_rows(m) -> tuple[list[list[int]], int]:
@@ -225,37 +225,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 def matrix_rank(m: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank of a rational matrix."""
     return _bareiss(_int_rows(m)[0], _first_nonzero)[0]
-
-
-def column_basis_and_kernel(m: Sequence[Sequence[int | Fraction]]
-                            ) -> tuple[list[int], list[list[int]]]:
-    """Pivot columns of a rational matrix, whose columns there are a basis
-    of its column space, and an integer basis of its right kernel.
-
-    Fraction-free Gauss-Jordan with column-search pivots leaves each
-    non-pivot column j as p P^-1 Q_j on the pivot rows, for p the last
-    pivot (see _bareiss), so x_j = p and x = -that column on the pivots
-    is a kernel vector.
-    """
-    a = _int_rows(m)[0]
-    order = list(range(len(a[0])))
-
-    def pick(a, k):
-        got = _first_nonzero(a, k)
-        if got is not None:
-            order[k], order[got[1]] = order[got[1]], order[k]
-        return got
-
-    k = _bareiss(a, pick, jordan=True)[0]
-    last = a[k - 1][k - 1] if k else 1
-    kernel = []
-    for j in range(k, len(order)):
-        x = [0] * len(order)
-        x[order[j]] = last
-        for i in range(k):
-            x[order[i]] = -a[i][j]
-        kernel.append(x)
-    return sorted(order[:k]), kernel
 
 
 def psd_rank(m: Sequence[Sequence[int | Fraction]]) -> Optional[int]:
@@ -441,24 +410,20 @@ class EdgeClass(NamedTuple):
 
 
 def lattice_volume(c: MarkedCone) -> int:
-    """|det| of the generator-coordinate matrix; needs all N generators."""
+    """|det| of the generator-coordinate matrix; needs all N generators.
+    Never 0: MarkedCone rejects linearly dependent generators."""
     n = sym_dim(c.g)
     if len(c.coords) != n:
         raise DegenerateConeError(
             f"lattice volume needs {n} generators, cone has {len(c.coords)}")
-    d = int_det(c.coords)
-    if d == 0:
-        raise DegenerateConeError("generator coordinate matrix is singular")
-    return abs(d)
+    return abs(int_det(c.coords))
 
 
 def is_regular(c: MarkedCone) -> bool:
     """True iff the generators extend to a Z-basis of the lattice
-    (the coordinate matrix's columns span a lattice of index 1)."""
-    index = lattice_index(c.coords)
-    if index == 0:
-        raise DegenerateConeError("generators are linearly dependent")
-    return index == 1
+    (the coordinate matrix's columns span a lattice of index 1).  The index
+    is never 0: MarkedCone rejects linearly dependent generators."""
+    return lattice_index(c.coords) == 1
 
 
 def edge_class(m: Sequence[Sequence[int]]) -> EdgeClass:
@@ -481,9 +446,6 @@ def edge_class(m: Sequence[Sequence[int]]) -> EdgeClass:
 
 def gl_act(gamma: GroupElement, c: MarkedCone) -> MarkedCone:
     """Replace each generator A by gamma A gamma^T, preserving order."""
-    if gamma.g != c.g:
-        raise ConeShapeError(
-            f"group element is {gamma.g}x{gamma.g}, cone has g={c.g}")
     new_gens = [transform_matrix(gamma, a) for a in c.generators]
     return MarkedCone(g=c.g, scale=c.scale, generators=tuple(new_gens),
                       labels=c.labels)
@@ -491,6 +453,9 @@ def gl_act(gamma: GroupElement, c: MarkedCone) -> MarkedCone:
 
 def transform_matrix(gamma: GroupElement, m: Sequence[Sequence[int]]) -> IntMatrix:
     """gamma m gamma^T for a single symmetric matrix."""
+    if gamma.g != len(m):
+        raise ConeShapeError(
+            f"group element is {gamma.g}x{gamma.g}, cone has g={len(m)}")
     f = gamma.matrix
     fa = [[sum(x * y for x, y in zip(fi, col)) for col in zip(*m)] for fi in f]
     return tuple(tuple(sum(x * y for x, y in zip(row, fj)) for fj in f) for row in fa)

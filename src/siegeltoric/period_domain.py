@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cone_lattice import column_basis_and_kernel, psd_rank, quote, rational_det
+from .cone_lattice import psd_rank, quote, rational_det
 from .volume_ke import CostGuardError
 
 # The worst inputs found are Riemann checks of a point whose entries
@@ -264,11 +264,9 @@ def positive_cone_membership(n: CuspNilpotent, tol: float) -> bool:
     return _min_eig_above(_exact(n.u, "u"), tol)
 
 
-def weight_filtration(n: CuspNilpotent, tol: float):
-    """Rank/nullity data of N with exact bases.
-
-    Returns (dim Im(N), dim Ker(N), image_basis, kernel_basis); N^2 = 0
-    by the block layout, which puts Im(N) inside Ker(N).
+def weight_filtration(n: CuspNilpotent, tol: float) -> tuple[int, int]:
+    """Dimensions (dim Im(N), dim Ker(N)) of the weight filtration
+    W_0 = Im(N) inside W_1 = Ker(N); N^2 = 0 by the block layout.
 
     The rank counts the singular values s of N, which are those of u,
     with s > tol * max(1, s_max'), where s_max' is the largest one
@@ -281,13 +279,6 @@ def weight_filtration(n: CuspNilpotent, tol: float):
     so s_max' is found by binary search over the 53-bit numbers.  Its
     rounding moves the threshold by at most a relative 2^-52, and spares
     deciding whether an eigenvalue equals tol^2 times an irrational one.
-
-    The bases are columns (of the returned 2g-row matrices): the columns
-    of N at the pivot columns of u, and e_1..e_{g+k} with the integer
-    kernel of u in the last g-k coordinates.  They are exact, so they
-    have the exact rank and nullity, which differ from the returned
-    dimensions only when u has a nonzero singular value at or below the
-    threshold.
     """
     g, k = n.g, n.k
     u = _exact(n.u, "u")
@@ -315,14 +306,7 @@ def weight_filtration(n: CuspNilpotent, tol: float):
                 lo = mid + 1
         s_max = _from_index(lo)
     rank = _roots_above(p, (d * Fraction(tol) * s_max) ** 2)
-    cols, kernel = column_basis_and_kernel(u)
-    image = [[Fraction(0)] * len(cols) for _ in range(2 * g)]
-    for t, c in enumerate(cols):
-        for i in range(m):
-            image[k + i][t] = u[i][c]
-    units = [[int(i == j) for i in range(2 * g)] for j in range(g + k)]
-    vectors = units + [[0] * (g + k) + x for x in kernel]
-    return rank, 2 * g - rank, image, _t(vectors)
+    return rank, 2 * g - rank
 
 
 def _from_index(i: int) -> Fraction:

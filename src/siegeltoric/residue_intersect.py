@@ -45,9 +45,10 @@ M >= sym_dim(e) + e(g - e), which exceeds sym_dim(e) for 0 < e < g
 breaks the first step: L need not be onto, and the closed form can miss.
 
 Intersection verdicts implement the vanishing criteria for products of
-boundary divisors (d >= g-1, interior edges, the genus-two top case) with
-a fixed precedence, plus the toric 0/1 rule for full products over a
-regular fan.
+boundary divisors (d >= g-1, then interior edges) with a fixed
+precedence, plus the toric 0/1 rule for full products over a regular fan.
+The genus-two top case needs no rule of its own: at g = 2, N = 3 and the
+selection size d is 1 or 2, so d >= g - 1 = 1 always decides first.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ RESIDUE_TERMS_MAX = 250_000
 
 ZERO_D_GE_G_MINUS_1 = "d_ge_g_minus_1"
 ZERO_INTERIOR_EDGE = "interior_edge"
-ZERO_GENUS_TWO_TOP = "genus_two_top"
 ZERO_TORIC_EMPTY = "toric_empty"
 ONE_TORIC_COMMON_CONE = "toric_common_cone"
 
@@ -99,7 +99,7 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
     """Run the leading-coefficient chain for the first d marked variables.
 
     Variable order follows the cone's marking order; callers that want a
-    different divisor selection permute the marking first (see
+    different divisor selection permute the pencil first (see
     intersection_vanishing).  The pencil must span Sym_g (module docstring).
     """
     n = v.nvars
@@ -179,9 +179,11 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     """Vanishing verdict for the product of the selected boundary divisors.
 
     Precedence of the zero criteria is fixed: d >= g-1 first, then an
-    interior (positive definite) selected edge, then the genus-two top
-    case.  Anything surviving all three is reported unknown, with the
-    exact residue integrand attached when the cone is full.
+    interior (positive definite) selected edge; at g = 2 the first always
+    holds (module docstring).  Anything surviving both is reported
+    unknown, with the exact residue integrand attached when the cone is
+    full: the chain runs on the pencil reordered to put the selected
+    generators first, which leaves |det| and so the lattice volume alone.
     """
     n = sym_dim(c.g)
     sel = [int(i) for i in selected]
@@ -199,17 +201,12 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     for i in sel:
         if edge_class(c.generators[i]).kind == "interior":
             return IntersectionVerdict(value="zero", reason=ZERO_INTERIOR_EDGE)
-    if c.g == 2 and d == 1:
-        return IntersectionVerdict(value="zero", reason=ZERO_GENUS_TWO_TOP)
     chi = None
     if len(c.generators) == n:
-        rest = [i for i in range(n) if i not in sel]
-        order = sel + rest
-        permuted = MarkedCone(
-            g=c.g, scale=c.scale,
-            generators=tuple(c.generators[i] for i in order),
-            labels=tuple(c.labels[i] for i in order) if c.labels else None)
-        chi = chi_descriptor(residue_chain(volume_function(permuted), d))
+        order = sel + [i for i in range(n) if i not in sel]
+        v = volume_function(c)
+        permuted = VolumeFunction(c.g, n, tuple(v.pencil[i] for i in order), v.vol)
+        chi = chi_descriptor(residue_chain(permuted, d))
     return IntersectionVerdict(value="unknown", chi=chi)
 
 

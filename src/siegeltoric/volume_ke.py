@@ -138,7 +138,7 @@ def _normalized_pencil(c: MarkedCone) -> tuple[tuple[tuple[Fraction, ...], ...],
 
 def volume_function(c: MarkedCone) -> VolumeFunction:
     """Volume function of the scale-normalized generators.  F is not zero:
-    lattice_volume rejects dependent generators, and independent ones span
+    MarkedCone rejects dependent generators, and independent ones span
     Sym_g, so I as well."""
     n = sym_dim(c.g)
     if len(c.generators) != n:

@@ -209,19 +209,36 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["member"] is True
 
-    @pytest.mark.parametrize("fan", [
-        5,
-        {"cones": 5},
-        {"cones": None},
-        {"cones": [{"g": 1, "scale": 1, "generators": [[[1]]], "labels": 5}]},
-    ], ids=["top-level-number", "cones-number", "cones-null", "labels-number"])
-    def test_bad_fan_file_is_two(self, fan, tmp_path, group_file):
+    @pytest.mark.parametrize("fan,message", [
+        (5, "fan file needs a 'cones' list"),
+        ({"cones": 5}, "fan file needs a 'cones' list"),
+        ({"cones": None}, "fan file needs a 'cones' list"),
+        ({"cones": [{"g": 1, "scale": 1, "generators": [[[1]]], "labels": 5}]},
+         "cone 'labels' must be a list"),
+        ({"cones": [{"g": 1, "scale": 1, "generators": [[[1]]]},
+                    {"g": 2, "scale": 1, "generators": [[[1, 0], [0, 0]]]}]},
+         "invalid fan: fan cones disagree on g or scale"),
+    ], ids=["top-level-number", "cones-number", "cones-null", "labels-number",
+            "genus-mismatch"])
+    def test_bad_fan_file_is_two(self, fan, message, tmp_path, group_file):
         path = tmp_path / "fan.json"
         path.write_text(json.dumps(fan))
         for args in (("fan", "check", str(path)), ("separable", str(path), group_file)):
             proc = run_cli(*args)
             assert proc.returncode == 2, args
-            assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+            assert proc.stderr == f"error: {path}: {message}\n", args
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_group_element_of_other_genus_is_two(self, size, tmp_path, capsys):
+        # a genus-3 fan against a 2x2 or a 4x4 group element
+        fan = tmp_path / "fan.json"
+        fan.write_text(json.dumps({"cones": [cone_to_json(principal_cone(3))]}))
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps(
+            [{"matrix": [[int(i == j) for j in range(size)] for i in range(size)]}]))
+        assert main(["separable", str(fan), str(group)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: group element is {size}x{size}, cone has g=3\n")
 
     @pytest.mark.parametrize("text", ['{"re": [[NaN]], "im": [[1]]}',
                                       '{"re": [[0]], "im": [[Infinity]]}'],

@@ -57,9 +57,12 @@ def test_report_value_polynomial_and_records():
 
 def test_decode_accepts_numbers_and_strings():
     assert decode_int(7) == 7
+    assert decode_int(2.0) == 2
     assert decode_int("123456789012345678901234567890") == 123456789012345678901234567890
     with pytest.raises(InputFormatError):
         decode_int(True)
+    with pytest.raises(InputFormatError):
+        decode_int(2.5)
     with pytest.raises(InputFormatError):
         decode_int("7.5")
 

@@ -161,7 +161,7 @@ class TestPositiveCone:
 class TestWeightFiltration:
     def test_g2_k0_dimensions(self):
         n = CuspNilpotent(g=2, k=0, u=np.eye(2))
-        rank, nullity, image, kernel = weight_filtration(n, TOL)
+        rank, nullity = weight_filtration(n, TOL)
         assert rank == 2 and nullity == 2
 
     def test_dimensions_general(self):
@@ -169,17 +169,9 @@ class TestWeightFiltration:
         for g, k in ((2, 1), (3, 0), (3, 1), (3, 2)):
             q = rng.standard_normal((g - k, g - k))
             n = CuspNilpotent(g=g, k=k, u=q @ q.T + 0.1 * np.eye(g - k))
-            rank, nullity, image, kernel = weight_filtration(n, TOL)
+            rank, nullity = weight_filtration(n, TOL)
             assert rank == g - k
             assert nullity == g + k
-
-    def test_image_inside_kernel(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            q = rng.standard_normal((3, 3))
-            n = CuspNilpotent(g=3, k=0, u=q @ q.T + 0.1 * np.eye(3))
-            _, _, image, _ = weight_filtration(n, TOL)
-            assert np.max(np.abs(np.array(n.matrix) @ np.array(image))) < 1e-8
 
 
 class TestNilpotentOrbit:
@@ -296,12 +288,12 @@ class TestBinary64Overflow:
     def test_positive_cone_symmetrization(self):
         n = CuspNilpotent(g=1, k=0, u=np.array([[1.7e308]]))
         assert positive_cone_membership(n, TOL)
-        assert weight_filtration(n, TOL)[:2] == (1, 1)
+        assert weight_filtration(n, TOL) == (1, 1)
 
     def test_weight_singular_values(self):
         # singular values 2e308 and 0
         n = CuspNilpotent(g=2, k=0, u=np.full((2, 2), 1e308))
-        assert weight_filtration(n, TOL)[:2] == (1, 3)
+        assert weight_filtration(n, TOL) == (1, 3)
 
     def test_asymmetric_u(self):
         with pytest.raises(ValueError, match="u must be symmetric"):
@@ -392,8 +384,8 @@ class TestNumpyOracle:
                 lam.append(v * rng.choice([-1, 1]))
             u = q @ np.diag(lam) @ q.T
             u = (u + u.T) / 2
-            want = oracle.weight_filtration(oracle.CuspNilpotent(g=m, k=0, u=u), tol)[:2]
-            assert weight_filtration(CuspNilpotent(g=m, k=0, u=u), tol)[:2] == want
+            want = oracle.weight_filtration(oracle.CuspNilpotent(g=m, k=0, u=u), tol)
+            assert weight_filtration(CuspNilpotent(g=m, k=0, u=u), tol) == want
 
     @pytest.mark.parametrize("diag,tol,rank", [
         ([2.0 ** -29, 2.0], 2.0 ** -30, 1),
@@ -408,24 +400,21 @@ class TestNumpyOracle:
         # a singular value equal to tol * max(1, s_max) is not counted
         m = len(diag)
         u = np.diag(diag)
-        got = weight_filtration(CuspNilpotent(g=m, k=0, u=u), tol)[:2]
+        got = weight_filtration(CuspNilpotent(g=m, k=0, u=u), tol)
         assert got == (rank, 2 * m - rank)
-        assert oracle.weight_filtration(oracle.CuspNilpotent(g=m, k=0, u=u), tol)[:2] == got
+        assert oracle.weight_filtration(oracle.CuspNilpotent(g=m, k=0, u=u), tol) == got
 
-    def test_exact_bases_of_singular_u(self):
-        n = CuspNilpotent(g=3, k=1, u=[[1.0, 2.0], [2.0, 4.0]])
-        rank, nullity, image, kernel = weight_filtration(n, TOL)
-        assert (rank, nullity) == (1, 5)
-        mat = np.array(n.matrix, dtype=object)
-        assert not np.any(mat @ np.array(kernel, dtype=object))
-        assert np.array(image).shape == (6, 1) and np.array(kernel).shape == (6, 5)
+    def test_dimensions_of_singular_u(self):
+        u = [[1.0, 2.0], [2.0, 4.0]]
+        assert weight_filtration(CuspNilpotent(g=3, k=1, u=u), TOL) == (1, 5)
+        assert oracle.weight_filtration(oracle.CuspNilpotent(g=3, k=1, u=u), TOL) == (1, 5)
 
 
 class TestCostGuard:
     def test_genus_bound(self):
         g = exact.HODGE_GENUS_MAX
         assert siegel_membership(1j * np.eye(g), TOL)
-        assert weight_filtration(CuspNilpotent(g=g, k=0, u=np.eye(g)), TOL)[:2] == (g, g)
+        assert weight_filtration(CuspNilpotent(g=g, k=0, u=np.eye(g)), TOL) == (g, g)
         message = f"limited to g <= {g}, got g={g + 1}"
         with pytest.raises(CostGuardError, match=message):
             siegel_membership(1j * np.eye(g + 1), TOL)

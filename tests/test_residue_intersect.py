@@ -337,10 +337,16 @@ class TestChiDescriptor:
 
 class TestIntersectionVanishing:
     def test_g2_d1_dominated_by_dimension_rule(self):
-        for i in range(3):
-            verdict = intersection_vanishing(SIGMA0, [i])
-            assert verdict.value == "zero"
-            assert verdict.reason == ZERO_D_GE_G_MINUS_1
+        # at g = 2 every selection has d >= 1 = g - 1, on any cone: the
+        # principal one, a GL(2,Z) translate, and one with an interior edge
+        translate = gl_act(GroupElement(matrix=((2, 1), (1, 1))), SIGMA0)
+        interior = MarkedCone(g=2, scale=1, generators=(
+            ((1, 0), (0, 0)), ((0, 0), (0, 1)), ((2, 1), (1, 2))))
+        for cone in (SIGMA0, translate, interior):
+            for i in range(3):
+                verdict = intersection_vanishing(cone, [i])
+                assert verdict.value == "zero"
+                assert verdict.reason == ZERO_D_GE_G_MINUS_1
 
     def test_g3_interior_edge(self):
         # replace one boundary edge by an interior (positive definite) one;
