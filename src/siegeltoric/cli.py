@@ -18,7 +18,7 @@ records, tuples), and `main` alone encodes it with
 --output text, readably, and maps `holds` to exit 0 or 1.
 Defaults for seed/trials/tol/output may be placed in a JSON config file
 pointed to by the SIEGELTORIC_CONFIG environment variable; explicit flags
-win over the config file.
+win over the config file, and any other key in it is an input error.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 CONFIG_ENV_VAR = "SIEGELTORIC_CONFIG"
+_CONFIG_KEYS = ("seed", "trials", "tol", "output")   # the parameters of RunConfig
 
 
 class InputError(ValueError):
@@ -70,24 +71,19 @@ def _load_config_defaults() -> dict:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    if unknown:
+        raise InputError(f"config {path}: unknown key {jsonio.quote(unknown[0])}")
     return data
 
 
 def _config_from_args(args) -> RunConfig:
-    defaults = _load_config_defaults()
-
-    def pick(name, fallback):
+    values = _load_config_defaults()
+    for name in _CONFIG_KEYS:
         value = getattr(args, name, None)
         if value is not None:
-            return value
-        return defaults.get(name, fallback)
-
-    return RunConfig(
-        seed=pick("seed", 0),
-        trials=pick("trials", 20),
-        tol=pick("tol", 1e-9),
-        output=pick("output", "json"),
-    )
+            values[name] = value
+    return RunConfig(**values)
 
 
 def _load_json(path: str):

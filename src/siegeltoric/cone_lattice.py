@@ -5,12 +5,12 @@ delta_{ii} = E_ii, delta_{ij} = E_ij + E_ji (i < j), listed in the order
 (1,1),(1,2),...,(1,g),(2,2),...,(g,g).  Cones are simplicial and marked:
 the generators carry a fixed order.  GL(g,Z) acts by A -> f A f^T.
 
-All predicates here are exact (integer / Fraction arithmetic); rational
-determinants, ranks and PSD ranks share one fraction-free elimination
-kernel, and membership and intersection questions reduce to maximal
-supports of rational cones (`exactlp`).  A cone is regular when the
-lattice its generators span has index 1 in Lambda, which `lattice_index`
-reads off an integer column reduction.
+All predicates here are exact (integer / Fraction arithmetic).  A cone's
+coordinates are reduced once, by the integer column reduction
+`lattice_index`; independence, regularity and lattice volume read that
+index.  Rational determinants, adjugates and PSD ranks share one
+fraction-free elimination kernel, and membership and intersection
+questions reduce to maximal supports of rational cones (`exactlp`).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def zeta_matrix(g: int, i: int, j: int) -> IntMatrix:
 
 # ----------------------------------------------------------------------
 # exact elimination: one fraction-free Bareiss kernel for every rational
-# determinant, adjugate, rank and PSD test
+# determinant, adjugate and PSD test
 
 
 def _int_rows(m) -> tuple[list[list[int]], int]:
@@ -167,7 +167,7 @@ def _bareiss(a: list[list[int]], pick, jordan: bool = False) -> tuple[int, int]:
 
 
 def _first_nonzero(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
-    """Pivot for det and rank: the first nonzero live entry, column by column."""
+    """Pivot for rational_det: the first nonzero live entry, column by column."""
     for c in range(k, len(a[0])):
         for r in range(k, len(a)):
             if a[r][c]:
@@ -222,11 +222,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return int(rational_det(rows))
 
 
-def matrix_rank(m: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank of a rational matrix."""
-    return _bareiss(_int_rows(m)[0], _first_nonzero)[0]
-
-
 def psd_rank(m: Sequence[Sequence[int | Fraction]]) -> Optional[int]:
     """Rank of a symmetric PSD matrix, or None when it is not PSD.
 
@@ -255,9 +250,10 @@ def lattice_index(rows: Sequence[Sequence[int]]) -> int:
     the product of their absolute values; a row whose remaining entries all
     vanish is a combination of the rows above it.  The index is the gcd of
     the k x k minors, that is the product of the elementary divisors, so
-    it is 1 exactly when every elementary divisor is 1 (Smith).  Columns
-    are kept from entry i on: the used rows of the remaining columns are
-    zero, and a pivot column is dropped once its diagonal entry is read.
+    it is 1 exactly when every elementary divisor is 1 (Smith), and |det|
+    when k = n.  Columns are kept from entry i on: the used rows of the
+    remaining columns are zero, and a pivot column is dropped once its
+    diagonal entry is read.
     """
     cols = [[int(v) for v in col] for col in zip(*rows)]
     index = 1
@@ -327,7 +323,8 @@ class MarkedCone:
         dup = min((c for c in classes.values() if len(c) > 1), default=None)
         if dup is not None:
             raise ConeShapeError(f"generators {dup[0]} and {dup[1]} are proportional")
-        if matrix_rank(coords) != len(coords):
+        index = lattice_index(coords)
+        if not index:
             raise ConeShapeError("generators are linearly dependent (cone not simplicial)")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
@@ -338,6 +335,7 @@ class MarkedCone:
         self.generators: tuple[IntMatrix, ...] = gens
         self.labels: Optional[tuple[str, ...]] = labels
         self.coords: tuple[tuple[int, ...], ...] = tuple(coords)  # in scale*delta
+        self.index: int = index   # lattice_index(coords), never 0
 
     def __eq__(self, other):
         if type(other) is not MarkedCone:
@@ -410,20 +408,19 @@ class EdgeClass(NamedTuple):
 
 
 def lattice_volume(c: MarkedCone) -> int:
-    """|det| of the generator-coordinate matrix; needs all N generators.
-    Never 0: MarkedCone rejects linearly dependent generators."""
+    """|det| of the generator-coordinate matrix, which is c.index (see
+    lattice_index); needs all N generators."""
     n = sym_dim(c.g)
     if len(c.coords) != n:
         raise DegenerateConeError(
             f"lattice volume needs {n} generators, cone has {len(c.coords)}")
-    return abs(int_det(c.coords))
+    return c.index
 
 
 def is_regular(c: MarkedCone) -> bool:
-    """True iff the generators extend to a Z-basis of the lattice
-    (the coordinate matrix's columns span a lattice of index 1).  The index
-    is never 0: MarkedCone rejects linearly dependent generators."""
-    return lattice_index(c.coords) == 1
+    """True iff the generators extend to a Z-basis of the lattice, that is
+    iff c.index is 1."""
+    return c.index == 1
 
 
 def edge_class(m: Sequence[Sequence[int]]) -> EdgeClass:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from siegeltoric.cone_lattice import matrix_rank
 from siegeltoric.exact_algebra import MultiPoly, PolyMatrix
 from siegeltoric.volume_ke import VolumeFunction, pencil_coordinate_det
+
+from naive_oracle import frac_rank
 
 
 def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]]],
@@ -106,7 +107,7 @@ def degree_profile(v: VolumeFunction) -> DegreeProfile:
     For volume polynomials of pencils positive somewhere in the open
     orthant these must agree; disagreements are reported, not raised.
     """
-    entries = tuple((v.F.degree_in(i), matrix_rank(v.pencil[i]))
+    entries = tuple((v.F.degree_in(i), frac_rank(v.pencil[i]))
                     for i in range(v.nvars))
     return DegreeProfile(entries=entries, violations=tuple(
         i for i, (deg, rank) in enumerate(entries) if deg != rank))

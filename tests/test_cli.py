@@ -621,6 +621,21 @@ class TestConfig:
             "ma", "verify", cone_file, "--randomized", env=env).stdout)
         assert report["seed"] == 99
 
+    def test_unknown_config_key_is_two(self, tmp_path, monkeypatch, capsys):
+        # misspelt keys used to be ignored, so the run took the defaults
+        cfg = tmp_path / "cfg.json"
+        monkeypatch.setenv("SIEGELTORIC_CONFIG", str(cfg))
+        cfg.write_text(json.dumps({"trails": 1, "sed": 5}))
+        assert main(["ma", "verify", "principal-g2", "--randomized"]) == 2
+        assert capsys.readouterr() == ("", f"error: config {cfg}: unknown key 'sed'\n")
+        cfg.write_text(json.dumps({"seed": 3, "x" * 50: 1}))
+        assert main(["catalog", "list"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {cfg}: unknown key '{'x' * 40}'... (50 characters)\n")
+        cfg.write_text(json.dumps({"seed": 3}))
+        assert main(["ma", "verify", "principal-g2", "--randomized", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
     def test_flag_overrides_config(self, cone_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 99}))

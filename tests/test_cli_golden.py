@@ -11,7 +11,9 @@ written as in the test, and its stdout was stored unchanged.  The pins
 hodge-riemann-g2.json, hodge-nilpotent-g3.json,
 hodge-block-volume-g3.json, fan-check-pair-fan.json and
 intersect-pair-fan-edges013.json were captured the same way at commit
-b1b6229.
+b1b6229, and cone-check-volume2-g2.json, cone-volume-volume2-g2.json,
+ma-verify-volume2-g2-symbolic.json and cone-check-index2-g2.json, whose
+cones span lattices of index 2, at commit df74081.
 """
 
 import json
@@ -54,6 +56,10 @@ INPUTS = {
     "block_g3": {"tau_prime": {"re": [[0.5]], "im": [[2.0]]},
                  "Z": {"re": [[0.5, 0.1], [0.1, -0.25]], "im": [[2.0, 0.5], [0.5, 1.0]]},
                  "S": {"re": [[0.25, -0.5]], "im": [[0.5, 0.25]]}},
+    # the principal cone with E11 doubled: lattice volume 2, not regular
+    "volume2_g2": {"g": 2, "generators": [[[2, 0], [0, 0]], E22, [[1, -1], [-1, 1]]]},
+    # one imprimitive generator: index 2, and no lattice volume
+    "index2_g2": {"g": 2, "generators": [[[2, 0], [0, 0]]]},
 }
 
 # golden file -> (argv, exit code)
@@ -81,6 +87,10 @@ REQUESTS = {
     "fan-check-pair-fan.json": (["fan", "check", "{pair_fan}"], 0),
     # rays 0 and 1 lie in the second cone only, ray 3 in the first only
     "intersect-pair-fan-edges013.json": (["intersect", "{pair_fan}", "--edges", "0,1,3"], 0),
+    "cone-check-volume2-g2.json": (["cone", "check", "{volume2_g2}"], 0),
+    "cone-volume-volume2-g2.json": (["cone", "volume", "{volume2_g2}"], 0),
+    "ma-verify-volume2-g2-symbolic.json": (["ma", "verify", "{volume2_g2}", "--symbolic"], 0),
+    "cone-check-index2-g2.json": (["cone", "check", "{index2_g2}"], 0),
 }
 
 

@@ -1,6 +1,7 @@
 """Cones, lattices, group action, fans, separability."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from siegeltoric.cone_lattice import (
     is_separable,
     lattice_index,
     lattice_volume,
-    matrix_rank,
     primitive_ray,
     psd_rank,
     rational_det,
@@ -35,6 +35,7 @@ from siegeltoric.cone_lattice import (
 )
 from siegeltoric.catalog import principal_cone
 from siegeltoric.exactlp import cone_membership, feasible_eq_nonneg, maximal_support
+from siegeltoric.volume_ke import volume_function
 
 import naive_oracle as oracle
 
@@ -66,6 +67,28 @@ def random_unimodular(rng, g):
         else:
             m[i] = [-v for v in m[i]]
     return GroupElement(matrix=tuple(tuple(r) for r in m))
+
+
+def walk(rng, g, steps):
+    """A walk of `steps` elementary operations row_i += +-row_j; its
+    entries grow with the length of the walk."""
+    m = [[int(i == j) for j in range(g)] for i in range(g)]
+    for _ in range(steps):
+        i, j = rng.sample(range(g), 2)
+        s = rng.choice((1, -1))
+        m[i] = [a + s * b for a, b in zip(m[i], m[j])]
+    return GroupElement(matrix=m)
+
+
+def cone_of_coords(g, rows):
+    """The cone whose generators have the delta coordinates rows."""
+    gens = []
+    for r in rows:
+        m = [[0] * g for _ in range(g)]
+        for (i, j), v in zip(delta_index_pairs(g), r):
+            m[i][j] = m[j][i] = v
+        gens.append(m)
+    return MarkedCone(g=g, scale=1, generators=gens)
 
 
 def delta_basis(g):
@@ -220,6 +243,66 @@ class TestRegularity:
                 continue
             assert is_regular(c) == (lattice_volume(c) == 1)
 
+    def test_one_reduction_per_cone(self, monkeypatch):
+        # GroupElement and principal_cone reduce matrices of their own, so
+        # the generators are computed before the counters go in
+        gens = gl_act(walk(random.Random(4), 4, 60), principal_cone(4)).generators
+        calls = {"lattice_index": 0, "_bareiss": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cone_lattice, "lattice_index",
+                            counted("lattice_index", lattice_index))
+        monkeypatch.setattr(cone_lattice, "_bareiss",
+                            counted("_bareiss", cone_lattice._bareiss))
+        c = MarkedCone(g=4, scale=1, generators=gens)
+        assert lattice_volume(c) == 1 and is_regular(c)
+        assert volume_function(c).vol == 1
+        assert calls == {"lattice_index": 1, "_bareiss": 0}
+
+    def test_index_is_det_on_translates(self):
+        # random full cones, whose index varies, moved by long walks; the
+        # action is unimodular on the lattice, so the index stays
+        rng = random.Random(2207)
+        indices = []
+        for g in (3, 4, 5, 6):
+            n = sym_dim(g)
+            for _ in range(2):
+                while True:
+                    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                    try:
+                        base = cone_of_coords(g, rows)
+                        break
+                    except ConeShapeError:
+                        continue
+                moved = gl_act(walk(rng, g, rng.randint(50, 150)), base)
+                assert moved.index == abs(oracle.frac_det(moved.coords)) == base.index
+                assert lattice_volume(moved) == moved.index
+                assert is_regular(moved) == (moved.index == 1)
+                indices.append(moved.index)
+        assert max(indices) > 1
+
+    def test_index_is_minors_gcd_on_cones_not_full(self):
+        rng = random.Random(2208)
+        seen = set()
+        for _ in range(60):
+            g = rng.choice((2, 3, 4))
+            n = sym_dim(g)
+            k = rng.randint(1, n - 1)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            try:
+                c = cone_of_coords(g, rows)
+            except ConeShapeError:
+                continue
+            assert c.index == oracle.minors_gcd(c.coords), rows
+            assert is_regular(c) == (c.index == 1)
+            seen.add(c.index == 1)
+        assert seen == {False, True}
+
 
 class TestEdgeClass:
     def test_identity_interior(self):
@@ -253,7 +336,7 @@ class TestEdgeClass:
             b = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(rng.randint(1, g))]
             gram = [[sum(b[k][i] * b[k][j] for k in range(len(b)))
                      for j in range(g)] for i in range(g)]
-            assert psd_rank(gram) == matrix_rank(gram)
+            assert psd_rank(gram) == oracle.frac_rank(gram)
 
 
 def _rational(rng, bound=4, den=3):
@@ -292,8 +375,11 @@ class TestEliminationKernel:
         rng = random.Random(2718)
         seen = {"not psd": 0, "psd singular": 0, "singular": 0, "rank deficient": 0}
         for family, m in _kernel_cases(rng):
-            rank = matrix_rank(m)
-            assert rank == oracle.frac_rank(m), (family, m)
+            # lattice_index decides independence (of rows scaled to ints)
+            rank = oracle.frac_rank(m)
+            ints = [[int(v * math.lcm(*(Fraction(u).denominator for u in row))) for v in row]
+                    for row in m]
+            assert (lattice_index(ints) != 0) == (rank == len(m)), (family, m)
             square = all(len(row) == len(m) for row in m)
             if square:
                 det = rational_det(m)
@@ -755,7 +841,9 @@ class TestConstructionInvariants:
             MarkedCone(g=3, scale=1, generators=gens)
 
     def test_dependent_generators_rejected(self):
-        with pytest.raises(ConeShapeError):
+        # E11 + E22 is the sum of the other two; no pair is proportional
+        with pytest.raises(ConeShapeError, match=r"^generators are linearly dependent "
+                                                 r"\(cone not simplicial\)$"):
             cone2(E11, E22, ((1, 0), (0, 1)))
 
     def test_too_many_generators_rejected(self):
