@@ -166,15 +166,6 @@ def _bareiss(a: list[list[int]], pick, jordan: bool = False) -> tuple[int, int]:
     return k, sign * prev
 
 
-def _first_nonzero(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
-    """Pivot for rational_det: the first nonzero live entry, column by column."""
-    for c in range(k, len(a[0])):
-        for r in range(k, len(a)):
-            if a[r][c]:
-                return r, c
-    return None
-
-
 def _positive_diagonal(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
     """Pivot for psd_rank: a positive live diagonal entry, none once one is
     negative."""
@@ -185,19 +176,20 @@ def _positive_diagonal(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
     return None if i is None else (i, i)
 
 
+def _in_column(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
+    """Pivot for rational_det and int_det_adjugate: the first nonzero live
+    entry of column k, so that only rows are swapped."""
+    return next(((r, k) for r in range(k, len(a)) if a[r][k]), None)
+
+
 def rational_det(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix; elimination stops at
+    the first live column with no nonzero entry, where the det is 0."""
     a, scale = _int_rows(m)
     if any(len(row) != len(a) for row in a):
         raise ConeShapeError("determinant of a non-square matrix")
-    k, minor = _bareiss(a, _first_nonzero)
+    k, minor = _bareiss(a, _in_column)
     return Fraction(minor, scale) if k == len(a) else Fraction(0)
-
-
-def _in_column(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
-    """Pivot for int_det_adjugate: the first nonzero live entry of column k,
-    so that only rows are swapped."""
-    return next(((r, k) for r in range(k, len(a)) if a[r][k]), None)
 
 
 def int_det_adjugate(y: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
@@ -283,6 +275,8 @@ class MarkedCone:
 
     def __init__(self, g: int, scale: int, generators: Sequence[IntMatrix],
                  labels: Optional[Sequence[str]] = None):
+        """The lattice index of the coordinates alone decides independence;
+        primitive rays are compared only at index 0, to name a pair."""
         if g < 1:
             raise ConeShapeError(f"g must be positive, got {quote(g)}")
         if scale < 1:
@@ -312,19 +306,19 @@ class MarkedCone:
             if not any(c):
                 raise ConeShapeError(f"generator {idx} is zero")
             coords.append(tuple(c))
-        # generators are proportional exactly when their primitive rays
-        # agree up to sign; name the class with the smallest first index
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for idx, c in enumerate(coords):
-            r = primitive_ray(c)
-            if next(v for v in r if v) < 0:
-                r = tuple(-v for v in r)
-            classes.setdefault(r, []).append(idx)
-        dup = min((c for c in classes.values() if len(c) > 1), default=None)
-        if dup is not None:
-            raise ConeShapeError(f"generators {dup[0]} and {dup[1]} are proportional")
         index = lattice_index(coords)
         if not index:
+            # proportional generators (primitive rays equal up to sign) are
+            # dependent; name the class with the smallest first index
+            classes: dict[tuple[int, ...], list[int]] = {}
+            for idx, c in enumerate(coords):
+                r = primitive_ray(c)
+                if next(v for v in r if v) < 0:
+                    r = tuple(-v for v in r)
+                classes.setdefault(r, []).append(idx)
+            dup = min((c for c in classes.values() if len(c) > 1), default=None)
+            if dup is not None:
+                raise ConeShapeError(f"generators {dup[0]} and {dup[1]} are proportional")
             raise ConeShapeError("generators are linearly dependent (cone not simplicial)")
         if labels is not None:
             labels = tuple(str(s) for s in labels)

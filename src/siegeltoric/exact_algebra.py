@@ -351,6 +351,20 @@ def _det_laplace_memo(grid: list[list[MultiPoly]]) -> MultiPoly:
 RationalMatrix = Sequence[Sequence[Fraction | int]]
 
 
+def pencil_size(mats: Sequence[RationalMatrix]) -> int:
+    """The common size g of a pencil of symmetric g x g matrices, compared
+    as given below the diagonal; else DimensionError on the first fault."""
+    if not mats:
+        raise DimensionError("empty pencil")
+    g = len(mats[0])
+    for idx, mat in enumerate(mats):
+        if len(mat) != g or any(len(row) != g for row in mat):
+            raise DimensionError(f"pencil matrix {idx} is not {g}x{g}")
+        if any(mat[i][j] != mat[j][i] for i in range(g) for j in range(i)):
+            raise DimensionError(f"pencil matrix {idx} is not symmetric")
+    return g
+
+
 def pencil_det(mats: Sequence[RationalMatrix]) -> MultiPoly:
     """Determinant of the linear matrix pencil sum_i x_i * mats[i].
 
@@ -358,17 +372,8 @@ def pencil_det(mats: Sequence[RationalMatrix]) -> MultiPoly:
     result is homogeneous of degree g (or zero for a degenerate pencil) in
     len(mats) variables.
     """
-    if not mats:
-        raise DimensionError("empty pencil")
+    g = pencil_size(mats)
     nvars = len(mats)
-    g = len(mats[0])
-    for idx, mat in enumerate(mats):
-        if len(mat) != g or any(len(row) != g for row in mat):
-            raise DimensionError(f"pencil matrix {idx} is not {g}x{g}")
-        for i in range(g):
-            for j in range(g):
-                if Fraction(mat[i][j]) != Fraction(mat[j][i]):
-                    raise DimensionError(f"pencil matrix {idx} is not symmetric")
     entries = []
     for i in range(g):
         for j in range(g):

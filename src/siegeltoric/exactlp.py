@@ -42,9 +42,8 @@ def feasible_eq_nonneg(
     rhs: Sequence[Fraction | int],
     nvars: int,
 ) -> bool:
-    """True iff some x >= 0 in Q^nvars satisfies rows . x = rhs."""
-    if any(len(row) != nvars for row in rows):
-        raise ValueError("row length disagrees with nvars")
+    """True iff some x >= 0 in Q^nvars satisfies rows . x = rhs; a row of
+    the wrong length homogenizes to one that maximal_support rejects."""
     if len(rows) != len(rhs):
         raise ValueError("rows/rhs length mismatch")
     return bool(maximal_support([[-b, *row] for row, b in zip(rows, rhs)], nvars + 1, 1))

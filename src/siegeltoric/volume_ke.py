@@ -78,11 +78,10 @@ from .cone_lattice import (
     MarkedCone,
     delta_index_pairs,
     int_det_adjugate,
-    lattice_volume,
     rational_det,
     sym_dim,
 )
-from .exact_algebra import DimensionError, MultiPoly, pencil_det
+from .exact_algebra import DimensionError, MultiPoly, pencil_det, pencil_size
 
 RANDOM_COORD_MAX = 10 ** 6
 
@@ -137,33 +136,25 @@ def _normalized_pencil(c: MarkedCone) -> tuple[tuple[tuple[Fraction, ...], ...],
 
 
 def volume_function(c: MarkedCone) -> VolumeFunction:
-    """Volume function of the scale-normalized generators.  F is not zero:
-    MarkedCone rejects dependent generators, and independent ones span
-    Sym_g, so I as well."""
+    """Volume function of the scale-normalized generators, vol = c.index.
+    F is not zero: MarkedCone rejects dependent generators, and
+    independent ones span Sym_g, so I as well."""
     n = sym_dim(c.g)
     if len(c.generators) != n:
         raise DegenerateConeError(
             f"volume polynomial needs {n} generators, cone has {len(c.generators)}")
-    vol = lattice_volume(c)
-    return VolumeFunction(g=c.g, nvars=n, pencil=_normalized_pencil(c), vol=vol)
+    return VolumeFunction(g=c.g, nvars=n, pencil=_normalized_pencil(c), vol=c.index)
 
 
 def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
     """det M, the determinant of the delta-coordinates of mats (module
-    docstring); a malformed pencil raises DimensionError."""
-    n = len(mats)
-    g = len(mats[0])
-    if n != sym_dim(g):
+    docstring); a malformed pencil (pencil_size) or one of other than N
+    matrices raises DimensionError."""
+    g = pencil_size(mats)
+    if len(mats) != sym_dim(g):
         raise DimensionError(
-            f"expected {sym_dim(g)} matrices for g={g}, got {n}")
-    rows = []
-    for m in mats:
-        if len(m) != g or any(len(r) != g for r in m):
-            raise DimensionError("ragged pencil")
-        if any(Fraction(m[i][j]) != Fraction(m[j][i]) for i in range(g) for j in range(i)):
-            raise DimensionError("pencil matrix is not symmetric")
-        rows.append([Fraction(m[i][j]) for i, j in delta_index_pairs(g)])
-    return rational_det(rows)
+            f"expected {sym_dim(g)} matrices for g={g}, got {len(mats)}")
+    return rational_det([[m[i][j] for i, j in delta_index_pairs(g)] for m in mats])
 
 
 def ma_rhs_constant(g: int, vol: Fraction | int) -> Fraction:

@@ -264,6 +264,25 @@ class TestRegularity:
         assert volume_function(c).vol == 1
         assert calls == {"lattice_index": 1, "_bareiss": 0}
 
+    def test_valid_cone_computes_no_primitive_ray(self, monkeypatch):
+        # independence is read from the index alone; rays are compared
+        # only at index 0, to name a proportional pair
+        calls = []
+
+        def counted(vec):
+            calls.append(vec)
+            return primitive_ray(vec)
+
+        monkeypatch.setattr(cone_lattice, "primitive_ray", counted)
+        base = principal_cone(4)
+        gl_act(walk(random.Random(6), 4, 40), base)
+        assert calls == []
+        gens = base.generators
+        doubled = tuple(tuple(2 * v for v in row) for row in gens[3])
+        with pytest.raises(ConeShapeError, match=r"^generators 3 and 9 are proportional$"):
+            MarkedCone(g=4, scale=1, generators=gens[:9] + (doubled,))
+        assert len(calls) == 10
+
     def test_index_is_det_on_translates(self):
         # random full cones, whose index varies, moved by long walks; the
         # action is unimodular on the lattice, so the index stays
@@ -416,6 +435,21 @@ class TestEliminationKernel:
                            if det else None), m
         for m in ([[1, 2], [2, 4]], [[0, 1], [0, 2]], [[0]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]):
             assert int_det_adjugate(m) == (0, None)
+
+    def test_singular_det_stops_at_the_empty_column(self):
+        # column p is zero or a combination of the columns before it, so
+        # live column p is empty after p pivots: elimination stops there
+        rng = random.Random(2719)
+        for n in range(2, 7):
+            for p in (0, n // 2, n - 1):
+                for zero in (True, False):
+                    m = [[_rational(rng) for _ in range(n)] for _ in range(n)]
+                    weights = [0 if zero else _rational(rng) for _ in range(p)]
+                    for row in m:
+                        row[p] = sum((w * v for w, v in zip(weights, row)), Fraction(0))
+                    assert rational_det(m) == oracle.frac_det(m) == 0, m
+                    a = cone_lattice._int_rows(m)[0]
+                    assert cone_lattice._bareiss(a, cone_lattice._in_column)[0] == p, m
 
     def test_row_scales_do_not_leak_into_det(self):
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]

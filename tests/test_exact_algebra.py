@@ -16,6 +16,7 @@ from siegeltoric.exact_algebra import (
     PolyMatrix,
     ZeroPolynomialError,
     pencil_det,
+    pencil_size,
     poly_from_json,
     poly_to_json,
 )
@@ -339,6 +340,38 @@ class TestPencilDet:
                 a = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(g)]
                 mats.append([[a[i][j] + a[j][i] for j in range(g)] for i in range(g)])
             assert pencil_det(mats).terms == oracle.pencil_determinant(mats)
+
+
+class TestPencilSize:
+    def test_returns_g(self):
+        rng = random.Random(59)
+        for g in range(1, 5):
+            mats = []
+            for _ in range(rng.randint(1, 3)):
+                a = [[rng.randint(-3, 3) for _ in range(g)] for _ in range(g)]
+                mats.append([[a[i][j] + a[j][i] for j in range(g)] for i in range(g)])
+            assert pencil_size(mats) == g
+
+    def test_messages_in_order(self):
+        ok = [[1, 0], [0, 1]]
+        with pytest.raises(DimensionError, match=r"^empty pencil$"):
+            pencil_size([])
+        with pytest.raises(DimensionError, match=r"^pencil matrix 1 is not 2x2$"):
+            pencil_size([ok, [[1]], [[0, 1], [0, 0]]])
+        with pytest.raises(DimensionError, match=r"^pencil matrix 2 is not 2x2$"):
+            pencil_size([ok, ok, [[1, 0], [0]]])
+        # the first faulty matrix is named, whatever its fault
+        with pytest.raises(DimensionError, match=r"^pencil matrix 1 is not symmetric$"):
+            pencil_size([ok, [[0, 1], [0, 0]], [[1]]])
+
+    def test_lower_triangle_difference_rejected(self):
+        # symmetric but for one entry below the diagonal; the upper
+        # triangle alone agrees with a symmetric matrix
+        m = [[1, 2, 3], [2, 4, 5], [3, 5, 6]]
+        m[2][0] = Fraction(7, 2)
+        with pytest.raises(DimensionError, match=r"^pencil matrix 0 is not symmetric$"):
+            pencil_size([m])
+        assert pencil_size([[[Fraction(1, 2), 1], [Fraction(1), 0]]]) == 2
 
 
 class TestSerialization:

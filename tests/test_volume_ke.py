@@ -14,7 +14,7 @@ from siegeltoric.cone_lattice import (
     rational_det,
     sym_dim,
 )
-from siegeltoric.exact_algebra import MultiPoly, PolyMatrix, pencil_det
+from siegeltoric.exact_algebra import DimensionError, MultiPoly, PolyMatrix, pencil_det
 from siegeltoric.volume_ke import (
     F_NVARS_MAX,
     CostGuardError,
@@ -528,6 +528,21 @@ class TestKEPoint:
     def test_dependent_pencil_rejected(self):
         with pytest.raises(DegenerateConeError):
             is_ke_point([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]]])
+
+    def test_empty_pencil_is_an_input_error(self):
+        for fn in (pencil_coordinate_det, is_ke_point):
+            with pytest.raises(DimensionError, match=r"^empty pencil$"):
+                fn([])
+
+    def test_malformed_pencil_messages(self):
+        # the shape checks are pencil_det's; the count check comes after them
+        e11, e22 = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
+        with pytest.raises(DimensionError, match=r"^pencil matrix 1 is not 2x2$"):
+            pencil_coordinate_det([e11, [[1]], e22])
+        with pytest.raises(DimensionError, match=r"^pencil matrix 2 is not symmetric$"):
+            pencil_coordinate_det([e11, e22, [[0, 1], [2, 0]]])
+        with pytest.raises(DimensionError, match=r"^expected 3 matrices for g=2, got 2$"):
+            is_ke_point([e11, e22])
 
     def test_scaled_pencil_still_member(self):
         # the D^2 factor absorbs diagonal rescaling: vol-2 pencils pass too
