@@ -180,12 +180,12 @@ def _cmd_ma_verify(args, config: RunConfig) -> tuple[dict, bool]:
         v, mode=mode, trials=config.trials, seed=config.seed)
     report = {
         "identity": "monge-ampere",
-        "mode": result.mode,
+        "mode": mode,
         "holds": result.holds,
-        "vol": result.vol,
-        "g": result.g,
+        "vol": v.vol,
+        "g": v.g,
         "witnesses": result.witnesses,
-        "seed": result.seed,
+        "seed": config.seed if args.randomized else None,
     }
     return report, result.holds
 
@@ -207,7 +207,7 @@ def _cmd_residue(args, config: RunConfig) -> tuple[dict, bool]:
     v = volume_ke.volume_function(cone)
     rc = residue_intersect.residue_chain(v, args.d)
     report = {
-        "d": rc.d,
+        "d": args.d,
         "S": rc.S,
         "g_d": rc.gd,
         "chi": residue_intersect.chi_descriptor(rc),
@@ -261,49 +261,49 @@ def _cmd_intersect(args, config: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_fan_check(args, config: RunConfig) -> tuple[dict, bool]:
     fan = _read(args.fan, jsonio.fan_from_json)
-    result = cone_lattice.is_fan(fan.cones)
+    violations = cone_lattice.is_fan(fan)
+    ok = not violations
     report = {
         "check": "fan",
         "g": fan.g,
         "scale": fan.scale,
         "num_cones": len(fan.cones),
-        "is_fan": result.ok,
-        "violations": result.violations,
-        "ok": result.ok,
+        "is_fan": ok,
+        "violations": violations,
+        "ok": ok,
     }
-    return report, result.ok
+    return report, ok
 
 
 def _cmd_separable(args, config: RunConfig) -> tuple[dict, bool]:
     fan = _read(args.fan, jsonio.fan_from_json)
-    group = _read(args.group, jsonio.group_from_json)
-    result = cone_lattice.is_separable(fan.cones, group)
+
+    def group_of_fan_genus(obj):
+        group = jsonio.group_from_json(obj)
+        for i, gamma in enumerate(group):
+            if gamma.g != fan.g:
+                raise InputError(
+                    f"group element {i} is {gamma.g}x{gamma.g}, fan has g={fan.g}")
+        return group
+
+    group = _read(args.group, group_of_fan_genus)
     # canonical report ordering: sort by cone label, then group element
-    labels = []
-    for idx, cone in enumerate(fan.cones):
-        labels.append(cone.labels[0] if cone.labels else f"cone{idx}")
+    labels = [c.labels[0] if c.labels else f"cone{i}" for i, c in enumerate(fan.cones)]
     violations = sorted(
-        (
-            {
-                "cone_index": v.cone_index,
-                "cone_label": labels[v.cone_index],
-                "group_index": v.group_index,
-                "moved_generator": v.moved_generator,
-            }
-            for v in result.violations
-        ),
-        key=lambda d: (d["cone_label"], d["group_index"]),
-    )
+        (dict(v._asdict(), cone_label=labels[v.cone_index])
+         for v in cone_lattice.is_separable(fan, group)),
+        key=lambda d: (d["cone_label"], d["group_index"]))
+    ok = not violations
     report = {
         "check": "separable",
         "num_cones": len(fan.cones),
         "num_group_elements": len(group),
-        "separable": result.separable,
+        "separable": ok,
         "violations": violations,
         "note": "certificate relative to the supplied group elements only",
-        "ok": result.separable,
+        "ok": ok,
     }
-    return report, result.separable
+    return report, ok
 
 
 def _nilpotent_from_json(obj) -> period_domain.CuspNilpotent:

@@ -27,16 +27,16 @@ IntMatrix = tuple[tuple[int, ...], ...]
 _QUOTE_MAX = 40   # characters of a rejected value quoted in an error
 
 
-class NotInLatticeError(ValueError):
-    """Matrix entries are not divisible by the lattice scale."""
-
-
 class DegenerateConeError(ValueError):
     """The generators do not span a full-dimensional cone."""
 
 
 class ConeShapeError(ValueError):
     """Structurally invalid cone or group data."""
+
+
+class NotInLatticeError(ConeShapeError):
+    """Matrix entries are not divisible by the lattice scale."""
 
 
 def _unlimited_digits(fn, *args):
@@ -470,12 +470,7 @@ def _support(own: Sequence[Sequence[int]], other: Sequence[Sequence[int]],
     return maximal_support(rows, len(own) + len(other), k)
 
 
-class FanReport(NamedTuple):
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-
-def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
+def is_fan(fan: Fan) -> tuple[str, ...]:
     """Check the fan condition: every pairwise intersection is a common face.
 
     For simplicial cones sigma, tau let S be the maximal support of
@@ -492,19 +487,15 @@ def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
     faces would lie in, hence equal, sigma cap tau; membership LPs on S,
     then on T, name the first, which the violation reports.  An empty S
     (and then T) means the cones meet only at 0.
+
+    Returns the violations, one per failing pair; an empty tuple means
+    the cones form a fan.
     """
-    cones = list(cones)
-    if not cones:
-        raise ConeShapeError("empty cone list")
-    g, scale = cones[0].g, cones[0].scale
-    for c in cones:
-        if c.g != g or c.scale != scale:
-            raise ConeShapeError("cones disagree on g or scale")
-    coords = [c.coords for c in cones]
+    coords = [c.coords for c in fan.cones]
     rays = [[primitive_ray(u) for u in c] for c in coords]
     violations: list[str] = []
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
             n = len(coords[i])
             both = _support(coords[i], coords[j], n + len(coords[j]))
             s = [k for k in both if k < n]
@@ -520,7 +511,7 @@ def is_fan(cones: Sequence[MarkedCone]) -> FanReport:
                         f"cones {i} and {j}: intersection is not a face of cone {own} "
                         f"(generator {escaping} escapes)")
                     break
-    return FanReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 class SeparabilityViolation(NamedTuple):
@@ -529,13 +520,8 @@ class SeparabilityViolation(NamedTuple):
     moved_generator: int
 
 
-class SeparabilityReport(NamedTuple):
-    separable: bool
-    violations: tuple[SeparabilityViolation, ...] = ()
-
-
-def is_separable(cones: Sequence[MarkedCone],
-                 group: Sequence[GroupElement]) -> SeparabilityReport:
+def is_separable(fan: Fan,
+                 group: Sequence[GroupElement]) -> tuple[SeparabilityViolation, ...]:
     """Separability certificate against an explicit list of group elements.
 
     For every pair (gamma, sigma) whose transformed cone still meets sigma
@@ -543,15 +529,15 @@ def is_separable(cones: Sequence[MarkedCone],
     first moved generator is recorded as a violation.  A gamma that moves
     no generator needs no moved cone and no meeting test.  Sound but
     incomplete: it certifies nothing about group elements outside the
-    supplied list.
+    supplied list.  Returns the violations in group, then cone order; an
+    empty tuple means the fan is separable against the list.
     """
     violations: list[SeparabilityViolation] = []
     for gi, gamma in enumerate(group):
-        for ci, cone in enumerate(cones):
+        for ci, cone in enumerate(fan.cones):
             k = next((k for k, gen in enumerate(cone.generators)
                       if transform_matrix(gamma, gen) != gen), None)
             if k is not None and cones_meet_nontrivially(gl_act(gamma, cone), cone):
                 violations.append(SeparabilityViolation(
                     group_index=gi, cone_index=ci, moved_generator=k))
-    return SeparabilityReport(separable=not violations,
-                              violations=tuple(violations))
+    return tuple(violations)

@@ -111,6 +111,18 @@ def group_element_from_json(obj: Mapping) -> GroupElement:
         raise InputFormatError(f"invalid group element: {exc}") from exc
 
 
+def _entries(items: list, parse, what: str) -> list:
+    """parse(item) for each item, with `<what> <i>: ` in front of an error
+    in entry i."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(parse(item))
+        except ValueError as exc:
+            raise InputFormatError(f"{what} {i}: {exc}") from exc
+    return out
+
+
 def group_from_json(obj) -> list[GroupElement]:
     """A group file is either one element object or a list of them
     (optionally wrapped as {"elements": [...]})."""
@@ -119,14 +131,14 @@ def group_from_json(obj) -> list[GroupElement]:
     if isinstance(obj, Mapping):
         return [group_element_from_json(obj)]
     if isinstance(obj, list):
-        return [group_element_from_json(e) for e in obj]
+        return _entries(obj, group_element_from_json, "element")
     raise InputFormatError("group file must hold an element or a list of elements")
 
 
 def fan_from_json(obj: Mapping) -> Fan:
     if not isinstance(obj, Mapping) or not isinstance(obj.get("cones"), list):
         raise InputFormatError("fan file needs a 'cones' list")
-    cones = tuple(cone_from_json(c) for c in obj["cones"])
+    cones = _entries(obj["cones"], cone_from_json, "cone")
     try:
         return Fan(cones=cones)
     except ConeShapeError as exc:

@@ -86,13 +86,12 @@ ONE_TORIC_COMMON_CONE = "toric_common_cone"
 
 
 class ResidueChain(NamedTuple):
-    """Successive leading coefficients S_0..S_d and the minor determinant."""
+    """Successive leading coefficients S_0..S_d and the minor determinant;
+    d is len(S) - 1 and N is gd.nvars."""
 
-    d: int
     S: tuple[MultiPoly, ...]
     gd: MultiPoly
     g: int
-    nvars: int
 
 
 def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
@@ -112,8 +111,7 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
     chain = [v.F]
     for k in range(d):
         chain.append(chain[-1].leading_coeff_in(k)[1])
-    return ResidueChain(d=d, S=tuple(chain), gd=_residue_minor(chain[-1], d),
-                        g=v.g, nvars=n)
+    return ResidueChain(S=tuple(chain), gd=_residue_minor(chain[-1], d), g=v.g)
 
 
 def _residue_minor(s: MultiPoly, d: int) -> MultiPoly:
@@ -154,7 +152,7 @@ class ChiDescriptor(NamedTuple):
 
 
 def chi_descriptor(rc: ResidueChain) -> ChiDescriptor:
-    n, d = rc.nvars, rc.d
+    n, d = rc.gd.nvars, len(rc.S) - 1
     constant = Fraction(-1) ** (n - d) * Fraction(rc.g + 1, 4) ** (n - d)
     for k in range(2, n - d + 1):
         constant *= k
@@ -163,16 +161,20 @@ def chi_descriptor(rc: ResidueChain) -> ChiDescriptor:
                          denominator_exp=2 * (n - d))
 
 
-class IntersectionVerdict:
-    def __init__(self, value: str, reason: Optional[str] = None,
-                 chi: Optional[ChiDescriptor] = None):
-        if value == "zero" and reason is None:
-            raise ValueError("a zero verdict needs exactly one reason")
-        if value == "one" and reason != ONE_TORIC_COMMON_CONE:
-            raise ValueError("value one arises only from the toric full-product rule")
-        self.value = value             # "zero" | "one" | "unknown"
-        self.reason = reason
-        self.chi = chi
+class IntersectionVerdict(NamedTuple):
+    """The rule that decided the product, None when none did, and the
+    residue integrand of an undecided full cone."""
+
+    reason: Optional[str]
+    chi: Optional[ChiDescriptor] = None
+
+    @property
+    def value(self) -> str:
+        """One for the toric common-cone rule, zero for every other rule,
+        unknown when no rule decided."""
+        if self.reason is None:
+            return "unknown"
+        return "one" if self.reason == ONE_TORIC_COMMON_CONE else "zero"
 
 
 def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> IntersectionVerdict:
@@ -197,17 +199,17 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     if not 1 <= d <= n - 1:
         raise ValueError(f"selection size must be in [1, {n - 1}], got {d}")
     if d >= c.g - 1:
-        return IntersectionVerdict(value="zero", reason=ZERO_D_GE_G_MINUS_1)
+        return IntersectionVerdict(ZERO_D_GE_G_MINUS_1)
     for i in sel:
         if edge_class(c.generators[i]).kind == "interior":
-            return IntersectionVerdict(value="zero", reason=ZERO_INTERIOR_EDGE)
+            return IntersectionVerdict(ZERO_INTERIOR_EDGE)
     chi = None
     if len(c.generators) == n:
         order = sel + [i for i in range(n) if i not in sel]
         v = volume_function(c)
-        permuted = VolumeFunction(c.g, n, tuple(v.pencil[i] for i in order), v.vol)
+        permuted = VolumeFunction(tuple(v.pencil[i] for i in order), v.vol)
         chi = chi_descriptor(residue_chain(permuted, d))
-    return IntersectionVerdict(value="unknown", chi=chi)
+    return IntersectionVerdict(None, chi)
 
 
 def toric_verdict(fan: Fan, rays: Sequence[Sequence[int]]) -> IntersectionVerdict:
@@ -227,5 +229,5 @@ def toric_verdict(fan: Fan, rays: Sequence[Sequence[int]]) -> IntersectionVerdic
     if len(rays) != n:
         raise ValueError("edge rays must be pairwise distinct")
     if any(c.rays() == rays for c in top_cones):
-        return IntersectionVerdict(value="one", reason=ONE_TORIC_COMMON_CONE)
-    return IntersectionVerdict(value="zero", reason=ZERO_TORIC_EMPTY)
+        return IntersectionVerdict(ONE_TORIC_COMMON_CONE)
+    return IntersectionVerdict(ZERO_TORIC_EMPTY)

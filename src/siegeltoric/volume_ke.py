@@ -71,7 +71,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .cone_lattice import (
     DegenerateConeError,
@@ -106,12 +106,12 @@ class CostGuardError(ValueError):
 
 class VolumeFunction:
     """Pencil data of a marked cone; its volume polynomial F is expanded on
-    first use."""
+    first use.  The pencil fixes g (its matrix size, which pencil_size
+    checks) and N (its length)."""
 
-    def __init__(self, g: int, nvars: int,
-                 pencil: tuple[tuple[tuple[Fraction, ...], ...], ...], vol: int):
-        self.g = g
-        self.nvars = nvars
+    def __init__(self, pencil: tuple[tuple[tuple[Fraction, ...], ...], ...], vol: int):
+        self.g = pencil_size(pencil)
+        self.nvars = len(pencil)
         self.pencil = pencil
         self.vol = vol
 
@@ -143,7 +143,7 @@ def volume_function(c: MarkedCone) -> VolumeFunction:
     if len(c.generators) != n:
         raise DegenerateConeError(
             f"volume polynomial needs {n} generators, cone has {len(c.generators)}")
-    return VolumeFunction(g=c.g, nvars=n, pencil=_normalized_pencil(c), vol=c.index)
+    return VolumeFunction(pencil=_normalized_pencil(c), vol=c.index)
 
 
 def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
@@ -182,22 +182,9 @@ class MAWitness(NamedTuple):
     rhs: Fraction
 
 
-class MAReport:
-    def __init__(self, holds: bool, mode: str, witnesses: tuple[MAWitness, ...] = (),
-                 seed: Optional[int] = None, g: int = 0, vol: int = 0):
-        if holds and witnesses:
-            raise ValueError("a holding identity cannot carry failure witnesses")
-        self.holds = holds
-        self.mode = mode               # "symbolic" | "randomized"
-        self.witnesses = witnesses
-        self.seed = seed
-        self.g = g
-        self.vol = vol
-
-    def __eq__(self, other):
-        if type(other) is not MAReport:
-            return NotImplemented
-        return vars(self) == vars(other)
+class MAReport(NamedTuple):
+    holds: bool
+    witnesses: tuple[MAWitness, ...] = ()   # failing points, randomized mode only
 
 
 def random_rational_point(rng: random.Random, nvars: int) -> tuple[Fraction, ...]:
@@ -257,7 +244,7 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
     """
     if mode == "symbolic":
         d = pencil_coordinate_det(v.pencil)
-        return MAReport(holds=d * d == v.vol * v.vol, mode="symbolic", g=v.g, vol=v.vol)
+        return MAReport(holds=d * d == v.vol * v.vol)
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
@@ -275,8 +262,7 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
         rhs = c * fval ** ((v.g + 1) * (v.g - 1))
         if lhs != rhs:
             witnesses.append(MAWitness(point=point, lhs=lhs, rhs=rhs))
-    return MAReport(holds=not witnesses, mode="randomized",
-                    witnesses=tuple(witnesses), seed=seed, g=v.g, vol=v.vol)
+    return MAReport(holds=not witnesses, witnesses=tuple(witnesses))
 
 
 # ----------------------------------------------------------------------

@@ -23,12 +23,12 @@ from naive_oracle import frac_rank
 
 
 def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]]],
-                                g: int, vol: int) -> VolumeFunction:
+                                vol: int) -> VolumeFunction:
     """Volume-function wrapper around an explicit pencil (no cone attached);
     its N matrices must be symmetric, but need not be independent."""
     pencil = tuple(
         tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats)
-    v = VolumeFunction(g=g, nvars=len(pencil), pencil=pencil, vol=vol)
+    v = VolumeFunction(pencil=pencil, vol=vol)
     if pencil_coordinate_det(pencil) == 0:
         v.F  # expanding F raises if it is 0; independent pencils span I
     return v

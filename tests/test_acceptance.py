@@ -161,7 +161,7 @@ def test_criterion_05_degree_lemma(capsys):
         f = pencil_det(mats)
         if f.is_zero():
             continue
-        ok = ok and degree_profile(volume_function_from_pencil(mats, g=g, vol=1)).ok
+        ok = ok and degree_profile(volume_function_from_pencil(mats, vol=1)).ok
     elapsed = time.perf_counter() - t0
     announce(capsys, "criterion 5: degree lemma deg_i F = rank A_i "
                      "(catalog + 25 random PSD pencils)", ok, elapsed, 5.0)
@@ -219,11 +219,9 @@ def test_criterion_08_separability_counterexample(capsys):
     sigma0 = principal_cone(2)
     swap = GroupElement(matrix=((0, 1), (1, 0)))
     t0 = time.perf_counter()
-    report = is_separable([sigma0], [swap])
+    violations = is_separable(Fan(cones=(sigma0,)), [swap])
     elapsed = time.perf_counter() - t0
-    ok = (not report.separable
-          and report.violations
-          and report.violations[0].cone_index == 0)
+    ok = bool(violations) and violations[0].cone_index == 0
     announce(capsys, "criterion 8: coordinate swap breaks separability of "
                      "the g=2 principal cone", ok, elapsed, 1.0)
 
@@ -317,10 +315,10 @@ def test_criterion_11_genus3_fan_frontier(capsys):
     # intersection tau is not a face of sigma and generator 0 escapes
     tau = MarkedCone(g=3, scale=1, generators=(merged,) + u[2:])
     t0 = time.perf_counter()
-    fan_report = is_fan(cones)
-    pair_report = is_fan([sigma, tau])
+    fan_violations = is_fan(Fan(cones=cones))
+    pair_violations = is_fan(Fan(cones=(sigma, tau)))
     elapsed = time.perf_counter() - t0
-    ok = fan_report.ok and pair_report.violations == (
+    ok = fan_violations == () and pair_violations == (
         "cones 0 and 1: intersection is not a face of cone 0 (generator 0 escapes)",)
     announce(capsys, "criterion 11: genus-3 fan check (16 GL(3,Z) translates of "
                      "principal-g3, one non-fan pair)", ok, elapsed, 5.0)

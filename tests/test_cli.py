@@ -132,8 +132,28 @@ class TestExitCodes:
         assert main(["separable", fan_file, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            f"error: {path}: invalid group element: matrix has determinant "
+            f"error: {path}: element 0: invalid group element: matrix has determinant "
             f"{'9' * 40}... (5000 characters), expected +-1\n")
+
+    def test_scale_violation_is_an_invalid_cone(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"g": 2, "scale": 2, "generators": [[[2, 1], [1, 2]], [[2, 0], [0, 0]]]}))
+        assert main(["cone", "check", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: invalid cone: entry (1,2)=1 not divisible by scale 2\n")
+
+    @pytest.mark.parametrize("group, prefix", [
+        ([{"matrix": [[1, 0], [0, 1]]}, {"matrix": [[2, 0], [0, 1]]}], "element 1: "),
+        ({"elements": [{"matrix": [[2, 0], [0, 1]]}]}, "element 0: "),
+        ({"matrix": [[2, 0], [0, 1]]}, ""),
+    ], ids=["list", "elements", "single"])
+    def test_group_error_names_its_element(self, group, prefix, fan_file, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        assert main(["separable", fan_file, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {prefix}invalid group element: "
+                                           "matrix has determinant 2, expected +-1\n")
 
     def test_unknown_name_is_two(self):
         assert run_cli("cone", "check", "no-such-entry").returncode == 2
@@ -214,12 +234,15 @@ class TestExitCodes:
         ({"cones": 5}, "fan file needs a 'cones' list"),
         ({"cones": None}, "fan file needs a 'cones' list"),
         ({"cones": [{"g": 1, "scale": 1, "generators": [[[1]]], "labels": 5}]},
-         "cone 'labels' must be a list"),
+         "cone 0: cone 'labels' must be a list"),
+        ({"cones": [{"g": 2, "scale": 1, "generators": [[[1, 0], [0, 0]]]},
+                    {"g": 2, "scale": 1, "generators": [[[0, 1], [0, 0]]]}]},
+         "cone 1: invalid cone: generator 0 is not symmetric"),
         ({"cones": [{"g": 1, "scale": 1, "generators": [[[1]]]},
                     {"g": 2, "scale": 1, "generators": [[[1, 0], [0, 0]]]}]},
          "invalid fan: fan cones disagree on g or scale"),
     ], ids=["top-level-number", "cones-number", "cones-null", "labels-number",
-            "genus-mismatch"])
+            "second-cone-asymmetric", "genus-mismatch"])
     def test_bad_fan_file_is_two(self, fan, message, tmp_path, group_file):
         path = tmp_path / "fan.json"
         path.write_text(json.dumps(fan))
@@ -238,7 +261,7 @@ class TestExitCodes:
             [{"matrix": [[int(i == j) for j in range(size)] for i in range(size)]}]))
         assert main(["separable", str(fan), str(group)]) == 2
         assert capsys.readouterr() == (
-            "", f"error: group element is {size}x{size}, cone has g=3\n")
+            "", f"error: {group}: group element 0 is {size}x{size}, fan has g=3\n")
 
     @pytest.mark.parametrize("text", ['{"re": [[NaN]], "im": [[1]]}',
                                       '{"re": [[0]], "im": [[Infinity]]}'],

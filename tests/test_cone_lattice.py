@@ -12,7 +12,6 @@ from siegeltoric.cone_lattice import (
     ConeShapeError,
     DegenerateConeError,
     Fan,
-    FanReport,
     GroupElement,
     MarkedCone,
     NotInLatticeError,
@@ -472,6 +471,12 @@ class TestGlAct:
         gamma = GroupElement(matrix=((1, 0), (1, 1)))
         assert transform_matrix(gamma, E11) == ((1, 1), (1, 1))
 
+    def test_element_of_other_size_rejected(self):
+        # the library guard; the CLI checks sizes when it reads the group
+        gamma = GroupElement(matrix=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ConeShapeError, match=r"^group element is 3x3, cone has g=2$"):
+            gl_act(gamma, SIGMA0)
+
     def test_preserves_volume_and_ranks(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -565,24 +570,20 @@ def _faces_of(cone):
 
 class TestFan:
     def test_single_cone_with_faces(self):
-        report = is_fan([SIGMA0] + _faces_of(SIGMA0))
-        assert report.ok
+        assert is_fan(Fan([SIGMA0] + _faces_of(SIGMA0))) == ()
 
     def test_overlapping_interiors_rejected(self):
         # second cone shares the interior direction of the first
         a = cone2(E11, E22)
         b = cone2(((1, 0), (0, 1)), ((1, 0), (0, 2)))
-        report = is_fan([a, b])
-        assert not report.ok and report.violations
+        assert is_fan(Fan([a, b]))
 
     def test_equal_cone_under_swap(self):
-        report = is_fan([SIGMA0, gl_act(SWAP, SIGMA0)])
-        assert report.ok
+        assert is_fan(Fan([SIGMA0, gl_act(SWAP, SIGMA0)])) == ()
 
     def test_two_chambers_share_facet(self):
         gamma = GroupElement(matrix=((1, 0), (1, 1)))
-        report = is_fan([SIGMA0, gl_act(gamma, SIGMA0)])
-        assert report.ok
+        assert is_fan(Fan([SIGMA0, gl_act(gamma, SIGMA0)])) == ()
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +621,8 @@ def _gen_in_cone_oracle(a, idx, b):
     return cone_membership(point, [[b.scale * v for v in row] for row in b.coords])
 
 
-def is_fan_oracle(cones):
+def is_fan_oracle(fan):
+    cones = fan.cones
     violations = []
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
@@ -640,14 +642,15 @@ def is_fan_oracle(cones):
                             f"cones {i} and {j}: intersection is not a face of cone {j} "
                             f"(generator {idx} escapes)")
                         break
-    return FanReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
-def is_fan_per_side_oracle(cones):
+def is_fan_per_side_oracle(fan):
     """The fan check with one support LP per side of a pair: the maximal
     support of sigma cap tau in sigma's generators, then a membership LP
     per supported generator up to the first outside tau, and the same
     with the cones swapped."""
+    cones = fan.cones
     violations = []
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
@@ -663,7 +666,7 @@ def is_fan_per_side_oracle(cones):
                         f"cones {i} and {j}: intersection is not a face of cone {own} "
                         f"(generator {escaping} escapes)")
                     break
-    return FanReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def _marked(cone, marking):
@@ -746,10 +749,8 @@ class TestFanOracle:
     def test_g2_translate_fans(self):
         rng = random.Random(2207)
         for _ in range(6):
-            cones = _translate_fan(rng, 2, rng.randint(4, 9))
-            report = is_fan(cones)
-            assert report == is_fan_oracle(cones)
-            assert report.ok
+            fan = Fan(_translate_fan(rng, 2, rng.randint(4, 9)))
+            assert is_fan(fan) == is_fan_oracle(fan) == ()
 
     def test_principal_beside_non_face_subcone(self):
         rng = random.Random(3307)
@@ -757,10 +758,10 @@ class TestFanOracle:
         for g in (2, 2, 2, 2, 2, 2, 3, 3):
             sigma = gl_act(random_unimodular(rng, g), principal_cone(g))
             tau = _subcone(rng, sigma)
-            for cones in ([sigma, tau], [tau, sigma]):
-                report = is_fan(cones)
-                assert report == is_fan_oracle(cones), cones
-                violations += report.violations
+            for fan in (Fan([sigma, tau]), Fan([tau, sigma])):
+                found = is_fan(fan)
+                assert found == is_fan_oracle(fan), fan.cones
+                violations += found
         # both sides of the check are exercised
         assert any("face of cone 0" in v for v in violations)
         assert any("face of cone 1" in v for v in violations)
@@ -771,10 +772,8 @@ class TestFanOracle:
         frame = GroupElement(matrix=((1, 1, 0), (0, 1, -1), (1, 1, -1)))
         base = principal_cone(3)
         moved = gl_act(frame, gl_act(GroupElement(matrix=tuple(map(tuple, h))), base))
-        cones = [_marked(gl_act(frame, base), m1), _marked(moved, m2)]
-        report = is_fan(cones)
-        assert report == is_fan_oracle(cones)
-        assert report.ok
+        fan = Fan([_marked(gl_act(frame, base), m1), _marked(moved, m2)])
+        assert is_fan(fan) == is_fan_oracle(fan) == ()
 
 
 class TestFanSingleLP:
@@ -785,11 +784,11 @@ class TestFanSingleLP:
         violations, fans = 0, 0
         for g in (2, 2, 2, 3, 3, 3, 4, 4):
             for _ in range(4):
-                cones = _mixed_fan(rng, g)
-                report = is_fan(cones)
-                assert report == is_fan_per_side_oracle(cones), [c.generators for c in cones]
-                violations += len(report.violations)
-                fans += report.ok
+                fan = Fan(_mixed_fan(rng, g))
+                found = is_fan(fan)
+                assert found == is_fan_per_side_oracle(fan), [c.generators for c in fan.cones]
+                violations += len(found)
+                fans += not found
         assert violations >= 40 and fans
 
     def test_valid_fan_runs_one_support_lp_per_pair(self, monkeypatch):
@@ -805,34 +804,30 @@ class TestFanSingleLP:
                             counted("support", maximal_support))
         monkeypatch.setattr(cone_lattice, "cone_membership",
                             counted("membership", cone_membership))
-        cones = _translate_fan(random.Random(1913), 3, 8)
-        assert is_fan(cones).ok
+        assert is_fan(Fan(_translate_fan(random.Random(1913), 3, 8))) == ()
         assert calls == {"support": 8 * 7 // 2, "membership": 0}
 
 
 class TestSeparable:
     def test_swap_violation_on_principal(self):
-        report = is_separable([SIGMA0], [SWAP])
-        assert not report.separable
-        assert report.violations[0].cone_index == 0
+        found = is_separable(Fan([SIGMA0]), [SWAP])
+        assert found and found[0].cone_index == 0
 
     def test_identity_separable(self):
-        report = is_separable([SIGMA0], [GroupElement(matrix=((1, 0), (0, 1)))])
-        assert report.separable
+        assert is_separable(Fan([SIGMA0]), [GroupElement(matrix=((1, 0), (0, 1)))]) == ()
 
     def test_minus_identity_acts_trivially(self):
-        report = is_separable([SIGMA0], [GroupElement(matrix=((-1, 0), (0, -1)))])
-        assert report.separable
+        assert is_separable(Fan([SIGMA0]), [GroupElement(matrix=((-1, 0), (0, -1)))]) == ()
 
     def test_elements_fixing_each_cone_need_no_meeting_test(self, monkeypatch):
         def meet(a, b):
             raise AssertionError("meeting test called")
 
         monkeypatch.setattr(cone_lattice, "cones_meet_nontrivially", meet)
-        cones = _translate_fan(random.Random(5501), 2, 4)
+        fan = Fan(_translate_fan(random.Random(5501), 2, 4))
         group = [GroupElement(matrix=((1, 0), (0, 1))),
                  GroupElement(matrix=((-1, 0), (0, -1)))]
-        assert is_separable(cones, group).separable
+        assert is_separable(fan, group) == ()
 
     def test_matches_oracle_on_translates(self):
         # the oracle asks whether the cones meet first, then for the first
@@ -855,8 +850,7 @@ class TestSeparable:
                     kinds.add((meets, k is not None))
                     if meets and k is not None:
                         want.append((gi, ci, k))
-            report = is_separable(cones, group)
-            assert [tuple(v) for v in report.violations] == want
+            assert [tuple(v) for v in is_separable(Fan(cones), group)] == want
         # fixed cones, and moved cones that meet their original or miss it
         assert kinds == {(True, False), (True, True), (False, True)}
 
@@ -890,6 +884,10 @@ class TestConstructionInvariants:
 
     def test_lattice_violation_rejected(self):
         with pytest.raises(NotInLatticeError):
+            cone2(E11, scale=2)
+
+    def test_lattice_violation_is_a_shape_error(self):
+        with pytest.raises(ConeShapeError, match=r"^entry \(1,1\)=1 not divisible by scale 2$"):
             cone2(E11, scale=2)
 
     def test_fan_mixed_scales_rejected(self):

@@ -24,6 +24,7 @@ from siegeltoric.residue_intersect import (
     ZERO_INTERIOR_EDGE,
     ZERO_TORIC_EMPTY,
     CostGuardError,
+    IntersectionVerdict,
     chi_descriptor,
     intersection_vanishing,
     residue_chain,
@@ -43,8 +44,8 @@ V2 = volume_function(SIGMA0)
 V3 = volume_function(SIGMA0_G3)
 
 
-def pencil_vf(mats, g, vol=1):
-    return t_matrix_oracle.volume_function_from_pencil(mats, g=g, vol=vol)
+def pencil_vf(mats, vol=1):
+    return t_matrix_oracle.volume_function_from_pencil(mats, vol=vol)
 
 
 def invertible_case_cone(g):
@@ -101,7 +102,7 @@ class TestDegreeProfile:
 
     def test_full_rank_first_matrix(self):
         mats = [[[1, 0], [0, 1]], [[0, 0], [0, 1]], [[1, -1], [-1, 1]]]
-        prof = t_matrix_oracle.degree_profile(pencil_vf(mats, 2))
+        prof = t_matrix_oracle.degree_profile(pencil_vf(mats))
         assert prof.entries[0] == (2, 2)
 
     def test_random_psd_pencils(self):
@@ -124,7 +125,7 @@ class TestDegreeProfile:
             total = [[sum(m[i][j] for m in mats) for j in range(g)] for i in range(g)]
             if psd_rank(total) != g:
                 continue  # needs an interior point
-            prof = t_matrix_oracle.degree_profile(pencil_vf(mats, g))
+            prof = t_matrix_oracle.degree_profile(pencil_vf(mats))
             assert prof.ok, (mats, prof)
             checked += 1
 
@@ -164,7 +165,7 @@ class TestTDegreeBounds:
             mats[rng.randrange(len(mats))] = [[0] * g for _ in range(g)]
             pencils.append(mats)
         for mats in pencils:
-            v = pencil_vf(mats, len(mats[0]))
+            v = pencil_vf(mats)
             report = t_matrix_oracle.t_degree_bounds(v)
             free = {k + 1 for k in range(v.nvars) if v.F.degree_in(k) == 0}
             failing = {int(f[len("deg_"):f.index(" ")]) for f in report.failures}
@@ -280,7 +281,7 @@ class TestResidueMinorClosedForm:
         nonzero = 0
         for g, count in ((2, 12), (3, 9)):
             for mats in random_full_pencils(rng, g, count):
-                v = pencil_vf(mats, g)
+                v = pencil_vf(mats)
                 for d in range(1, v.nvars):
                     gd = residue_chain(v, d).gd
                     assert gd == t_matrix_oracle.residue_minor(v, d), (mats, d)
@@ -291,7 +292,7 @@ class TestResidueMinorClosedForm:
         rng = random.Random(89)
         for g in (2, 3):
             for mats in random_full_pencils(rng, g, 6)[::3]:
-                v = pencil_vf(mats, g)
+                v = pencil_vf(mats)
                 assert all(residue_chain(v, d).gd.is_zero() for d in range(1, v.nvars))
 
     def test_invertible_case_family(self):
@@ -315,7 +316,7 @@ class TestResidueMinorClosedForm:
 
     def test_dependent_pencil_refused(self):
         # F = (x1 + x2)(x1 + x3) is not zero, but the pencil does not span Sym_2
-        v = pencil_vf([[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]], 2)
+        v = pencil_vf([[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]])
         with pytest.raises(DegenerateConeError, match="independent"):
             residue_chain(v, 1)
 
@@ -392,6 +393,18 @@ class TestIntersectionVanishing:
 def _two_chamber_fan():
     gamma = GroupElement(matrix=((1, 0), (1, 1)))
     return Fan(cones=(SIGMA0, gl_act(gamma, SIGMA0)))
+
+
+class TestVerdictValue:
+    @pytest.mark.parametrize("reason, value", [
+        (None, "unknown"),
+        (ZERO_D_GE_G_MINUS_1, "zero"),
+        (ZERO_INTERIOR_EDGE, "zero"),
+        (ZERO_TORIC_EMPTY, "zero"),
+        (ONE_TORIC_COMMON_CONE, "one"),
+    ])
+    def test_value_follows_reason(self, reason, value):
+        assert IntersectionVerdict(reason).value == value
 
 
 class TestToric:

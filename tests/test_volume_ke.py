@@ -167,6 +167,24 @@ class TestVolumeFunction:
         with pytest.raises(DegenerateConeError):
             volume_function(c)
 
+    def test_pencil_fixes_genus_and_variable_count(self):
+        # g and N are read off the pencil, so no caller can state others:
+        # the genus-3 pencil gives g = 3 and N = 6, and both modes hold
+        v = volume_function(SIGMA0_G3)
+        w = VolumeFunction(v.pencil, 1)
+        assert (w.g, w.nvars) == (3, 6)
+        assert verify_ma_identity(w, "symbolic") == (True, ())
+        assert verify_ma_identity(w, "randomized", trials=2, seed=1) == (True, ())
+
+    @pytest.mark.parametrize("pencil, message", [
+        ((), "empty pencil"),
+        ((((1, 0), (0, 1)), ((1,),), ((0, 1), (1, 0))), "pencil matrix 1 is not 2x2"),
+        ((((1, 0), (0, 1)), ((1, 0), (0,)), ((0, 1), (1, 0))), "pencil matrix 1 is not 2x2"),
+    ], ids=["empty", "other-size", "ragged-row"])
+    def test_malformed_pencil_rejected(self, pencil, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            VolumeFunction(pencil, 1)
+
     def test_level_scaling_normalizes(self):
         # level-n cone: generators n*zeta, A_mu = zeta, same F and volume
         leveled = principal_cone(2, scale=5)
@@ -188,17 +206,17 @@ class TestVolumeFunction:
             mats = [unit_matrix(g, i, i) for i in range(g)]
             return mats + [[[0] * g for _ in range(g)]] * (sym_dim(g) - g)
 
-        v6 = volume_function_from_pencil(diagonal_pencil(6), g=6, vol=0)
+        v6 = volume_function_from_pencil(diagonal_pencil(6), vol=0)
         assert v6.nvars == F_NVARS_MAX == 21 and len(v6.F.terms) == 1
         v7 = volume_function_from_pencil(
-            [unit_matrix(7, i, j) for i in range(7) for j in range(i, 7)], g=7, vol=1)
+            [unit_matrix(7, i, j) for i in range(7) for j in range(i, 7)], vol=1)
         with pytest.raises(CostGuardError, match="N <= 21, got N=28"):
             v7.F
 
     def test_pencil_with_zero_f_rejected(self):
         # a dependent pencil may have F = 0; an independent one spans I
         with pytest.raises(DegenerateConeError, match="vanishes identically"):
-            volume_function_from_pencil([[[1, 0], [0, 0]]] * 3, g=2, vol=1)
+            volume_function_from_pencil([[[1, 0], [0, 0]]] * 3, vol=1)
 
     def test_homogeneity_at_random_scalings(self):
         rng = random.Random(19)
@@ -256,7 +274,7 @@ class TestMAIdentity:
 
     def test_det_t_symbolic_equals_direct_det(self):
         # g = 1 (deg F = 1, T = -F'^2 constant) and principal g = 2 cones
-        vs = [volume_function_from_pencil([[[c]]], g=1, vol=1) for c in (1, -2, 5)]
+        vs = [volume_function_from_pencil([[[c]]], vol=1) for c in (1, -2, 5)]
         vs += [volume_function(c) for c in (SIGMA0, principal_cone(2, scale=3))]
         for v in vs:
             assert det_t_symbolic(v) == t_matrix(v).det()
@@ -264,12 +282,12 @@ class TestMAIdentity:
 
     def test_det_t_symbolic_equals_direct_det_random_g2_pencils(self):
         for mats in random_g2_pencils():
-            v = volume_function_from_pencil(mats, g=2, vol=1)
+            v = volume_function_from_pencil(mats, vol=1)
             assert det_t_symbolic(v) == t_matrix(v).det(), mats
 
     def test_det_t_symbolic_equals_direct_det_random_g3_pencils(self):
         for mats in sparse_g3_pencils():
-            v = volume_function_from_pencil(mats, g=3, vol=1)
+            v = volume_function_from_pencil(mats, vol=1)
             assert det_t_symbolic(v) == t_matrix(v).det(), mats
 
     def test_euler_t_det_any_homogeneous_polynomial(self):
@@ -318,10 +336,10 @@ class TestMAIdentity:
         # g = 1 pencils, the principal g = 2 cones, the seed-41 genus-2
         # pencils, the sparse genus-3 pencils and dependent (det M = 0)
         # pencils of genus 2 and 3, where both sides vanish
-        vs = [volume_function_from_pencil([[[c]]], g=1, vol=1) for c in (1, -2, 5)]
+        vs = [volume_function_from_pencil([[[c]]], vol=1) for c in (1, -2, 5)]
         vs += [volume_function(c) for c in (SIGMA0, principal_cone(2, scale=3))]
-        vs += [volume_function_from_pencil(m, g=2, vol=1) for m in random_g2_pencils()]
-        vs += [volume_function_from_pencil(m, g=3, vol=1) for m in sparse_g3_pencils()]
+        vs += [volume_function_from_pencil(m, vol=1) for m in random_g2_pencils()]
+        vs += [volume_function_from_pencil(m, vol=1) for m in sparse_g3_pencils()]
         dependent = [
             [[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]],
             [unit_matrix(3, i, j) for i, j in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]]
@@ -329,7 +347,7 @@ class TestMAIdentity:
         ]
         for mats in dependent:
             assert pencil_coordinate_det(mats) == 0
-            v = volume_function_from_pencil(mats, g=len(mats[0]), vol=1)
+            v = volume_function_from_pencil(mats, vol=1)
             assert det_t_symbolic(v).is_zero() and t_matrix(v).det().is_zero()
             vs.append(v)
         for v in vs:
@@ -361,8 +379,8 @@ class TestMAIdentity:
     def test_symbolic_verdict_matches_oracle_on_wrong_volumes(self):
         # the identity holds exactly when vol^2 = det(M)^2, as the oracle's
         # expanded sides confirm at g = 1, 2 and 3; randomized mode agrees
-        cases = [volume_function_from_pencil([[[-3]]], g=1, vol=3), volume_function(SIGMA0)]
-        cases += [volume_function_from_pencil(m, g=3, vol=1) for m in sparse_g3_pencils()]
+        cases = [volume_function_from_pencil([[[-3]]], vol=3), volume_function(SIGMA0)]
+        cases += [volume_function_from_pencil(m, vol=1) for m in sparse_g3_pencils()]
         for v in cases:
             g = v.g
             d = abs(oracle.frac_det([[m[i][j] for i in range(g) for j in range(i, g)]
@@ -371,7 +389,7 @@ class TestMAIdentity:
             for vol in (d, d + 1, 2 * d):
                 rhs = oracle.p_scale(oracle.p_pow(v.F.terms, (g + 1) * (g - 1)),
                                      (-1) ** v.nvars * 2 ** (g * (g - 1) // 2) * vol * vol)
-                w = VolumeFunction(v.g, v.nvars, v.pencil, vol)
+                w = VolumeFunction(v.pencil, vol)
                 report = verify_ma_identity(w, "symbolic")
                 assert report.holds == (lhs == rhs) == (vol == d), (g, vol)
                 assert verify_ma_identity(w, "randomized", trials=2, seed=5).holds == report.holds
@@ -390,7 +408,7 @@ class TestMAIdentity:
 
     def test_randomized_catches_wrong_volume(self):
         v = volume_function(SIGMA0)
-        broken = VolumeFunction(v.g, v.nvars, v.pencil, 2)
+        broken = VolumeFunction(v.pencil, 2)
         report = verify_ma_identity(broken, "randomized", trials=4, seed=7)
         assert not report.holds
         # witnesses are exact and replayable: lhs is det T at the point,
@@ -414,12 +432,12 @@ class TestMAIdentity:
                 m[a][b] = m[b][a] = Fraction(1)
                 m[a][a] = m[b][b] = Fraction(1)
                 pencil.append(m)  # 10 = dim Sym_4
-        cases = [(volume_function_from_pencil(pencil, g=4, vol=1), 3),
+        cases = [(volume_function_from_pencil(pencil, vol=1), 3),
                  (volume_function(principal_cone(4)), 3),
                  (volume_function(principal_cone(5)), 1)]
         for v, trials in cases:
             for vol in (v.vol, v.vol + 1):
-                w = VolumeFunction(v.g, v.nvars, v.pencil, vol)
+                w = VolumeFunction(v.pencil, vol)
                 symbolic = verify_ma_identity(w, "symbolic")
                 randomized = verify_ma_identity(w, "randomized", trials=trials, seed=4)
                 assert symbolic.holds == randomized.holds == (vol == v.vol), (v.g, vol)
@@ -484,7 +502,7 @@ class TestRandomizedFromPencil:
                 for i in range(len(m)):
                     for j in range(i):
                         m[i][j] = m[j][i]
-            v = volume_function_from_pencil(mats, g=len(mats[0]), vol=1)
+            v = volume_function_from_pencil(mats, vol=1)
             self.assert_matches_oracle(v, random_points(len(mats), v.nvars, 3))
 
     def test_points_where_the_pencil_is_singular(self):
@@ -492,9 +510,9 @@ class TestRandomizedFromPencil:
         # pencil, L p = diag(1, 1, 0) has rank 2 and a nonzero adjugate, and
         # L p = [[1, 1, 0], [1, 1, 0], [0, 0, 0]] / 2 has rank 1
         v2 = volume_function_from_pencil(
-            [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], g=2, vol=2)
+            [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], vol=2)
         v3 = volume_function_from_pencil(
-            [unit_matrix(3, i, j) for i in range(3) for j in range(i, 3)], g=3, vol=1)
+            [unit_matrix(3, i, j) for i in range(3) for j in range(i, 3)], vol=1)
         cases = [(v2, [(3, 4, 5)]),
                  (v3, [(1, 0, 0, 1, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0,
                                              Fraction(1, 2), 0, 0)])]
@@ -508,7 +526,7 @@ class TestRandomizedFromPencil:
         for g, trials in ((2, 6), (3, 4), (4, 2), (5, 1)):
             v = volume_function(principal_cone(g))
             for vol in (2, 3):
-                w = VolumeFunction(v.g, v.nvars, v.pencil, vol)
+                w = VolumeFunction(v.pencil, vol)
                 report = verify_ma_identity(w, "randomized", trials=trials, seed=g)
                 points = random_points(g, v.nvars, trials)
                 c = ma_rhs_constant(g, vol)
