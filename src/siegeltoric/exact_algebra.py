@@ -140,15 +140,7 @@ class MultiPoly:
         return _raw(self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_compatible(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) - c
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
-        return _raw(self.nvars, out)
+        return self + -other
 
     def __neg__(self) -> "MultiPoly":
         return _raw(self.nvars, {e: -c for e, c in self._terms.items()})

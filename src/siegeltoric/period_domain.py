@@ -30,7 +30,8 @@ Bareiss kernel of cone_lattice:
 exp(iN) = I + iN, the assembled block point and its determinants need no
 decision; like psi, they are applied inside the checks, not exported.
 The one count, the rank of weight_filtration, is made exactly by
-Descartes' rule of signs (see there).
+Descartes' rule of signs on a characteristic polynomial that
+exact_algebra.pencil_det expands (see there).
 
 Exact elimination grows steeply with the genus, so every check refuses
 g > HODGE_GENUS_MAX with a CostGuardError.
@@ -42,6 +43,7 @@ import math
 from fractions import Fraction
 
 from .cone_lattice import psd_rank, quote, rational_det
+from .exact_algebra import pencil_det
 from .volume_ke import CostGuardError
 
 # The worst inputs found are Riemann checks of a point whose entries
@@ -275,17 +277,21 @@ def weight_filtration(n: CuspNilpotent, tol: float) -> tuple[int, int]:
     an integer matrix U, the eigenvalues of A = U^T U are D^2 s^2, all
     real, so Descartes' rule of signs counts exactly those above any
     rational x, as the sign changes of the coefficients of
-    det((y + x) I - A) in y.  s_max <= x is the count 0 above D^2 x^2,
-    so s_max' is found by binary search over the 53-bit numbers.  Its
-    rounding moves the threshold by at most a relative 2^-52, and spares
-    deciding whether an eigenvalue equals tol^2 times an irrational one.
+    det((y + x) I - A) in y.  The coefficients of det(x I - A) are those
+    of x_0^i x_1^(m-i) in the pencil determinant det(x_0 I - x_1 A),
+    whose Laplace expansion never divides.  s_max <= x is the count 0
+    above D^2 x^2, so s_max' is found by binary search over the 53-bit
+    numbers.  Its rounding moves the threshold by at most a relative
+    2^-52, and spares deciding whether an eigenvalue equals tol^2 times an irrational one.
     """
     g, k = n.g, n.k
     u = _exact(n.u, "u")
     m = g - k
     ints, d = _int_scaled(u)
-    p = _charpoly([[sum(ints[r][i] * ints[r][j] for r in range(m)) for j in range(m)]
-                   for i in range(m)])
+    f = pencil_det([[[int(i == j) for j in range(m)] for i in range(m)],
+                    [[-sum(ints[r][i] * ints[r][j] for r in range(m)) for j in range(m)]
+                     for i in range(m)]])
+    p = [int(f.coeff((i, m - i))) for i in range(m + 1)]
 
     def at_most(x: Fraction) -> bool:  # s_max <= x
         return _roots_above(p, d * d * x * x) == 0
@@ -312,21 +318,6 @@ def weight_filtration(n: CuspNilpotent, tol: float) -> tuple[int, int]:
 def _from_index(i: int) -> Fraction:
     e, k = divmod(i, 1 << 52)
     return (2 ** 52 + k) * Fraction(2) ** (e - 52)
-
-
-def _charpoly(a: list[list[int]]) -> list[int]:
-    """Coefficients of det(x I - a), lowest degree first, by
-    Faddeev-LeVerrier; each division by k is exact on integers."""
-    m = len(a)
-    coeffs = [0] * m + [1]
-    mk = [[0] * m for _ in range(m)]
-    for k in range(1, m + 1):
-        c = coeffs[m - k + 1]
-        mk = [[sum(a[i][l] * mk[l][j] for l in range(m)) + (c if i == j else 0)
-               for j in range(m)] for i in range(m)]
-        trace = sum(a[i][l] * mk[l][i] for i in range(m) for l in range(m))
-        coeffs[m - k] = -trace // k
-    return coeffs
 
 
 def _roots_above(p: list[int], x: Fraction) -> int:

@@ -357,7 +357,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra", [0, 1], ids=["at-bound", "above-bound"])
     def test_hodge_cost_guard(self, extra, tmp_path):
         # full-mantissa entries whose exponents spread over the binary64
-        # range: Y is diagonally dominant, so tau is a Siegel point
+        # range: Y is diagonally dominant, so tau is a Siegel point, and u
+        # is any symmetric matrix, at sizes past the oracle comparisons of
+        # tests/test_period_domain.py (m <= 5)
         rng = random.Random(8)
         g = period_domain.HODGE_GENUS_MAX + extra
 
@@ -373,20 +375,28 @@ class TestExitCodes:
                 re[i][j] = re[j][i] = entry(-1000, 900)
                 if j > i:
                     im[i][j] = im[j][i] = entry(-1070, min(exps[i], exps[j]) - 8)
-        path = tmp_path / "tau.json"
-        path.write_text(json.dumps({"re": re, "im": im}))
-        t0 = time.perf_counter()
-        proc = subprocess.run(CLI + ["hodge", "riemann", str(path)],
-                              capture_output=True, text=True, timeout=60)
-        elapsed = time.perf_counter() - t0
-        if extra:
-            assert proc.returncode == 2 and proc.stdout == ""
-            assert proc.stderr == (f"error: period-domain checks limited to "
-                                   f"g <= {g - 1}, got g={g}\n")
-        else:
-            assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout)["ok"] is True
-            assert elapsed < HODGE_BUDGET_S, f"{elapsed:.2f} s"
+        u = [[0.0] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                u[i][j] = u[j][i] = entry(-1074, 1023)
+        tau_path, nilp_path = tmp_path / "tau.json", tmp_path / "nilpotent.json"
+        tau_path.write_text(json.dumps({"re": re, "im": im}))
+        nilp_path.write_text(json.dumps({"g": g, "k": 0, "u": u}))
+        # CuspNilpotent checks the genus inside _read, so its error names the file
+        for sub, path, where in (("riemann", tau_path, ""),
+                                 ("weight", nilp_path, f"{nilp_path}: ")):
+            t0 = time.perf_counter()
+            proc = subprocess.run(CLI + ["hodge", sub, str(path)],
+                                  capture_output=True, text=True, timeout=60)
+            elapsed = time.perf_counter() - t0
+            if extra:
+                assert proc.returncode == 2 and proc.stdout == ""
+                assert proc.stderr == (f"error: {where}period-domain checks limited to "
+                                       f"g <= {g - 1}, got g={g}\n")
+            else:
+                assert proc.returncode == 0, proc.stderr
+                assert json.loads(proc.stdout)["ok"] is True
+                assert elapsed < HODGE_BUDGET_S, f"{sub}: {elapsed:.2f} s"
 
     @pytest.mark.parametrize("g", [4, 5, 6])
     @pytest.mark.parametrize("args", [("residue", "--d", "1"), ("intersect", "--edges", "1")],

@@ -2,7 +2,9 @@
 
 The package has one polynomial determinant route (PolyMatrix.det); the
 fraction-free Bareiss route and the exact division it needs live here as a
-cross-check, next to the cofactor expansion of tests/naive_oracle.py.
+cross-check, next to the cofactor expansion of tests/naive_oracle.py.  The
+Faddeev-LeVerrier characteristic polynomial is the oracle for the
+det(x I - A) that period_domain reads off pencil_det.
 """
 
 import random
@@ -94,6 +96,23 @@ def det_bareiss(m):
     return -a[n - 1][n - 1] if sign < 0 else a[n - 1][n - 1]
 
 
+def faddeev_leverrier(a):
+    """Coefficients of det(x I - a) for an integer matrix a, lowest degree
+    first: c_(m-k) = -tr(a M_k) / k with M_1 = I and
+    M_(k+1) = a M_k + c_(m-k) I; each division by k is exact on integers."""
+    m = len(a)
+    coeffs = [0] * m + [1]
+    mk = [[0] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        c = coeffs[m - k + 1]
+        mk = [[sum(a[i][l] * mk[l][j] for l in range(m)) + (c if i == j else 0)
+               for j in range(m)] for i in range(m)]
+        trace = sum(a[i][l] * mk[l][i] for i in range(m) for l in range(m))
+        assert trace % k == 0
+        coeffs[m - k] = -trace // k
+    return coeffs
+
+
 def random_poly(rng, nvars, max_deg=4, max_terms=6):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -135,6 +154,8 @@ class TestArithmetic:
             assert a * b == b * a
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
+            assert a - b == a + (-b)
+            assert (a - b) + b == a
 
     def test_mul_matches_naive_oracle(self):
         rng = random.Random(55)
@@ -340,6 +361,26 @@ class TestPencilDet:
                 a = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(g)]
                 mats.append([[a[i][j] + a[j][i] for j in range(g)] for i in range(g)])
             assert pencil_det(mats).terms == oracle.pencil_determinant(mats)
+
+    @pytest.mark.parametrize("bits", [8, 1100])
+    def test_characteristic_polynomial_matches_faddeev_leverrier(self, bits):
+        # det(x I - A) for A = U^T U is the pencil determinant
+        # det(x_0 I - x_1 A) at x_1 = 1, as period_domain.weight_filtration
+        # reads it; U of full rank, with a zero row and with a repeated row
+        rng = random.Random(bits)
+        for m in range(1, 9):
+            full = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(m)]
+                    for _ in range(m)]
+            zero_row = [[0] * m] + full[1:]
+            repeated_row = [full[0]] + full[:-1]
+            for u, singular in ((full, False), (zero_row, True), (repeated_row, m > 1)):
+                a = [[sum(u[r][i] * u[r][j] for r in range(m)) for j in range(m)]
+                     for i in range(m)]
+                eye = [[int(i == j) for j in range(m)] for i in range(m)]
+                f = pencil_det([eye, [[-v for v in row] for row in a]])
+                coeffs = [f.coeff((i, m - i)) for i in range(m + 1)]
+                assert coeffs == faddeev_leverrier(a)
+                assert (coeffs[0] == 0) is singular
 
 
 class TestPencilSize:

@@ -1,0 +1,60 @@
+"""Compare the reports of two checkouts on every benchmark request.
+
+Run from anywhere:  python3 tools/compare_reports.py BASE_CHECKOUT
+Builds each workload's requests for seeds 101-105 with perfbench/inputs.py
+(read, never written), runs each one from its work directory under
+BASE_CHECKOUT/src and under this checkout's src, and lists every request
+whose exit code, stdout or stderr differ.  Exits 1 on any difference in
+exit code or stdout; differences in stderr alone are listed, not failed.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import inputs  # noqa: E402
+
+SEEDS = range(101, 106)
+TIMEOUT_S = 120
+
+
+def run(src, argv, cwd):
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "siegeltoric.cli"] + argv, cwd=cwd,
+                              env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", b"", b""
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sources = [os.path.join(os.path.abspath(sys.argv[1]), "src"), os.path.join(ROOT, "src")]
+    os.chdir(ROOT)   # inputs.py reads the golden files relative to the checkout
+    total, differ, failed = 0, 0, False
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in inputs.WORKLOADS:
+            for seed in SEEDS:
+                workdir = os.path.join(tmp, f"{workload}-{seed}")
+                for req in inputs.build(workload, seed, workdir):
+                    total += 1
+                    base, new = (run(src, req.argv, workdir) for src in sources)
+                    fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), base, new)
+                              if a != b]
+                    if fields:
+                        differ += 1
+                        failed |= fields != ["stderr"]
+                        print(f"{workload} seed {seed} {req.label}: {', '.join(fields)} differ")
+    print(f"{differ} of {total} requests differ")
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
