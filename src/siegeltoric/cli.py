@@ -11,14 +11,19 @@ polynomial and run at every genus), and 3 on an internal error.
 Input problems raise ValueError wherever they are found, and `main` alone
 maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
 other exception one `internal error: <Type>: <msg>` line, never a
-traceback.  Each subcommand handler returns `(report, holds)`: the
-report holds the package's own values (ints, Fractions, polynomials,
-records, tuples), and `main` alone encodes it with
-`jsonio.report_value`, writes it as JSON (the default) or, under
---output text, readably, and maps `holds` to exit 0 or 1.
-Defaults for seed/trials/tol/output may be placed in a JSON config file
-pointed to by the SIEGELTORIC_CONFIG environment variable; explicit flags
-win over the config file, and any other key in it is an input error.
+traceback.  An error in an input file starts with its path (`error:
+<path>: <msg>`), a JSON number past Python's int-to-str digit limit
+included, and a cone argument that is neither a file nor a catalog entry
+gets the catalog's reason on the same line.
+The run settings seed, trials, tol and output live on the parsed `args`
+alone: `_resolve_settings` takes each from its flag, else from the JSON
+config file that the SIEGELTORIC_CONFIG environment variable points to,
+else from `_DEFAULTS`, checks it and writes it onto `args`; any other key
+in the config file is an input error.  Each subcommand handler takes
+`args` and returns `(report, holds)`: the report holds the package's own
+values (ints, Fractions, polynomials, records, tuples), and `main` alone
+encodes it with `jsonio.report_value`, writes it as JSON (the default)
+or, under --output text, readably, and maps `holds` to exit 0 or 1.
 """
 
 from __future__ import annotations
@@ -38,52 +43,41 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 CONFIG_ENV_VAR = "SIEGELTORIC_CONFIG"
-_CONFIG_KEYS = ("seed", "trials", "tol", "output")   # the parameters of RunConfig
+# the run settings: each is a global flag and a key of the config file
+_DEFAULTS = {"seed": 0, "trials": 20, "tol": 1e-9, "output": "json"}
 
 
 class InputError(ValueError):
     pass
 
 
-class RunConfig:
-    def __init__(self, seed: int = 0, trials: int = 20, tol: float = 1e-9,
-                 output: str = "json"):
-        for name, value in (("seed", seed), ("trials", trials)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name} must be an integer, got {jsonio.quote(value)}")
-        if trials < 1:
-            raise InputError("trials must be >= 1")
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                or not math.isfinite(tol) or tol <= 0):
-            raise InputError(f"tol must be a finite positive number, got {jsonio.quote(tol)}")
-        if output not in ("json", "text"):
-            raise InputError(f"unknown output mode {jsonio.quote(output)}")
-        self.seed = seed
-        self.trials = trials
-        self.tol = tol
-        self.output = output
-
-
-def _load_config_defaults() -> dict:
+def _resolve_settings(args) -> None:
+    """Check each run setting and write it onto args: a flag wins over the
+    SIEGELTORIC_CONFIG file, which wins over _DEFAULTS."""
+    values = dict(_DEFAULTS)
     path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
-    if unknown:
-        raise InputError(f"config {path}: unknown key {jsonio.quote(unknown[0])}")
-    return data
-
-
-def _config_from_args(args) -> RunConfig:
-    values = _load_config_defaults()
-    for name in _CONFIG_KEYS:
-        value = getattr(args, name, None)
-        if value is not None:
-            values[name] = value
-    return RunConfig(**values)
+    if path:
+        data = _load_json(path)
+        if not isinstance(data, dict):
+            raise InputError(f"config {path} must hold a JSON object")
+        unknown = sorted(set(data) - set(_DEFAULTS))
+        if unknown:
+            raise InputError(f"config {path}: unknown key {jsonio.quote(unknown[0])}")
+        values.update(data)
+    values.update((name, value) for name, value in vars(args).items()
+                  if name in _DEFAULTS)
+    for name in ("seed", "trials"):
+        if isinstance(values[name], bool) or not isinstance(values[name], int):
+            raise InputError(f"{name} must be an integer, got {jsonio.quote(values[name])}")
+    if values["trials"] < 1:
+        raise InputError("trials must be >= 1")
+    tol = values["tol"]
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not math.isfinite(tol) or tol <= 0):
+        raise InputError(f"tol must be a finite positive number, got {jsonio.quote(tol)}")
+    if values["output"] not in ("json", "text"):
+        raise InputError(f"unknown output mode {jsonio.quote(values['output'])}")
+    vars(args).update(values)
 
 
 def _load_json(path: str):
@@ -98,6 +92,8 @@ def _load_json(path: str):
         ) from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    except ValueError as exc:   # a number past the int-to-str digit limit
+        raise InputError(f"{path}: {exc}") from exc
     except RecursionError:
         raise InputError(f"{path} is nested too deeply to read") from None
 
@@ -118,15 +114,16 @@ def _resolve_cone(spec: str, parse):
         return _read(spec, parse)
     try:
         return catalog_mod.catalog_get(spec).cone
-    except catalog_mod.UnknownCatalogEntryError:
-        raise InputError(f"{spec!r} is neither a file nor a catalog entry") from None
+    except catalog_mod.UnknownCatalogEntryError as exc:
+        raise InputError(
+            f"{spec!r} is neither a file nor a catalog entry: {exc.args[0]}") from None
 
 
 # ----------------------------------------------------------------------
 # subcommand handlers (each returns the report and whether it holds)
 
 
-def _cmd_cone_check(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_cone_check(args) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     edge_reports = []
     all_psd = True
@@ -158,7 +155,7 @@ def _cmd_cone_check(args, config: RunConfig) -> tuple[dict, bool]:
     return report, all_psd
 
 
-def _cmd_cone_volume(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_cone_volume(args) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     v = volume_ke.volume_function(cone)
     report = {
@@ -172,12 +169,12 @@ def _cmd_cone_volume(args, config: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-def _cmd_ma_verify(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_ma_verify(args) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     v = volume_ke.volume_function(cone)
     mode = "randomized" if args.randomized else "symbolic"
     result = volume_ke.verify_ma_identity(
-        v, mode=mode, trials=config.trials, seed=config.seed)
+        v, mode=mode, trials=args.trials, seed=args.seed)
     report = {
         "identity": "monge-ampere",
         "mode": mode,
@@ -185,12 +182,12 @@ def _cmd_ma_verify(args, config: RunConfig) -> tuple[dict, bool]:
         "vol": v.vol,
         "g": v.g,
         "witnesses": result.witnesses,
-        "seed": config.seed if args.randomized else None,
+        "seed": args.seed if args.randomized else None,
     }
     return report, result.holds
 
 
-def _cmd_ke_test(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_ke_test(args) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     member = volume_ke.is_ke_point(cone.generators)
     report = {
@@ -202,7 +199,7 @@ def _cmd_ke_test(args, config: RunConfig) -> tuple[dict, bool]:
     return report, member
 
 
-def _cmd_residue(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_residue(args) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     v = volume_ke.volume_function(cone)
     rc = residue_intersect.residue_chain(v, args.d)
@@ -228,7 +225,7 @@ def _cone_or_fan(obj):
     return jsonio.cone_from_json(obj)
 
 
-def _cmd_intersect(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_intersect(args) -> tuple[dict, bool]:
     indices = _parse_edge_list(args.edges)
     target = _resolve_cone(args.target, _cone_or_fan)
     if isinstance(target, cone_lattice.Fan):
@@ -259,7 +256,7 @@ def _cmd_intersect(args, config: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-def _cmd_fan_check(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_fan_check(args) -> tuple[dict, bool]:
     fan = _read(args.fan, jsonio.fan_from_json)
     violations = cone_lattice.is_fan(fan)
     ok = not violations
@@ -275,7 +272,7 @@ def _cmd_fan_check(args, config: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def _cmd_separable(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_separable(args) -> tuple[dict, bool]:
     fan = _read(args.fan, jsonio.fan_from_json)
 
     def group_of_fan_genus(obj):
@@ -313,8 +310,8 @@ def _nilpotent_from_json(obj) -> period_domain.CuspNilpotent:
         u=jsonio.field(obj, "u", jsonio.real_matrix_from_json))
 
 
-def _cmd_hodge(args, config: RunConfig) -> tuple[dict, bool]:
-    tol = config.tol
+def _cmd_hodge(args) -> tuple[dict, bool]:
+    tol = args.tol
     sub = args.subcheck
     if sub == "siegel":
         tau = _read(args.file, jsonio.complex_matrix_from_json)
@@ -352,7 +349,7 @@ def _cmd_hodge(args, config: RunConfig) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
-def _cmd_catalog_list(args, config: RunConfig) -> tuple[dict, bool]:
+def _cmd_catalog_list(args) -> tuple[dict, bool]:
     entries = []
     for name in catalog_mod.catalog_names():
         entry = catalog_mod.catalog_get(name)
@@ -457,13 +454,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report, holds = args.handler(args, config)
+        _resolve_settings(args)
+        report, holds = args.handler(args)
         # a report integer may pass Python's int-to-str digit limit: lift
         # it while the report is encoded, and only then, so that input
         # parsing keeps it
         report = cone_lattice._unlimited_digits(jsonio.report_value, report)
-        if config.output == "json":
+        if args.output == "json":
             sys.stdout.write(jsonio.dump_report(report))
         else:
             sys.stdout.write(jsonio.render_text(report) + "\n")

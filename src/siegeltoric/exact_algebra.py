@@ -210,8 +210,6 @@ class MultiPoly:
         pow_cache: list[dict[int, Fraction]] = [dict() for _ in range(self.nvars)]
 
         def vpow(i: int, k: int) -> Fraction:
-            if k == 0:
-                return Fraction(1)
             cache = pow_cache[i]
             got = cache.get(k)
             if got is None:

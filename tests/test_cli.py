@@ -29,6 +29,10 @@ RESIDUE_FRONTIER_BUDGET_S = 10.0
 # spread over the binary64 range; about 1.9 s on a 2-CPU machine
 HODGE_BUDGET_S = 5.0
 
+# a 4x2 filtration of full rank whose F^T psi F is not zero
+FIRST_RELATION_FAILS = {"re": [[1, 0], [5, 1], [0, 0], [0, 0]],
+                        "im": [[0, 0], [0, 0], [1, 0], [0, 1]]}
+
 
 def run_cli(*args, env=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
@@ -124,6 +128,25 @@ class TestExitCodes:
         assert out == "" and line.startswith("error:") and len(line) < 400, line
         assert " characters)" in line
 
+    @pytest.mark.parametrize("argv, text, config", [
+        (["cone", "check", "{path}"], '{"g": 1, "generators": [[[%s]]]}' % ("7" * 5000), False),
+        (["catalog", "list"], '{"seed": %s}' % ("7" * 5000), True),
+    ], ids=["cone-file", "config-file"])
+    def test_digit_limit_number_names_its_file(self, argv, text, config, tmp_path,
+                                               monkeypatch, capsys):
+        # json.load itself refuses a JSON number past the int-to-str digit limit
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        if config:
+            monkeypatch.setenv("SIEGELTORIC_CONFIG", str(path))
+        else:
+            monkeypatch.delenv("SIEGELTORIC_CONFIG", raising=False)
+        assert main([a.format(path=path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and line.startswith(
+            f"error: {path}: Exceeds the limit (4300 digits) for integer string conversion")
+
     def test_determinant_beyond_digit_limit_is_quoted(self, fan_file, tmp_path, capsys):
         # det = 10^5000 - 1 has more digits than Python converts to str by default
         big = str(10 ** 2500)
@@ -158,6 +181,20 @@ class TestExitCodes:
     def test_unknown_name_is_two(self):
         assert run_cli("cone", "check", "no-such-entry").returncode == 2
 
+    @pytest.mark.parametrize("name, reason", [
+        ("principal-g13", "genus must be in [1, 12] in 'principal-g13'"),
+        ("principal-g0", "genus must be in [1, 12] in 'principal-g0'"),
+        ("principal-g2-level-0", "level must be positive in 'principal-g2-level-0'"),
+        ("no-such-entry", "no catalog entry named 'no-such-entry'"),
+    ], ids=["genus-13", "genus-0", "level-0", "unknown"])
+    def test_unknown_name_gives_the_catalog_reason(self, name, reason, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)   # no file of that name
+        monkeypatch.delenv("SIEGELTORIC_CONFIG", raising=False)
+        assert main(["cone", "check", name]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {name!r} is neither a file nor a catalog entry: {reason}\n")
+
     def test_bad_run_config_is_two(self, tmp_path, monkeypatch, capsys):
         assert run_cli("ma", "verify", "principal-g2", "--randomized",
                        "--trials", "0").returncode == 2
@@ -188,8 +225,9 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stdout
         assert "out of range" in proc.stderr
 
-    @pytest.mark.parametrize("content", [b'{"g": 2, "\xff": 1}', b"[" * 100000],
-                             ids=["non-utf8", "nested-too-deeply"])
+    @pytest.mark.parametrize("content", [b'{"g": 2, "\xff": 1}', b"[" * 100000,
+                                         b'{"g": 2, "generators": []}'],
+                             ids=["non-utf8", "nested-too-deeply", "no-generators"])
     def test_unreadable_cone_file_is_two(self, content, tmp_path):
         path = tmp_path / "cone.json"
         path.write_bytes(content)
@@ -207,7 +245,7 @@ class TestExitCodes:
         assert err.startswith(f"error: {message}") and "[1, 0]" not in err
 
     def test_internal_error_is_three(self, monkeypatch, capsys):
-        def broken(args, config):
+        def broken(args):
             raise TypeError("handler bug")
 
         monkeypatch.setattr(cli, "_cmd_catalog_list", broken)
@@ -241,8 +279,9 @@ class TestExitCodes:
         ({"cones": [{"g": 1, "scale": 1, "generators": [[[1]]]},
                     {"g": 2, "scale": 1, "generators": [[[1, 0], [0, 0]]]}]},
          "invalid fan: fan cones disagree on g or scale"),
+        ({"cones": []}, "invalid fan: empty fan"),
     ], ids=["top-level-number", "cones-number", "cones-null", "labels-number",
-            "second-cone-asymmetric", "genus-mismatch"])
+            "second-cone-asymmetric", "genus-mismatch", "no-cones"])
     def test_bad_fan_file_is_two(self, fan, message, tmp_path, group_file):
         path = tmp_path / "fan.json"
         path.write_text(json.dumps(fan))
@@ -281,8 +320,19 @@ class TestExitCodes:
                           "S": {"re": [[0.5]], "im": [[0.25]]}}, "missing key 'Z'"),
         ("riemann", {"re": [], "im": []}, "nonempty list of rows"),
         ("riemann", {"re": 5, "im": 5}, "nonempty list of rows"),
+        ("riemann", {"re": [[1, 2, 3]], "im": [[0, 0, 0]]},
+         "filtration must be 2g x g, got 1x3"),
+        ("nilpotent", {"g": 2, "k": 0, "u": [[1.0, 0.0], [0.0, 1.0]],
+                       "tau_cusp": {"re": [[0.0]], "im": [[1.0]]}},
+         "depth k=0 has no cusp Siegel factor"),
+        ("nilpotent", {"g": 2, "k": 1, "u": [[1.0]]}, "tau_cusp must be 1x1, got none"),
+        ("block-volume", {"tau_prime": {"re": [[0.0]], "im": [[1.0]]},
+                          "Z": {"re": [[0.0]], "im": [[-1.0]]},
+                          "S": {"re": [[0.5]], "im": [[0.25]]}},
+         "Z is not in its Siegel space"),
     ], ids=["weight-list", "nilpotent-list", "block-volume-list", "block-volume-no-Z",
-            "riemann-empty", "riemann-number"])
+            "riemann-empty", "riemann-number", "riemann-1x3", "nilpotent-depth-0-cusp",
+            "nilpotent-no-cusp", "block-volume-z-outside"])
     def test_bad_hodge_file_is_two(self, sub, obj, message, tmp_path):
         path = tmp_path / "hodge.json"
         path.write_text(json.dumps(obj))
@@ -613,6 +663,14 @@ class TestHodgeCommands:
         proc = run_cli("hodge", "riemann", str(path))
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_riemann_first_relation_failure(self, tmp_path):
+        # F^T psi F has the entry -5i: exit 1, not an input error
+        path = tmp_path / "filt.json"
+        path.write_text(json.dumps(FIRST_RELATION_FAILS))
+        proc = run_cli("hodge", "riemann", str(path))
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["ok"] is False
 
     def test_block_volume(self, tmp_path):
         path = tmp_path / "block.json"

@@ -23,6 +23,7 @@ from siegeltoric.volume_ke import CostGuardError
 
 import period_domain_oracle as oracle
 from period_domain_oracle import random_siegel_point
+from test_cli import FIRST_RELATION_FAILS
 from test_cli_fuzz import BLOCK, NILPOTENT, TAU
 
 TOL = 1e-9
@@ -106,6 +107,15 @@ class TestRiemannCheck:
         for _ in range(100):
             tau = random_siegel_point(2, rng)
             assert riemann_check(filtration_from_tau(tau), TOL)
+
+    def test_first_relation_fails(self):
+        # full rank, but F^T psi F has the entry -5i
+        f = (np.array(FIRST_RELATION_FAILS["re"])
+             + 1j * np.array(FIRST_RELATION_FAILS["im"]))
+        psi = oracle.symplectic_form(2)
+        assert np.allclose(f.T @ psi @ f, [[0, -5j], [5j, 0]])
+        assert not riemann_check(f, TOL)
+        assert not oracle.riemann_check(f, TOL)
 
     def test_rank_deficient_rejected(self):
         f = np.zeros((4, 2), dtype=complex)
