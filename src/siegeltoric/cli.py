@@ -13,7 +13,8 @@ maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
 other exception one `internal error: <Type>: <msg>` line, never a
 traceback.  An error in an input file starts with its path (`error:
 <path>: <msg>`), a JSON number past Python's int-to-str digit limit
-included, and a cone argument that is neither a file nor a catalog entry
+included, as does every error that a hodge check finds in what its file
+holds, and a cone argument that is neither a file nor a catalog entry
 gets the catalog's reason on the same line.
 The run settings seed, trials, tol and output live on the parsed `args`
 alone: `_resolve_settings` takes each from its flag, else from the JSON
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -72,8 +72,9 @@ def _resolve_settings(args) -> None:
     if values["trials"] < 1:
         raise InputError("trials must be >= 1")
     tol = values["tol"]
+    # compared, not converted: an int past binary64 fails like inf and nan
     if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not math.isfinite(tol) or tol <= 0):
+            or not 0 < tol <= sys.float_info.max):
         raise InputError(f"tol must be a finite positive number, got {jsonio.quote(tol)}")
     if values["output"] not in ("json", "text"):
         raise InputError(f"unknown output mode {jsonio.quote(values['output'])}")
@@ -313,39 +314,41 @@ def _nilpotent_from_json(obj) -> period_domain.CuspNilpotent:
 def _cmd_hodge(args) -> tuple[dict, bool]:
     tol = args.tol
     sub = args.subcheck
-    if sub == "siegel":
-        tau = _read(args.file, jsonio.complex_matrix_from_json)
-        ok = period_domain.siegel_membership(tau, tol)
-        report = {"check": "hodge-siegel", "tol": tol, "ok": ok}
-    elif sub == "riemann":
-        mat = _read(args.file, jsonio.complex_matrix_from_json)
-        if len(mat) == len(mat[0]):
-            mat = period_domain.filtration_from_tau(mat)
-        ok = period_domain.riemann_check(mat, tol)
-        report = {"check": "hodge-riemann", "tol": tol, "ok": ok}
-    elif sub == "weight":
-        nilp = _read(args.file, _nilpotent_from_json)
-        rank, nullity = period_domain.weight_filtration(nilp, tol)
-        report = {
-            "check": "hodge-weight",
-            "dim_image": rank,
-            "dim_kernel": nullity,
-            "tol": tol,
-            "ok": True,
-        }
-    elif sub == "nilpotent":
-        nilp, tau_cusp = _read(args.file, lambda obj: (
-            _nilpotent_from_json(obj),
-            jsonio.field(obj, "tau_cusp", jsonio.complex_matrix_from_json, None)))
-        fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
-        ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
-        report = {"check": "hodge-nilpotent", "tol": tol, "ok": ok}
-    else:  # block-volume
-        tau_prime, z, s = _read(args.file, lambda obj: [
-            jsonio.field(obj, key, jsonio.complex_matrix_from_json)
-            for key in ("tau_prime", "Z", "S")])
+
+    # parsed and checked inside one _read: every input error names the file
+    def check(obj) -> dict:
+        if sub == "siegel":
+            tau = jsonio.complex_matrix_from_json(obj)
+            ok = period_domain.siegel_membership(tau, tol)
+            return {"check": "hodge-siegel", "tol": tol, "ok": ok}
+        if sub == "riemann":
+            mat = jsonio.complex_matrix_from_json(obj)
+            if len(mat) == len(mat[0]):
+                mat = period_domain.filtration_from_tau(mat)
+            ok = period_domain.riemann_check(mat, tol)
+            return {"check": "hodge-riemann", "tol": tol, "ok": ok}
+        if sub == "weight":
+            rank, nullity = period_domain.weight_filtration(_nilpotent_from_json(obj), tol)
+            return {
+                "check": "hodge-weight",
+                "dim_image": rank,
+                "dim_kernel": nullity,
+                "tol": tol,
+                "ok": True,
+            }
+        if sub == "nilpotent":
+            nilp = _nilpotent_from_json(obj)
+            tau_cusp = jsonio.field(obj, "tau_cusp", jsonio.complex_matrix_from_json, None)
+            fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
+            ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
+            return {"check": "hodge-nilpotent", "tol": tol, "ok": ok}
+        # block-volume
+        tau_prime, z, s = [jsonio.field(obj, key, jsonio.complex_matrix_from_json)
+                           for key in ("tau_prime", "Z", "S")]
         ok = period_domain.block_volume_identity(tau_prime, z, s, tol)
-        report = {"check": "hodge-block-volume", "tol": tol, "ok": ok}
+        return {"check": "hodge-block-volume", "tol": tol, "ok": ok}
+
+    report = _read(args.file, check)
     return report, report["ok"]
 
 

@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in ``n`` variables is stored as a map from exponent tuples
-(length ``n``, nonnegative ints) to nonzero ``Fraction`` coefficients, so
-every operation here is exact: no floating point anywhere.  The canonical
-term order for display and serialization is graded lexicographic
-(total degree first, then the exponent tuple), descending.
+(length ``n``, nonnegative ints) to nonzero exact coefficients: the
+constructor stores an integral one as an ``int``, any other as a
+``Fraction``, so integral polynomials multiply on ints.  No floating point
+anywhere: dividing a coefficient takes ``Fraction``.  The canonical term
+order for display and serialization is graded lexicographic (total degree
+first, then the exponent tuple), descending.
 
 Matrices of polynomials have one exact determinant route: a division-free
 Laplace expansion memoized over column subsets.
@@ -12,7 +14,6 @@ Laplace expansion memoized over column subsets.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,7 +33,7 @@ def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
 
 
 class MultiPoly:
-    """Immutable sparse multivariate polynomial with Fraction coefficients."""
+    """Immutable sparse multivariate polynomial with exact rational coefficients."""
 
     __slots__ = ("nvars", "_terms")
 
@@ -40,7 +41,7 @@ class MultiPoly:
         if nvars < 0:
             raise DimensionError(f"nvars must be nonnegative, got {nvars}")
         object.__setattr__(self, "nvars", nvars)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Fraction | int] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(int(e) for e in exp)
@@ -50,8 +51,9 @@ class MultiPoly:
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
                 c = Fraction(coeff)
+                c = c.numerator if c.denominator == 1 else c
                 if c != 0:
-                    clean[exp] = clean.get(exp, Fraction(0)) + c
+                    clean[exp] = clean.get(exp, 0) + c
                     if clean[exp] == 0:
                         del clean[exp]
         object.__setattr__(self, "_terms", clean)
@@ -68,7 +70,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Fraction | int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, idx: int) -> "MultiPoly":
@@ -76,13 +78,13 @@ class MultiPoly:
             raise DimensionError(f"variable index {idx} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[idx] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     # ------------------------------------------------------------------
     # basic queries
 
     @property
-    def terms(self) -> dict[Exponent, Fraction]:
+    def terms(self) -> dict[Exponent, Fraction | int]:
         """The term map; treat as read-only."""
         return self._terms
 
@@ -92,8 +94,8 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coeff(self, exp: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+    def coeff(self, exp: Sequence[int]) -> Fraction | int:
+        return self._terms.get(tuple(exp), 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -132,7 +134,7 @@ class MultiPoly:
         self._check_compatible(other)
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
                 out[exp] = s
             elif exp in out:
@@ -147,23 +149,15 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        if not self._terms or not other._terms:
-            return MultiPoly.zero(self.nvars)
-        # Clear denominators so the hot loop runs on plain ints.
-        den_a = math.lcm(*(c.denominator for c in self._terms.values()))
-        den_b = math.lcm(*(c.denominator for c in other._terms.values()))
-        a = {e: int(c * den_a) for e, c in self._terms.items()}
-        b = {e: int(c * den_b) for e, c in other._terms.items()}
+        a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Exponent, int] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
                 out[exp] = out.get(exp, 0) + ca * cb
-        den = den_a * den_b
-        return _raw(self.nvars,
-                    {e: Fraction(c, den) for e, c in out.items() if c})
+        return _raw(self.nvars, {e: c for e, c in out.items() if c})
 
     def scale(self, value: Fraction | int) -> "MultiPoly":
         v = Fraction(value)
@@ -190,7 +184,7 @@ class MultiPoly:
     def partial(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
         self._check_var(var)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for exp, c in self._terms.items():
             k = exp[var]
             if k == 0:
@@ -236,7 +230,7 @@ class MultiPoly:
         if not self._terms:
             raise ZeroPolynomialError("leading coefficient of the zero polynomial")
         d = self.degree_in(var)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for exp, c in self._terms.items():
             if exp[var] == d:
                 new = list(exp)
@@ -247,7 +241,7 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # presentation
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Fraction | int]]:
         """Terms in descending graded-lex order."""
         return sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
@@ -255,7 +249,7 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self._terms!r})"
 
 
-def _raw(nvars: int, terms: dict[Exponent, Fraction]) -> MultiPoly:
+def _raw(nvars: int, terms: dict[Exponent, Fraction | int]) -> MultiPoly:
     """Build a MultiPoly from an already-canonical term dict (no copying)."""
     p = object.__new__(MultiPoly)
     object.__setattr__(p, "nvars", nvars)
@@ -364,17 +358,9 @@ def pencil_det(mats: Sequence[RationalMatrix]) -> MultiPoly:
     """
     g = pencil_size(mats)
     nvars = len(mats)
-    entries = []
-    for i in range(g):
-        for j in range(g):
-            terms: dict[Exponent, Fraction] = {}
-            for k, mat in enumerate(mats):
-                c = Fraction(mat[i][j])
-                if c:
-                    exp = [0] * nvars
-                    exp[k] = 1
-                    terms[tuple(exp)] = c
-            entries.append(MultiPoly(nvars, terms))
+    units = [tuple(int(k == l) for l in range(nvars)) for k in range(nvars)]
+    entries = [MultiPoly(nvars, {units[k]: mat[i][j] for k, mat in enumerate(mats)})
+               for i in range(g) for j in range(g)]
     return PolyMatrix(g, g, entries).det()
 
 

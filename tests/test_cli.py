@@ -11,7 +11,7 @@ import pytest
 from siegeltoric import cli, period_domain, volume_ke
 from siegeltoric.catalog import principal_cone
 from siegeltoric.cli import main
-from siegeltoric.jsonio import cone_to_json
+from siegeltoric.jsonio import cone_to_json, quote
 from test_residue_intersect import invertible_case_cone
 
 CLI = [sys.executable, "-m", "siegeltoric.cli"]
@@ -350,7 +350,23 @@ class TestExitCodes:
         ("nilpotent", {"g": 2, "k": 1, "u": [[1.0]], "tau_cusp": {"re": [["x"]], "im": [[0]]}},
          "complex matrix entries must be numbers, got 'x'"),
         ("block-volume", {"tau_prime": {"re": [[0.0]], "im": [[1.0]]}}, "missing key 'Z'"),
-    ], ids=["siegel", "riemann", "weight", "nilpotent", "block-volume"])
+        ("riemann", {"re": [[1, 2, 3]], "im": [[0, 0, 0]]}, "filtration must be 2g x g, got 1x3"),
+        ("riemann", {"re": [[0, 0]] * 4, "im": [[0, 0]] * 4},
+         "filtration basis is rank deficient"),
+        ("riemann", {"re": [[0, 0], [0, 0]], "im": [[1, 0], [0, -1]]},
+         "tau is not in the Siegel space"),
+        ("nilpotent", {"g": 2, "k": 0, "u": [[-1, 0], [0, -1]]},
+         "nilpotent is not in the positive cone"),
+        ("block-volume", {"tau_prime": {"re": [[0.0]], "im": [[1.0]]},
+                          "Z": {"re": [[0.0]], "im": [[-1.0]]},
+                          "S": {"re": [[0.5]], "im": [[0.25]]}},
+         "Z is not in its Siegel space"),
+        ("riemann", {"re": [[0] * 9] * 9,
+                     "im": [[int(i == j) for j in range(9)] for i in range(9)]},
+         "period-domain checks limited to g <= 8, got g=9"),
+    ], ids=["siegel", "riemann", "weight", "nilpotent", "block-volume", "riemann-1x3",
+            "riemann-rank-deficient", "riemann-tau-outside", "nilpotent-not-positive",
+            "block-volume-z-outside", "riemann-genus-9"])
     def test_hodge_input_error_names_the_file(self, sub, obj, message, tmp_path,
                                               monkeypatch, capsys):
         # the prefix every file-reading subcommand puts before an input error
@@ -432,8 +448,7 @@ class TestExitCodes:
         tau_path, nilp_path = tmp_path / "tau.json", tmp_path / "nilpotent.json"
         tau_path.write_text(json.dumps({"re": re, "im": im}))
         nilp_path.write_text(json.dumps({"g": g, "k": 0, "u": u}))
-        # CuspNilpotent checks the genus inside _read, so its error names the file
-        for sub, path, where in (("riemann", tau_path, ""),
+        for sub, path, where in (("riemann", tau_path, f"{tau_path}: "),
                                  ("weight", nilp_path, f"{nilp_path}: ")):
             t0 = time.perf_counter()
             proc = subprocess.run(CLI + ["hodge", sub, str(path)],
@@ -726,6 +741,22 @@ class TestConfig:
         cfg.write_text(json.dumps({"seed": 3}))
         assert main(["ma", "verify", "principal-g2", "--randomized", "--trials", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_integer_tol_past_binary64_is_two(self, sign, tmp_path, monkeypatch, capsys):
+        # an int too large for a float is no finite tolerance; a small int
+        # tolerance is reported as the int it is
+        cfg = tmp_path / "cfg.json"
+        monkeypatch.setenv("SIEGELTORIC_CONFIG", str(cfg))
+        cfg.write_text(json.dumps({"tol": sign * 10 ** 400}))
+        assert main(["catalog", "list"]) == 2
+        assert capsys.readouterr() == ("", "error: tol must be a finite positive number, got "
+                                           f"{quote(sign * 10 ** 400)}\n")
+        tau = tmp_path / "tau.json"
+        tau.write_text(json.dumps({"re": [[0]], "im": [[2]]}))
+        cfg.write_text(json.dumps({"tol": 1}))
+        assert main(["hodge", "siegel", str(tau)]) == 0
+        assert '"tol": 1}' in capsys.readouterr().out
 
     def test_flag_overrides_config(self, cone_file, tmp_path):
         cfg = tmp_path / "cfg.json"

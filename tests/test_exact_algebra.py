@@ -60,7 +60,7 @@ def exact_div(p, divisor):
         qexp = tuple(a - b for a, b in zip(rexp, lt_exp))
         if any(e < 0 for e in qexp):
             raise ValueError("division is not exact")
-        qcoeff = rem[rexp] / lt_coeff
+        qcoeff = Fraction(rem[rexp], lt_coeff)
         quo[qexp] = quo.get(qexp, Fraction(0)) + qcoeff
         for dexp, dcoeff in divisor.terms.items():
             exp = tuple(a + b for a, b in zip(qexp, dexp))
@@ -165,6 +165,19 @@ class TestArithmetic:
             got = a * b
             want = oracle.p_mul(a.terms, b.terms)
             assert got.terms == want
+
+    def test_integral_coefficients_are_ints(self):
+        # the constructor stores an integral coefficient as an int, and the
+        # product of two integral polynomials has int coefficients only
+        p = MultiPoly(1, {(1,): Fraction(4, 2)})
+        assert type(p.terms[(1,)]) is int and p.terms[(1,)] == 2
+        rng = random.Random(29)
+        for _ in range(25):
+            nvars = rng.randint(1, 4)
+            a, b = (MultiPoly(nvars, {e: Fraction(c.numerator)
+                                      for e, c in random_poly(rng, nvars).terms.items()})
+                    for _ in range(2))
+            assert all(type(c) is int for c in (a * b).terms.values()), (a, b)
 
     def test_pow(self):
         assert (X + Y) ** 2 == X * X + (X * Y).scale(2) + Y * Y
@@ -324,6 +337,12 @@ class TestPencilDet:
         zeta12 = [[1, -1], [-1, 1]]
         assert pencil_det([e11, e22, zeta12]) == XY_XZ_YZ
 
+    def test_principal_g3_coefficients_are_ints(self):
+        from siegeltoric.catalog import principal_cone
+        from siegeltoric.volume_ke import volume_function
+        f = pencil_det(volume_function(principal_cone(3)).pencil)
+        assert f.num_terms() > 0 and all(type(c) is int for c in f.terms.values())
+
     def test_single_identity(self):
         p = pencil_det([[[1, 0], [0, 1]]])
         x = MultiPoly.variable(1, 0)
@@ -429,3 +448,7 @@ class TestSerialization:
         obj = poly_to_json(MultiPoly.const(1, Fraction(10 ** 20, 3)))
         assert obj["terms"][0]["num"] == str(10 ** 20)
         assert obj["terms"][0]["den"] == "3"
+
+    def test_int_coefficient_has_denominator_one(self):
+        assert poly_to_json(MultiPoly.const(1, 5))["terms"] == [
+            {"exp": [0], "num": "5", "den": "1"}]

@@ -1,11 +1,15 @@
-"""Compare the reports of two checkouts on every benchmark request.
+"""Compare the reports of two checkouts on every benchmark request and on
+the frontier requests.
 
 Run from anywhere:  python3 tools/compare_reports.py BASE_CHECKOUT
 Builds each workload's requests for seeds 101-105 with perfbench/inputs.py
-(read, never written), runs each one from its work directory under
-BASE_CHECKOUT/src and under this checkout's src, and lists every request
-whose exit code, stdout or stderr differ.  Exits 1 on any difference in
-exit code or stdout; differences in stderr alone are listed, not failed.
+(read, never written) and runs each one from its work directory; then runs
+each of the fixed FRONTIER requests on catalog cones, whose symbolic work
+goes past the genus 3 where the benchmark requests stop.  Every request
+runs once under BASE_CHECKOUT/src and once under this checkout's src, and
+every request whose exit code, stdout or stderr differ is listed.  Exits 1
+on any difference in exit code or stdout; differences in stderr alone are
+listed, not failed.
 """
 
 import os
@@ -20,6 +24,13 @@ import inputs  # noqa: E402
 
 SEEDS = range(101, 106)
 TIMEOUT_S = 120
+FRONTIER = (
+    ["cone", "volume", "principal-g6"],
+    ["residue", "principal-g6", "--d", "3"],
+    ["intersect", "principal-g6", "--edges", "0"],
+    ["ma", "verify", "principal-g7", "--randomized", "--trials", "1"],
+    ["ke", "test", "principal-g12"],
+)
 
 
 def run(src, argv, cwd):
@@ -38,21 +49,24 @@ def main() -> int:
         return 2
     sources = [os.path.join(os.path.abspath(sys.argv[1]), "src"), os.path.join(ROOT, "src")]
     os.chdir(ROOT)   # inputs.py reads the golden files relative to the checkout
-    total, differ, failed = 0, 0, False
+    differ, failed = 0, False
     with tempfile.TemporaryDirectory() as tmp:
+        requests = []
         for workload in inputs.WORKLOADS:
             for seed in SEEDS:
                 workdir = os.path.join(tmp, f"{workload}-{seed}")
-                for req in inputs.build(workload, seed, workdir):
-                    total += 1
-                    base, new = (run(src, req.argv, workdir) for src in sources)
-                    fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), base, new)
-                              if a != b]
-                    if fields:
-                        differ += 1
-                        failed |= fields != ["stderr"]
-                        print(f"{workload} seed {seed} {req.label}: {', '.join(fields)} differ")
-    print(f"{differ} of {total} requests differ")
+                requests += [(f"{workload} seed {seed} {req.label}", req.argv, workdir)
+                             for req in inputs.build(workload, seed, workdir)]
+        requests += [(f"frontier {' '.join(argv)}", argv, tmp) for argv in FRONTIER]
+        for label, argv, workdir in requests:
+            base, new = (run(src, argv, workdir) for src in sources)
+            fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), base, new)
+                      if a != b]
+            if fields:
+                differ += 1
+                failed |= fields != ["stderr"]
+                print(f"{label}: {', '.join(fields)} differ")
+    print(f"{differ} of {len(requests)} requests differ")
     return int(failed)
 
 
