@@ -108,11 +108,10 @@ def zeta_matrix(g: int, i: int, j: int) -> IntMatrix:
 
 
 def _int_rows(m) -> tuple[list[list[int]], int]:
-    """Rows of the rational matrix m, each scaled to ints by the lcm of its
-    denominators, and the product of those lcms."""
+    """Rows of m, entries int or Fraction, each scaled to ints by the lcm of
+    its denominators (1 for an int), and the product of those lcms."""
     rows, scale = [], 1
     for row in m:
-        row = [Fraction(v) for v in row]
         d = math.lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (d // v.denominator) for v in row])
         scale *= d
@@ -183,8 +182,8 @@ def _in_column(a: list[list[int]], k: int) -> Optional[tuple[int, int]]:
 
 
 def rational_det(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix; elimination stops at
-    the first live column with no nonzero entry, where the det is 0."""
+    """Exact determinant of a square int or Fraction matrix; elimination
+    stops at the first live column with no nonzero entry, where the det is 0."""
     a, scale = _int_rows(m)
     if any(len(row) != len(a) for row in a):
         raise ConeShapeError("determinant of a non-square matrix")
@@ -215,7 +214,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def psd_rank(m: Sequence[Sequence[int | Fraction]]) -> Optional[int]:
-    """Rank of a symmetric PSD matrix, or None when it is not PSD.
+    """Rank of a symmetric PSD int or Fraction matrix, or None if not PSD.
 
     Bareiss elimination on positive diagonal pivots.  Each live entry is
     the Schur complement entry times a positive factor (the row scales and

@@ -161,6 +161,7 @@ class MultiPoly:
 
     def scale(self, value: Fraction | int) -> "MultiPoly":
         v = Fraction(value)
+        v = v.numerator if v.denominator == 1 else v
         if v == 0:
             return MultiPoly.zero(self.nvars)
         return _raw(self.nvars, {e: c * v for e, c in self._terms.items()})

@@ -109,7 +109,7 @@ class VolumeFunction:
     first use.  The pencil fixes g (its matrix size, which pencil_size
     checks) and N (its length)."""
 
-    def __init__(self, pencil: tuple[tuple[tuple[Fraction, ...], ...], ...], vol: int):
+    def __init__(self, pencil: tuple[tuple[tuple[int | Fraction, ...], ...], ...], vol: int):
         self.g = pencil_size(pencil)
         self.nvars = len(pencil)
         self.pencil = pencil
@@ -127,18 +127,17 @@ class VolumeFunction:
         return f
 
 
-def _normalized_pencil(c: MarkedCone) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    s = Fraction(1, c.scale)
+def _normalized_pencil(c: MarkedCone) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(
-        tuple(tuple(Fraction(v) * s for v in row) for row in gen)
+        tuple(tuple(v // c.scale for v in row) for row in gen)
         for gen in c.generators
     )
 
 
 def volume_function(c: MarkedCone) -> VolumeFunction:
-    """Volume function of the scale-normalized generators, vol = c.index.
-    F is not zero: MarkedCone rejects dependent generators, and
-    independent ones span Sym_g, so I as well."""
+    """Volume function of the generators over c.scale, vol = c.index: a
+    cone's pencil holds ints, a general one ints or Fractions.  F is not 0:
+    MarkedCone rejects dependent generators, and their span holds I."""
     n = sym_dim(c.g)
     if len(c.generators) != n:
         raise DegenerateConeError(

@@ -695,6 +695,12 @@ class TestHodgeCommands:
             "S": {"re": [[0.5]], "im": [[0.25]]},
         }))
         assert run_cli("hodge", "block-volume", str(path), "--tol", "1e-8").returncode == 0
+        # the assembled Im tau has smallest eigenvalue about 0.94, so it
+        # fails the Siegel test at tol 1 (exit 1) and passes at tol 0.9
+        proc = run_cli("hodge", "block-volume", str(path), "--tol", "1")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["ok"] is False
+        assert run_cli("hodge", "block-volume", str(path), "--tol", "0.9").returncode == 0
 
     def test_weight(self, tmp_path):
         path = tmp_path / "n.json"

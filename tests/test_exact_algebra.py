@@ -171,6 +171,12 @@ class TestArithmetic:
         # product of two integral polynomials has int coefficients only
         p = MultiPoly(1, {(1,): Fraction(4, 2)})
         assert type(p.terms[(1,)]) is int and p.terms[(1,)] == 2
+        # scaling by an integral factor, int or Fraction, keeps them ints
+        q = MultiPoly(2, {(1, 0): 3, (0, 1): 5})
+        for factor in (2, Fraction(4, 2)):
+            terms = q.scale(factor).terms
+            assert terms == {(1, 0): 6, (0, 1): 10}, factor
+            assert all(type(c) is int for c in terms.values()), factor
         rng = random.Random(29)
         for _ in range(25):
             nvars = rng.randint(1, 4)

@@ -190,6 +190,9 @@ class TestVolumeFunction:
         leveled = principal_cone(2, scale=5)
         v = volume_function(leveled)
         assert v.F == F_PRINCIPAL and v.vol == 1
+        # the pencil is integral: each entry an int, equal to zeta's
+        assert v.pencil == SIGMA0.generators
+        assert all(type(x) is int for m in v.pencil for row in m for x in row)
 
     def test_f_is_expanded_only_on_use(self):
         # ma verify needs det M (symbolic) or the pencil (randomized), never F

@@ -4,8 +4,11 @@ the frontier requests.
 Run from anywhere:  python3 tools/compare_reports.py BASE_CHECKOUT
 Builds each workload's requests for seeds 101-105 with perfbench/inputs.py
 (read, never written) and runs each one from its work directory; then runs
-each of the fixed FRONTIER requests on catalog cones, whose symbolic work
-goes past the genus 3 where the benchmark requests stop.  Every request
+each of the fixed FRONTIER requests on catalog cones, whose work goes
+past the benchmark's cones, which stop at genus 5, and its symbolic work,
+which stops at genus 3: genus-6 `cone volume`, `residue` and `intersect`,
+a genus-7 randomized `ma verify`, and a genus-12 `ke test`, `cone check`
+and symbolic `ma verify`.  Every request
 runs once under BASE_CHECKOUT/src and once under this checkout's src, and
 every request whose exit code, stdout or stderr differ is listed.  Exits 1
 on any difference in exit code or stdout; differences in stderr alone are
@@ -30,6 +33,8 @@ FRONTIER = (
     ["intersect", "principal-g6", "--edges", "0"],
     ["ma", "verify", "principal-g7", "--randomized", "--trials", "1"],
     ["ke", "test", "principal-g12"],
+    ["cone", "check", "principal-g12"],
+    ["ma", "verify", "principal-g12"],
 )
 
 
