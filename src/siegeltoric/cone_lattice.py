@@ -193,14 +193,17 @@ def rational_det(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
 
 def int_det_adjugate(y: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
     """det y and adj y of a square integer matrix y; adj is None when det y
-    is 0.
+    is 0.  An entry that is not an int raises TypeError.
 
     Fraction-free Gauss-Jordan on [y | I] turns the right block into
     d y^-1, where d = +-det y is the last pivot, and adj y = det(y) y^-1.
     """
     g = len(y)
-    a = [[int(v) for v in row] + [int(i == j) for j in range(g)]
-         for i, row in enumerate(y)]
+    for row in y:
+        for v in row:
+            if not isinstance(v, int):
+                raise TypeError(f"int_det_adjugate needs int entries, got {type(v).__name__}")
+    a = [list(row) + [int(i == j) for j in range(g)] for i, row in enumerate(y)]
     k, det = _bareiss(a, _in_column, jordan=True)
     if k < g:
         return 0, None

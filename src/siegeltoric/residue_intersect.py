@@ -34,7 +34,7 @@ M >= sym_dim(e) as L_d is onto.
   applied to the pencil L_d at genus e, makes g_d a constant multiple of
   S_d^((e+1)(e-1)) (the factor c_d multiplies P by c_d^2).  So
   g_d = lambda S_d^((e+1)(e-1)), with lambda read off as
-  det P(p) / S_d(p)^((e+1)(e-1)) at one rational point p with S_d(p) != 0.
+  det P(p) / S_d(p)^((e+1)(e-1)) at one integer point p with S_d(p) != 0.
 
 If the first d generators are positive semidefinite, g_d = 0.  Each of
 them vanishes as a form on the e-dimensional subspace V where the final
@@ -70,8 +70,8 @@ from .cone_lattice import (
     sym_dim,
 )
 from .exact_algebra import MultiPoly
-from .volume_ke import (RANDOM_COORD_MAX, CostGuardError, VolumeFunction,
-                        pencil_coordinate_det, volume_function)
+from .volume_ke import (CostGuardError, VolumeFunction, pencil_coordinate_det,
+                        random_point, volume_function)
 
 # S_d^((e+1)(e-1)) is expanded only if it can have at most this many terms:
 # every genus-4 cone passes (at most 118755 terms, 16 s on a 2-CPU machine),
@@ -130,7 +130,7 @@ def _residue_minor(s: MultiPoly, d: int) -> MultiPoly:
             f"predicted up to {terms} (N={n}, d={d})")
     rng = random.Random(0)
     while True:
-        p = [rng.randint(1, RANDOM_COORD_MAX) for _ in range(n)]
+        p = random_point(rng, n)
         sp = s.eval_at(p)
         if sp:
             break

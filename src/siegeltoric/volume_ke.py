@@ -11,7 +11,7 @@ The Kaehler-Einstein metric forces the determinant identity
     det(T) = (-1)^N * 2^(g(g-1)/2) * vol^2 * F^((g+1)(g-1)),
 
 where vol is the lattice volume of the cone.  This module proves it for
-every genus, checks it at random rational points, and tests integral
+every genus, checks it at random integer points, and tests integral
 pencils for membership in the variety its coefficient equations cut out.
 
 Euler reduction.  Let f be homogeneous of degree e >= 2 in M variables x
@@ -44,22 +44,29 @@ nondegenerate cone, and is_ke_point is True on every independent pencil:
 every coefficient of det(T) minus the right side is 0.  The direct det(T)
 and Hessian routes are test oracles.
 
-Randomized mode works at each point p from the pencil alone and never
-expands F.  Write A_mu = G_mu / s with integer G_mu, let D be the lcm of
-the denominators of p and q = D p, and put Y = sum q_mu G_mu, an integer
-matrix with L p = Y / (D s).  One fraction-free Gauss-Jordan elimination
-gives f = det Y and C = adj Y, so F(p) = f / (D s)^g.  Differentiating
-Jacobi's formula d det(Y)[A] = tr(adj(Y) A) once more gives
+Randomized mode works at integer points, from the pencil alone, and
+never expands F.  Both sides of the identity are homogeneous of degree
+N(2g-2) = g(g^2-1), so their values at a rational point q/D settle the
+same equality as their values at the integer point q: each coordinate is
+drawn as an integer in [1, RANDOM_COORD_MAX].  If the two sides differ,
+their difference is a nonzero polynomial of that degree, and it vanishes
+at such a point with probability at most N(2g-2)/RANDOM_COORD_MAX
+(Schwartz, J. ACM 27, 1980): the same bound as for fractions a/b with a
+and b in that range, whose most likely value, 1, also has probability
+1/RANDOM_COORD_MAX.  Write A_mu = G_mu / s with integer G_mu and put
+Y = sum p_mu G_mu, an integer matrix with L p = Y / s.  One fraction-free
+Gauss-Jordan elimination gives f = det Y and C = adj Y, so
+F(p) = f / s^g.  Differentiating Jacobi's formula
+d det(Y)[A] = tr(adj(Y) A) once more gives
 f d^2 det(Y)[A, B] = tr(C A) tr(C B) - tr(C A C B) (Griewank and Walther,
-Evaluating Derivatives, 2008), and d^2 det is homogeneous of degree g-2,
-so for g >= 2
+Evaluating Derivatives, 2008).  As det has integer coefficients,
+d^2 det(Y)[G_a, G_b] is an integer, so for g >= 2
 
-    Hess F(p)_ab = (tr(C G_a) tr(C G_b) - tr(C G_a C G_b)) / (f D^(g-2) s^g).
+    E_ab = (tr(C G_a) tr(C G_b) - tr(C G_a C G_b)) / f
 
-Each entry is an exact Fraction: the numerator is f times the integer
-d^2 det(Y)[G_a, G_b], so the quotient is that integer over D^(g-2) s^g,
-and Fraction reduces it by the common factors, which keeps the N x N
-rational determinant small.  The Euler reduction then gives det(T)(p) =
+is an exact integer quotient, Hess F(p) = E / s^g and
+det Hess F(p) = det(E) / s^(gN): one integer determinant, with no
+Fraction per entry.  The Euler reduction then gives det(T)(p) =
 -F(p)^N det(Hess F(p)) / (g-1), which is 0 when f = 0; at g = 1, det(T)
 is the constant -A_1^2.  The route that expands F and evaluates its
 N(N+1)/2 second partials at each point is a test oracle.
@@ -71,12 +78,14 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .cone_lattice import (
     DegenerateConeError,
     MarkedCone,
     delta_index_pairs,
+    int_det,
     int_det_adjugate,
     rational_det,
     sym_dim,
@@ -92,10 +101,11 @@ F_NVARS_MAX = 21
 
 
 # Randomized mode's predicted work: trials * (N^6 + 4*10^5) units.  One
-# point of the principal cone took 0.6 ms at N = 6 and then about 1.4 ns
-# per unit at N = 15-36 (0.014, 0.10, 0.65 and 3.6 s at g = 5-8; 2-CPU
-# machine), so the bound admits about 4 s of points: one at g = 8, five at
-# g = 7, none at g = 9.
+# point of the principal cone takes 0.6 ms at N = 10 and then about 0.1 ns
+# per unit at N = 21-36 (0.002, 0.012, 0.045 and 0.20 s at g = 5-8, CPU
+# time in process; 2-CPU machine), so the bound admits about 0.25 s of
+# points: one at g = 8, five at g = 7, none at g = 9.  It dates from points
+# that cost over ten times as much and is kept so that no exit code moves.
 RANDOMIZED_WORK_MAX = 2_500_000_000
 
 
@@ -176,7 +186,7 @@ def det_t_symbolic(v: VolumeFunction) -> MultiPoly:
 
 
 class MAWitness(NamedTuple):
-    point: tuple[Fraction, ...]
+    point: tuple[int, ...]
     lhs: Fraction
     rhs: Fraction
 
@@ -186,49 +196,47 @@ class MAReport(NamedTuple):
     witnesses: tuple[MAWitness, ...] = ()   # failing points, randomized mode only
 
 
-def random_rational_point(rng: random.Random, nvars: int) -> tuple[Fraction, ...]:
-    return tuple(
-        Fraction(rng.randint(1, RANDOM_COORD_MAX), rng.randint(1, RANDOM_COORD_MAX))
-        for _ in range(nvars))
+def random_point(rng: random.Random, nvars: int) -> tuple[int, ...]:
+    """nvars integers in [1, RANDOM_COORD_MAX] (module docstring)."""
+    return tuple(rng.randint(1, RANDOM_COORD_MAX) for _ in range(nvars))
 
 
-def det_t_values(v: VolumeFunction, points: Sequence[Sequence[Fraction]]
+def det_t_values(v: VolumeFunction, points: Sequence[Sequence[int]]
                  ) -> list[tuple[Fraction, Fraction]]:
-    """(F(p), det(T)(p)) at each point p, from the pencil alone: F is never
-    expanded (module docstring)."""
+    """(F(p), det(T)(p)) at each integer point p, from the pencil alone: F
+    is never expanded (module docstring)."""
     s = math.lcm(*(x.denominator for m in v.pencil for row in m for x in row))
     gens = [[[int(x * s) for x in row] for row in m] for m in v.pencil]
     return [_det_t_at(gens, s, p) for p in points]
 
 
 def _det_t_at(gens: Sequence[Sequence[Sequence[int]]], s: int,
-              point: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+              point: Sequence[int]) -> tuple[Fraction, Fraction]:
     """F(p) and det(T)(p) from the integer pencil G_mu / s alone, by one
-    integer adjugate (module docstring)."""
+    integer adjugate and one integer determinant (module docstring)."""
     g, n = len(gens[0]), len(gens)
     if g == 1:
         return (Fraction(sum(x * m[0][0] for x, m in zip(point, gens)), s),
                 Fraction(-gens[0][0][0] ** 2, s * s))
-    d = math.lcm(*(x.denominator for x in point))
-    q = [x.numerator * (d // x.denominator) for x in point]
-    y = [[sum(qm * m[i][j] for qm, m in zip(q, gens)) for j in range(g)]
+    y = [[sum(x * m[i][j] for x, m in zip(point, gens)) for j in range(g)]
          for i in range(g)]
     f, adj = int_det_adjugate(y)
-    fval = Fraction(f, (d * s) ** g)
+    fval = Fraction(f, s ** g)
     if f == 0:
         return fval, Fraction(0)
-    cg = [[[sum(adj[i][k] * m[k][j] for k in range(g)) for j in range(g)]
-           for i in range(g)] for m in gens]
+    # C G_mu row by row; G_mu is symmetric, so its rows are its columns
+    cg = [[[sum(map(mul, row, col)) for col in m] for row in adj] for m in gens]
     tr = [sum(c[i][i] for i in range(g)) for c in cg]
-    den = f * d ** (g - 2) * s ** g
-    hess = [[Fraction(0)] * n for _ in range(n)]
+    # tr(X Z) is the dot product of X's entries with Z's transposed
+    flat = [[x for row in c for x in row] for c in cg]
+    flat_t = [[c[j][i] for i in range(g) for j in range(g)] for c in cg]
+    e = [[0] * n for _ in range(n)]
     for a in range(n):
-        ca = cg[a]
+        fa = flat[a]
         for b in range(a, n):
-            cb = cg[b]
-            tr_ab = sum(ca[i][j] * cb[j][i] for i in range(g) for j in range(g))
-            hess[a][b] = hess[b][a] = Fraction(tr[a] * tr[b] - tr_ab, den)
-    return fval, -fval ** n * rational_det(hess) / (g - 1)
+            tr_ab = sum(map(mul, fa, flat_t[b]))
+            e[a][b] = e[b][a] = (tr[a] * tr[b] - tr_ab) // f
+    return fval, -fval ** n * Fraction(int_det(e), s ** (g * n)) / (g - 1)
 
 
 def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
@@ -237,8 +245,9 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
 
     Symbolic mode proves exact polynomial equality at every genus: by the
     closed form it holds exactly when det(M)^2 = vol^2.  Randomized mode
-    compares both sides at `trials` random rational points with numerators
-    and denominators in [1, 10^6], recording any failing point as an exact,
+    compares both sides at `trials` random points with integer coordinates
+    in [1, RANDOM_COORD_MAX], which homogeneity makes as strong as rational
+    ones (module docstring), recording any failing point as an exact,
     replayable witness.
     """
     if mode == "symbolic":
@@ -254,7 +263,7 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
             f"randomized check limited to trials * (N^6 + 4e5) <= {RANDOMIZED_WORK_MAX}, "
             f"got {work} (N={v.nvars}, trials={trials})")
     rng = random.Random(seed)
-    points = [random_rational_point(rng, v.nvars) for _ in range(trials)]
+    points = [random_point(rng, v.nvars) for _ in range(trials)]
     c = ma_rhs_constant(v.g, v.vol)
     witnesses = []
     for point, (fval, lhs) in zip(points, det_t_values(v, points)):

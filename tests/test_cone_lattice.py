@@ -435,6 +435,13 @@ class TestEliminationKernel:
         for m in ([[1, 2], [2, 4]], [[0, 1], [0, 2]], [[0]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]):
             assert int_det_adjugate(m) == (0, None)
 
+    def test_adjugate_refuses_non_int_entries(self):
+        # int() would truncate: det [[1/2, 0], [0, 2]] = 1 read as 0, and
+        # det [[2.7, 0], [0, 1]] read as 2
+        for m in ([[Fraction(1, 2), 0], [0, 2]], [[2.7, 0], [0, 1]]):
+            with pytest.raises(TypeError, match="int entries"):
+                int_det_adjugate(m)
+
     def test_singular_det_stops_at_the_empty_column(self):
         # column p is zero or a combination of the columns before it, so
         # live column p is empty after p pivots: elimination stops there

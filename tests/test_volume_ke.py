@@ -1,6 +1,7 @@
 """Volume polynomials, the Monge-Ampere identity, KE membership."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from siegeltoric.volume_ke import (
     ma_rhs,
     ma_rhs_constant,
     pencil_coordinate_det,
-    random_rational_point,
+    random_point,
     verify_ma_identity,
     volume_function,
 )
@@ -137,7 +138,7 @@ def polynomial_det_t_values(f, points):
 
 def random_points(seed, nvars, count):
     rng = random.Random(seed)
-    return [random_rational_point(rng, nvars) for _ in range(count)]
+    return [random_point(rng, nvars) for _ in range(count)]
 
 
 class TestVolumeFunction:
@@ -511,18 +512,39 @@ class TestRandomizedFromPencil:
     def test_points_where_the_pencil_is_singular(self):
         # L(3, 4, 5) = [[8, 4], [4, 2]] has rank 1; on the g = 3 coordinate
         # pencil, L p = diag(1, 1, 0) has rank 2 and a nonzero adjugate, and
-        # L p = [[1, 1, 0], [1, 1, 0], [0, 0, 0]] / 2 has rank 1
+        # L p = [[1, 1, 0], [1, 1, 0], [0, 0, 0]] has rank 1
         v2 = volume_function_from_pencil(
             [[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]], vol=2)
         v3 = volume_function_from_pencil(
             [unit_matrix(3, i, j) for i in range(3) for j in range(i, 3)], vol=1)
         cases = [(v2, [(3, 4, 5)]),
-                 (v3, [(1, 0, 0, 1, 0, 0), (Fraction(1, 2), Fraction(1, 2), 0,
-                                             Fraction(1, 2), 0, 0)])]
+                 (v3, [(1, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 0)])]
         for v, points in cases:
-            points = [tuple(Fraction(x) for x in p) for p in points]
             assert all(fval == lhs == 0 for fval, lhs in det_t_values(v, points))
             self.assert_matches_oracle(v, points)
+
+    def test_homogeneity_pin(self):
+        # both sides are homogeneous, F of degree g and det(T) of degree
+        # N(2g - 2), so the values at the integer point q = D p are those
+        # of the polynomial oracle at the rational point p, times D^g and
+        # D^(N(2g - 2))
+        rng = random.Random(97)
+        rational_pencil = [[[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 0]],
+                           [[0, Fraction(1, 5)], [Fraction(1, 5), 1]],
+                           [[1, 0], [0, Fraction(2, 3)]]]
+        cases = [volume_function(principal_cone(g)) for g in (1, 2, 3, 4)]
+        cases += [volume_function(principal_cone(3, scale=2)),
+                  volume_function_from_pencil(rational_pencil, vol=1)]
+        for v in cases:
+            for _ in range(2):
+                p = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                     for _ in range(v.nvars)]
+                d = math.lcm(*(x.denominator for x in p))
+                q = tuple(int(d * x) for x in p)
+                [(fq, tq)] = det_t_values(v, [q])
+                [(fp, tp)] = polynomial_det_t_values(v.F, [p])
+                assert fq == d ** v.g * fp, v.g
+                assert tq == d ** (v.nvars * (2 * v.g - 2)) * tp, v.g
 
     def test_wrong_volume_witnesses_match_oracle(self):
         # the reports carry the oracle's witnesses, so their bytes agree too
@@ -537,6 +559,7 @@ class TestRandomizedFromPencil:
                     MAWitness(point=p, lhs=lhs, rhs=c * fval ** ((g + 1) * (g - 1)))
                     for p, (fval, lhs) in zip(points, polynomial_det_t_values(v.F, points)))
                 assert not report.holds and report.witnesses == expected, (g, vol)
+                assert all(type(x) is int for w in report.witnesses for x in w.point)
 
 
 class TestKEPoint:

@@ -7,8 +7,9 @@ Builds each workload's requests for seeds 101-105 with perfbench/inputs.py
 each of the fixed FRONTIER requests on catalog cones, whose work goes
 past the benchmark's cones, which stop at genus 5, and its symbolic work,
 which stops at genus 3: genus-6 `cone volume`, `residue` and `intersect`,
-a genus-7 randomized `ma verify`, and a genus-12 `ke test`, `cone check`
-and symbolic `ma verify`.  Every request
+a genus-7 and a genus-8 randomized `ma verify` (the genus-8 one at the
+edge of its cost guard), and a genus-12 `ke test`, `cone check` and
+symbolic `ma verify`.  Every request
 runs once under BASE_CHECKOUT/src and once under this checkout's src, and
 every request whose exit code, stdout or stderr differ is listed.  Exits 1
 on any difference in exit code or stdout; differences in stderr alone are
@@ -32,6 +33,7 @@ FRONTIER = (
     ["residue", "principal-g6", "--d", "3"],
     ["intersect", "principal-g6", "--edges", "0"],
     ["ma", "verify", "principal-g7", "--randomized", "--trials", "1"],
+    ["ma", "verify", "principal-g8", "--randomized", "--trials", "1"],
     ["ke", "test", "principal-g12"],
     ["cone", "check", "principal-g12"],
     ["ma", "verify", "principal-g12"],
