@@ -128,8 +128,8 @@ def _cmd_cone_check(args) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
     edge_reports = []
     all_psd = True
-    for idx, gen in enumerate(cone.generators):
-        ec = cone_lattice.edge_class(gen)
+    for idx in range(len(cone.generators)):
+        ec = cone_lattice.edge_class(cone, idx)
         label = cone.labels[idx] if cone.labels else f"edge{idx}"
         if ec.kind == "invalid":
             all_psd = False

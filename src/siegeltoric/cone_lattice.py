@@ -5,12 +5,16 @@ delta_{ii} = E_ii, delta_{ij} = E_ij + E_ji (i < j), listed in the order
 (1,1),(1,2),...,(1,g),(2,2),...,(g,g).  Cones are simplicial and marked:
 the generators carry a fixed order.  GL(g,Z) acts by A -> f A f^T.
 
-All predicates here are exact (integer / Fraction arithmetic).  A cone's
-coordinates are reduced once, by the integer column reduction
-`lattice_index`; independence, regularity and lattice volume read that
-index.  Rational determinants, adjugates and PSD ranks share one
-fraction-free elimination kernel, and membership and intersection
-questions reduce to maximal supports of rational cones (`exactlp`).
+All predicates here are exact (integer / Fraction arithmetic).  A
+generator is checked once, by the `MarkedCone` or `GroupElement`
+constructor: int entries only (`as_int_matrix` converts none), and for
+a cone a nonzero symmetric matrix of the lattice; `edge_class` and the
+other readers of a cone rely on that.  A cone's coordinates are reduced
+once, by the integer column reduction `lattice_index`; independence,
+regularity and lattice volume read that index.  Rational determinants,
+adjugates and PSD ranks share one fraction-free elimination kernel, and
+membership and intersection questions reduce to maximal supports of
+rational cones (`exactlp`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .exactlp import cone_membership, maximal_support
+from .exactlp import cone_membership, maximal_support, scaled_row
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -76,7 +80,14 @@ def delta_index_pairs(g: int) -> list[tuple[int, int]]:
 
 
 def as_int_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    mat = tuple(tuple(int(v) for v in row) for row in rows)
+    """rows as a square tuple of int tuples.  An entry whose type is not
+    int (a bool, float, Fraction or str among them) raises ConeShapeError;
+    no entry is converted."""
+    mat = tuple(map(tuple, rows))
+    for i, row in enumerate(mat):
+        if not all(type(v) is int for v in row):
+            j, v = next((j, v) for j, v in enumerate(row) if type(v) is not int)
+            raise ConeShapeError(f"entry ({i + 1},{j + 1})={quote(v)} is not an int")
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ConeShapeError("matrix is not square")
@@ -110,12 +121,8 @@ def zeta_matrix(g: int, i: int, j: int) -> IntMatrix:
 def _int_rows(m) -> tuple[list[list[int]], int]:
     """Rows of m, entries int or Fraction, each scaled to ints by the lcm of
     its denominators (1 for an int), and the product of those lcms."""
-    rows, scale = [], 1
-    for row in m:
-        d = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (d // v.denominator) for v in row])
-        scale *= d
-    return rows, scale
+    scaled = [scaled_row(row) for row in m]
+    return [ints for ints, _ in scaled], math.prod(d for _, d in scaled)
 
 
 def _bareiss(a: list[list[int]], pick, jordan: bool = False) -> tuple[int, int]:
@@ -419,22 +426,17 @@ def is_regular(c: MarkedCone) -> bool:
     return c.index == 1
 
 
-def edge_class(m: Sequence[Sequence[int]]) -> EdgeClass:
-    """Classify an edge generator: interior of the positive cone
-    (positive definite), boundary (singular PSD, rank reported), or
-    invalid (not PSD)."""
-    mat = as_int_matrix(m)
-    if not is_symmetric(mat):
-        raise ConeShapeError("matrix is not symmetric")
-    if all(v == 0 for row in mat for v in row):
-        raise ConeShapeError("zero matrix has no edge class")
-    r = psd_rank(mat)
+def edge_class(c: MarkedCone, k: int) -> EdgeClass:
+    """Classify generator k of c: interior of the positive cone (positive
+    definite), boundary (singular PSD, rank reported), or invalid (not
+    PSD).  The constructor of c has checked that the generator is a
+    nonzero symmetric int matrix, so only its PSD rank is computed."""
+    r = psd_rank(c.generators[k])
     if r is None:
         return EdgeClass(kind="invalid")
-    g = len(mat)
-    if r == g:
-        return EdgeClass(kind="interior", rank=g)
-    return EdgeClass(kind="boundary", rank=r, flagged=1 < r < g)
+    if r == c.g:
+        return EdgeClass(kind="interior", rank=r)
+    return EdgeClass(kind="boundary", rank=r, flagged=1 < r < c.g)
 
 
 def gl_act(gamma: GroupElement, c: MarkedCone) -> MarkedCone:

@@ -72,14 +72,6 @@ class MultiPoly:
     def const(cls, nvars: int, value: Fraction | int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: value})
 
-    @classmethod
-    def variable(cls, nvars: int, idx: int) -> "MultiPoly":
-        if not 0 <= idx < nvars:
-            raise DimensionError(f"variable index {idx} out of range for nvars={nvars}")
-        exp = [0] * nvars
-        exp[idx] = 1
-        return cls(nvars, {tuple(exp): 1})
-
     # ------------------------------------------------------------------
     # basic queries
 
@@ -281,9 +273,6 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PolyMatrix is immutable")
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self._entries[i * self.cols + j]
 
     def row(self, i: int) -> list[MultiPoly]:
         return self._entries[i * self.cols:(i + 1) * self.cols]

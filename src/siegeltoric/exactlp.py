@@ -72,7 +72,7 @@ def maximal_support(
     # the column of p_i is that of x_i), then slacks q_i = 1 - t_i
     q0 = k + nvars
     width = q0 + k
-    tab = [_int_row([*row[:k], *row, *([0] * k), 0]) for row in rows]
+    tab = [_primitive(scaled_row([*row[:k], *row, *([0] * k), 0])[0]) for row in rows]
     for i in range(k):
         bound = [0] * (width + 1)
         bound[i] = bound[q0 + i] = bound[width] = 1
@@ -90,10 +90,11 @@ def maximal_support(
 # integer tableau
 
 
-def _int_row(vals) -> list[int]:
-    """Primitive integer multiple of a rational row (positive factor)."""
-    den = math.lcm(*(v.denominator for v in vals))
-    return _primitive([v.numerator * (den // v.denominator) for v in vals])
+def scaled_row(vals) -> tuple[list[int], int]:
+    """A row of ints and Fractions times the lcm d of its denominators (1
+    for a row of ints), as ints, and d."""
+    d = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (d // v.denominator) for v in vals], d
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -121,6 +121,10 @@ def _sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _int_scaled(a: Matrix) -> tuple[list[list[int]], int]:
+    """a times one common denominator d, as ints, and d.  Not the per-row
+    `exactlp.scaled_row`: `_mul` divides the integer product by da * db,
+    and weight_filtration reads A = U^T U = D^2 u^T u, both of which need
+    one scale for the whole matrix."""
     d = math.lcm(*(v.denominator for row in a for v in row))
     return [[v.numerator * (d // v.denominator) for v in row] for row in a], d
 

@@ -201,7 +201,7 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     if d >= c.g - 1:
         return IntersectionVerdict(ZERO_D_GE_G_MINUS_1)
     for i in sel:
-        if edge_class(c.generators[i]).kind == "interior":
+        if edge_class(c, i).kind == "interior":
             return IntersectionVerdict(ZERO_INTERIOR_EDGE)
     chi = None
     if len(c.generators) == n:

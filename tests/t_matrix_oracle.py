@@ -144,7 +144,7 @@ def t_degree_bounds(v: VolumeFunction) -> TDegreeReport:
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                dk = t.entry(i, j).degree_in(k)
+                dk = t.row(i)[j].degree_in(k)
                 if i == k and j == k:
                     if dk != 2 * degf[k] - 2:
                         failures.append(

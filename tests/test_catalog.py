@@ -66,5 +66,5 @@ def test_all_listed_entries_are_regular_with_boundary_edges():
         cone = catalog_get(name).cone
         assert is_regular(cone)
         assert lattice_volume(cone) == 1
-        for gen in cone.generators:
-            assert edge_class(gen).kind == "boundary"
+        for k in range(len(cone.generators)):
+            assert edge_class(cone, k).kind == "boundary"

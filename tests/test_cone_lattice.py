@@ -1,16 +1,19 @@
 """Cones, lattices, group action, fans, separability."""
 
 import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from siegeltoric import cone_lattice
+from siegeltoric import cli, cone_lattice
 from siegeltoric.cone_lattice import (
     ConeShapeError,
     DegenerateConeError,
+    EdgeClass,
     Fan,
     GroupElement,
     MarkedCone,
@@ -28,12 +31,14 @@ from siegeltoric.cone_lattice import (
     lattice_volume,
     primitive_ray,
     psd_rank,
+    quote,
     rational_det,
     sym_dim,
     transform_matrix,
 )
-from siegeltoric.catalog import principal_cone
+from siegeltoric.catalog import catalog_get, catalog_names, principal_cone
 from siegeltoric.exactlp import cone_membership, feasible_eq_nonneg, maximal_support
+from siegeltoric.jsonio import cone_from_json, cone_to_json
 from siegeltoric.volume_ke import volume_function
 
 import naive_oracle as oracle
@@ -322,30 +327,56 @@ class TestRegularity:
         assert seen == {False, True}
 
 
+def _golden_cones():
+    """The cones of the CLI golden inputs: single cones and fan members."""
+    from test_cli_golden import INPUTS
+    objs = [o for o in INPUTS.values() if isinstance(o, dict) and "generators" in o]
+    objs += [c for o in INPUTS.values() if isinstance(o, dict) for c in o.get("cones", ())]
+    return [cone_from_json(o) for o in objs]
+
+
 class TestEdgeClass:
     def test_identity_interior(self):
-        assert edge_class(((1, 0), (0, 1))).kind == "interior"
+        assert edge_class(cone2(((1, 0), (0, 1))), 0).kind == "interior"
 
     def test_e11_boundary_rank1(self):
-        ec = edge_class(E11)
+        ec = edge_class(cone2(E11), 0)
         assert ec.kind == "boundary" and ec.rank == 1
 
     def test_zeta12_boundary_rank1(self):
         # eigenvalues {0, 2}
-        ec = edge_class(ZETA12)
+        ec = edge_class(SIGMA0, 2)
         assert ec.kind == "boundary" and ec.rank == 1 and not ec.flagged
 
     def test_indefinite_invalid(self):
-        assert edge_class(((1, 0), (0, -1))).kind == "invalid"
-
-    def test_zero_rejected(self):
-        with pytest.raises(ConeShapeError):
-            edge_class(((0, 0), (0, 0)))
+        assert edge_class(cone2(E11, ((1, 0), (0, -1))), 1).kind == "invalid"
 
     def test_intermediate_rank_flagged(self):
         m = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
-        ec = edge_class(m)
+        ec = edge_class(MarkedCone(g=3, scale=1, generators=(m,)), 0)
         assert ec.kind == "boundary" and ec.rank == 2 and ec.flagged
+
+    def test_agrees_with_psd_rank(self):
+        # catalog and golden cones, one with a generator that is not PSD,
+        # and seeded GL(g,Z) translates of each
+        cones = [catalog_get(name).cone for name in catalog_names()]
+        cones += [catalog_get(f"principal-g{g}").cone for g in (4, 5)]
+        cones += _golden_cones() + [cone2(E11, ((0, 1), (1, 0)))]
+        rng = random.Random(3511)
+        cones += [gl_act(random_unimodular(rng, c.g), c) for c in cones for _ in range(2)]
+        kinds = set()
+        for c in cones:
+            for k, gen in enumerate(c.generators):
+                r = psd_rank(gen)
+                if r is None:
+                    want = EdgeClass(kind="invalid")
+                elif r == c.g:
+                    want = EdgeClass(kind="interior", rank=r)
+                else:
+                    want = EdgeClass(kind="boundary", rank=r, flagged=1 < r < c.g)
+                assert edge_class(c, k) == want, (c.generators, k)
+                kinds.add(want.kind)
+        assert kinds == {"invalid", "boundary", "interior"}
 
     def test_psd_rank_vs_generic_rank(self):
         rng = random.Random(17)
@@ -490,8 +521,8 @@ class TestGlAct:
             gamma = random_unimodular(rng, 2)
             moved = gl_act(gamma, SIGMA0)
             assert lattice_volume(moved) == 1
-            for a, b in zip(SIGMA0.generators, moved.generators):
-                ea, eb = edge_class(a), edge_class(b)
+            for k in range(len(SIGMA0.generators)):
+                ea, eb = edge_class(SIGMA0, k), edge_class(moved, k)
                 assert (ea.kind, ea.rank) == (eb.kind, eb.rank)
 
     def test_non_unimodular_rejected(self):
@@ -888,6 +919,35 @@ class TestConstructionInvariants:
     def test_asymmetric_rejected(self):
         with pytest.raises(ConeShapeError):
             cone2(((0, 1), (0, 0)),)
+
+    def test_zero_generator_rejected(self):
+        # edge_class relies on this: it has no zero-matrix branch
+        with pytest.raises(ConeShapeError, match=r"^generator 1 is zero$"):
+            cone2(E11, ((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize("bad", [2.7, Fraction(3, 2), "3", True])
+    def test_non_int_entry_rejected(self, bad):
+        msg = rf"^entry \(1,1\)={re.escape(quote(bad))} is not an int$"
+        with pytest.raises(ConeShapeError, match=msg):
+            cone2(((bad, 0), (0, 0)))
+        with pytest.raises(ConeShapeError, match=msg):
+            GroupElement(matrix=((bad, 0), (0, 1)))
+
+    def test_cone_check_checks_each_generator_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "principal-g6.json"
+        path.write_text(json.dumps(cone_to_json(principal_cone(6))))
+        calls = {"as_int_matrix": 0, "is_symmetric": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cone_lattice, name, counted(name, getattr(cone_lattice, name)))
+        assert cli.main(["cone", "check", str(path)]) == 0
+        assert calls == {"as_int_matrix": 21, "is_symmetric": 21}
 
     def test_lattice_violation_rejected(self):
         with pytest.raises(NotInLatticeError):

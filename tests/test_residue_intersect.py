@@ -174,12 +174,12 @@ class TestTDegreeBounds:
     def test_t11_degree_zero_in_x1(self):
         # T_11 = -(y+z)^2 for the principal cone: degree 0 = 2*1-2 in x1
         t = t_matrix_oracle.t_matrix(V2)
-        assert t.entry(0, 0).degree_in(0) == 0
+        assert t.row(0)[0].degree_in(0) == 0
 
     def test_t23_degree(self):
         t = t_matrix_oracle.t_matrix(V2)
         # T_23 = -x^2: degree 2 in x1, within the bound 2*deg_1 F = 2
-        assert t.entry(1, 2).degree_in(0) == 2
+        assert t.row(1)[2].degree_in(0) == 2
 
 
 class TestResidueChain:

@@ -4,18 +4,21 @@ the frontier requests.
 Run from anywhere:  python3 tools/compare_reports.py BASE_CHECKOUT
 Builds each workload's requests for seeds 101-105 with perfbench/inputs.py
 (read, never written) and runs each one from its work directory; then runs
-each of the fixed FRONTIER requests on catalog cones, whose work goes
-past the benchmark's cones, which stop at genus 5, and its symbolic work,
-which stops at genus 3: genus-6 `cone volume`, `residue` and `intersect`,
-a genus-7 and a genus-8 randomized `ma verify` (the genus-8 one at the
-edge of its cost guard), and a genus-12 `ke test`, `cone check` and
-symbolic `ma verify`.  Every request
-runs once under BASE_CHECKOUT/src and once under this checkout's src, and
-every request whose exit code, stdout or stderr differ is listed.  Exits 1
-on any difference in exit code or stdout; differences in stderr alone are
-listed, not failed.
+each of the fixed FRONTIER requests, whose work goes past the benchmark's
+cones, which stop at genus 5, and its symbolic work, which stops at
+genus 3: on catalog cones, genus-6 `cone volume`, `residue` and
+`intersect`, a genus-7 and a genus-8 randomized `ma verify` (the genus-8
+one at the edge of its cost guard), and a genus-12 `ke test`, `cone
+check` and symbolic `ma verify`; and `cone check` on a genus-24
+principal-cone file, past the catalog's genus range, which is written in
+the temporary directory with perfbench/inputs.py's `principal_generators`
+and `cone_json`.  Every request runs once under BASE_CHECKOUT/src and
+once under this checkout's src, and every request whose exit code,
+stdout or stderr differ is listed.  Exits 1 on any difference in exit
+code or stdout; differences in stderr alone are listed, not failed.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +40,7 @@ FRONTIER = (
     ["ke", "test", "principal-g12"],
     ["cone", "check", "principal-g12"],
     ["ma", "verify", "principal-g12"],
+    ["cone", "check", "principal-g24.json"],
 )
 
 
@@ -64,6 +68,8 @@ def main() -> int:
                 workdir = os.path.join(tmp, f"{workload}-{seed}")
                 requests += [(f"{workload} seed {seed} {req.label}", req.argv, workdir)
                              for req in inputs.build(workload, seed, workdir)]
+        with open(os.path.join(tmp, "principal-g24.json"), "w", encoding="utf-8") as fh:
+            json.dump(inputs.cone_json(24, inputs.principal_generators(24)), fh)
         requests += [(f"frontier {' '.join(argv)}", argv, tmp) for argv in FRONTIER]
         for label, argv, workdir in requests:
             base, new = (run(src, argv, workdir) for src in sources)
