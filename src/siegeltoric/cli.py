@@ -230,18 +230,13 @@ def _cmd_intersect(args) -> tuple[dict, bool]:
     indices = _parse_edge_list(args.edges)
     target = _resolve_cone(args.target, _cone_or_fan)
     if isinstance(target, cone_lattice.Fan):
-        fan = target
-        rays = sorted({ray for c in fan.cones for ray in c.rays()})
-        if not all(0 <= i < len(rays) for i in indices):
-            raise InputError(
-                f"edge index out of range; fan has {len(rays)} distinct rays")
-        verdict = residue_intersect.toric_verdict(fan, [rays[i] for i in indices])
+        verdict = residue_intersect.toric_verdict(target, indices)
         report = {
             "check": "toric-intersection",
             "value": verdict.value,
             "reason": verdict.reason,
             "intersection_number": 1 if verdict.value == "one" else 0,
-            "rays": rays,
+            "rays": target.rays,
             "selected": indices,
         }
         return report, True

@@ -11,10 +11,11 @@ constructor: int entries only (`as_int_matrix` converts none), and for
 a cone a nonzero symmetric matrix of the lattice; `edge_class` and the
 other readers of a cone rely on that.  A cone's coordinates are reduced
 once, by the integer column reduction `lattice_index`; independence,
-regularity and lattice volume read that index.  Rational determinants,
-adjugates and PSD ranks share one fraction-free elimination kernel, and
-membership and intersection questions reduce to maximal supports of
-rational cones (`exactlp`).
+regularity and lattice volume read that index.  `Fan` alone identifies
+rays across cones, in the ray table it builds once.  Rational
+determinants, adjugates and PSD ranks share one fraction-free
+elimination kernel, and membership and intersection questions reduce to
+maximal supports of rational cones (`exactlp`).
 """
 
 from __future__ import annotations
@@ -286,10 +287,11 @@ class MarkedCone:
                  labels: Optional[Sequence[str]] = None):
         """The lattice index of the coordinates alone decides independence;
         primitive rays are compared only at index 0, to name a pair."""
-        if g < 1:
-            raise ConeShapeError(f"g must be positive, got {quote(g)}")
-        if scale < 1:
-            raise ConeShapeError(f"scale must be positive, got {quote(scale)}")
+        for name, v in (("g", g), ("scale", scale)):
+            if type(v) is not int:
+                raise ConeShapeError(f"{name} must be an int, got {quote(v)}")
+            if v < 1:
+                raise ConeShapeError(f"{name} must be positive, got {quote(v)}")
         n = sym_dim(g)
         gens = tuple(as_int_matrix(m) for m in generators)
         if not gens:
@@ -352,10 +354,6 @@ class MarkedCone:
     def nvars(self) -> int:
         return sym_dim(self.g)
 
-    def rays(self) -> set[tuple[int, ...]]:
-        """Primitive ray directions of the generators."""
-        return {primitive_ray(r) for r in self.coords}
-
 
 def primitive_ray(vec: Sequence[int]) -> tuple[int, ...]:
     g = math.gcd(*(abs(v) for v in vec))
@@ -379,7 +377,9 @@ class GroupElement:
 
 
 class Fan:
-    """A list of marked cones sharing g and scale, to be checked by is_fan."""
+    """Marked cones sharing g and scale, to be checked by is_fan.  `rays` is
+    the sorted tuple of their distinct primitive rays, and `ray_ids[c][k]`
+    the index in `rays` of generator k of cone c."""
 
     def __init__(self, cones: Sequence[MarkedCone]):
         cones = tuple(cones)
@@ -389,15 +389,11 @@ class Fan:
         for c in cones:
             if c.g != g or c.scale != scale:
                 raise ConeShapeError("fan cones disagree on g or scale")
-        self.cones = cones
-
-    @property
-    def g(self) -> int:
-        return self.cones[0].g
-
-    @property
-    def scale(self) -> int:
-        return self.cones[0].scale
+        slots = [[primitive_ray(u) for u in c.coords] for c in cones]
+        self.cones, self.g, self.scale = cones, g, scale
+        self.rays = tuple(sorted({r for s in slots for r in s}))
+        ids = {r: i for i, r in enumerate(self.rays)}
+        self.ray_ids = tuple(tuple(ids[r] for r in s) for s in slots)
 
 
 class EdgeClass(NamedTuple):
@@ -486,7 +482,7 @@ def is_fan(fan: Fan) -> tuple[str, ...]:
     is a common face iff it equals both, that is iff the two faces are
     equal: then each lies in sigma and in tau, so in sigma cap tau, which
     lies in each.  Faces of simplicial cones are equal iff their
-    generators span the same rays.  A pair whose rays differ has a
+    generators have the same ray ids.  A pair whose rays differ has a
     generator in S or in T outside the other cone, since otherwise both
     faces would lie in, hence equal, sigma cap tau; membership LPs on S,
     then on T, name the first, which the violation reports.  An empty S
@@ -496,7 +492,7 @@ def is_fan(fan: Fan) -> tuple[str, ...]:
     the cones form a fan.
     """
     coords = [c.coords for c in fan.cones]
-    rays = [[primitive_ray(u) for u in c] for c in coords]
+    ids = fan.ray_ids
     violations: list[str] = []
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
@@ -504,7 +500,7 @@ def is_fan(fan: Fan) -> tuple[str, ...]:
             both = _support(coords[i], coords[j], n + len(coords[j]))
             s = [k for k in both if k < n]
             t = [k - n for k in both if k >= n]
-            if {rays[i][k] for k in s} == {rays[j][k] for k in t}:
+            if {ids[i][k] for k in s} == {ids[j][k] for k in t}:
                 continue
             for own, other, support in ((i, j, s), (j, i, t)):
                 escaping = next((idx for idx in support

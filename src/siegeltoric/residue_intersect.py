@@ -65,7 +65,6 @@ from .cone_lattice import (
     MarkedCone,
     edge_class,
     is_regular,
-    primitive_ray,
     rational_det,
     sym_dim,
 )
@@ -188,7 +187,9 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     generators first, which leaves |det| and so the lattice volume alone.
     """
     n = sym_dim(c.g)
-    sel = [int(i) for i in selected]
+    sel = list(selected)
+    if not all(type(i) is int for i in sel):
+        raise ValueError("selected edge indices must be ints")
     if len(set(sel)) != len(sel):
         raise ValueError("selected edge indices must be distinct")
     if any(not 0 <= i < len(c.generators) for i in sel):
@@ -212,22 +213,23 @@ def intersection_vanishing(c: MarkedCone, selected: Sequence[int]) -> Intersecti
     return IntersectionVerdict(None, chi)
 
 
-def toric_verdict(fan: Fan, rays: Sequence[Sequence[int]]) -> IntersectionVerdict:
+def toric_verdict(fan: Fan, ids: Sequence[int]) -> IntersectionVerdict:
     """Toric 0/1 rule for a full product of boundary divisors: value "one"
-    iff the N given rays (directions in MarkedCone.coords) are exactly the
-    rays of one common top-dimensional cone of the (regular) fan, else "zero"."""
+    iff the N given ray ids (indices in fan.rays) are exactly those of one
+    common top-dimensional cone of the (regular) fan, else "zero"."""
     n = sym_dim(fan.g)
-    if len(rays) != n:
-        raise ValueError(f"need exactly {n} edges, got {len(rays)}")
-    top_cones = [c for c in fan.cones if len(c.generators) == n]
-    for c in top_cones:
-        if not is_regular(c):
+    if not all(type(i) is int for i in ids):
+        raise ValueError("edge indices must be ints")
+    if not all(0 <= i < len(fan.rays) for i in ids):
+        raise ValueError(f"edge index out of range; fan has {len(fan.rays)} distinct rays")
+    if len(ids) != n:
+        raise ValueError(f"need exactly {n} edges, got {len(ids)}")
+    for c in fan.cones:
+        if len(c.generators) == n and not is_regular(c):
             raise ConeShapeError("fan has a non-regular top cone; unsupported")
-    if any(len(r) != n or not all(type(v) is int for v in r) or not any(r) for r in rays):
-        raise ValueError(f"each ray must be a nonzero integer vector of length {n}")
-    rays = {primitive_ray(r) for r in rays}
-    if len(rays) != n:
+    selected = set(ids)
+    if len(selected) != n:
         raise ValueError("edge rays must be pairwise distinct")
-    if any(c.rays() == rays for c in top_cones):
+    if any(set(cone_ids) == selected for cone_ids in fan.ray_ids):
         return IntersectionVerdict(ONE_TORIC_COMMON_CONE)
     return IntersectionVerdict(ZERO_TORIC_EMPTY)

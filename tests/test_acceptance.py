@@ -23,6 +23,7 @@ from siegeltoric.cone_lattice import (
     int_det,
     is_fan,
     is_separable,
+    primitive_ray,
     psd_rank,
     sym_dim,
 )
@@ -202,10 +203,9 @@ def test_criterion_07_intersection_verdicts(capsys):
     sigma0 = principal_cone(2)
     gamma = GroupElement(matrix=((1, 0), (1, 1)))
     fan = Fan(cones=(sigma0, gl_act(gamma, sigma0)))
-    rays = sorted({ray for c in fan.cones for ray in c.rays()})
     hits = 0
-    for subset in itertools.combinations(rays, 3):
-        expected = 1 if any(set(subset) == c.rays() for c in fan.cones) else 0
+    for subset in itertools.combinations(range(len(fan.rays)), 3):
+        expected = 1 if any(set(subset) == set(ids) for ids in fan.ray_ids) else 0
         got = 1 if toric_verdict(fan, subset).value == "one" else 0
         ok = ok and got == expected
         hits += got
@@ -299,8 +299,9 @@ def _g3_translate_fan(size, seed):
             s = rng.choice((1, -1))
             m[i] = [a + s * b for a, b in zip(m[i], m[j])]
         cone = gl_act(GroupElement(matrix=tuple(map(tuple, m))), base)
-        if frozenset(cone.rays()) not in seen:
-            seen.add(frozenset(cone.rays()))
+        rays = frozenset(map(primitive_ray, cone.coords))
+        if rays not in seen:
+            seen.add(rays)
             cones.append(cone)
     return cones
 
@@ -322,3 +323,14 @@ def test_criterion_11_genus3_fan_frontier(capsys):
         "cones 0 and 1: intersection is not a face of cone 0 (generator 0 escapes)",)
     announce(capsys, "criterion 11: genus-3 fan check (16 GL(3,Z) translates of "
                      "principal-g3, one non-fan pair)", ok, elapsed, 5.0)
+
+
+@pytest.mark.parametrize("size, rays", [(64, 66), (128, 95)])
+def test_criterion_11_ray_table(size, rays):
+    # translates share most of their rays: 6 generator slots per cone
+    cones = _g3_translate_fan(size, 1111)
+    fan = Fan(cones=cones)
+    assert (len(fan.rays), sum(map(len, fan.ray_ids))) == (rays, 6 * size)
+    assert fan.rays == tuple(sorted({primitive_ray(u) for c in cones for u in c.coords}))
+    assert all(fan.rays[ids[k]] == primitive_ray(u)
+               for c, ids in zip(cones, fan.ray_ids) for k, u in enumerate(c.coords))

@@ -624,6 +624,43 @@ class TestFan:
         assert is_fan(Fan([SIGMA0, gl_act(gamma, SIGMA0)])) == ()
 
 
+class TestRayTable:
+    """Fan numbers its distinct primitive rays once; is_fan reads the ids."""
+
+    def test_two_chambers(self):
+        gamma = GroupElement(matrix=((1, 0), (1, 1)))
+        fan = Fan([SIGMA0, gl_act(gamma, SIGMA0)])
+        # E11, E22, zeta_12 in SIGMA0, and their images J (all ones), E22, E11
+        assert fan.rays == ((0, 0, 1), (1, -1, 1), (1, 0, 0), (1, 1, 1))
+        assert fan.ray_ids == ((2, 0, 1), (3, 0, 2))
+
+    def test_every_slot_names_its_ray(self):
+        rng = random.Random(4409)
+        for g in (2, 3, 4):
+            cones = _translate_fan(rng, g, 8) + _faces_of(principal_cone(g))[:g]
+            fan = Fan(cones)
+            assert fan.rays == tuple(sorted({primitive_ray(u) for c in cones
+                                             for u in c.coords}))
+            assert [len(ids) for ids in fan.ray_ids] == [len(c.coords) for c in cones]
+            for c, ids in zip(cones, fan.ray_ids):
+                for k, u in enumerate(c.coords):
+                    assert fan.rays[ids[k]] == primitive_ray(u)
+
+    def test_is_fan_computes_no_primitive_ray(self, monkeypatch):
+        rng = random.Random(4410)
+        fans = [Fan(_translate_fan(rng, 3, 6)), Fan(_mixed_fan(rng, 3))]
+        calls = []
+
+        def counted(vec):
+            calls.append(vec)
+            return primitive_ray(vec)
+
+        monkeypatch.setattr(cone_lattice, "primitive_ray", counted)
+        for fan in fans:
+            assert is_fan(fan) == is_fan_oracle(fan)
+        assert calls == []
+
+
 # ----------------------------------------------------------------------
 # oracles for is_fan and cones_meet_nontrivially: one pinned LP per
 # generator for the support, a normalization-row LP for whether the cones
@@ -948,6 +985,20 @@ class TestConstructionInvariants:
             monkeypatch.setattr(cone_lattice, name, counted(name, getattr(cone_lattice, name)))
         assert cli.main(["cone", "check", str(path)]) == 0
         assert calls == {"as_int_matrix": 21, "is_symmetric": 21}
+
+    @pytest.mark.parametrize("name", ["g", "scale"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, Fraction(2), "2"])
+    def test_non_int_g_or_scale_rejected(self, name, bad):
+        args = {"g": 2, "scale": 1, name: bad}
+        with pytest.raises(ConeShapeError,
+                           match=rf"^{name} must be an int, got {re.escape(quote(bad))}$"):
+            MarkedCone(generators=(((3, 0), (0, 0)),), **args)
+
+    @pytest.mark.parametrize("name", ["g", "scale"])
+    def test_g_or_scale_below_one_rejected(self, name):
+        args = {"g": 2, "scale": 1, name: 0}
+        with pytest.raises(ConeShapeError, match=rf"^{name} must be positive, got 0$"):
+            MarkedCone(generators=(E11,), **args)
 
     def test_lattice_violation_rejected(self):
         with pytest.raises(NotInLatticeError):

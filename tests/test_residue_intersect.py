@@ -380,6 +380,12 @@ class TestIntersectionVanishing:
         with pytest.raises(ValueError):
             intersection_vanishing(SIGMA0, [0, 0])
 
+    @pytest.mark.parametrize("bad", [1.9, True, "1"])
+    def test_non_int_selection_rejected(self, bad):
+        # an index is never truncated: 1.9 and True do not stand for 1
+        with pytest.raises(ValueError, match="^selected edge indices must be ints$"):
+            intersection_vanishing(principal_cone(4), [bad])
+
     def test_never_returns_one(self):
         for d in range(1, 3):
             for sel in itertools.combinations(range(3), d):
@@ -393,6 +399,12 @@ class TestIntersectionVanishing:
 def _two_chamber_fan():
     gamma = GroupElement(matrix=((1, 0), (1, 1)))
     return Fan(cones=(SIGMA0, gl_act(gamma, SIGMA0)))
+
+
+def _mixed_ids(fan):
+    """Ids of the rays of zeta_12, [[1, 1], [1, 1]] and E_11, which no
+    chamber holds together."""
+    return [fan.rays.index(r) for r in [(1, -1, 1), (1, 1, 1), (1, 0, 0)]]
 
 
 class TestVerdictValue:
@@ -410,58 +422,62 @@ class TestVerdictValue:
 class TestToric:
     def test_edges_of_sigma0_give_one(self):
         fan = _two_chamber_fan()
-        assert toric_verdict(fan, SIGMA0.coords).value == "one"
+        assert toric_verdict(fan, fan.ray_ids[0]).value == "one"
 
     def test_mixed_edges_give_zero(self):
         fan = _two_chamber_fan()
-        # the rays of zeta_12, [[1, 1], [1, 1]] and E_11
-        rays = [(1, -1, 1), (1, 1, 1), (1, 0, 0)]
-        assert toric_verdict(fan, rays).value == "zero"
+        assert toric_verdict(fan, _mixed_ids(fan)).value == "zero"
 
     def test_exhaustive_g2_subsets(self):
         fan = _two_chamber_fan()
-        all_rays = sorted({ray for c in fan.cones for ray in c.rays()})
-        assert len(all_rays) == 4
+        assert len(fan.rays) == 4
         hits = 0
-        for subset in itertools.combinations(all_rays, 3):
-            expected = 1 if any(set(subset) == c.rays() for c in fan.cones) else 0
+        for subset in itertools.combinations(range(4), 3):
+            expected = 1 if any(set(subset) == set(ids) for ids in fan.ray_ids) else 0
             assert toric_verdict(fan, subset).value == ("one" if expected else "zero")
             hits += expected
         assert hits == 2  # exactly the two chambers
 
     def test_permutation_invariance(self):
         fan = _two_chamber_fan()
-        rays = SIGMA0.coords
+        ids = fan.ray_ids[1]
         for perm in itertools.permutations(range(3)):
-            assert toric_verdict(fan, [rays[i] for i in perm]).value == "one"
-
-    def test_positive_multiples_name_the_same_ray(self):
-        fan = _two_chamber_fan()
-        rays = [tuple(k * v for v in r) for k, r in zip((2, 1, 5), SIGMA0.coords)]
-        assert toric_verdict(fan, rays).value == "one"
+            assert toric_verdict(fan, [ids[i] for i in perm]).value == "one"
 
     def test_duplicate_edges_rejected(self):
         fan = _two_chamber_fan()
+        ids = fan.ray_ids[0]
         with pytest.raises(ValueError, match="pairwise distinct"):
-            toric_verdict(fan, [SIGMA0.coords[0]] * 2 + [SIGMA0.coords[1]])
+            toric_verdict(fan, [ids[0], ids[0], ids[1]])
 
-    @pytest.mark.parametrize("bad", [(0, 0, 0), (1, 0), (1, 0, 0, 0), (1.0, 0, 0),
-                                     (True, 0, 0), ("1", 0, 0)])
+    @pytest.mark.parametrize("bad", [(True, 0, 1), (1.0, 0, 1), ("1", 0, 1),
+                                     (None, 0, 1), (4, 0, 1), (-1, 0, 1)])
     def test_malformed_ray_rejected(self, bad):
+        # a ray id is an int in range(len(fan.rays)); this fan has 4 rays
         fan = _two_chamber_fan()
-        with pytest.raises(ValueError, match="nonzero integer vector of length 3"):
-            toric_verdict(fan, [bad, (0, 0, 1), (1, -1, 1)])
+        match = ("^edge index out of range; fan has 4 distinct rays$"
+                 if type(bad[0]) is int else "^edge indices must be ints$")
+        with pytest.raises(ValueError, match=match):
+            toric_verdict(fan, bad)
+
+    def test_range_checked_before_count(self):
+        # the order of the checks, which the CLI's messages follow
+        fan = _two_chamber_fan()
+        with pytest.raises(ValueError, match="out of range"):
+            toric_verdict(fan, [7])
+        with pytest.raises(ValueError, match="^need exactly 3 edges, got 2$"):
+            toric_verdict(fan, [0, 1])
 
     def test_non_regular_fan_rejected(self):
         bad = MarkedCone(g=2, scale=1, generators=(
             ((2, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 0), (0, 1))))
         from siegeltoric.cone_lattice import ConeShapeError
         with pytest.raises(ConeShapeError):
-            toric_verdict(Fan(cones=(bad,)), bad.coords)
+            toric_verdict(Fan(cones=(bad,)), [0, 1, 2])
 
     def test_verdict_wrapper(self):
         fan = _two_chamber_fan()
-        v1 = toric_verdict(fan, SIGMA0.coords)
+        v1 = toric_verdict(fan, fan.ray_ids[0])
         assert v1.value == "one" and v1.reason == ONE_TORIC_COMMON_CONE
-        v0 = toric_verdict(fan, [(1, -1, 1), (1, 1, 1), (1, 0, 0)])
+        v0 = toric_verdict(fan, _mixed_ids(fan))
         assert v0.value == "zero" and v0.reason == ZERO_TORIC_EMPTY

@@ -9,17 +9,24 @@ cones, which stop at genus 5, and its symbolic work, which stops at
 genus 3: on catalog cones, genus-6 `cone volume`, `residue` and
 `intersect`, a genus-7 and a genus-8 randomized `ma verify` (the genus-8
 one at the edge of its cost guard), and a genus-12 `ke test`, `cone
-check` and symbolic `ma verify`; and `cone check` on a genus-24
+check` and symbolic `ma verify`; `cone check` on a genus-24
 principal-cone file, past the catalog's genus range, which is written in
 the temporary directory with perfbench/inputs.py's `principal_generators`
-and `cone_json`.  Every request runs once under BASE_CHECKOUT/src and
-once under this checkout's src, and every request whose exit code,
-stdout or stderr differ is listed.  Exits 1 on any difference in exit
+and `cone_json`; and, past the benchmark's genus-2 fans of 4-6 cones,
+`fan check` and two `intersect --edges` requests (the sorted ray ids of
+one cone, answered `one`, and a selection that is no cone's, answered
+`zero`) on a fan of 64 GL(3,Z) translates of the principal cone with
+distinct ray sets, which is written there too, seeded, with
+perfbench/inputs.py's `random_frame`, `translate` and `ray`.  Every
+request runs once under BASE_CHECKOUT/src and once under this
+checkout's src, and every request whose exit code, stdout or stderr
+differ is listed.  Exits 1 on any difference in exit
 code or stdout; differences in stderr alone are listed, not failed.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -41,7 +48,34 @@ FRONTIER = (
     ["cone", "check", "principal-g12"],
     ["ma", "verify", "principal-g12"],
     ["cone", "check", "principal-g24.json"],
+    ["fan", "check", "translates-g3.json"],
 )
+FAN_SEED, FAN_SIZE = 3601, 64
+
+
+def translate_fan(path):
+    """Write FAN_SIZE GL(3,Z) translates of the principal cone with distinct
+    ray sets, each marked at random, to path; return the `intersect
+    --edges` lists of one cone's rays and of a selection that is no cone's,
+    as indices in the fan's sorted distinct rays."""
+    rng = random.Random(FAN_SEED)
+    cones, ray_sets = [], []
+    while len(cones) < FAN_SIZE:
+        f, _ = inputs.random_frame(rng, 3, rng.randint(1, 4))
+        marking = rng.sample(range(6), 6)
+        cone = inputs.translate(3, f, marking, f"c{len(cones)}_")
+        rays = frozenset(map(inputs.ray, cone["generators"]))
+        if rays not in ray_sets:
+            ray_sets.append(rays)
+            cones.append(cone)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"cones": cones}, fh)
+    rays = sorted(set().union(*ray_sets))
+    one = sorted(rays.index(r) for r in rng.choice(ray_sets))
+    while True:
+        zero = sorted(rng.sample(range(len(rays)), 6))
+        if {rays[i] for i in zero} not in ray_sets:
+            return one, zero
 
 
 def run(src, argv, cwd):
@@ -70,7 +104,11 @@ def main() -> int:
                              for req in inputs.build(workload, seed, workdir)]
         with open(os.path.join(tmp, "principal-g24.json"), "w", encoding="utf-8") as fh:
             json.dump(inputs.cone_json(24, inputs.principal_generators(24)), fh)
-        requests += [(f"frontier {' '.join(argv)}", argv, tmp) for argv in FRONTIER]
+        frontier = list(FRONTIER)
+        for edges in translate_fan(os.path.join(tmp, "translates-g3.json")):
+            frontier.append(["intersect", "translates-g3.json",
+                             "--edges", ",".join(map(str, edges))])
+        requests += [(f"frontier {' '.join(argv)}", argv, tmp) for argv in frontier]
         for label, argv, workdir in requests:
             base, new = (run(src, argv, workdir) for src in sources)
             fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), base, new)
