@@ -11,11 +11,14 @@ constructor: int entries only (`as_int_matrix` converts none), and for
 a cone a nonzero symmetric matrix of the lattice; `edge_class` and the
 other readers of a cone rely on that.  A cone's coordinates are reduced
 once, by the integer column reduction `lattice_index`; independence,
-regularity and lattice volume read that index.  `Fan` alone identifies
-rays across cones, in the ray table it builds once.  Rational
-determinants, adjugates and PSD ranks share one fraction-free
-elimination kernel, and membership and intersection questions reduce to
-maximal supports of rational cones (`exactlp`).
+regularity and lattice volume read that index.  A GL(g,Z) translate of
+a cone is a cone with the same index, so `is_separable` reads its
+coordinates off the products gamma A gamma^T and builds no second
+`MarkedCone`.  `Fan` alone identifies rays across cones, in the ray
+table it builds once.  Rational determinants, adjugates and PSD ranks
+share one fraction-free elimination kernel, and membership and
+intersection questions reduce to maximal supports of rational cones
+(`exactlp`).
 """
 
 from __future__ import annotations
@@ -436,7 +439,8 @@ def edge_class(c: MarkedCone, k: int) -> EdgeClass:
 
 
 def gl_act(gamma: GroupElement, c: MarkedCone) -> MarkedCone:
-    """Replace each generator A by gamma A gamma^T, preserving order."""
+    """Replace each generator A by gamma A gamma^T, preserving order; the
+    translate is built and checked as a new MarkedCone."""
     new_gens = [transform_matrix(gamma, a) for a in c.generators]
     return MarkedCone(g=c.g, scale=c.scale, generators=tuple(new_gens),
                       labels=c.labels)
@@ -452,13 +456,15 @@ def transform_matrix(gamma: GroupElement, m: Sequence[Sequence[int]]) -> IntMatr
     return tuple(tuple(sum(x * y for x, y in zip(row, fj)) for fj in f) for row in fa)
 
 
-def cones_meet_nontrivially(a: MarkedCone, b: MarkedCone) -> bool:
-    """True iff the cones share a nonzero point: the support of a cap b in
-    a's generators is not empty (see is_fan).  The lattice scales are
+def cones_meet_nontrivially(a: Sequence[Sequence[int]],
+                            b: Sequence[Sequence[int]]) -> bool:
+    """True iff the cones spanned by the coordinate vectors a and b (each
+    cone's `coords`) share a nonzero point: the support of a cap b in a's
+    generators is not empty (see is_fan).  The lattice scales are
     positive, so they rescale the weights and leave the support alone."""
-    if a.g != b.g:
+    if len(a[0]) != len(b[0]):
         raise ConeShapeError("cones live in different Sym_g")
-    return bool(_support(a.coords, b.coords, len(a.coords)))
+    return bool(_support(a, b, len(a)))
 
 
 def _support(own: Sequence[Sequence[int]], other: Sequence[Sequence[int]],
@@ -527,17 +533,24 @@ def is_separable(fan: Fan,
     For every pair (gamma, sigma) whose transformed cone still meets sigma
     nontrivially, gamma must fix every generator of sigma exactly; the
     first moved generator is recorded as a violation.  A gamma that moves
-    no generator needs no moved cone and no meeting test.  Sound but
-    incomplete: it certifies nothing about group elements outside the
-    supplied list.  Returns the violations in group, then cone order; an
-    empty tuple means the fan is separable against the list.
+    no generator needs no meeting test.  The moved cone is a valid cone
+    with sigma's index, so its coordinates are read off the products
+    gamma A gamma^T, divided by the fan's scale, and no cone is built.
+    Sound but incomplete: it certifies nothing about group elements
+    outside the supplied list.  Returns the violations in group, then cone
+    order; an empty tuple means the fan is separable against the list.
     """
+    pairs = delta_index_pairs(fan.g)
     violations: list[SeparabilityViolation] = []
     for gi, gamma in enumerate(group):
         for ci, cone in enumerate(fan.cones):
-            k = next((k for k, gen in enumerate(cone.generators)
-                      if transform_matrix(gamma, gen) != gen), None)
-            if k is not None and cones_meet_nontrivially(gl_act(gamma, cone), cone):
+            moved = [transform_matrix(gamma, gen) for gen in cone.generators]
+            k = next((k for k, (m, gen) in enumerate(zip(moved, cone.generators))
+                      if m != gen), None)
+            if k is None:
+                continue
+            coords = [tuple(m[i][j] // fan.scale for i, j in pairs) for m in moved]
+            if cones_meet_nontrivially(coords, cone.coords):
                 violations.append(SeparabilityViolation(
                     group_index=gi, cone_index=ci, moved_generator=k))
     return tuple(violations)

@@ -39,10 +39,12 @@ for every pencil of N matrices, dependent ones included,
 
 and at g = 1 (F = a x, T = -a^2, det M = a) too.  So the symbolic
 identity holds exactly when det(M)^2 = vol^2: one rational determinant at
-every genus.  As vol = |det M| for a cone, it holds for every
-nondegenerate cone, and is_ke_point is True on every independent pencil:
-every coefficient of det(T) minus the right side is 0.  The direct det(T)
-and Hessian routes are test oracles.
+every genus.  As vol = c.index = |det M| for a cone (lattice_index), it
+holds for every cone by construction, so the CLI answers symbolic `ma
+verify` on a cone without that determinant; verify_ma_identity computes
+it for a VolumeFunction whose vol its caller chose.  is_ke_point is True
+on every independent pencil: every coefficient of det(T) minus the right
+side is 0.  The direct det(T) and Hessian routes are test oracles.
 
 Randomized mode works at integer points, from the pencil alone, and
 never expands F.  Both sides of the identity are homogeneous of degree
@@ -101,12 +103,12 @@ F_NVARS_MAX = 21
 
 
 # Randomized mode's predicted work: trials * (N^6 + 4*10^5) units.  One
-# point of the principal cone takes 0.6 ms at N = 10 and then about 0.1 ns
-# per unit at N = 21-36 (0.002, 0.012, 0.045 and 0.20 s at g = 5-8, CPU
-# time in process; 2-CPU machine), so the bound admits about 0.25 s of
-# points: one at g = 8, five at g = 7, none at g = 9.  It dates from points
-# that cost over ten times as much and is kept so that no exit code moves.
-RANDOMIZED_WORK_MAX = 2_500_000_000
+# point of the principal cone takes 0.6 ms at N = 10 and about 0.075 ns
+# per unit from N = 45 on: 0.65, 2.0-2.2 and 6.2-7.0 s at g = 9, 10 and 11
+# (N = 45, 55, 66; one point per fresh process, two runs each, 2-CPU
+# machine, Python 3.11.7), so the bound admits about 4.5 s of points: two
+# at g = 10, seven at g = 9, none at g = 11.
+RANDOMIZED_WORK_MAX = 60_000_000_000
 
 
 class CostGuardError(ValueError):
@@ -244,11 +246,13 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
     """Check det(T) = (-1)^N 2^(g(g-1)/2) vol^2 F^((g+1)(g-1)).
 
     Symbolic mode proves exact polynomial equality at every genus: by the
-    closed form it holds exactly when det(M)^2 = vol^2.  Randomized mode
-    compares both sides at `trials` random points with integer coordinates
-    in [1, RANDOM_COORD_MAX], which homogeneity makes as strong as rational
-    ones (module docstring), recording any failing point as an exact,
-    replayable witness.
+    closed form it holds exactly when det(M)^2 = vol^2, one rational
+    determinant, which is always true for volume_function(c) (vol =
+    c.index = |det M|) and is checked for a vol chosen by the caller.
+    Randomized mode compares both sides at `trials` random points with
+    integer coordinates in [1, RANDOM_COORD_MAX], which homogeneity makes
+    as strong as rational ones (module docstring), recording any failing
+    point as an exact, replayable witness.
     """
     if mode == "symbolic":
         d = pencil_coordinate_det(v.pencil)

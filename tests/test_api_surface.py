@@ -16,6 +16,8 @@ PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "siegeltoric
 KEEP = {
     "det_t_symbolic": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
     "ma_rhs": "perfbench/tracer.py wraps it by name (ROADMAP item 6)",
+    "gl_act": "perfbench/tracer.py wraps it by name (ROADMAP item 6); tests build "
+              "translates with it",
     "cone_to_json": "writer of the cone file format that cone_from_json reads",
     "poly_from_json": "reader of the polynomial format that poly_to_json writes",
 }

@@ -20,6 +20,10 @@ CLI = [sys.executable, "-m", "siegeltoric.cli"]
 # --trials 1`; under 1 s each on a 2-CPU machine
 RANDOMIZED_FRONTIER_BUDGET_S = 5.0
 
+# wall seconds for one fresh `ma verify principal-g10 --randomized --trials
+# 1`, the largest genus its cost guard admits; about 2.2 s on a 2-CPU machine
+RANDOMIZED_BOUND_BUDGET_S = 10.0
+
 # wall seconds for one fresh `residue principal-g<4|5|6> --d 1` or
 # `intersect principal-g<4|5|6> --edges 1`; about 1 s at g = 6 on a 2-CPU
 # machine, most of it expanding F
@@ -520,13 +524,48 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: randomized check limited to trials * (N^6 + 4e5)")
         assert elapsed < 1.0, f"{elapsed:.2f} s"
 
+    @pytest.mark.parametrize("g", [10, 11], ids=["at-bound", "above-bound"])
+    def test_randomized_cost_guard(self, g):
+        # one point takes about 2 s at g = 10 and 6.5 s at g = 11
+        n = g * (g + 1) // 2
+        t0 = time.perf_counter()
+        proc = subprocess.run(CLI + ["ma", "verify", f"principal-g{g}", "--randomized",
+                                     "--trials", "1"],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        if g == 11:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == (
+                "error: randomized check limited to trials * (N^6 + 4e5) <= 60000000000, "
+                f"got {n ** 6 + 400_000} (N={n}, trials=1)\n")
+            assert elapsed < 1.0, f"{elapsed:.2f} s"
+        else:
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            assert report["holds"] is True and report["witnesses"] == []
+            assert elapsed < RANDOMIZED_BOUND_BUDGET_S, f"{elapsed:.2f} s"
+
     def test_randomized_cost_guard_evaluates_no_point(self, monkeypatch, capsys):
+        # the smallest refused requests: two trials pass at g = 10, seven at g = 9
         def evaluated(*args):
             raise AssertionError("a point was evaluated")
 
         monkeypatch.setattr(volume_ke, "_det_t_at", evaluated)
-        assert main(["ma", "verify", "principal-g9", "--randomized", "--trials", "1"]) == 2
-        assert "N=45, trials=1" in capsys.readouterr().err
+        for g, trials in ((11, 1), (10, 3), (9, 8)):
+            argv = ["ma", "verify", f"principal-g{g}", "--randomized", "--trials", str(trials)]
+            assert main(argv) == 2
+            assert f"N={g * (g + 1) // 2}, trials={trials}" in capsys.readouterr().err
+
+    def test_symbolic_ma_verify_computes_no_det_m(self, monkeypatch, capsys):
+        # vol = c.index = |det M|: the identity holds by construction
+        def computed(*args):
+            raise AssertionError("det M was computed")
+
+        monkeypatch.setattr(volume_ke, "pencil_coordinate_det", computed)
+        assert main(["ma", "verify", "principal-g12", "--symbolic"]) == 0
+        assert capsys.readouterr().out == (
+            '{"g": 12, "holds": true, "identity": "monge-ampere", "mode": "symbolic", '
+            '"seed": null, "vol": 1, "witnesses": []}\n')
 
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)

@@ -538,17 +538,21 @@ class TestGlAct:
 
 class TestMeet:
     def test_reflexive(self):
-        assert cones_meet_nontrivially(SIGMA0, SIGMA0)
+        assert cones_meet_nontrivially(SIGMA0.coords, SIGMA0.coords)
 
     def test_opposite_cone_disjoint(self):
         neg = cone2(*(tuple(tuple(-v for v in row) for row in m)
                       for m in SIGMA0.generators))
-        assert not cones_meet_nontrivially(SIGMA0, neg)
+        assert not cones_meet_nontrivially(SIGMA0.coords, neg.coords)
+
+    def test_genus_mismatch_rejected(self):
+        with pytest.raises(ConeShapeError, match=r"^cones live in different Sym_g$"):
+            cones_meet_nontrivially(SIGMA0.coords, principal_cone(3).coords)
 
     def test_shared_edge(self):
         a = cone2(E11, E22)
         b = cone2(E11, ZETA12)
-        assert cones_meet_nontrivially(a, b)
+        assert cones_meet_nontrivially(a.coords, b.coords)
 
     def test_symmetric(self):
         rng = random.Random(41)
@@ -563,7 +567,8 @@ class TestMeet:
                 b = cone2(gens[1])
             except ConeShapeError:
                 continue
-            assert cones_meet_nontrivially(a, b) == cones_meet_nontrivially(b, a)
+            assert (cones_meet_nontrivially(a.coords, b.coords)
+                    == cones_meet_nontrivially(b.coords, a.coords))
 
     def test_matches_oracle_on_random_pairs(self):
         rng = random.Random(4243)
@@ -571,7 +576,7 @@ class TestMeet:
         for _ in range(300):
             g = rng.choice((2, 2, 3))
             a, b = (_random_cone(rng, g, rng.choice((1, 2))) for _ in range(2))
-            got = cones_meet_nontrivially(a, b)
+            got = cones_meet_nontrivially(a.coords, b.coords)
             assert got == meet_oracle(a, b), (a.generators, a.scale, b.generators, b.scale)
             seen.add((a.scale, b.scale, got))
         # both verdicts on every combination of lattice scales 1 and 2
@@ -909,8 +914,8 @@ class TestSeparable:
         # moved generator
         rng = random.Random(6607)
         kinds = set()
-        for _ in range(12):
-            g = rng.choice((2, 2, 3))
+        for it in range(16):
+            g = rng.choice((2, 2, 3)) if it < 12 else 4
             cones = _translate_fan(rng, g, rng.randint(1, 3))
             group = [random_unimodular(rng, g) for _ in range(3)]
             group.append(GroupElement(matrix=tuple(
@@ -928,6 +933,22 @@ class TestSeparable:
             assert [tuple(v) for v in is_separable(Fan(cones), group)] == want
         # fixed cones, and moved cones that meet their original or miss it
         assert kinds == {(True, False), (True, True), (False, True)}
+
+    def test_builds_no_cone(self, monkeypatch):
+        # a translate of a cone is a cone with the same index: its
+        # coordinates are read off gamma A gamma^T, with no second check
+        def built(self, *args, **kwargs):
+            raise AssertionError("a MarkedCone was built")
+
+        rng = random.Random(6619)
+        for g in (2, 3, 4):
+            fan = Fan(_translate_fan(rng, g, 3))
+            group = [random_unimodular(rng, g) for _ in range(4)]
+            want = is_separable(fan, group)
+            with monkeypatch.context() as m:
+                m.setattr(MarkedCone, "__init__", built)
+                assert is_separable(fan, group) == want
+            assert want
 
 
 class TestConstructionInvariants:

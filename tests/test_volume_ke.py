@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from siegeltoric.catalog import catalog_get, catalog_names, principal_cone
+from siegeltoric.catalog import PRINCIPAL_GENUS_MAX, catalog_get, catalog_names, principal_cone
 from siegeltoric.cone_lattice import (
     DegenerateConeError,
     MarkedCone,
@@ -16,6 +16,7 @@ from siegeltoric.cone_lattice import (
     sym_dim,
 )
 from siegeltoric.exact_algebra import DimensionError, MultiPoly, PolyMatrix, pencil_det
+from siegeltoric.jsonio import cone_from_json
 from siegeltoric.volume_ke import (
     F_NVARS_MAX,
     CostGuardError,
@@ -467,6 +468,46 @@ class TestMAIdentity:
             moved = gl_act(gamma, SIGMA0)
             report = verify_ma_identity(volume_function(moved), "symbolic")
             assert report.holds
+
+
+class TestSymbolicPremise:
+    """Symbolic `ma verify` on a cone answers from the closed form without
+    computing det M: vol = c.index = |det M| != 0.  This is that premise,
+    checked with the determinant the CLI skips."""
+
+    def assert_premise(self, c):
+        v = volume_function(c)
+        d = pencil_coordinate_det(v.pencil)
+        assert d != 0 and d * d == v.vol * v.vol
+
+    def test_catalog(self):
+        for g in range(1, PRINCIPAL_GENUS_MAX + 1):
+            self.assert_premise(catalog_get(f"principal-g{g}").cone)
+        for level in (1, 2, 3, 7):
+            self.assert_premise(catalog_get(f"principal-g2-level-{level}").cone)
+
+    def test_golden_cones(self):
+        from test_cli_golden import INPUTS
+        objs = [obj for obj in INPUTS.values() if isinstance(obj, dict) and "generators" in obj]
+        objs += [c for obj in INPUTS.values() if isinstance(obj, dict)
+                 for c in obj.get("cones", ())]
+        full = [c for c in map(cone_from_json, objs) if len(c.generators) == c.nvars]
+        assert len(full) == 6
+        for c in full:
+            self.assert_premise(c)
+
+    def test_translates(self):
+        from test_cone_lattice import random_unimodular
+        rng = random.Random(4007)
+        for g in range(1, 7):
+            for scale in (1, 2, 3):
+                base = principal_cone(g, scale=scale)
+                for _ in range(2):
+                    moved = gl_act(random_unimodular(rng, g), base)
+                    order = list(range(sym_dim(g)))
+                    rng.shuffle(order)
+                    self.assert_premise(MarkedCone(g=g, scale=scale, generators=tuple(
+                        moved.generators[k] for k in order)))
 
 
 class TestRandomizedFromPencil:

@@ -7,17 +7,19 @@ Builds each workload's requests for seeds 101-105 with perfbench/inputs.py
 each of the fixed FRONTIER requests, whose work goes past the benchmark's
 cones, which stop at genus 5, and its symbolic work, which stops at
 genus 3: on catalog cones, genus-6 `cone volume`, `residue` and
-`intersect`, a genus-7 and a genus-8 randomized `ma verify` (the genus-8
-one at the edge of its cost guard), and a genus-12 `ke test`, `cone
-check` and symbolic `ma verify`; `cone check` on a genus-24
-principal-cone file, past the catalog's genus range, which is written in
-the temporary directory with perfbench/inputs.py's `principal_generators`
-and `cone_json`; and, past the benchmark's genus-2 fans of 4-6 cones,
-`fan check` and two `intersect --edges` requests (the sorted ray ids of
-one cone, answered `one`, and a selection that is no cone's, answered
-`zero`) on a fan of 64 GL(3,Z) translates of the principal cone with
-distinct ray sets, which is written there too, seeded, with
-perfbench/inputs.py's `random_frame`, `translate` and `ray`.  Every
+`intersect`, a genus-7 and a genus-8 randomized `ma verify`, and a
+genus-12 `ke test`, `cone check` and symbolic `ma verify`; `cone check`
+and symbolic `ma verify` on a genus-24 principal-cone file, past the
+catalog's genus range, which is written in the temporary directory with
+perfbench/inputs.py's `principal_generators` and `cone_json`; and, past
+the benchmark's genus-2 fans of 4-6 cones, `fan check`, `separable`
+against four seeded GL(3,Z) elements and -I (written there with
+perfbench/inputs.py's `random_frame`), and two `intersect --edges`
+requests (the sorted ray ids of one cone, answered `one`, and a
+selection that is no cone's, answered `zero`) on a fan of 64 GL(3,Z)
+translates of the principal cone with distinct ray sets, which is
+written there too, seeded, with perfbench/inputs.py's `random_frame`,
+`translate` and `ray`.  Every
 request runs once under BASE_CHECKOUT/src and once under this
 checkout's src, and every request whose exit code, stdout or stderr
 differ is listed.  Exits 1 on any difference in exit
@@ -48,9 +50,12 @@ FRONTIER = (
     ["cone", "check", "principal-g12"],
     ["ma", "verify", "principal-g12"],
     ["cone", "check", "principal-g24.json"],
+    ["ma", "verify", "principal-g24.json", "--symbolic"],
     ["fan", "check", "translates-g3.json"],
+    ["separable", "translates-g3.json", "group-g3.json"],
 )
 FAN_SEED, FAN_SIZE = 3601, 64
+GROUP_SEED, GROUP_SIZE = 3607, 4
 
 
 def translate_fan(path):
@@ -76,6 +81,15 @@ def translate_fan(path):
         zero = sorted(rng.sample(range(len(rays)), 6))
         if {rays[i] for i in zero} not in ray_sets:
             return one, zero
+
+
+def translate_group(path):
+    """Write GROUP_SIZE seeded GL(3,Z) elements and -I to path."""
+    rng = random.Random(GROUP_SEED)
+    mats = [inputs.random_frame(rng, 3, rng.randint(1, 4))[0] for _ in range(GROUP_SIZE)]
+    mats.append([[-int(i == j) for j in range(3)] for i in range(3)])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump([{"matrix": m} for m in mats], fh)
 
 
 def run(src, argv, cwd):
@@ -104,6 +118,7 @@ def main() -> int:
                              for req in inputs.build(workload, seed, workdir)]
         with open(os.path.join(tmp, "principal-g24.json"), "w", encoding="utf-8") as fh:
             json.dump(inputs.cone_json(24, inputs.principal_generators(24)), fh)
+        translate_group(os.path.join(tmp, "group-g3.json"))
         frontier = list(FRONTIER)
         for edges in translate_fan(os.path.join(tmp, "translates-g3.json")):
             frontier.append(["intersect", "translates-g3.json",
