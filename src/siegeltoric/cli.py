@@ -10,9 +10,8 @@ about 4.5 s of points (one point took 0.65, 2.1 and 6.2-7.0 s at g = 9,
 10 and 11 in a fresh process, so one is admitted at g = 10 and none at
 g = 11), g <= 8 for `hodge`), and 3 on an internal error.  Symbolic `ma
 verify` and `ke test` never expand the polynomial and have no guard:
-symbolic `ma verify` answers from the cone's lattice index, which makes
-the identity hold (volume_ke), so it costs what reading the cone costs,
-and `ke test` adds one N x N rational determinant.
+both answer from volume_ke.is_ke_point, which reads the identity off the
+cone's lattice index, so they cost what reading the cone costs.
 Input problems raise ValueError wherever they are found, and `main` alone
 maps exceptions to exit codes: a ValueError prints `error: <msg>`, any
 other exception one `internal error: <Type>: <msg>` line, never a
@@ -183,9 +182,7 @@ def _cmd_ma_verify(args) -> tuple[dict, bool]:
         result = volume_ke.verify_ma_identity(
             v, mode=mode, trials=args.trials, seed=args.seed)
     else:
-        # a cone's vol is c.index = |det M|, so the closed form proves the
-        # identity (volume_ke docstring): det(M)^2 = vol^2 by construction
-        result = volume_ke.MAReport(holds=True)
+        result = volume_ke.MAReport(holds=volume_ke.is_ke_point(cone))
     report = {
         "identity": "monge-ampere",
         "mode": mode,
@@ -200,7 +197,7 @@ def _cmd_ma_verify(args) -> tuple[dict, bool]:
 
 def _cmd_ke_test(args) -> tuple[dict, bool]:
     cone = _resolve_cone(args.cone, jsonio.cone_from_json)
-    member = volume_ke.is_ke_point(cone.generators)
+    member = volume_ke.is_ke_point(cone)
     report = {
         "check": "ke-membership",
         "g": cone.g,

@@ -202,6 +202,15 @@ def rational_det(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
     return Fraction(minor, scale) if k == len(a) else Fraction(0)
 
 
+def _check_ints(rows, name: str) -> None:
+    """TypeError on the first entry of rows whose type is not int (a bool,
+    float or Fraction among them): the integer kernels convert none."""
+    for row in rows:
+        for v in row:
+            if type(v) is not int:
+                raise TypeError(f"{name} needs int entries, got {type(v).__name__}")
+
+
 def int_det_adjugate(y: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
     """det y and adj y of a square integer matrix y; adj is None when det y
     is 0.  An entry that is not an int raises TypeError.
@@ -210,10 +219,7 @@ def int_det_adjugate(y: Sequence[Sequence[int]]) -> tuple[int, Optional[list[lis
     d y^-1, where d = +-det y is the last pivot, and adj y = det(y) y^-1.
     """
     g = len(y)
-    for row in y:
-        for v in row:
-            if not isinstance(v, int):
-                raise TypeError(f"int_det_adjugate needs int entries, got {type(v).__name__}")
+    _check_ints(y, "int_det_adjugate")
     a = [list(row) + [int(i == j) for j in range(g)] for i, row in enumerate(y)]
     k, det = _bareiss(a, _in_column, jordan=True)
     if k < g:
@@ -223,7 +229,9 @@ def int_det_adjugate(y: Sequence[Sequence[int]]) -> tuple[int, Optional[list[lis
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix."""
+    """Exact determinant of an integer matrix; an entry that is not an int
+    raises TypeError."""
+    _check_ints(rows, "int_det")
     return int(rational_det(rows))
 
 
@@ -258,9 +266,10 @@ def lattice_index(rows: Sequence[Sequence[int]]) -> int:
     it is 1 exactly when every elementary divisor is 1 (Smith), and |det|
     when k = n.  Columns are kept from entry i on: the used rows of the
     remaining columns are zero, and a pivot column is dropped once its
-    diagonal entry is read.
+    diagonal entry is read.  An entry that is not an int raises TypeError.
     """
-    cols = [[int(v) for v in col] for col in zip(*rows)]
+    _check_ints(rows, "lattice_index")
+    cols = [list(col) for col in zip(*rows)]
     index = 1
     for i in range(len(rows)):
         while True:

@@ -38,13 +38,17 @@ class MultiPoly:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction | int] | None = None):
+        if type(nvars) is not int:
+            raise ValueError(f"nvars must be an int, got {nvars!r}")
         if nvars < 0:
             raise DimensionError(f"nvars must be nonnegative, got {nvars}")
         object.__setattr__(self, "nvars", nvars)
         clean: dict[Exponent, Fraction | int] = {}
         if terms:
             for exp, coeff in terms.items():
-                exp = tuple(int(e) for e in exp)
+                exp = tuple(exp)
+                if any(type(e) is not int for e in exp):
+                    raise ValueError(f"non-int exponent in {exp}")
                 if len(exp) != nvars:
                     raise DimensionError(
                         f"exponent {exp} has length {len(exp)}, expected {nvars}")
@@ -366,9 +370,9 @@ def poly_to_json(p: MultiPoly) -> dict:
 
 
 def poly_from_json(obj: Mapping) -> MultiPoly:
-    nvars = int(obj["nvars"])
+    nvars = obj["nvars"]
     terms: dict[Exponent, Fraction] = {}
     for t in obj.get("terms", []):
-        exp = tuple(int(e) for e in t["exp"])
+        exp = tuple(t["exp"])
         terms[exp] = Fraction(int(t["num"]), int(t["den"]))
     return MultiPoly(nvars, terms)

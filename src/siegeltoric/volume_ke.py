@@ -39,12 +39,13 @@ for every pencil of N matrices, dependent ones included,
 
 and at g = 1 (F = a x, T = -a^2, det M = a) too.  So the symbolic
 identity holds exactly when det(M)^2 = vol^2: one rational determinant at
-every genus.  As vol = c.index = |det M| for a cone (lattice_index), it
-holds for every cone by construction, so the CLI answers symbolic `ma
-verify` on a cone without that determinant; verify_ma_identity computes
-it for a VolumeFunction whose vol its caller chose.  is_ke_point is True
-on every independent pencil: every coefficient of det(T) minus the right
-side is 0.  The direct det(T) and Hessian routes are test oracles.
+every genus.  As vol = c.index = |det M| >= 1 for a cone (lattice_index),
+it holds on every full cone by construction: is_ke_point(c) reads that
+off the cone, and the CLI's symbolic `ma verify` and `ke test` ask it
+without that determinant.  verify_ma_identity computes det M for a
+VolumeFunction whose vol its caller chose, and a dependent pencil (det M
+= 0) is refused by MarkedCone.  The direct det(T) and Hessian routes are
+test oracles.
 
 Randomized mode works at integer points, from the pencil alone, and
 never expands F.  Both sides of the identity are homogeneous of degree
@@ -159,8 +160,9 @@ def volume_function(c: MarkedCone) -> VolumeFunction:
 
 def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
     """det M, the determinant of the delta-coordinates of mats (module
-    docstring); a malformed pencil (pencil_size) or one of other than N
-    matrices raises DimensionError."""
+    docstring), for a pencil that need not come from a cone (a cone's is
+    c.index up to sign); a malformed pencil (pencil_size) or one of other
+    than N matrices raises DimensionError."""
     g = pencil_size(mats)
     if len(mats) != sym_dim(g):
         raise DimensionError(
@@ -278,16 +280,19 @@ def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
 
 
 # ----------------------------------------------------------------------
-# KE-characteristic membership for integral pencils
+# KE-characteristic membership of a cone's pencil
 
 
-def is_ke_point(mats: Sequence[Sequence[Sequence[int]]]) -> bool:
-    """Membership of an independent symmetric pencil in the variety cut out
-    by the Monge-Ampere coefficient equations: det(T) = (-1)^N 2^(g(g-1)/2)
-    D^2 F^((g+1)(g-1)) with F = det(sum x_i mats[i]) and D = det M.  The
-    closed form (module docstring) proves it for every pencil, so this is
-    True unless the pencil is dependent, which raises DegenerateConeError.
+def is_ke_point(c: MarkedCone) -> bool:
+    """Membership of c's pencil in the variety cut out by the Monge-Ampere
+    coefficient equations: det(T) = (-1)^N 2^(g(g-1)/2) vol^2
+    F^((g+1)(g-1)).  A cone without N generators raises DimensionError.
+    Otherwise this is True: the closed form (module docstring) makes det(T)
+    the right side with vol^2 = det(M)^2, and the pencil of the generators
+    over c.scale has |det M| = c.index >= 1 (lattice_index), which
+    MarkedCone checked when it was built.
     """
-    if pencil_coordinate_det(mats) == 0:
-        raise DegenerateConeError("matrices are linearly dependent")
+    if len(c.generators) != c.nvars:
+        raise DimensionError(
+            f"expected {c.nvars} matrices for g={c.g}, got {len(c.generators)}")
     return True

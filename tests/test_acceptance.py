@@ -263,10 +263,10 @@ def test_criterion_10_permutation_symmetry(capsys):
     ok = True
     for name in ("principal-g2", "principal-g2-level-3"):
         cone = catalog_get(name).cone
-        mats = [[[Fraction(v, cone.scale) for v in row] for row in gen]
-                for gen in cone.generators]
         for perm in itertools.permutations(range(3)):
-            ok = ok and is_ke_point([mats[i] for i in perm])
+            permuted = MarkedCone(g=2, scale=cone.scale,
+                                  generators=[cone.generators[i] for i in perm])
+            ok = ok and permuted.index == cone.index and is_ke_point(permuted)
 
     checked = 0
     while checked < 10:

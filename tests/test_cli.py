@@ -556,16 +556,38 @@ class TestExitCodes:
             assert main(argv) == 2
             assert f"N={g * (g + 1) // 2}, trials={trials}" in capsys.readouterr().err
 
-    def test_symbolic_ma_verify_computes_no_det_m(self, monkeypatch, capsys):
-        # vol = c.index = |det M|: the identity holds by construction
+    @staticmethod
+    def count_ke_point_calls(monkeypatch) -> list:
+        """The cones is_ke_point is asked about, with det M made to raise:
+        vol = c.index = |det M|, so the identity holds by construction."""
         def computed(*args):
             raise AssertionError("det M was computed")
 
+        calls, is_ke_point = [], volume_ke.is_ke_point
+
+        def counted(c):
+            calls.append(c)
+            return is_ke_point(c)
+
         monkeypatch.setattr(volume_ke, "pencil_coordinate_det", computed)
+        monkeypatch.setattr(volume_ke, "rational_det", computed)
+        monkeypatch.setattr(volume_ke, "is_ke_point", counted)
+        return calls
+
+    def test_symbolic_ma_verify_computes_no_det_m(self, monkeypatch, capsys):
+        calls = self.count_ke_point_calls(monkeypatch)
         assert main(["ma", "verify", "principal-g12", "--symbolic"]) == 0
         assert capsys.readouterr().out == (
             '{"g": 12, "holds": true, "identity": "monge-ampere", "mode": "symbolic", '
             '"seed": null, "vol": 1, "witnesses": []}\n')
+        assert [c.g for c in calls] == [12]
+
+    def test_ke_test_computes_no_det_m(self, monkeypatch, capsys):
+        calls = self.count_ke_point_calls(monkeypatch)
+        assert main(["ke", "test", "principal-g12"]) == 0
+        assert capsys.readouterr().out == (
+            '{"check": "ke-membership", "g": 12, "member": true, "ok": true}\n')
+        assert [c.g for c in calls] == [12]
 
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)

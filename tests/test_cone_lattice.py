@@ -473,6 +473,18 @@ class TestEliminationKernel:
             with pytest.raises(TypeError, match="int entries"):
                 int_det_adjugate(m)
 
+    def test_int_det_refuses_non_int_entries(self):
+        # int(rational_det) would truncate det [[3/2, 0], [0, 1]] to 1
+        for m in ([[Fraction(3, 2), 0], [0, 1]], [[2.0, 0], [0, 1]], [[True, 0], [0, 1]]):
+            with pytest.raises(TypeError, match=r"^int_det needs int entries"):
+                int_det(m)
+
+    def test_lattice_index_refuses_non_int_entries(self):
+        # int() would truncate: [[1.9, 0], [0, 1]] read as index 1
+        for m in ([[1.9, 0], [0, 1]], [[Fraction(4, 2), 0], [0, 1]], [(1, 0), (0, True)]):
+            with pytest.raises(TypeError, match=r"^lattice_index needs int entries"):
+                lattice_index(m)
+
     def test_singular_det_stops_at_the_empty_column(self):
         # column p is zero or a combination of the columns before it, so
         # live column p is empty after p pivots: elimination stops there

@@ -146,6 +146,15 @@ class TestArithmetic:
         with pytest.raises(DimensionError):
             variable(2, 0) + variable(3, 0)
 
+    def test_non_int_exponents_and_nvars_rejected(self):
+        # int() would truncate: (1.9, 0) read as x_1, nvars 2.7 as 2
+        for exp in ((1.9, 0), (1, 0.0), (True, 0), (Fraction(1), 0)):
+            with pytest.raises(ValueError, match=r"^non-int exponent in "):
+                MultiPoly(2, {exp: 1})
+        for nvars in (2.7, 2.0, True):
+            with pytest.raises(ValueError, match=r"^nvars must be an int, got "):
+                MultiPoly(nvars)
+
     def test_no_zero_terms_stored(self):
         p = X - X
         assert p.is_zero() and p.num_terms() == 0
@@ -449,6 +458,15 @@ class TestSerialization:
     def test_round_trip(self):
         p = XY_XZ_YZ.scale(Fraction(3, 7)) - MultiPoly.const(3, Fraction(1, 2))
         assert poly_from_json(poly_to_json(p)) == p
+
+    def test_non_int_nvars_and_exponents_refused(self):
+        # int() would truncate both to x_1 in two variables
+        term = {"num": "1", "den": "1"}
+        for obj in ({"nvars": 2, "terms": [dict(term, exp=[1.5, 0.2])]},
+                    {"nvars": 2.7, "terms": [dict(term, exp=[1, 0])]},
+                    {"nvars": "2", "terms": []}):
+            with pytest.raises(ValueError, match=r"^(non-int exponent|nvars must be an int)"):
+                poly_from_json(obj)
 
     def test_graded_lex_order(self):
         p = X + Y * Z + MultiPoly.const(3, 1)

@@ -9,6 +9,7 @@ import pytest
 
 from siegeltoric.catalog import PRINCIPAL_GENUS_MAX, catalog_get, catalog_names, principal_cone
 from siegeltoric.cone_lattice import (
+    ConeShapeError,
     DegenerateConeError,
     MarkedCone,
     gl_act,
@@ -479,6 +480,7 @@ class TestSymbolicPremise:
         v = volume_function(c)
         d = pencil_coordinate_det(v.pencil)
         assert d != 0 and d * d == v.vol * v.vol
+        assert is_ke_point(c)
 
     def test_catalog(self):
         for g in range(1, PRINCIPAL_GENUS_MAX + 1):
@@ -605,55 +607,73 @@ class TestRandomizedFromPencil:
 
 
 class TestKEPoint:
+    """is_ke_point reads the identity off a full cone; each case is also
+    checked with the determinant it skips."""
+
+    def assert_member(self, c):
+        assert is_ke_point(c)
+        assert verify_ma_identity(volume_function(c), "symbolic").holds
+
     def test_principal_g2_is_member(self):
-        assert is_ke_point([list(map(list, m)) for m in SIGMA0.generators])
+        self.assert_member(SIGMA0)
 
     def test_g1_unit(self):
-        assert is_ke_point([[[1]]])
+        self.assert_member(MarkedCone(g=1, scale=1, generators=[[[1]]]))
 
     def test_dependent_pencil_rejected(self):
-        with pytest.raises(DegenerateConeError):
-            is_ke_point([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]]])
+        with pytest.raises(ConeShapeError, match=r"^generators are linearly dependent"):
+            MarkedCone(g=2, scale=1,
+                       generators=[[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]]])
 
     def test_empty_pencil_is_an_input_error(self):
-        for fn in (pencil_coordinate_det, is_ke_point):
-            with pytest.raises(DimensionError, match=r"^empty pencil$"):
-                fn([])
+        with pytest.raises(DimensionError, match=r"^empty pencil$"):
+            pencil_coordinate_det([])
 
     def test_malformed_pencil_messages(self):
-        # the shape checks are pencil_det's; the count check comes after them
+        # the shape checks are pencil_det's; the count check comes after
+        # them, and is_ke_point gives it on a cone that is not full
         e11, e22 = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
         with pytest.raises(DimensionError, match=r"^pencil matrix 1 is not 2x2$"):
             pencil_coordinate_det([e11, [[1]], e22])
         with pytest.raises(DimensionError, match=r"^pencil matrix 2 is not symmetric$"):
             pencil_coordinate_det([e11, e22, [[0, 1], [2, 0]]])
-        with pytest.raises(DimensionError, match=r"^expected 3 matrices for g=2, got 2$"):
-            is_ke_point([e11, e22])
+        count = r"^expected 3 matrices for g=2, got 2$"
+        with pytest.raises(DimensionError, match=count):
+            pencil_coordinate_det([e11, e22])
+        with pytest.raises(DimensionError, match=count):
+            is_ke_point(MarkedCone(g=2, scale=1, generators=[e11, e22]))
 
     def test_scaled_pencil_still_member(self):
         # the D^2 factor absorbs diagonal rescaling: vol-2 pencils pass too
-        rows = [(2, 0, 0), (0, 0, 1), (1, -1, 1)]
-        mats = [[[r[0], r[1]], [r[1], r[2]]] for r in rows]
-        assert is_ke_point(mats)
+        c = cone_from_rows([(2, 0, 0), (0, 0, 1), (1, -1, 1)])
+        assert c.index == 2
+        self.assert_member(c)
+
+    def test_level_three_pencils_are_members(self):
+        # the rational pencils l(mu)/3 of a level-3 cone, through the cone
+        # and through a VolumeFunction with vol = |det M| = c.index
+        rng = random.Random(211)
+        for rows in [[(1, 0, 0), (0, 0, 1), (1, -1, 1)]] + [
+                random_invertible_rows(rng) for _ in range(3)]:
+            c = cone_from_rows(rows, scale=3)
+            self.assert_member(c)
+            mats = [[[Fraction(v, 3) for v in row] for row in gen] for gen in c.generators]
+            d = pencil_coordinate_det(mats)
+            assert abs(d) == c.index
+            assert verify_ma_identity(VolumeFunction(mats, abs(d)), "symbolic").holds
 
     def test_random_independent_pencils_are_members(self):
         # the identity is a linear-substitution image of the log-det Hessian
         # identity, so independence is the only requirement
         rng = random.Random(211)
-        checked = 0
-        while checked < 5:
-            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-            from siegeltoric.cone_lattice import int_det
-            if int_det(rows) == 0:
-                continue
-            mats = [[[r[0], r[1]], [r[1], r[2]]] for r in rows]
-            assert is_ke_point(mats)
-            checked += 1
+        for _ in range(5):
+            self.assert_member(cone_from_rows(random_invertible_rows(rng)))
 
     def test_permutations_preserve_membership(self):
-        mats = [list(map(list, m)) for m in SIGMA0.generators]
         for perm in itertools.permutations(range(3)):
-            assert is_ke_point([mats[i] for i in perm])
+            c = MarkedCone(g=2, scale=1, generators=[SIGMA0.generators[i] for i in perm])
+            assert c.index == SIGMA0.index
+            self.assert_member(c)
 
 
 class TestKECoefficient:

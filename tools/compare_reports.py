@@ -8,9 +8,9 @@ each of the fixed FRONTIER requests, whose work goes past the benchmark's
 cones, which stop at genus 5, and its symbolic work, which stops at
 genus 3: on catalog cones, genus-6 `cone volume`, `residue` and
 `intersect`, a genus-7 and a genus-8 randomized `ma verify`, and a
-genus-12 `ke test`, `cone check` and symbolic `ma verify`; `cone check`
-and symbolic `ma verify` on a genus-24 principal-cone file, past the
-catalog's genus range, which is written in the temporary directory with
+genus-12 `ke test`, `cone check` and symbolic `ma verify`; `cone check`,
+symbolic `ma verify` and `ke test` on a genus-24 principal-cone file,
+past the catalog's genus range, which is written in the temporary directory with
 perfbench/inputs.py's `principal_generators` and `cone_json`; and, past
 the benchmark's genus-2 fans of 4-6 cones, `fan check`, `separable`
 against four seeded GL(3,Z) elements and -I (written there with
@@ -51,6 +51,7 @@ FRONTIER = (
     ["ma", "verify", "principal-g12"],
     ["cone", "check", "principal-g24.json"],
     ["ma", "verify", "principal-g24.json", "--symbolic"],
+    ["ke", "test", "principal-g24.json"],
     ["fan", "check", "translates-g3.json"],
     ["separable", "translates-g3.json", "group-g3.json"],
 )
