@@ -179,8 +179,7 @@ def _cmd_ma_verify(args) -> tuple[dict, bool]:
     v = volume_ke.volume_function(cone)
     mode = "randomized" if args.randomized else "symbolic"
     if args.randomized:
-        result = volume_ke.verify_ma_identity(
-            v, mode=mode, trials=args.trials, seed=args.seed)
+        result = volume_ke.verify_ma_identity(v, trials=args.trials, seed=args.seed)
     else:
         result = volume_ke.MAReport(holds=volume_ke.is_ke_point(cone))
     report = {

@@ -2,11 +2,11 @@
 
 A polynomial in ``n`` variables is stored as a map from exponent tuples
 (length ``n``, nonnegative ints) to nonzero exact coefficients: the
-constructor stores an integral one as an ``int``, any other as a
-``Fraction``, so integral polynomials multiply on ints.  No floating point
-anywhere: dividing a coefficient takes ``Fraction``.  The canonical term
-order for display and serialization is graded lexicographic (total degree
-first, then the exponent tuple), descending.
+constructor takes an ``int`` or a ``Fraction`` only and stores an
+integral one as an ``int``, so integral polynomials multiply on ints.  No
+floating point anywhere: dividing a coefficient takes ``Fraction``.  The
+canonical term order for display and serialization is graded
+lexicographic (total degree first, then the exponent tuple), descending.
 
 Matrices of polynomials have one exact determinant route: a division-free
 Laplace expansion memoized over column subsets.
@@ -54,6 +54,8 @@ class MultiPoly:
                         f"exponent {exp} has length {len(exp)}, expected {nvars}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
+                if type(coeff) is not int and type(coeff) is not Fraction:
+                    raise ValueError(f"coefficient {coeff!r} of {exp} is not an int or a Fraction")
                 c = Fraction(coeff)
                 c = c.numerator if c.denominator == 1 else c
                 if c != 0:
@@ -369,10 +371,20 @@ def poly_to_json(p: MultiPoly) -> dict:
     }
 
 
+def _json_int(t: Mapping, key: str) -> int:
+    """t[key] as an int, or as a decimal string as poly_to_json writes it."""
+    v = t[key]
+    if type(v) is int or type(v) is str and v.isascii() and v.removeprefix("-").isdigit():
+        return int(v)
+    raise ValueError(f"term {key} must be an int or a decimal string, got {v!r}")
+
+
 def poly_from_json(obj: Mapping) -> MultiPoly:
     nvars = obj["nvars"]
     terms: dict[Exponent, Fraction] = {}
     for t in obj.get("terms", []):
-        exp = tuple(t["exp"])
-        terms[exp] = Fraction(int(t["num"]), int(t["den"]))
+        exp, den = tuple(t["exp"]), _json_int(t, "den")
+        if exp in terms or den == 0:
+            raise ValueError(f"repeated exponent {exp}" if den else f"zero denominator at {exp}")
+        terms[exp] = Fraction(_json_int(t, "num"), den)
     return MultiPoly(nvars, terms)

@@ -10,7 +10,7 @@ numerator of the iterated residue integrand; the accompanying constant is
 only the exact integrand data is produced.
 
 Residue minor in closed form.  Let the pencil A_1..A_N span Sym_g, as the
-generators of a full cone do (residue_chain refuses any other pencil).
+pencil of volume_function(c) does: MarkedCone checked c.index >= 1.
 Suppose S = c det(L x) with c a nonzero constant and L linear from the
 variables onto Sym_e, and let B be the matrix of x_k in L x, of rank r.
 With B = Q diag(D, 0) Q^T, D invertible of order r and Q invertible,
@@ -60,7 +60,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .cone_lattice import (
     ConeShapeError,
-    DegenerateConeError,
     Fan,
     MarkedCone,
     edge_class,
@@ -69,8 +68,7 @@ from .cone_lattice import (
     sym_dim,
 )
 from .exact_algebra import MultiPoly
-from .volume_ke import (CostGuardError, VolumeFunction, pencil_coordinate_det,
-                        random_point, volume_function)
+from .volume_ke import CostGuardError, VolumeFunction, random_point, volume_function
 
 # S_d^((e+1)(e-1)) is expanded only if it can have at most this many terms:
 # every genus-4 cone passes (at most 118755 terms, 16 s on a 2-CPU machine),
@@ -98,15 +96,14 @@ def residue_chain(v: VolumeFunction, d: int) -> ResidueChain:
 
     Variable order follows the cone's marking order; callers that want a
     different divisor selection permute the pencil first (see
-    intersection_vanishing).  The pencil must span Sym_g (module docstring).
+    intersection_vanishing).  The pencil spans Sym_g, as MarkedCone
+    checked c.index >= 1 (module docstring).
     """
     n = v.nvars
     if n == 1:
         raise ValueError("N = 1 has no residue chain (d must be in [1, N - 1])")
     if not 1 <= d <= n - 1:
         raise ValueError(f"d must be in [1, {n - 1}], got {d}")
-    if pencil_coordinate_det(v.pencil) == 0:
-        raise DegenerateConeError("residue chain needs linearly independent generators")
     chain = [v.F]
     for k in range(d):
         chain.append(chain[-1].leading_coeff_in(k)[1])

@@ -42,10 +42,8 @@ identity holds exactly when det(M)^2 = vol^2: one rational determinant at
 every genus.  As vol = c.index = |det M| >= 1 for a cone (lattice_index),
 it holds on every full cone by construction: is_ke_point(c) reads that
 off the cone, and the CLI's symbolic `ma verify` and `ke test` ask it
-without that determinant.  verify_ma_identity computes det M for a
-VolumeFunction whose vol its caller chose, and a dependent pencil (det M
-= 0) is refused by MarkedCone.  The direct det(T) and Hessian routes are
-test oracles.
+without that determinant.  A dependent pencil (det M = 0) is refused by
+MarkedCone.  The direct det(T) and Hessian routes are test oracles.
 
 Randomized mode works at integer points, from the pencil alone, and
 never expands F.  Both sides of the identity are homogeneous of degree
@@ -56,28 +54,26 @@ their difference is a nonzero polynomial of that degree, and it vanishes
 at such a point with probability at most N(2g-2)/RANDOM_COORD_MAX
 (Schwartz, J. ACM 27, 1980): the same bound as for fractions a/b with a
 and b in that range, whose most likely value, 1, also has probability
-1/RANDOM_COORD_MAX.  Write A_mu = G_mu / s with integer G_mu and put
-Y = sum p_mu G_mu, an integer matrix with L p = Y / s.  One fraction-free
-Gauss-Jordan elimination gives f = det Y and C = adj Y, so
-F(p) = f / s^g.  Differentiating Jacobi's formula
+1/RANDOM_COORD_MAX.  The pencil of volume_function(c) is integral (the
+generators lie in c.scale*Sym_g(Z)), so Y = sum p_mu A_mu is an integer
+matrix.  One fraction-free Gauss-Jordan elimination gives f = det Y =
+F(p) and C = adj Y.  Differentiating Jacobi's formula
 d det(Y)[A] = tr(adj(Y) A) once more gives
 f d^2 det(Y)[A, B] = tr(C A) tr(C B) - tr(C A C B) (Griewank and Walther,
 Evaluating Derivatives, 2008).  As det has integer coefficients,
-d^2 det(Y)[G_a, G_b] is an integer, so for g >= 2
+d^2 det(Y)[A_a, A_b] is an integer, so for g >= 2
 
-    E_ab = (tr(C G_a) tr(C G_b) - tr(C G_a C G_b)) / f
+    E_ab = (tr(C A_a) tr(C A_b) - tr(C A_a C A_b)) / f
 
-is an exact integer quotient, Hess F(p) = E / s^g and
-det Hess F(p) = det(E) / s^(gN): one integer determinant, with no
-Fraction per entry.  The Euler reduction then gives det(T)(p) =
--F(p)^N det(Hess F(p)) / (g-1), which is 0 when f = 0; at g = 1, det(T)
-is the constant -A_1^2.  The route that expands F and evaluates its
+is an exact integer quotient and Hess F(p) = E: one integer determinant,
+with no Fraction per entry.  The Euler reduction then gives det(T)(p) =
+-F(p)^N det(E) / (g-1), which is 0 when f = 0; at g = 1, det(T) is the
+constant -A_1^2.  The route that expands F and evaluates its
 N(N+1)/2 second partials at each point is a test oracle.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -118,11 +114,11 @@ class CostGuardError(ValueError):
 
 
 class VolumeFunction:
-    """Pencil data of a marked cone; its volume polynomial F is expanded on
-    first use.  The pencil fixes g (its matrix size, which pencil_size
-    checks) and N (its length)."""
+    """Integer pencil data of a marked cone (volume_function); its volume
+    polynomial F is expanded on first use.  The pencil fixes g (its matrix
+    size, which pencil_size checks) and N (its length)."""
 
-    def __init__(self, pencil: tuple[tuple[tuple[int | Fraction, ...], ...], ...], vol: int):
+    def __init__(self, pencil: tuple[tuple[tuple[int, ...], ...], ...], vol: int):
         self.g = pencil_size(pencil)
         self.nvars = len(pencil)
         self.pencil = pencil
@@ -134,40 +130,19 @@ class VolumeFunction:
         if self.nvars > F_NVARS_MAX:
             raise CostGuardError(
                 f"volume polynomial limited to N <= {F_NVARS_MAX}, got N={self.nvars}")
-        f = pencil_det(self.pencil)
-        if f.is_zero():
-            raise DegenerateConeError("degenerate pencil: det vanishes identically")
-        return f
-
-
-def _normalized_pencil(c: MarkedCone) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(
-        tuple(tuple(v // c.scale for v in row) for row in gen)
-        for gen in c.generators
-    )
+        return pencil_det(self.pencil)
 
 
 def volume_function(c: MarkedCone) -> VolumeFunction:
-    """Volume function of the generators over c.scale, vol = c.index: a
-    cone's pencil holds ints, a general one ints or Fractions.  F is not 0:
-    MarkedCone rejects dependent generators, and their span holds I."""
+    """Volume function of the integer generators over c.scale, vol =
+    c.index.  F is not 0: MarkedCone rejects dependent generators, and
+    their span holds I."""
     n = sym_dim(c.g)
     if len(c.generators) != n:
         raise DegenerateConeError(
             f"volume polynomial needs {n} generators, cone has {len(c.generators)}")
-    return VolumeFunction(pencil=_normalized_pencil(c), vol=c.index)
-
-
-def pencil_coordinate_det(mats: Sequence[Sequence[Sequence[int | Fraction]]]) -> Fraction:
-    """det M, the determinant of the delta-coordinates of mats (module
-    docstring), for a pencil that need not come from a cone (a cone's is
-    c.index up to sign); a malformed pencil (pencil_size) or one of other
-    than N matrices raises DimensionError."""
-    g = pencil_size(mats)
-    if len(mats) != sym_dim(g):
-        raise DimensionError(
-            f"expected {sym_dim(g)} matrices for g={g}, got {len(mats)}")
-    return rational_det([[m[i][j] for i, j in delta_index_pairs(g)] for m in mats])
+    pencil = tuple(tuple(tuple(v // c.scale for v in row) for row in m) for m in c.generators)
+    return VolumeFunction(pencil=pencil, vol=c.index)
 
 
 def ma_rhs_constant(g: int, vol: Fraction | int) -> Fraction:
@@ -183,9 +158,7 @@ def ma_rhs(v: VolumeFunction) -> MultiPoly:
 
 def det_t_symbolic(v: VolumeFunction) -> MultiPoly:
     """Exact det(T) in closed form: ma_rhs with vol := det M (module docstring)."""
-    d = pencil_coordinate_det(v.pencil)
-    if not d:
-        return MultiPoly.zero(v.nvars)
+    d = rational_det([[m[i][j] for i, j in delta_index_pairs(v.g)] for m in v.pencil])
     return (v.F ** ((v.g + 1) * (v.g - 1))).scale(ma_rhs_constant(v.g, d))
 
 
@@ -207,28 +180,26 @@ def random_point(rng: random.Random, nvars: int) -> tuple[int, ...]:
 
 def det_t_values(v: VolumeFunction, points: Sequence[Sequence[int]]
                  ) -> list[tuple[Fraction, Fraction]]:
-    """(F(p), det(T)(p)) at each integer point p, from the pencil alone: F
-    is never expanded (module docstring)."""
-    s = math.lcm(*(x.denominator for m in v.pencil for row in m for x in row))
-    gens = [[[int(x * s) for x in row] for row in m] for m in v.pencil]
-    return [_det_t_at(gens, s, p) for p in points]
+    """(F(p), det(T)(p)) at each integer point p, from the integer pencil
+    alone: F is never expanded (module docstring)."""
+    return [_det_t_at(v.pencil, p) for p in points]
 
 
-def _det_t_at(gens: Sequence[Sequence[Sequence[int]]], s: int,
+def _det_t_at(gens: Sequence[Sequence[Sequence[int]]],
               point: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """F(p) and det(T)(p) from the integer pencil G_mu / s alone, by one
-    integer adjugate and one integer determinant (module docstring)."""
+    """F(p) and det(T)(p) from the integer pencil alone, by one integer
+    adjugate and one integer determinant (module docstring)."""
     g, n = len(gens[0]), len(gens)
     if g == 1:
-        return (Fraction(sum(x * m[0][0] for x, m in zip(point, gens)), s),
-                Fraction(-gens[0][0][0] ** 2, s * s))
+        return (Fraction(sum(x * m[0][0] for x, m in zip(point, gens))),
+                Fraction(-gens[0][0][0] ** 2))
     y = [[sum(x * m[i][j] for x, m in zip(point, gens)) for j in range(g)]
          for i in range(g)]
     f, adj = int_det_adjugate(y)
-    fval = Fraction(f, s ** g)
+    fval = Fraction(f)
     if f == 0:
         return fval, Fraction(0)
-    # C G_mu row by row; G_mu is symmetric, so its rows are its columns
+    # C A_mu row by row; A_mu is symmetric, so its rows are its columns
     cg = [[[sum(map(mul, row, col)) for col in m] for row in adj] for m in gens]
     tr = [sum(c[i][i] for i in range(g)) for c in cg]
     # tr(X Z) is the dot product of X's entries with Z's transposed
@@ -240,27 +211,15 @@ def _det_t_at(gens: Sequence[Sequence[Sequence[int]]], s: int,
         for b in range(a, n):
             tr_ab = sum(map(mul, fa, flat_t[b]))
             e[a][b] = e[b][a] = (tr[a] * tr[b] - tr_ab) // f
-    return fval, -fval ** n * Fraction(int_det(e), s ** (g * n)) / (g - 1)
+    return fval, -fval ** n * int_det(e) / (g - 1)
 
 
-def verify_ma_identity(v: VolumeFunction, mode: str = "symbolic",
-                       trials: int = 20, seed: int = 0) -> MAReport:
-    """Check det(T) = (-1)^N 2^(g(g-1)/2) vol^2 F^((g+1)(g-1)).
-
-    Symbolic mode proves exact polynomial equality at every genus: by the
-    closed form it holds exactly when det(M)^2 = vol^2, one rational
-    determinant, which is always true for volume_function(c) (vol =
-    c.index = |det M|) and is checked for a vol chosen by the caller.
-    Randomized mode compares both sides at `trials` random points with
-    integer coordinates in [1, RANDOM_COORD_MAX], which homogeneity makes
-    as strong as rational ones (module docstring), recording any failing
-    point as an exact, replayable witness.
+def verify_ma_identity(v: VolumeFunction, trials: int = 20, seed: int = 0) -> MAReport:
+    """Check det(T) = (-1)^N 2^(g(g-1)/2) vol^2 F^((g+1)(g-1)) at `trials`
+    random points with integer coordinates in [1, RANDOM_COORD_MAX], which
+    homogeneity makes as strong as rational ones (module docstring),
+    recording any failing point as an exact, replayable witness.
     """
-    if mode == "symbolic":
-        d = pencil_coordinate_det(v.pencil)
-        return MAReport(holds=d * d == v.vol * v.vol)
-    if mode != "randomized":
-        raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
         raise ValueError("randomized mode needs trials >= 1")
     work = trials * (v.nvars ** 6 + 400_000)

@@ -17,21 +17,18 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from siegeltoric.exact_algebra import MultiPoly, PolyMatrix
-from siegeltoric.volume_ke import VolumeFunction, pencil_coordinate_det
+from siegeltoric.cone_lattice import delta_index_pairs
+from siegeltoric.volume_ke import VolumeFunction
 
-from naive_oracle import frac_rank
+from naive_oracle import frac_det, frac_rank
 
 
 def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]]],
                                 vol: int) -> VolumeFunction:
     """Volume-function wrapper around an explicit pencil (no cone attached);
-    its N matrices must be symmetric, but need not be independent."""
-    pencil = tuple(
-        tuple(tuple(Fraction(v) for v in row) for row in m) for m in mats)
-    v = VolumeFunction(pencil=pencil, vol=vol)
-    if pencil_coordinate_det(pencil) == 0:
-        v.F  # expanding F raises if it is 0; independent pencils span I
-    return v
+    its N matrices must be symmetric, but need not be independent, and
+    det_t_values reads int entries only."""
+    return VolumeFunction(pencil=tuple(tuple(map(tuple, m)) for m in mats), vol=vol)
 
 
 def _hessian_entries(f: MultiPoly, keep: Sequence[int]):
@@ -157,7 +154,8 @@ def t_degree_bounds(v: VolumeFunction) -> TDegreeReport:
                     if dk > 2 * degf[k]:
                         failures.append(
                             f"deg_{k + 1} T[{i + 1},{j + 1}] = {dk} > {2 * degf[k]}")
-    dependent = pencil_coordinate_det(v.pencil) == 0
+    pairs = delta_index_pairs(v.g)
+    dependent = frac_det([[m[i][j] for i, j in pairs] for m in v.pencil]) == 0
     for k in range(n):
         dk = -1 if dependent else (v.g + 1) * (v.g - 1) * degf[k]
         if dk > 2 * n * degf[k] - 2:

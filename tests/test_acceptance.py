@@ -70,20 +70,20 @@ def announce(capsys, criterion, ok, elapsed, budget):
 def test_criterion_01_ma_identity_g1(capsys):
     cone = MarkedCone(g=1, scale=1, generators=(((1,),),))
     v = volume_function(cone)
-    verify_ma_identity(v, "symbolic")  # warm-up
+    is_ke_point(cone)  # warm-up
     t0 = time.perf_counter()
-    report = verify_ma_identity(v, "symbolic")
+    holds = is_ke_point(cone)
     elapsed = time.perf_counter() - t0
-    ok = report.holds and det_t_symbolic(v) == MultiPoly.const(1, -1)
+    ok = holds and det_t_symbolic(v) == ma_rhs(v) == MultiPoly.const(1, -1)
     announce(capsys, "criterion 1: MA identity g=1 symbolic", ok, elapsed, 0.001)
 
 
 def test_criterion_02_ma_identity_g2(capsys):
-    v = volume_function(catalog_get("principal-g2").cone)
+    cone = catalog_get("principal-g2").cone
+    v = volume_function(cone)
     t0 = time.perf_counter()
-    report = verify_ma_identity(v, "symbolic")
     det_t = det_t_symbolic(v)
-    ok = (report.holds
+    ok = (is_ke_point(cone) and det_t == ma_rhs(v)
           and ma_rhs(v) == (v.F ** 3).scale(-2)
           and det_t.eval_at([1, 1, 1]) == -54)
     elapsed = time.perf_counter() - t0
@@ -94,8 +94,8 @@ def test_criterion_03_ma_identity_g3_randomized(capsys):
     v = volume_function(catalog_get("principal-g3").cone)
     assert v.nvars == 6 and v.vol == 1
     t0 = time.perf_counter()
-    first = verify_ma_identity(v, "randomized", trials=20, seed=2024)
-    second = verify_ma_identity(v, "randomized", trials=20, seed=2024)
+    first = verify_ma_identity(v, trials=20, seed=2024)
+    second = verify_ma_identity(v, trials=20, seed=2024)
     elapsed = time.perf_counter() - t0
     ok = first.holds and first == second and len(first.witnesses) == 0
     announce(capsys, "criterion 3: MA identity g=3 randomized (20 points, "
@@ -103,12 +103,12 @@ def test_criterion_03_ma_identity_g3_randomized(capsys):
 
 
 def test_criterion_03b_ma_identity_g3_symbolic(capsys):
-    v = volume_function(catalog_get("principal-g3").cone)
+    cone = catalog_get("principal-g3").cone
     t0 = time.perf_counter()
-    report = verify_ma_identity(v, "symbolic")
+    holds = is_ke_point(cone)
     elapsed = time.perf_counter() - t0
     announce(capsys, "criterion 3b: MA identity g=3 full symbolic",
-             report.holds, elapsed, 1.0)
+             holds, elapsed, 1.0)
 
 
 def test_criterion_04_g2_closed_form(capsys):

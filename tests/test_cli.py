@@ -1,6 +1,8 @@
 """CLI exit codes, report formats, determinism, config resolution."""
 
+import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,10 +10,11 @@ import time
 
 import pytest
 
-from siegeltoric import cli, period_domain, volume_ke
+from siegeltoric import cli, cone_lattice, period_domain, volume_ke
 from siegeltoric.catalog import principal_cone
 from siegeltoric.cli import main
 from siegeltoric.jsonio import cone_to_json, quote
+from test_cli_golden import GOLDEN_CLI_DIR
 from test_residue_intersect import invertible_case_cone
 
 CLI = [sys.executable, "-m", "siegeltoric.cli"]
@@ -569,7 +572,6 @@ class TestExitCodes:
             calls.append(c)
             return is_ke_point(c)
 
-        monkeypatch.setattr(volume_ke, "pencil_coordinate_det", computed)
         monkeypatch.setattr(volume_ke, "rational_det", computed)
         monkeypatch.setattr(volume_ke, "is_ke_point", counted)
         return calls
@@ -588,6 +590,26 @@ class TestExitCodes:
         assert capsys.readouterr().out == (
             '{"check": "ke-membership", "g": 12, "member": true, "ok": true}\n')
         assert [c.g for c in calls] == [12]
+
+    def test_residue_and_intersect_eliminate_no_order_n_matrix(self, monkeypatch, capsys):
+        # the residue chain trusts the cone's independence (c.index >= 1),
+        # so no N x N elimination runs at g = 4 (N = 10); the reports are
+        # those of the route that computed det M
+        bareiss = cone_lattice._bareiss
+
+        def bounded(a, *args, **kwargs):
+            assert len(a) != 10, "an elimination of order N = 10 ran"
+            return bareiss(a, *args, **kwargs)
+
+        monkeypatch.setattr(cone_lattice, "_bareiss", bounded)
+        assert main(["residue", "principal-g4", "--d", "2"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert len(out) == 13602 and hashlib.sha256(out).hexdigest() == (
+            "b7545425fbb91d9ffbdffbf1e07bbb744a1b28bb70816a119649ec75d84f3181")
+        assert main(["intersect", "principal-g4", "--edges", "0"]) == 0
+        with open(os.path.join(GOLDEN_CLI_DIR, "intersect-principal-g4-edges0.json"),
+                  encoding="utf-8", newline="") as fh:
+            assert capsys.readouterr().out == fh.read()
 
     def test_separable_violation_is_one(self, fan_file, group_file):
         proc = run_cli("separable", fan_file, group_file)
@@ -788,7 +810,6 @@ class TestConfig:
     def test_env_config_supplies_defaults(self, cone_file, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 2, "seed": 99}))
-        import os
         env = dict(os.environ, SIEGELTORIC_CONFIG=str(cfg))
         report = json.loads(run_cli(
             "ma", "verify", cone_file, "--randomized", env=env).stdout)
@@ -828,7 +849,6 @@ class TestConfig:
     def test_flag_overrides_config(self, cone_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 99}))
-        import os
         env = dict(os.environ, SIEGELTORIC_CONFIG=str(cfg))
         report = json.loads(run_cli(
             "ma", "verify", cone_file, "--randomized", "--seed", "5",

@@ -10,7 +10,7 @@ import pytest
 
 from siegeltoric.catalog import principal_cone
 from siegeltoric.cone_lattice import (
-    DegenerateConeError,
+    ConeShapeError,
     Fan,
     GroupElement,
     MarkedCone,
@@ -30,11 +30,11 @@ from siegeltoric.residue_intersect import (
     residue_chain,
     toric_verdict,
 )
-from siegeltoric.volume_ke import pencil_coordinate_det, volume_function
+from siegeltoric.volume_ke import volume_function
 
 import naive_oracle as oracle
 import t_matrix_oracle
-from test_volume_ke import random_symmetric, unit_matrix
+from test_volume_ke import det_m, random_symmetric, unit_matrix
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -85,7 +85,7 @@ def random_full_pencils(rng, g, count):
             p = random_unimodular(rng, g).matrix
             mats = [[[sum(p[i][a] * m[a][b] * p[j][b] for a in range(g) for b in range(g))
                       for j in range(g)] for i in range(g)] for m in mats]
-        if pencil_coordinate_det(mats) != 0:
+        if det_m(mats):
             pencils.append(mats)
     return pencils
 
@@ -315,10 +315,12 @@ class TestResidueMinorClosedForm:
             residue_chain(v, 5)
 
     def test_dependent_pencil_refused(self):
-        # F = (x1 + x2)(x1 + x3) is not zero, but the pencil does not span Sym_2
-        v = pencil_vf([[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-        with pytest.raises(DegenerateConeError, match="independent"):
-            residue_chain(v, 1)
+        # F = (x1 + x2)(x1 + x3) is not zero, but the pencil does not span
+        # Sym_2: no cone has it, so residue_chain, which reads a cone's
+        # volume function, never sees it
+        with pytest.raises(ConeShapeError, match="^generators are linearly dependent"):
+            MarkedCone(g=2, scale=1, generators=(
+                ((1, 0), (0, 1)), ((1, 0), (0, 0)), ((0, 0), (0, 1))))
 
 
 class TestChiDescriptor:
@@ -471,7 +473,6 @@ class TestToric:
     def test_non_regular_fan_rejected(self):
         bad = MarkedCone(g=2, scale=1, generators=(
             ((2, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 0), (0, 1))))
-        from siegeltoric.cone_lattice import ConeShapeError
         with pytest.raises(ConeShapeError):
             toric_verdict(Fan(cones=(bad,)), [0, 1, 2])
 

@@ -28,7 +28,6 @@ from siegeltoric.volume_ke import (
     is_ke_point,
     ma_rhs,
     ma_rhs_constant,
-    pencil_coordinate_det,
     random_point,
     verify_ma_identity,
     volume_function,
@@ -50,6 +49,13 @@ def cone_from_rows(rows, scale=1):
         tuple(tuple(scale * v for v in row) for row in (((r[0], r[1]), (r[1], r[2]))))
         for r in rows)
     return MarkedCone(g=2, scale=scale, generators=gens)
+
+
+def det_m(mats):
+    """det M, the determinant of the delta-coordinates of an N-matrix
+    pencil, by the oracle's Gaussian elimination."""
+    g = len(mats[0])
+    return oracle.frac_det([[m[i][j] for i in range(g) for j in range(i, g)] for m in mats])
 
 
 def random_symmetric(rng, g, bound):
@@ -173,12 +179,12 @@ class TestVolumeFunction:
 
     def test_pencil_fixes_genus_and_variable_count(self):
         # g and N are read off the pencil, so no caller can state others:
-        # the genus-3 pencil gives g = 3 and N = 6, and both modes hold
+        # the genus-3 pencil gives g = 3 and N = 6, and the identity holds
         v = volume_function(SIGMA0_G3)
         w = VolumeFunction(v.pencil, 1)
         assert (w.g, w.nvars) == (3, 6)
-        assert verify_ma_identity(w, "symbolic") == (True, ())
-        assert verify_ma_identity(w, "randomized", trials=2, seed=1) == (True, ())
+        assert is_ke_point(SIGMA0_G3)
+        assert verify_ma_identity(w, trials=2, seed=1) == (True, ())
 
     @pytest.mark.parametrize("pencil, message", [
         ((), "empty pencil"),
@@ -199,10 +205,9 @@ class TestVolumeFunction:
         assert all(type(x) is int for m in v.pencil for row in m for x in row)
 
     def test_f_is_expanded_only_on_use(self):
-        # ma verify needs det M (symbolic) or the pencil (randomized), never F
+        # randomized ma verify needs the pencil, never F
         v = volume_function(principal_cone(4))
-        verify_ma_identity(v, "symbolic")
-        verify_ma_identity(v, "randomized", trials=1)
+        verify_ma_identity(v, trials=1)
         assert "F" not in vars(v)
         assert v.F.total_degree() == 4 and "F" in vars(v)
 
@@ -219,11 +224,6 @@ class TestVolumeFunction:
             [unit_matrix(7, i, j) for i in range(7) for j in range(i, 7)], vol=1)
         with pytest.raises(CostGuardError, match="N <= 21, got N=28"):
             v7.F
-
-    def test_pencil_with_zero_f_rejected(self):
-        # a dependent pencil may have F = 0; an independent one spans I
-        with pytest.raises(DegenerateConeError, match="vanishes identically"):
-            volume_function_from_pencil([[[1, 0], [0, 0]]] * 3, vol=1)
 
     def test_homogeneity_at_random_scalings(self):
         rng = random.Random(19)
@@ -269,13 +269,12 @@ class TestTMatrix:
 class TestMAIdentity:
     def test_g1_symbolic(self):
         c = MarkedCone(g=1, scale=1, generators=(((1,),),))
-        report = verify_ma_identity(volume_function(c), "symbolic")
-        assert report.holds
+        v = volume_function(c)
+        assert is_ke_point(c) and det_t_symbolic(v) == ma_rhs(v)
 
     def test_g2_symbolic_and_spot_value(self):
         v = volume_function(SIGMA0)
-        report = verify_ma_identity(v, "symbolic")
-        assert report.holds
+        assert is_ke_point(SIGMA0)
         assert det_t_symbolic(v).eval_at([1, 1, 1]) == -54
         assert ma_rhs(v) == (v.F ** 3).scale(-2)
 
@@ -353,7 +352,7 @@ class TestMAIdentity:
             + [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
         ]
         for mats in dependent:
-            assert pencil_coordinate_det(mats) == 0
+            assert det_m(mats) == 0
             v = volume_function_from_pencil(mats, vol=1)
             assert det_t_symbolic(v).is_zero() and t_matrix(v).det().is_zero()
             vs.append(v)
@@ -368,7 +367,7 @@ class TestMAIdentity:
         for name in catalog_names():
             v = volume_function(catalog_get(name).cone)
             g, n = v.g, v.nvars
-            d = pencil_coordinate_det(v.pencil)
+            d = det_m(v.pencil)
             h_identity = oracle.delta_hessian_det_at_identity(g)
             det_h = oracle.det_cofactor(oracle.hessian_grid(v.F.terms, n))
             assert det_h == oracle.p_scale(
@@ -385,21 +384,21 @@ class TestMAIdentity:
 
     def test_symbolic_verdict_matches_oracle_on_wrong_volumes(self):
         # the identity holds exactly when vol^2 = det(M)^2, as the oracle's
-        # expanded sides confirm at g = 1, 2 and 3; randomized mode agrees
+        # expanded sides and the package's closed form confirm at g = 1, 2
+        # and 3; the randomized check agrees
         cases = [volume_function_from_pencil([[[-3]]], vol=3), volume_function(SIGMA0)]
         cases += [volume_function_from_pencil(m, vol=1) for m in sparse_g3_pencils()]
         for v in cases:
             g = v.g
-            d = abs(oracle.frac_det([[m[i][j] for i in range(g) for j in range(i, g)]
-                                     for m in v.pencil]))
+            d = abs(det_m(v.pencil))
             lhs = oracle.det_t_hessian(v.F.terms, v.nvars)
             for vol in (d, d + 1, 2 * d):
                 rhs = oracle.p_scale(oracle.p_pow(v.F.terms, (g + 1) * (g - 1)),
                                      (-1) ** v.nvars * 2 ** (g * (g - 1) // 2) * vol * vol)
                 w = VolumeFunction(v.pencil, vol)
-                report = verify_ma_identity(w, "symbolic")
-                assert report.holds == (lhs == rhs) == (vol == d), (g, vol)
-                assert verify_ma_identity(w, "randomized", trials=2, seed=5).holds == report.holds
+                holds = det_t_symbolic(w) == ma_rhs(w)
+                assert holds == (lhs == rhs) == (vol ** 2 == d ** 2) == (vol == d), (g, vol)
+                assert verify_ma_identity(w, trials=2, seed=5).holds == holds
 
     def test_degenerate_pencil_errors_not_false(self):
         with pytest.raises(Exception):
@@ -409,14 +408,14 @@ class TestMAIdentity:
 
     def test_randomized_seed_reproducible(self):
         v = volume_function(SIGMA0_G3)
-        r1 = verify_ma_identity(v, "randomized", trials=5, seed=123)
-        r2 = verify_ma_identity(v, "randomized", trials=5, seed=123)
+        r1 = verify_ma_identity(v, trials=5, seed=123)
+        r2 = verify_ma_identity(v, trials=5, seed=123)
         assert r1 == r2 and r1.holds
 
     def test_randomized_catches_wrong_volume(self):
         v = volume_function(SIGMA0)
         broken = VolumeFunction(v.pencil, 2)
-        report = verify_ma_identity(broken, "randomized", trials=4, seed=7)
+        report = verify_ma_identity(broken, trials=4, seed=7)
         assert not report.holds
         # witnesses are exact and replayable: lhs is det T at the point,
         # as the oracle's cofactor determinant of the evaluated T entries
@@ -428,26 +427,25 @@ class TestMAIdentity:
             assert w.lhs == oracle.det_cofactor(scalar_grid).get((), Fraction(0))
 
     def test_certificate_agrees_with_randomized_at_g4_g5(self):
-        # symbolic mode is one rational determinant at every genus; at
-        # g = 4 and 5 it must give randomized mode's verdict, for the right
-        # volume and for a wrong one
-        pencil = [[[Fraction(1 if i == j == k else 0) for j in range(4)]
-                   for i in range(4)] for k in range(4)]
+        # the closed form's certificate is one rational determinant at every
+        # genus, det(M)^2 = vol^2; at g = 4 and 5 it must give the
+        # randomized check's verdict, for the right volume and for a wrong one
+        pencil = [[[int(i == j == k) for j in range(4)] for i in range(4)] for k in range(4)]
         for a in range(4):
             for b in range(a + 1, 4):
-                m = [[Fraction(0)] * 4 for _ in range(4)]
-                m[a][b] = m[b][a] = Fraction(1)
-                m[a][a] = m[b][b] = Fraction(1)
+                m = [[0] * 4 for _ in range(4)]
+                m[a][b] = m[b][a] = 1
+                m[a][a] = m[b][b] = 1
                 pencil.append(m)  # 10 = dim Sym_4
         cases = [(volume_function_from_pencil(pencil, vol=1), 3),
                  (volume_function(principal_cone(4)), 3),
                  (volume_function(principal_cone(5)), 1)]
         for v, trials in cases:
+            d = det_m(v.pencil)
             for vol in (v.vol, v.vol + 1):
                 w = VolumeFunction(v.pencil, vol)
-                symbolic = verify_ma_identity(w, "symbolic")
-                randomized = verify_ma_identity(w, "randomized", trials=trials, seed=4)
-                assert symbolic.holds == randomized.holds == (vol == v.vol), (v.g, vol)
+                randomized = verify_ma_identity(w, trials=trials, seed=4)
+                assert (d * d == vol * vol) == randomized.holds == (vol == v.vol), (v.g, vol)
 
     def test_sign_flip_invariance(self):
         # degree g(g^2-1) is even, so both sides agree at -x as well
@@ -467,8 +465,8 @@ class TestMAIdentity:
         for _ in range(5):
             gamma = random_unimodular(rng, 2)
             moved = gl_act(gamma, SIGMA0)
-            report = verify_ma_identity(volume_function(moved), "symbolic")
-            assert report.holds
+            assert is_ke_point(moved)
+            assert verify_ma_identity(volume_function(moved), trials=2).holds
 
 
 class TestSymbolicPremise:
@@ -478,7 +476,7 @@ class TestSymbolicPremise:
 
     def assert_premise(self, c):
         v = volume_function(c)
-        d = pencil_coordinate_det(v.pencil)
+        d = det_m(v.pencil)
         assert d != 0 and d * d == v.vol * v.vol
         assert is_ke_point(c)
 
@@ -539,7 +537,9 @@ class TestRandomizedFromPencil:
             self.assert_matches_oracle(v, random_points(scale, v.nvars, 3))
 
     def test_rational_pencils(self):
-        # denominators make s > 1 in A_mu = G_mu / s; g = 1 included
+        # a rational pencil A_mu = G_mu / s is checked through its integer
+        # multiple G_mu, as F and det(T) are homogeneous in the pencil, of
+        # degrees g and 2gN: the oracle expands the rational pencil's F
         rng = random.Random(43)
         pencils = [[[[Fraction(-3, 4)]]]]
         for mats in random_g2_pencils()[:3] + sparse_g3_pencils():
@@ -550,8 +550,16 @@ class TestRandomizedFromPencil:
                 for i in range(len(m)):
                     for j in range(i):
                         m[i][j] = m[j][i]
-            v = volume_function_from_pencil(mats, vol=1)
-            self.assert_matches_oracle(v, random_points(len(mats), v.nvars, 3))
+            s = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+            gens = [[[int(x * s) for x in row] for row in m] for m in mats]
+            v = volume_function_from_pencil(gens, vol=1)
+            points = random_points(len(mats), v.nvars, 3)
+            self.assert_matches_oracle(v, points)
+            g, n = v.g, v.nvars
+            rational = volume_function_from_pencil(mats, vol=1)
+            assert det_t_values(v, points) == [
+                (s ** g * fval, s ** (2 * g * n) * lhs)
+                for fval, lhs in polynomial_det_t_values(rational.F, points)]
 
     def test_points_where_the_pencil_is_singular(self):
         # L(3, 4, 5) = [[8, 4], [4, 2]] has rank 1; on the g = 3 coordinate
@@ -573,12 +581,11 @@ class TestRandomizedFromPencil:
         # of the polynomial oracle at the rational point p, times D^g and
         # D^(N(2g - 2))
         rng = random.Random(97)
-        rational_pencil = [[[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 0]],
-                           [[0, Fraction(1, 5)], [Fraction(1, 5), 1]],
-                           [[1, 0], [0, Fraction(2, 3)]]]
+        # 30 times a rational pencil with denominators 2, 3 and 5
+        pencil = [[[15, 10], [10, 0]], [[0, 6], [6, 30]], [[30, 0], [0, 20]]]
         cases = [volume_function(principal_cone(g)) for g in (1, 2, 3, 4)]
         cases += [volume_function(principal_cone(3, scale=2)),
-                  volume_function_from_pencil(rational_pencil, vol=1)]
+                  volume_function_from_pencil(pencil, vol=1)]
         for v in cases:
             for _ in range(2):
                 p = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
@@ -596,7 +603,7 @@ class TestRandomizedFromPencil:
             v = volume_function(principal_cone(g))
             for vol in (2, 3):
                 w = VolumeFunction(v.pencil, vol)
-                report = verify_ma_identity(w, "randomized", trials=trials, seed=g)
+                report = verify_ma_identity(w, trials=trials, seed=g)
                 points = random_points(g, v.nvars, trials)
                 c = ma_rhs_constant(g, vol)
                 expected = tuple(
@@ -612,7 +619,8 @@ class TestKEPoint:
 
     def assert_member(self, c):
         assert is_ke_point(c)
-        assert verify_ma_identity(volume_function(c), "symbolic").holds
+        v = volume_function(c)
+        assert det_m(v.pencil) ** 2 == v.vol ** 2
 
     def test_principal_g2_is_member(self):
         self.assert_member(SIGMA0)
@@ -626,21 +634,22 @@ class TestKEPoint:
                        generators=[[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]]])
 
     def test_empty_pencil_is_an_input_error(self):
+        # pencil_det and the VolumeFunction built on it both refuse a pencil
+        # with no matrices before any determinant is taken
         with pytest.raises(DimensionError, match=r"^empty pencil$"):
-            pencil_coordinate_det([])
+            pencil_det([])
+        with pytest.raises(DimensionError, match=r"^empty pencil$"):
+            VolumeFunction([], 1)
 
     def test_malformed_pencil_messages(self):
-        # the shape checks are pencil_det's; the count check comes after
-        # them, and is_ke_point gives it on a cone that is not full
+        # the shape checks are pencil_size's, made when a VolumeFunction is
+        # built; is_ke_point gives the count check on a cone that is not full
         e11, e22 = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
         with pytest.raises(DimensionError, match=r"^pencil matrix 1 is not 2x2$"):
-            pencil_coordinate_det([e11, [[1]], e22])
+            VolumeFunction([e11, [[1]], e22], 1)
         with pytest.raises(DimensionError, match=r"^pencil matrix 2 is not symmetric$"):
-            pencil_coordinate_det([e11, e22, [[0, 1], [2, 0]]])
-        count = r"^expected 3 matrices for g=2, got 2$"
-        with pytest.raises(DimensionError, match=count):
-            pencil_coordinate_det([e11, e22])
-        with pytest.raises(DimensionError, match=count):
+            VolumeFunction([e11, e22, [[0, 1], [2, 0]]], 1)
+        with pytest.raises(DimensionError, match=r"^expected 3 matrices for g=2, got 2$"):
             is_ke_point(MarkedCone(g=2, scale=1, generators=[e11, e22]))
 
     def test_scaled_pencil_still_member(self):
@@ -650,17 +659,17 @@ class TestKEPoint:
         self.assert_member(c)
 
     def test_level_three_pencils_are_members(self):
-        # the rational pencils l(mu)/3 of a level-3 cone, through the cone
-        # and through a VolumeFunction with vol = |det M| = c.index
+        # the pencils l(mu)/3 of level-3 cones, integral as l(mu) lies in
+        # 3 Sym_2(Z), with vol = |det M| = c.index, hold at random points too
         rng = random.Random(211)
         for rows in [[(1, 0, 0), (0, 0, 1), (1, -1, 1)]] + [
                 random_invertible_rows(rng) for _ in range(3)]:
             c = cone_from_rows(rows, scale=3)
             self.assert_member(c)
-            mats = [[[Fraction(v, 3) for v in row] for row in gen] for gen in c.generators]
-            d = pencil_coordinate_det(mats)
-            assert abs(d) == c.index
-            assert verify_ma_identity(VolumeFunction(mats, abs(d)), "symbolic").holds
+            v = volume_function(c)
+            assert v.pencil == tuple(tuple(map(tuple, m)) for m in oracle.g2_rows_to_pencil(rows))
+            assert abs(det_m(v.pencil)) == c.index == v.vol
+            assert verify_ma_identity(v, trials=2).holds
 
     def test_random_independent_pencils_are_members(self):
         # the identity is a linear-substitution image of the log-det Hessian
@@ -688,8 +697,7 @@ class TestKECoefficient:
             g, n = len(mats[0]), len(mats)
             f = oracle.pencil_determinant(mats)
             lhs = oracle.det_cofactor(oracle.t_matrix_grid(f, n))
-            d = oracle.frac_det([[m[i][j] for i in range(g) for j in range(i, g)]
-                                 for m in mats])
+            d = det_m(mats)
             rhs = oracle.p_scale(oracle.p_pow(f, (g + 1) * (g - 1)),
                                  (-1) ** n * 2 ** (g * (g - 1) // 2) * d * d)
             assert lhs and oracle.p_sub(lhs, rhs) == {}, mats
@@ -733,7 +741,7 @@ class TestConcurrency:
         v = volume_function(SIGMA0_G3)
 
         def work(seed):
-            return verify_ma_identity(v, "randomized", trials=5, seed=seed)
+            return verify_ma_identity(v, trials=5, seed=seed)
 
         seeds = [7, 7, 11, 11, 13, 13]
         with ThreadPoolExecutor(max_workers=4) as pool:

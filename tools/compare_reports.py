@@ -7,10 +7,11 @@ Builds each workload's requests for seeds 101-105 with perfbench/inputs.py
 each of the fixed FRONTIER requests, whose work goes past the benchmark's
 cones, which stop at genus 5, and its symbolic work, which stops at
 genus 3: on catalog cones, genus-6 `cone volume`, `residue` and
-`intersect`, a genus-7 and a genus-8 randomized `ma verify`, and a
-genus-12 `ke test`, `cone check` and symbolic `ma verify`; `cone check`,
-symbolic `ma verify` and `ke test` on a genus-24 principal-cone file,
-past the catalog's genus range, which is written in the temporary directory with
+`intersect`, a randomized `ma verify` of one trial at genus 7, 8, 9
+and 10 (the largest genus its cost guard admits), and a genus-12 `ke
+test`, `cone check` and symbolic `ma verify`; `cone check`, symbolic
+`ma verify` and `ke test` on a genus-24 principal-cone file, past the
+catalog's genus range, which is written in the temporary directory with
 perfbench/inputs.py's `principal_generators` and `cone_json`; and, past
 the benchmark's genus-2 fans of 4-6 cones, `fan check`, `separable`
 against four seeded GL(3,Z) elements and -I (written there with
@@ -46,6 +47,8 @@ FRONTIER = (
     ["intersect", "principal-g6", "--edges", "0"],
     ["ma", "verify", "principal-g7", "--randomized", "--trials", "1"],
     ["ma", "verify", "principal-g8", "--randomized", "--trials", "1"],
+    ["ma", "verify", "principal-g9", "--randomized", "--trials", "1"],
+    ["ma", "verify", "principal-g10", "--randomized", "--trials", "1"],
     ["ke", "test", "principal-g12"],
     ["cone", "check", "principal-g12"],
     ["ma", "verify", "principal-g12"],
