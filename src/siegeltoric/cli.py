@@ -324,7 +324,7 @@ def _cmd_hodge(args) -> tuple[dict, bool]:
             return {"check": "hodge-siegel", "tol": tol, "ok": ok}
         if sub == "riemann":
             mat = jsonio.complex_matrix_from_json(obj)
-            if len(mat) == len(mat[0]):
+            if len(mat[0]) == len(mat[0][0]):
                 mat = period_domain.filtration_from_tau(mat)
             ok = period_domain.riemann_check(mat, tol)
             return {"check": "hodge-riemann", "tol": tol, "ok": ok}

@@ -2,11 +2,12 @@
 
 A polynomial in ``n`` variables is stored as a map from exponent tuples
 (length ``n``, nonnegative ints) to nonzero exact coefficients: the
-constructor takes an ``int`` or a ``Fraction`` only and stores an
-integral one as an ``int``, so integral polynomials multiply on ints.  No
-floating point anywhere: dividing a coefficient takes ``Fraction``.  The
-canonical term order for display and serialization is graded
-lexicographic (total degree first, then the exponent tuple), descending.
+constructor takes an ``int`` or a ``Fraction`` only, as do ``scale`` and
+``eval_at``, and stores an integral one as an ``int``, so integral
+polynomials multiply on ints.  No floating point anywhere: dividing a
+coefficient takes ``Fraction``.  The canonical term order for display and
+serialization is graded lexicographic (total degree first, then the
+exponent tuple), descending.
 
 Matrices of polynomials have one exact determinant route: a division-free
 Laplace expansion memoized over column subsets.
@@ -26,6 +27,14 @@ class DimensionError(ValueError):
 
 class ZeroPolynomialError(ValueError):
     """An operation that needs a nonzero polynomial got the zero one."""
+
+
+def _fraction(v, what: str) -> Fraction:
+    """Fraction(v) for an int or a Fraction v, else ValueError: Fraction()
+    would read 0.1 as its binary value 3602879701896397/2^55 and True as 1."""
+    if type(v) is not int and type(v) is not Fraction:
+        raise ValueError(f"{what} {v!r} is not an int or a Fraction")
+    return Fraction(v)
 
 
 def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
@@ -158,7 +167,7 @@ class MultiPoly:
         return _raw(self.nvars, {e: c for e, c in out.items() if c})
 
     def scale(self, value: Fraction | int) -> "MultiPoly":
-        v = Fraction(value)
+        v = _fraction(value, "scale factor")
         v = v.numerator if v.denominator == 1 else v
         if v == 0:
             return MultiPoly.zero(self.nvars)
@@ -195,7 +204,7 @@ class MultiPoly:
 
     def eval_at(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a rational point."""
-        vals = [Fraction(v) for v in point]
+        vals = [_fraction(v, "point entry") for v in point]
         if len(vals) != self.nvars:
             raise DimensionError(
                 f"point has length {len(vals)}, expected {self.nvars}")
@@ -370,21 +379,3 @@ def poly_to_json(p: MultiPoly) -> dict:
         ],
     }
 
-
-def _json_int(t: Mapping, key: str) -> int:
-    """t[key] as an int, or as a decimal string as poly_to_json writes it."""
-    v = t[key]
-    if type(v) is int or type(v) is str and v.isascii() and v.removeprefix("-").isdigit():
-        return int(v)
-    raise ValueError(f"term {key} must be an int or a decimal string, got {v!r}")
-
-
-def poly_from_json(obj: Mapping) -> MultiPoly:
-    nvars = obj["nvars"]
-    terms: dict[Exponent, Fraction] = {}
-    for t in obj.get("terms", []):
-        exp, den = tuple(t["exp"]), _json_int(t, "den")
-        if exp in terms or den == 0:
-            raise ValueError(f"repeated exponent {exp}" if den else f"zero denominator at {exp}")
-        terms[exp] = Fraction(_json_int(t, "num"), den)
-    return MultiPoly(nvars, terms)

@@ -2,10 +2,12 @@
 
 `report_value` alone writes the package's values as JSON: integers are
 JSON numbers up to 2^53 and decimal strings beyond (readers accept
-both), Fractions are "n/d" strings and polynomials follow
-`poly_to_json`.  Complex matrices travel as {"re": [[...]],
-"im": [[...]]}; numeric matrices are read into nested lists of Python
-floats or complex numbers.  All emitters produce deterministic output
+both, a string as an ASCII decimal with an optional leading "-"),
+Fractions are "n/d" strings and polynomials follow `poly_to_json`.
+Complex matrices travel as {"re": [[...]], "im": [[...]]}.  A numeric
+matrix is read once, each entry as a binary64 number kept as the exact
+Fraction it is: a real one into Fraction rows, a complex one into the
+pair (Re, Im) of them.  All emitters produce deterministic output
 (sorted keys, fixed separators) so identical runs are byte-identical.
 """
 
@@ -36,14 +38,13 @@ def decode_int(v) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
+        # int() would also read " 3", "1_0", "+5" and non-ASCII digits
+        if not (v.isascii() and v.removeprefix("-").isdigit()):
+            raise InputFormatError(f"bad integer literal {quote(v)}")
         try:
             return int(v)
-        except ValueError as exc:
-            msg = f"bad integer literal {quote(v)}"
-            # Python's other reason, an invalid literal, quotes it in full
-            if str(exc).startswith("Exceeds the limit"):
-                msg += f": {exc}"
-            raise InputFormatError(msg) from exc
+        except ValueError as exc:  # past Python's int-to-str digit limit
+            raise InputFormatError(f"bad integer literal {quote(v)}: {exc}") from exc
     if isinstance(v, float) and v.is_integer():
         return int(v)
     raise InputFormatError(f"expected integer, got {quote(v)}")
@@ -145,8 +146,9 @@ def fan_from_json(obj: Mapping) -> Fan:
         raise InputFormatError(f"invalid fan: {exc}") from exc
 
 
-def _finite_rows(obj, what: str) -> list[list[float]]:
-    """The rows of a JSON number matrix as floats: rectangular and finite."""
+def _finite_rows(obj, what: str) -> list[list[Fraction]]:
+    """The rows of a JSON number matrix, rectangular and finite, each entry
+    read as a binary64 number and kept as the rational it is."""
     for v in (v for row in obj for v in row):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise InputFormatError(f"{what} entries must be numbers, got {quote(v)}")
@@ -158,17 +160,19 @@ def _finite_rows(obj, what: str) -> list[list[float]]:
         raise InputFormatError(f"bad {what}: {exc}") from exc
     if not all(math.isfinite(v) for row in rows for v in row):
         raise InputFormatError(f"{what} has a non-finite entry")
-    return rows
+    return [[Fraction(v) for v in row] for row in rows]
 
 
-def real_matrix_from_json(obj) -> list[list[float]]:
-    """A nonempty list of equal-length rows of finite numbers, as floats."""
+def real_matrix_from_json(obj) -> list[list[Fraction]]:
+    """A nonempty list of equal-length rows of finite numbers, as Fraction
+    rows of their binary64 values."""
     _check_rows(obj)
     return _finite_rows(obj, "matrix")
 
 
-def complex_matrix_from_json(obj: Mapping) -> list[list[complex]]:
-    """{"re": rows, "im": rows} of one shape, as rows of complex numbers."""
+def complex_matrix_from_json(obj: Mapping) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """{"re": rows, "im": rows} of one shape, as the pair (Re, Im) of
+    Fraction rows that period_domain takes."""
     try:
         re_obj, im_obj = obj["re"], obj["im"]
     except (KeyError, TypeError) as exc:
@@ -179,7 +183,7 @@ def complex_matrix_from_json(obj: Mapping) -> list[list[complex]]:
     im_rows = _finite_rows(im_obj, "complex matrix")
     if len(re_rows) != len(im_rows) or len(re_rows[0]) != len(im_rows[0]):
         raise InputFormatError("re/im shapes disagree")
-    return [[complex(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(re_rows, im_rows)]
+    return re_rows, im_rows
 
 
 def report_value(v):

@@ -13,13 +13,16 @@ Conventions (worked once at tau = i*I):
   * the positivity form is H = i * F^T psi conj(F), which equals 2*I at
     tau = i*I.
 
-Inputs are read as binary64 numbers, and every binary64 number is a
-rational, so each check is decided exactly on its inputs: a complex matrix
-is carried as the pair (Re, Im) of Fraction matrices, nothing is rounded
-and no intermediate can overflow.  Each tolerance keeps its binary64
-meaning and becomes a test of positive definiteness (Rump, "Verification
-of positive definiteness", BIT 46, 2006), which psd_rank decides on the
-Bareiss kernel of cone_lattice:
+A complex matrix is the pair CMatrix = (Re, Im) of Fraction matrices and
+a real one, like the block u of a cusp nilpotent, is one Fraction matrix.
+The JSON readers of jsonio build them once, from the binary64 values of
+the file (every binary64 number is a rational), as nonempty rectangular
+matrices with Re and Im of one shape; the checks take them as they are
+and test only the shapes they need.  So each check is decided exactly on
+its inputs: nothing is rounded and no intermediate can overflow.  Each
+tolerance keeps its binary64 meaning and becomes a test of positive
+definiteness (Rump, "Verification of positive definiteness", BIT 46,
+2006), which psd_rank decides on the Bareiss kernel of cone_lattice:
   * the smallest eigenvalue of a symmetric M exceeds tol exactly when
     M - tol I is positive definite; a Hermitian A + iB is tested through
     its real embedding [[A, -B], [B, A]], which has the same eigenvalues,
@@ -64,40 +67,6 @@ def _check_genus(g: int) -> None:
 
 # ----------------------------------------------------------------------
 # exact matrices
-
-
-def _rows(m, what: str) -> list[list]:
-    """The rows of the matrix-like m: a nonempty list of equal-length rows."""
-    try:
-        rows = [list(row) for row in m]
-    except TypeError:
-        raise ValueError(f"{what} must be a matrix") from None
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError(f"{what} must be a nonempty list of equal-length rows")
-    return rows
-
-
-def _exact(rows: list[list[float]], what: str) -> Matrix:
-    """Binary64 rows as the rationals they are."""
-    try:
-        return [[Fraction(v) for v in row] for row in rows]
-    except (OverflowError, ValueError):
-        raise ValueError(f"{what} has a non-finite entry") from None
-
-
-def _complex_rows(m, what: str) -> list[list[complex]]:
-    """The rows of m as binary64 complex numbers."""
-    try:
-        return [[complex(v) for v in row] for row in _rows(m, what)]
-    except TypeError:
-        raise ValueError(f"{what} entries must be numbers") from None
-
-
-def _complex(m, what: str) -> CMatrix:
-    """m read as a binary64 complex matrix, as the exact pair (Re, Im)."""
-    rows = _complex_rows(m, what)
-    return (_exact([[v.real for v in row] for row in rows], what),
-            _exact([[v.imag for v in row] for row in rows], what))
 
 
 def _shape(m: CMatrix) -> tuple[int, int]:
@@ -191,66 +160,60 @@ class CuspNilpotent:
     """Nilpotent direction at the depth-k cusp chain.
 
     The only nonzero block of the 2g x 2g matrix N sits in rows k+1..g and
-    columns g+k+1..2g and equals the symmetric (g-k) x (g-k) matrix u,
-    held as rows of binary64 floats; in the positive cone u is positive
-    definite.  N^2 = 0 by construction.
+    columns g+k+1..2g and equals the symmetric (g-k) x (g-k) matrix u of
+    Fractions; in the positive cone u is positive definite.  N^2 = 0 by
+    construction.
     """
 
-    def __init__(self, g: int, k: int, u):
+    def __init__(self, g: int, k: int, u: Matrix):
         if not 0 <= k < g:
             raise ValueError(f"need 0 <= k < g, got k={quote(k)}, g={quote(g)}")
         _check_genus(g)
-        try:
-            u = tuple(tuple(float(v) for v in row) for row in _rows(u, "u"))
-        except TypeError:
-            raise ValueError("u entries must be real numbers") from None
         m = g - k
-        if len(u) != m or len(u[0]) != m:
+        if len(u) != m or any(len(row) != m for row in u):
             raise ValueError(f"u must be {m}x{m}, got {len(u)}x{len(u[0])}")
-        exact = _exact(u, "u")
-        if any(abs(x - y) > Fraction(1e-12) for rx, ry in zip(exact, _t(exact))
+        if any(abs(x - y) > Fraction(1e-12) for rx, ry in zip(u, _t(u))
                for x, y in zip(rx, ry)):
             raise ValueError("u must be symmetric")
         if not any(any(row) for row in u):
             raise ValueError("u must be nonzero")
         self.g = g
         self.k = k
-        self.u: tuple[tuple[float, ...], ...] = u
+        self.u: tuple[tuple[Fraction, ...], ...] = tuple(map(tuple, u))
 
     @property
-    def matrix(self) -> list[list[float]]:
+    def matrix(self) -> Matrix:
         g, k = self.g, self.k
-        n = [[0.0] * (2 * g) for _ in range(2 * g)]
+        n = [[Fraction(0)] * (2 * g) for _ in range(2 * g)]
         for i, row in enumerate(self.u):
             n[k + i][g + k:] = row
         return n
 
 
-def siegel_membership(tau, tol: float) -> bool:
+def siegel_membership(tau: CMatrix, tol: float) -> bool:
     """tau symmetric within tol and Im(tau) positive definite beyond tol."""
-    tau = _complex(tau, "tau")
     _check_genus(_shape(tau)[0])
     return _in_siegel(tau, tol)
 
 
-def filtration_from_tau(tau) -> list[list[complex]]:
+def filtration_from_tau(tau: CMatrix) -> CMatrix:
     """The 2g x g filtration basis [tau; I_g]."""
-    rows = _complex_rows(tau, "tau")
-    if not siegel_membership(rows, 1e-12):
+    if not siegel_membership(tau, 1e-12):
         raise ValueError("tau is not in the Siegel space")
-    g = len(rows)
-    return rows + [[complex(i == j) for j in range(g)] for i in range(g)]
+    re, im = tau
+    g = len(re)
+    return (re + [[Fraction(i == j) for j in range(g)] for i in range(g)],
+            im + [[Fraction(0)] * g for _ in range(g)])
 
 
-def riemann_check(filt, tol: float) -> bool:
+def riemann_check(filt: CMatrix, tol: float) -> bool:
     """Riemann bilinear relations for a rank-g filtration basis:
     F^T psi F = 0 and H = i F^T psi conj(F) positive definite."""
-    f = _complex(filt, "filtration")
-    n, g = _shape(f)
+    n, g = _shape(filt)
     if n != 2 * g:
         raise ValueError(f"filtration must be 2g x g, got {n}x{g}")
     _check_genus(g)
-    return _riemann(f, tol)
+    return _riemann(filt, tol)
 
 
 def _riemann(f: CMatrix, tol) -> bool:
@@ -267,7 +230,7 @@ def _riemann(f: CMatrix, tol) -> bool:
 
 def positive_cone_membership(n: CuspNilpotent, tol: float) -> bool:
     """u symmetric positive definite beyond tol."""
-    return _min_eig_above(_exact(n.u, "u"), tol)
+    return _min_eig_above(n.u, tol)
 
 
 def weight_filtration(n: CuspNilpotent, tol: float) -> tuple[int, int]:
@@ -289,9 +252,8 @@ def weight_filtration(n: CuspNilpotent, tol: float) -> tuple[int, int]:
     2^-52, and spares deciding whether an eigenvalue equals tol^2 times an irrational one.
     """
     g, k = n.g, n.k
-    u = _exact(n.u, "u")
     m = g - k
-    ints, d = _int_scaled(u)
+    ints, d = _int_scaled(n.u)
     f = pencil_det([[[int(i == j) for j in range(m)] for i in range(m)],
                     [[-sum(ints[r][i] * ints[r][j] for r in range(m)) for j in range(m)]
                      for i in range(m)]])
@@ -343,7 +305,7 @@ def _roots_above(p: list[int], x: Fraction) -> int:
 # cusps
 
 
-def dual_cusp_filtration(n: CuspNilpotent, tau_cusp=None) -> list[list[complex]]:
+def dual_cusp_filtration(n: CuspNilpotent, tau_cusp: CMatrix | None = None) -> CMatrix:
     """Filtration basis of the dual cusp.
 
     Spanned by the dual isotropic directions e_{g+k+1}..e_{2g} together
@@ -352,36 +314,36 @@ def dual_cusp_filtration(n: CuspNilpotent, tau_cusp=None) -> list[list[complex]]
     factor is empty and tau_cusp must be omitted.
     """
     g, k = n.g, n.k
-    cols = [[0j] * (2 * g) for _ in range(g)]
+    re = [[Fraction(0)] * g for _ in range(2 * g)]
+    im = [[Fraction(0)] * g for _ in range(2 * g)]
     if k == 0:
-        if tau_cusp is not None and any(len(row) for row in tau_cusp):
+        if tau_cusp is not None and any(len(row) for row in tau_cusp[0]):
             raise ValueError("depth k=0 has no cusp Siegel factor")
     else:
         if tau_cusp is None:
             raise ValueError(f"tau_cusp must be {k}x{k}, got none")
-        tau_c = _complex_rows(tau_cusp, "tau_cusp")
-        if len(tau_c) != k or len(tau_c[0]) != k:
-            raise ValueError(f"tau_cusp must be {k}x{k}, got {len(tau_c)}x{len(tau_c[0])}")
-        if not siegel_membership(tau_c, 1e-12):
+        rows, cols = _shape(tau_cusp)
+        if (rows, cols) != (k, k):
+            raise ValueError(f"tau_cusp must be {k}x{k}, got {rows}x{cols}")
+        if not siegel_membership(tau_cusp, 1e-12):
             raise ValueError("tau_cusp is not in the depth-k Siegel space")
-        for j in range(k):
-            cols[j][:k] = [row[j] for row in tau_c]
-            cols[j][g + j] = 1 + 0j
-    for j in range(g - k):
-        cols[k + j][g + k + j] = 1 + 0j
-    return [list(row) for row in zip(*cols)]
+        for i in range(k):
+            re[i][:k], im[i][:k] = tau_cusp[0][i], tau_cusp[1][i]
+            re[g + i][i] = Fraction(1)
+    for j in range(k, g):
+        re[g + j][j] = Fraction(1)
+    return re, im
 
 
-def nilpotent_orbit_check(fdual, n: CuspNilpotent, tol: float) -> bool:
+def nilpotent_orbit_check(fdual: CMatrix, n: CuspNilpotent, tol: float) -> bool:
     """exp(iN) applied to the dual filtration lands in the period domain."""
     if not positive_cone_membership(n, tol):
         raise ValueError("nilpotent is not in the positive cone")
-    f = _complex(fdual, "filtration")
-    rows, cols = _shape(f)
+    rows, cols = _shape(fdual)
     if (rows, cols) != (2 * n.g, n.g):
         raise ValueError(f"filtration must be {2 * n.g}x{n.g}, got {rows}x{cols}")
-    re, im = f
-    nm = _exact(n.matrix, "N")
+    re, im = fdual
+    nm = n.matrix
     # (I + iN)(Re + i Im) = (Re - N Im) + i (Im + N Re)
     return _riemann((_sub(re, _mul(nm, im)), _add(im, _mul(nm, re))), tol)
 
@@ -406,11 +368,8 @@ def _assemble(tau_prime: CMatrix, z: CMatrix, s: CMatrix) -> CMatrix:
         for top, up, low in zip(tau_prime, upper, corner))
 
 
-def block_volume_identity(tau_prime, z, s, tol: float) -> bool:
+def block_volume_identity(tau_prime: CMatrix, z: CMatrix, s: CMatrix, tol: float) -> bool:
     """det Im(tau) = det Im(tau') * det Im(Z) for the assembled block point."""
-    tau_prime = _complex(tau_prime, "tau'")
-    z = _complex(z, "Z")
-    s = _complex(s, "S")
     _check_genus(_shape(tau_prime)[0] + _shape(z)[0])
     if not _in_siegel(tau_prime, 1e-12):
         raise ValueError("tau' is not in its Siegel space")

@@ -15,15 +15,40 @@ Conventions (worked once at tau = i*I):
 Arithmetic runs in binary64 with numpy's overflow warnings silenced: an
 intermediate that leaves the finite range raises a ValueError naming the
 stage instead of deciding a verdict on inf or nan.
+
+The checks take a complex matrix as the package does, as the pair
+(Re, Im) of Fraction rows, or as anything numpy reads; `exact_pair` and
+`exact_rows` turn a numpy matrix into the package's form, and
+`complex_array` turns either back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 _quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def exact_rows(m) -> list[list[Fraction]]:
+    """A real matrix as the Fraction rows of its binary64 entries."""
+    return [[Fraction(float(v)) for v in row] for row in np.asarray(m, dtype=float)]
+
+
+def exact_pair(m) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """A complex matrix as the pair (Re, Im) of exact_rows that
+    siegeltoric.period_domain takes."""
+    m = np.asarray(m, dtype=complex)
+    return exact_rows(m.real), exact_rows(m.imag)
+
+
+def complex_array(m) -> np.ndarray:
+    """m as a complex array: a (Re, Im) pair, or anything numpy reads."""
+    if isinstance(m, tuple):
+        return np.asarray(m[0], dtype=float) + 1j * np.asarray(m[1], dtype=float)
+    return np.asarray(m, dtype=complex)
 
 
 def _finite(stage: str, arr) -> np.ndarray:
@@ -80,7 +105,7 @@ class CuspNilpotent:
 @_quiet
 def siegel_membership(tau: np.ndarray, tol: float) -> bool:
     """tau symmetric within tol and Im(tau) positive definite beyond tol."""
-    tau = np.asarray(tau, dtype=complex)
+    tau = complex_array(tau)
     if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
         raise ValueError(f"tau must be square, got shape {tau.shape}")
     if np.max(_finite("|tau - tau^T|", np.abs(tau - tau.T))) > tol:
@@ -91,7 +116,7 @@ def siegel_membership(tau: np.ndarray, tol: float) -> bool:
 
 def filtration_from_tau(tau: np.ndarray) -> np.ndarray:
     """The 2g x g filtration basis [tau; I_g]."""
-    tau = np.asarray(tau, dtype=complex)
+    tau = complex_array(tau)
     if not siegel_membership(tau, 1e-12):
         raise ValueError("tau is not in the Siegel space")
     g = tau.shape[0]
@@ -102,7 +127,7 @@ def filtration_from_tau(tau: np.ndarray) -> np.ndarray:
 def riemann_check(filt: np.ndarray, tol: float) -> bool:
     """Riemann bilinear relations for a rank-g filtration basis:
     F^T psi F = 0 and H = i F^T psi conj(F) positive definite."""
-    f = np.asarray(filt, dtype=complex)
+    f = complex_array(filt)
     if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
         raise ValueError(f"filtration must be 2g x g, got {f.shape}")
     g = f.shape[1]
@@ -153,11 +178,11 @@ def dual_cusp_filtration(n: CuspNilpotent, tau_cusp: np.ndarray | None = None) -
     """
     g, k = n.g, n.k
     if k == 0:
-        if tau_cusp is not None and np.asarray(tau_cusp).size:
+        if tau_cusp is not None and complex_array(tau_cusp).size:
             raise ValueError("depth k=0 has no cusp Siegel factor")
         cols = []
     else:
-        tau_c = np.asarray(tau_cusp, dtype=complex)
+        tau_c = complex_array(tau_cusp)
         if tau_c.shape != (k, k):
             raise ValueError(f"tau_cusp must be {k}x{k}, got {tau_c.shape}")
         if not siegel_membership(tau_c, 1e-12):
@@ -179,7 +204,7 @@ def nilpotent_orbit_check(fdual: np.ndarray, n: CuspNilpotent, tol: float) -> bo
     """exp(iN) applied to the dual filtration lands in the period domain."""
     if not positive_cone_membership(n, tol):
         raise ValueError("nilpotent is not in the positive cone")
-    fdual = np.asarray(fdual, dtype=complex)
+    fdual = complex_array(fdual)
     if fdual.shape != (2 * n.g, n.g):
         raise ValueError(f"filtration must be {2 * n.g}x{n.g}, got {fdual.shape}")
     return riemann_check(exp_i_n(n) @ fdual, tol)
@@ -192,9 +217,9 @@ def assemble_block_tau(tau_prime: np.ndarray, z: np.ndarray, s: np.ndarray) -> n
         tau = [[tau',            A - tau' B],
                [(A - tau' B)^T,  Z + B^T tau' B - (A^T B + B^T A)/2]].
     """
-    tau_prime = np.asarray(tau_prime, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    s = np.asarray(s, dtype=complex)
+    tau_prime = complex_array(tau_prime)
+    z = complex_array(z)
+    s = complex_array(s)
     a, b = s.real, s.imag
     upper = a - tau_prime @ b
     corner = z + b.T @ tau_prime @ b - (a.T @ b + b.T @ a) / 2
@@ -207,9 +232,9 @@ def assemble_block_tau(tau_prime: np.ndarray, z: np.ndarray, s: np.ndarray) -> n
 def block_volume_identity(tau_prime: np.ndarray, z: np.ndarray,
                           s: np.ndarray, tol: float) -> bool:
     """det Im(tau) = det Im(tau') * det Im(Z) for the assembled block point."""
-    tau_prime = np.asarray(tau_prime, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    s = np.asarray(s, dtype=complex)
+    tau_prime = complex_array(tau_prime)
+    z = complex_array(z)
+    s = complex_array(s)
     if not siegel_membership(tau_prime, 1e-12):
         raise ValueError("tau' is not in its Siegel space")
     if not siegel_membership(z, 1e-12):

@@ -19,7 +19,6 @@ KEEP = {
     "gl_act": "perfbench/tracer.py wraps it by name (ROADMAP item 6); tests build "
               "translates with it",
     "cone_to_json": "writer of the cone file format that cone_from_json reads",
-    "poly_from_json": "reader of the polynomial format that poly_to_json writes",
 }
 
 

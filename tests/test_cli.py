@@ -109,6 +109,20 @@ class TestExitCodes:
             assert f"({len(literal)} characters)" in line
             assert reason is None or reason in line
 
+    @pytest.mark.parametrize("doc, literal", [
+        ({"g": 1, "generators": [[["\u0661"]]]}, "\u0661"),
+        ({"g": " 1", "generators": [[["1_0"]]]}, " 1"),
+        ({"g": 1, "generators": [[["1_0"]]]}, "1_0"),
+        ({"g": 1, "scale": "+5", "generators": [[[1]]]}, "+5"),
+    ], ids=["arabic-indic", "space", "underscore", "plus"])
+    def test_integer_string_must_be_ascii_decimal(self, doc, literal, tmp_path, capsys):
+        # int() would read these as 1, 1, 10 and 5: the first cone passed and
+        # the second had lattice_volume 10
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cone", "check", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: bad integer literal {literal!r}\n")
+
     @pytest.mark.parametrize("argv, data, config", [
         (["cone", "check", "{path}"],
          {"g": 1, "generators": [[[list(range(3000))]]]}, False),

@@ -67,6 +67,22 @@ def test_decode_accepts_numbers_and_strings():
         decode_int("7.5")
 
 
+@pytest.mark.parametrize("literal", [
+    " 3", "3 ", "1_0", "+5", "\u0661", "\uff13", "", "-", "--3", "0x10", "1e3", "1/2",
+], ids=["space", "trailing-space", "underscore", "plus", "arabic-indic", "fullwidth",
+        "empty", "minus", "double-minus", "hex", "exponent", "ratio"])
+def test_decode_int_takes_ascii_decimals_only(literal):
+    # int() would read the first six as 3, 3, 10, 5, 1 and 3
+    with pytest.raises(InputFormatError, match=f"^bad integer literal {re.escape(repr(literal))}$"):
+        decode_int(literal)
+
+
+def test_decode_int_reads_negative_and_long_decimals():
+    assert decode_int("-3") == -3 and decode_int("0") == 0 and decode_int("-0") == 0
+    assert decode_int(str(2 ** 53 + 1)) == 2 ** 53 + 1
+    assert decode_int(str(-(10 ** 40))) == -(10 ** 40)
+
+
 def test_cone_round_trip():
     cone = MarkedCone(g=2, scale=1, generators=(
         ((1, 0), (0, 0)), ((0, 0), (0, 1)), ((1, -1), (-1, 1))),
@@ -107,16 +123,29 @@ def test_fan_requires_cones_key():
         fan_from_json({})
 
 
-def test_complex_matrix_round_trip():
-    got = complex_matrix_from_json({"re": [[1, 0.5], [0, 3]], "im": [[2, 0], [-1, 0]]})
-    assert got == [[1 + 2j, 0.5], [-1j, 3]]
-    assert all(type(v) is complex for row in got for v in row)
+def _binary64(rows):
+    return [[Fraction(float(v)) for v in row] for row in rows]
 
 
-def test_real_matrix_reads_floats():
-    got = real_matrix_from_json([[1, 2.5], [-3, 0]])
-    assert got == [[1.0, 2.5], [-3.0, 0.0]]
-    assert all(type(v) is float for row in got for v in row)
+def test_complex_matrix_reads_exact_pair():
+    # each entry is the rational value of its binary64 reading, the largest
+    # finite and the smallest subnormal number included
+    re_rows = [[1, 0.1], [1e308, -5e-324], [2 ** 53 + 1, 0]]
+    im_rows = [[2.5, 0], [-1, 5e-324], [-0.0, 1e-300]]
+    got = complex_matrix_from_json({"re": re_rows, "im": im_rows})
+    assert got == (_binary64(re_rows), _binary64(im_rows))
+    assert type(got) is tuple and all(type(v) is Fraction for m in got for row in m for v in row)
+    assert got[0][0][1] == Fraction(3602879701896397, 2 ** 55)
+    assert got[0][1] == [Fraction(int(1e308)), Fraction(-1, 2 ** 1074)]
+    assert got[0][2][0] == 2 ** 53
+
+
+def test_real_matrix_reads_exact_rows():
+    rows = [[1, 2.5, 0.1], [-3, 1e308, 5e-324]]
+    got = real_matrix_from_json(rows)
+    assert got == _binary64(rows)
+    assert all(type(v) is Fraction for row in got for v in row)
+    assert got[1][1:] == [Fraction(int(1e308)), Fraction(1, 2 ** 1074)]
 
 
 @pytest.mark.parametrize("obj,message", [

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from siegeltoric.period_domain import (
 from siegeltoric.volume_ke import CostGuardError
 
 import period_domain_oracle as oracle
-from period_domain_oracle import random_siegel_point
+from period_domain_oracle import complex_array, exact_pair, exact_rows, random_siegel_point
 from test_cli import FIRST_RELATION_FAILS
 from test_cli_fuzz import BLOCK, NILPOTENT, TAU
 
@@ -50,63 +51,64 @@ class TestSymplecticForm:
 
 class TestSiegelMembership:
     def test_i_identity(self):
-        assert siegel_membership(1j * np.eye(3), TOL)
+        assert siegel_membership(exact_pair(1j * np.eye(3)), TOL)
 
     def test_real_identity_fails(self):
-        assert not siegel_membership(np.eye(3) + 0j, TOL)
+        assert not siegel_membership(exact_pair(np.eye(3)), TOL)
 
     def test_offdiagonal_example(self):
-        tau = np.array([[1j, 0.5], [0.5, 2j]])
+        tau = exact_pair([[1j, 0.5], [0.5, 2j]])
         assert siegel_membership(tau, TOL)
 
     def test_asymmetric_fails(self):
-        tau = np.array([[1j, 0.5], [0.3, 2j]])
+        tau = exact_pair([[1j, 0.5], [0.3, 2j]])
         assert not siegel_membership(tau, TOL)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            siegel_membership(np.zeros((2, 3)), TOL)
+        with pytest.raises(ValueError, match="tau must be square, got 2x3"):
+            siegel_membership(exact_pair(np.zeros((2, 3))), TOL)
 
 
 class TestFiltration:
     def test_i_identity(self):
-        f = np.array(filtration_from_tau(1j * np.eye(2)))
+        f = complex_array(filtration_from_tau(exact_pair(1j * np.eye(2))))
         assert np.allclose(f[:2], 1j * np.eye(2))
         assert np.allclose(f[2:], np.eye(2))
 
     def test_bottom_block_always_identity(self):
         rng = np.random.default_rng(5)
         tau = random_siegel_point(3, rng)
-        assert np.allclose(np.array(filtration_from_tau(tau))[3:], np.eye(3))
+        assert np.allclose(complex_array(filtration_from_tau(exact_pair(tau)))[3:], np.eye(3))
 
     def test_g1(self):
-        f = np.array(filtration_from_tau(np.array([[2j]])))
-        assert np.allclose(f, np.array([[2j], [1]]))
+        re, im = filtration_from_tau(exact_pair([[2j]]))
+        assert re == [[0], [1]] and im == [[2], [0]]
+        assert all(type(v) is Fraction for part in (re, im) for row in part for v in row)
 
     def test_membership_enforced(self):
         with pytest.raises(ValueError):
-            filtration_from_tau(np.eye(2) + 0j)
+            filtration_from_tau(exact_pair(np.eye(2)))
 
 
 class TestRiemannCheck:
     def test_i_identity_positivity_is_2i(self):
         g = 2
-        f = np.array(filtration_from_tau(1j * np.eye(g)))
+        f = filtration_from_tau(exact_pair(1j * np.eye(g)))
         psi = oracle.symplectic_form(g)
-        h = 1j * (f.T @ psi @ f.conj())
+        h = 1j * (complex_array(f).T @ psi @ complex_array(f).conj())
         assert np.allclose(h, 2 * np.eye(g))
         assert riemann_check(f, TOL)
 
     def test_real_columns_fail_positivity(self):
         g = 2
         f = np.vstack([np.eye(g), np.zeros((g, g))]).astype(complex)
-        assert not riemann_check(f, TOL)
+        assert not riemann_check(exact_pair(f), TOL)
 
     def test_random_siegel_points(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             tau = random_siegel_point(2, rng)
-            assert riemann_check(filtration_from_tau(tau), TOL)
+            assert riemann_check(filtration_from_tau(exact_pair(tau)), TOL)
 
     def test_first_relation_fails(self):
         # full rank, but F^T psi F has the entry -5i
@@ -114,40 +116,40 @@ class TestRiemannCheck:
              + 1j * np.array(FIRST_RELATION_FAILS["im"]))
         psi = oracle.symplectic_form(2)
         assert np.allclose(f.T @ psi @ f, [[0, -5j], [5j, 0]])
-        assert not riemann_check(f, TOL)
+        assert not riemann_check(exact_pair(f), TOL)
         assert not oracle.riemann_check(f, TOL)
 
     def test_rank_deficient_rejected(self):
         f = np.zeros((4, 2), dtype=complex)
         f[:, 0] = [1, 0, 0, 0]
         f[:, 1] = [1, 0, 0, 0]
-        with pytest.raises(ValueError):
-            riemann_check(f, TOL)
+        with pytest.raises(ValueError, match="rank deficient"):
+            riemann_check(exact_pair(f), TOL)
 
     def test_involution_keeps_membership(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             tau = random_siegel_point(2, rng)
-            assert siegel_membership(symplectic_involution_image(tau), TOL)
+            assert siegel_membership(exact_pair(symplectic_involution_image(tau)), TOL)
 
 
 class TestPositiveCone:
     def test_identity_block(self):
-        n = CuspNilpotent(g=2, k=0, u=np.eye(2))
+        n = CuspNilpotent(g=2, k=0, u=exact_rows(np.eye(2)))
         assert positive_cone_membership(n, TOL)
 
     def test_negative_identity(self):
-        n = CuspNilpotent(g=2, k=0, u=-np.eye(2))
+        n = CuspNilpotent(g=2, k=0, u=exact_rows(-np.eye(2)))
         assert not positive_cone_membership(n, TOL)
 
     def test_off_diagonal_pd(self):
-        n = CuspNilpotent(g=2, k=0, u=np.array([[2.0, 1.0], [1.0, 2.0]]))
+        n = CuspNilpotent(g=2, k=0, u=exact_rows(np.array([[2.0, 1.0], [1.0, 2.0]])))
         assert positive_cone_membership(n, TOL)
 
     def test_block_layout(self):
         u = np.array([[5.0]])
-        n = CuspNilpotent(g=2, k=1, u=u)
-        mat = np.array(n.matrix)
+        n = CuspNilpotent(g=2, k=1, u=exact_rows(u))
+        mat = np.array(n.matrix, dtype=float)
         assert mat[1, 3] == 5.0
         assert np.count_nonzero(mat) == 1
 
@@ -155,22 +157,22 @@ class TestPositiveCone:
         rng = np.random.default_rng(3)
         for g, k in ((2, 0), (2, 1), (3, 1), (3, 2)):
             q = rng.standard_normal((g - k, g - k))
-            n = CuspNilpotent(g=g, k=k, u=q @ q.T + 0.1 * np.eye(g - k))
-            mat = np.array(n.matrix)
+            n = CuspNilpotent(g=g, k=k, u=exact_rows(q @ q.T + 0.1 * np.eye(g - k)))
+            mat = np.array(n.matrix, dtype=float)
             assert np.max(np.abs(mat @ mat)) == 0
 
     def test_zero_block_rejected(self):
         with pytest.raises(ValueError):
-            CuspNilpotent(g=2, k=0, u=np.zeros((2, 2)))
+            CuspNilpotent(g=2, k=0, u=exact_rows(np.zeros((2, 2))))
 
     def test_wrong_block_size_rejected(self):
         with pytest.raises(ValueError):
-            CuspNilpotent(g=3, k=1, u=np.eye(3))
+            CuspNilpotent(g=3, k=1, u=exact_rows(np.eye(3)))
 
 
 class TestWeightFiltration:
     def test_g2_k0_dimensions(self):
-        n = CuspNilpotent(g=2, k=0, u=np.eye(2))
+        n = CuspNilpotent(g=2, k=0, u=exact_rows(np.eye(2)))
         rank, nullity = weight_filtration(n, TOL)
         assert rank == 2 and nullity == 2
 
@@ -178,7 +180,7 @@ class TestWeightFiltration:
         rng = np.random.default_rng(7)
         for g, k in ((2, 1), (3, 0), (3, 1), (3, 2)):
             q = rng.standard_normal((g - k, g - k))
-            n = CuspNilpotent(g=g, k=k, u=q @ q.T + 0.1 * np.eye(g - k))
+            n = CuspNilpotent(g=g, k=k, u=exact_rows(q @ q.T + 0.1 * np.eye(g - k)))
             rank, nullity = weight_filtration(n, TOL)
             assert rank == g - k
             assert nullity == g + k
@@ -191,16 +193,16 @@ class TestNilpotentOrbit:
         n = oracle.CuspNilpotent(g=3, k=1, u=np.eye(2))
         assert not (n.matrix @ n.matrix).any()
         assert np.array_equal(oracle.exp_i_n(n), np.eye(6) + 1j * n.matrix)
-        assert np.array_equal(n.matrix, CuspNilpotent(g=3, k=1, u=np.eye(2)).matrix)
+        assert np.array_equal(n.matrix, CuspNilpotent(g=3, k=1, u=exact_rows(np.eye(2))).matrix)
 
     def test_minimal_cusp_identity_block(self):
-        n = CuspNilpotent(g=2, k=0, u=np.eye(2))
+        n = CuspNilpotent(g=2, k=0, u=exact_rows(np.eye(2)))
         fdual = dual_cusp_filtration(n)
         assert nilpotent_orbit_check(fdual, n, TOL)
 
     def test_depth_one_with_cusp_point(self):
-        n = CuspNilpotent(g=2, k=1, u=np.array([[1.0]]))
-        fdual = dual_cusp_filtration(n, tau_cusp=np.array([[1j]]))
+        n = CuspNilpotent(g=2, k=1, u=exact_rows(np.array([[1.0]])))
+        fdual = dual_cusp_filtration(n, tau_cusp=exact_pair([[1j]]))
         assert nilpotent_orbit_check(fdual, n, TOL)
 
     def test_orbit_lands_on_block_diagonal_point(self):
@@ -210,9 +212,9 @@ class TestNilpotentOrbit:
         q = rng.standard_normal((g - k, g - k))
         u = q @ q.T + 0.2 * np.eye(g - k)
         tau_c = random_siegel_point(k, rng)
-        n = CuspNilpotent(g=g, k=k, u=u)
+        n = CuspNilpotent(g=g, k=k, u=exact_rows(u))
         moved = (oracle.exp_i_n(oracle.CuspNilpotent(g=g, k=k, u=u))
-                 @ np.array(dual_cusp_filtration(n, tau_c)))
+                 @ complex_array(dual_cusp_filtration(n, exact_pair(tau_c))))
         top, bottom = moved[:g], moved[g:]
         tau = top @ np.linalg.inv(bottom)
         expected = np.zeros((g, g), dtype=complex)
@@ -221,7 +223,7 @@ class TestNilpotentOrbit:
         assert np.allclose(tau, expected, atol=1e-10)
 
     def test_indefinite_u_rejected(self):
-        n = CuspNilpotent(g=2, k=0, u=-np.eye(2))
+        n = CuspNilpotent(g=2, k=0, u=exact_rows(-np.eye(2)))
         fdual = dual_cusp_filtration(n)
         with pytest.raises(ValueError):
             nilpotent_orbit_check(fdual, n, TOL)
@@ -233,8 +235,8 @@ class TestNilpotentOrbit:
             k = int(rng.integers(0, g))
             q = rng.standard_normal((g - k, g - k))
             u = q @ q.T + 0.1 * np.eye(g - k)
-            tau_c = random_siegel_point(k, rng) if k else None
-            n = CuspNilpotent(g=g, k=k, u=u)
+            tau_c = exact_pair(random_siegel_point(k, rng)) if k else None
+            n = CuspNilpotent(g=g, k=k, u=exact_rows(u))
             fdual = dual_cusp_filtration(n, tau_c)
             assert nilpotent_orbit_check(fdual, n, TOL)
 
@@ -247,15 +249,16 @@ def _well_conditioned_im(g, rng):
 
 class TestBlockVolume:
     def test_identity_blocks(self):
-        ok = block_volume_identity(1j * np.eye(2), 1j * np.eye(1),
-                                   np.zeros((2, 1), dtype=complex), 1e-10)
+        ok = block_volume_identity(exact_pair(1j * np.eye(2)), exact_pair(1j * np.eye(1)),
+                                   exact_pair(np.zeros((2, 1))), 1e-10)
         assert ok
 
     def test_zero_coupling_multiplicativity(self):
         rng = np.random.default_rng(17)
         tau_p = random_siegel_point(2, rng)
         z = random_siegel_point(1, rng)
-        assert block_volume_identity(tau_p, z, np.zeros((2, 1), dtype=complex), 1e-10)
+        assert block_volume_identity(exact_pair(tau_p), exact_pair(z),
+                                     exact_pair(np.zeros((2, 1))), 1e-10)
 
     def test_random_coupling(self):
         rng = np.random.default_rng(19)
@@ -264,7 +267,8 @@ class TestBlockVolume:
             tau_p = (x + x.T) / 2 + 1j * _well_conditioned_im(2, rng)
             z = rng.standard_normal() + 1j * rng.uniform(0.5, 2.0)
             s = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-            assert block_volume_identity(tau_p, np.array([[z]]), s, 1e-8)
+            assert block_volume_identity(exact_pair(tau_p), exact_pair([[z]]), exact_pair(s),
+                                         1e-8)
 
     def test_assembled_point_is_siegel(self):
         rng = np.random.default_rng(29)
@@ -272,18 +276,18 @@ class TestBlockVolume:
         z = random_siegel_point(1, rng)
         s = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
         tau = oracle.assemble_block_tau(tau_p, z, s)
-        assert siegel_membership(tau, 1e-10)
+        assert siegel_membership(exact_pair(tau), 1e-10)
         lhs = np.linalg.det(tau.imag)
         rhs = np.linalg.det(tau_p.imag) * np.linalg.det(z.imag)
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            block_volume_identity(np.eye(2) + 0j, 1j * np.eye(1),
-                                  np.zeros((2, 1)), 1e-9)
-        with pytest.raises(ValueError):
-            block_volume_identity(1j * np.eye(2), 1j * np.eye(1),
-                                  np.zeros((1, 2)), 1e-9)
+        with pytest.raises(ValueError, match="tau' is not in its Siegel space"):
+            block_volume_identity(exact_pair(np.eye(2)), exact_pair(1j * np.eye(1)),
+                                  exact_pair(np.zeros((2, 1))), 1e-9)
+        with pytest.raises(ValueError, match="S must be 2x1, got 1x2"):
+            block_volume_identity(exact_pair(1j * np.eye(2)), exact_pair(1j * np.eye(1)),
+                                  exact_pair(np.zeros((1, 2))), 1e-9)
 
 
 class TestBinary64Overflow:
@@ -292,22 +296,22 @@ class TestBinary64Overflow:
     tests cover the Im(tau), F^T psi F and block-assembly stages."""
 
     def test_asymmetry(self):
-        tau = np.array([[1j, 1e308], [-1e308, 1j]])
+        tau = exact_pair([[1j, 1e308], [-1e308, 1j]])
         assert not siegel_membership(tau, TOL)
 
     def test_positive_cone_symmetrization(self):
-        n = CuspNilpotent(g=1, k=0, u=np.array([[1.7e308]]))
+        n = CuspNilpotent(g=1, k=0, u=exact_rows(np.array([[1.7e308]])))
         assert positive_cone_membership(n, TOL)
         assert weight_filtration(n, TOL) == (1, 1)
 
     def test_weight_singular_values(self):
         # singular values 2e308 and 0
-        n = CuspNilpotent(g=2, k=0, u=np.full((2, 2), 1e308))
+        n = CuspNilpotent(g=2, k=0, u=exact_rows(np.full((2, 2), 1e308)))
         assert weight_filtration(n, TOL) == (1, 3)
 
     def test_asymmetric_u(self):
         with pytest.raises(ValueError, match="u must be symmetric"):
-            CuspNilpotent(g=2, k=0, u=np.array([[1, 1e308], [-1e308, 1]]))
+            CuspNilpotent(g=2, k=0, u=exact_rows(np.array([[1, 1e308], [-1e308, 1]])))
 
 
 def _cli_mix_point(rng, g):
@@ -395,7 +399,7 @@ class TestNumpyOracle:
             u = q @ np.diag(lam) @ q.T
             u = (u + u.T) / 2
             want = oracle.weight_filtration(oracle.CuspNilpotent(g=m, k=0, u=u), tol)
-            assert weight_filtration(CuspNilpotent(g=m, k=0, u=u), tol) == want
+            assert weight_filtration(CuspNilpotent(g=m, k=0, u=exact_rows(u)), tol) == want
 
     @pytest.mark.parametrize("diag,tol,rank", [
         ([2.0 ** -29, 2.0], 2.0 ** -30, 1),
@@ -410,27 +414,28 @@ class TestNumpyOracle:
         # a singular value equal to tol * max(1, s_max) is not counted
         m = len(diag)
         u = np.diag(diag)
-        got = weight_filtration(CuspNilpotent(g=m, k=0, u=u), tol)
+        got = weight_filtration(CuspNilpotent(g=m, k=0, u=exact_rows(u)), tol)
         assert got == (rank, 2 * m - rank)
         assert oracle.weight_filtration(oracle.CuspNilpotent(g=m, k=0, u=u), tol) == got
 
     def test_dimensions_of_singular_u(self):
         u = [[1.0, 2.0], [2.0, 4.0]]
-        assert weight_filtration(CuspNilpotent(g=3, k=1, u=u), TOL) == (1, 5)
+        assert weight_filtration(CuspNilpotent(g=3, k=1, u=exact_rows(u)), TOL) == (1, 5)
         assert oracle.weight_filtration(oracle.CuspNilpotent(g=3, k=1, u=u), TOL) == (1, 5)
 
 
 class TestCostGuard:
     def test_genus_bound(self):
         g = exact.HODGE_GENUS_MAX
-        assert siegel_membership(1j * np.eye(g), TOL)
-        assert weight_filtration(CuspNilpotent(g=g, k=0, u=np.eye(g)), TOL) == (g, g)
+        assert siegel_membership(exact_pair(1j * np.eye(g)), TOL)
+        assert weight_filtration(CuspNilpotent(g=g, k=0, u=exact_rows(np.eye(g))), TOL) == (g, g)
         message = f"limited to g <= {g}, got g={g + 1}"
         with pytest.raises(CostGuardError, match=message):
-            siegel_membership(1j * np.eye(g + 1), TOL)
+            siegel_membership(exact_pair(1j * np.eye(g + 1)), TOL)
         with pytest.raises(CostGuardError, match=message):
-            riemann_check(np.vstack([1j * np.eye(g + 1), np.eye(g + 1)]), TOL)
+            riemann_check(exact_pair(np.vstack([1j * np.eye(g + 1), np.eye(g + 1)])), TOL)
         with pytest.raises(CostGuardError, match=message):
-            CuspNilpotent(g=g + 1, k=1, u=np.eye(g))
+            CuspNilpotent(g=g + 1, k=1, u=exact_rows(np.eye(g)))
         with pytest.raises(CostGuardError, match=message):
-            block_volume_identity(1j * np.eye(g), 1j * np.eye(1), np.zeros((g, 1)), TOL)
+            block_volume_identity(exact_pair(1j * np.eye(g)), exact_pair(1j * np.eye(1)),
+                                  exact_pair(np.zeros((g, 1))), TOL)

@@ -12,7 +12,7 @@ and 10 (the largest genus its cost guard admits), and a genus-12 `ke
 test`, `cone check` and symbolic `ma verify`; `cone check`, symbolic
 `ma verify` and `ke test` on a genus-24 principal-cone file, past the
 catalog's genus range, which is written in the temporary directory with
-perfbench/inputs.py's `principal_generators` and `cone_json`; and, past
+perfbench/inputs.py's `principal_generators` and `cone_json`; past
 the benchmark's genus-2 fans of 4-6 cones, `fan check`, `separable`
 against four seeded GL(3,Z) elements and -I (written there with
 perfbench/inputs.py's `random_frame`), and two `intersect --edges`
@@ -20,7 +20,11 @@ requests (the sorted ray ids of one cone, answered `one`, and a
 selection that is no cone's, answered `zero`) on a fan of 64 GL(3,Z)
 translates of the principal cone with distinct ray sets, which is
 written there too, seeded, with perfbench/inputs.py's `random_frame`,
-`translate` and `ray`.  Every
+`translate` and `ray`; and, past the benchmark's `hodge` requests, which
+stop at genus 3, `hodge siegel`, `riemann`, `nilpotent`, `weight` (depth
+0, so u is 8 x 8) and `block-volume` at genus
+period_domain.HODGE_GENUS_MAX = 8, on seeded points that are written
+there with perfbench/inputs.py's `_siegel_point`.  Every
 request runs once under BASE_CHECKOUT/src and once under this
 checkout's src, and every request whose exit code, stdout or stderr
 differ is listed.  Exits 1 on any difference in exit
@@ -36,8 +40,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import inputs  # noqa: E402
+from siegeltoric.period_domain import HODGE_GENUS_MAX  # noqa: E402
 
 SEEDS = range(101, 106)
 TIMEOUT_S = 120
@@ -60,6 +66,7 @@ FRONTIER = (
 )
 FAN_SEED, FAN_SIZE = 3601, 64
 GROUP_SEED, GROUP_SIZE = 3607, 4
+HODGE_SEED, HODGE_DEPTH = 3613, 3
 
 
 def translate_fan(path):
@@ -96,6 +103,33 @@ def translate_group(path):
         json.dump([{"matrix": m} for m in mats], fh)
 
 
+def hodge_files(tmp):
+    """Write seeded genus-HODGE_GENUS_MAX inputs of the five hodge checks to
+    tmp, each point drawn by perfbench/inputs.py's `_siegel_point`, and
+    return their argv: a point for `siegel` and `riemann`, a depth-3 cusp
+    nilpotent for `nilpotent`, a depth-0 one (u is 8 x 8) for `weight`,
+    and block coordinates of sizes 3 and 5 for `block-volume`."""
+    g, k = HODGE_GENUS_MAX, HODGE_DEPTH
+    rng = random.Random(HODGE_SEED)
+    docs = {
+        "tau": inputs._siegel_point(rng, g),
+        "nilp": {"g": g, "k": k, "u": inputs._siegel_point(rng, g - k)["im"],
+                 "tau_cusp": inputs._siegel_point(rng, k)},
+        "weight": {"g": g, "k": 0, "u": inputs._siegel_point(rng, g)["im"]},
+        "block": {"tau_prime": inputs._siegel_point(rng, k),
+                  "Z": inputs._siegel_point(rng, g - k),
+                  "S": {part: [[rng.uniform(-1, 1) for _ in range(g - k)] for _ in range(k)]
+                        for part in ("re", "im")}},
+    }
+    for name, doc in docs.items():
+        with open(os.path.join(tmp, f"hodge-{name}-g{g}.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return [["hodge", check, f"hodge-{name}-g{g}.json", *tail]
+            for check, name, tail in (("siegel", "tau", []), ("riemann", "tau", []),
+                                      ("nilpotent", "nilp", []), ("weight", "weight", []),
+                                      ("block-volume", "block", ["--tol", "1e-8"]))]
+
+
 def run(src, argv, cwd):
     env = dict(os.environ, PYTHONPATH=src)
     try:
@@ -123,7 +157,7 @@ def main() -> int:
         with open(os.path.join(tmp, "principal-g24.json"), "w", encoding="utf-8") as fh:
             json.dump(inputs.cone_json(24, inputs.principal_generators(24)), fh)
         translate_group(os.path.join(tmp, "group-g3.json"))
-        frontier = list(FRONTIER)
+        frontier = list(FRONTIER) + hodge_files(tmp)
         for edges in translate_fan(os.path.join(tmp, "translates-g3.json")):
             frontier.append(["intersect", "translates-g3.json",
                              "--edges", ",".join(map(str, edges))])
