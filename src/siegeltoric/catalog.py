@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .cone_lattice import MarkedCone, zeta_matrix
+from .cone_lattice import MarkedCone, quote, zeta_matrix
+from .jsonio import InputFormatError, decode_int
 
 
 class UnknownCatalogEntryError(KeyError):
@@ -47,31 +48,41 @@ def principal_cone(g: int, scale: int = 1) -> MarkedCone:
 # machine); the bound is the documented range of catalog names, not a cost
 PRINCIPAL_GENUS_MAX = 12
 
-_GENUS_PATTERN = re.compile(r"^principal-g(\d+)$")
-_LEVEL_PATTERN = re.compile(r"^principal-g2-level-(\d+)$")
+# ASCII digits only: \d would also match "principal-g\u0663"
+_GENUS_PATTERN = re.compile(r"principal-g([0-9]+)")
+_LEVEL_PATTERN = re.compile(r"principal-g2-level-([0-9]+)")
+
+
+def _number(digits: str, what: str, name: str) -> int:
+    """digits read as decode_int reads them; a number too long to convert
+    names no entry."""
+    try:
+        return decode_int(digits)
+    except InputFormatError:
+        raise UnknownCatalogEntryError(f"{what} is too long in {quote(name)}") from None
 
 
 def catalog_get(name: str) -> CatalogEntry:
-    m = _GENUS_PATTERN.match(name)
+    m = _GENUS_PATTERN.fullmatch(name)
     if m:
-        g = int(m.group(1))
+        g = _number(m.group(1), "genus", name)
         if not 1 <= g <= PRINCIPAL_GENUS_MAX:
             raise UnknownCatalogEntryError(
-                f"genus must be in [1, {PRINCIPAL_GENUS_MAX}] in {name!r}")
+                f"genus must be in [1, {PRINCIPAL_GENUS_MAX}] in {quote(name)}")
         return CatalogEntry(
             name=name, cone=principal_cone(g, 1),
             provenance="principal cone of the central cone decomposition "
                        f"(Igusa, Namikawa), genus {g}, full level")
-    m = _LEVEL_PATTERN.match(name)
+    m = _LEVEL_PATTERN.fullmatch(name)
     if m:
-        level = int(m.group(1))
+        level = _number(m.group(1), "level", name)
         if level < 1:
-            raise UnknownCatalogEntryError(f"level must be positive in {name!r}")
+            raise UnknownCatalogEntryError(f"level must be positive in {quote(name)}")
         return CatalogEntry(
             name=name, cone=principal_cone(2, level),
             provenance="principal cone of the central cone decomposition, "
                        f"genus 2, principal congruence level {level}")
-    raise UnknownCatalogEntryError(f"no catalog entry named {name!r}")
+    raise UnknownCatalogEntryError(f"no catalog entry named {quote(name)}")
 
 
 def catalog_names() -> list[str]:

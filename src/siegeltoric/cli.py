@@ -121,7 +121,7 @@ def _resolve_cone(spec: str, parse):
         return catalog_mod.catalog_get(spec).cone
     except catalog_mod.UnknownCatalogEntryError as exc:
         raise InputError(
-            f"{spec!r} is neither a file nor a catalog entry: {exc.args[0]}") from None
+            f"{jsonio.quote(spec)} is neither a file nor a catalog entry: {exc.args[0]}") from None
 
 
 # ----------------------------------------------------------------------
@@ -221,9 +221,9 @@ def _cmd_residue(args) -> tuple[dict, bool]:
 
 def _parse_edge_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"bad --edges list {text!r}") from exc
+        return [jsonio.decode_int(part.strip()) for part in text.split(",") if part.strip()]
+    except jsonio.InputFormatError as exc:
+        raise InputError(f"bad --edges list {jsonio.quote(text)}") from exc
 
 
 def _cone_or_fan(obj):

@@ -228,13 +228,6 @@ def int_det_adjugate(y: Sequence[Sequence[int]]) -> tuple[int, Optional[list[lis
     return det, [[sign * v for v in row[g:]] for row in a]
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix; an entry that is not an int
-    raises TypeError."""
-    _check_ints(rows, "int_det")
-    return int(rational_det(rows))
-
-
 def psd_rank(m: Sequence[Sequence[int | Fraction]]) -> Optional[int]:
     """Rank of a symmetric PSD int or Fraction matrix, or None if not PSD.
 
@@ -379,7 +372,7 @@ class GroupElement:
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         self.matrix: IntMatrix = as_int_matrix(matrix)
-        d = int_det(self.matrix)
+        d = int(rational_det(self.matrix))
         if d not in (1, -1):
             raise ConeShapeError(f"matrix has determinant {quote(d)}, expected +-1")
 

@@ -1,10 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in ``n`` variables is stored as a map from exponent tuples
-(length ``n``, nonnegative ints) to nonzero exact coefficients: the
-constructor takes an ``int`` or a ``Fraction`` only, as do ``scale`` and
-``eval_at``, and stores an integral one as an ``int``, so integral
-polynomials multiply on ints.  No floating point anywhere: dividing a
+(length ``n``, nonnegative ints) to nonzero exact coefficients.  One rule
+reads a number: the constructor (coefficients), ``scale`` (the factor) and
+``eval_at`` (the point) take an ``int`` or a ``Fraction`` only and keep an
+integral one an ``int``, so integral polynomials multiply, and evaluate at
+integer points, on ints.  No floating point anywhere: dividing a
 coefficient takes ``Fraction``.  The canonical term order for display and
 serialization is graded lexicographic (total degree first, then the
 exponent tuple), descending.
@@ -29,12 +30,15 @@ class ZeroPolynomialError(ValueError):
     """An operation that needs a nonzero polynomial got the zero one."""
 
 
-def _fraction(v, what: str) -> Fraction:
-    """Fraction(v) for an int or a Fraction v, else ValueError: Fraction()
-    would read 0.1 as its binary value 3602879701896397/2^55 and True as 1."""
-    if type(v) is not int and type(v) is not Fraction:
+def _exact(v, what: str) -> Fraction | int:
+    """An int or a Fraction v as the package stores a number, an integral
+    one as an int; else ValueError: Fraction() would read 0.1 as its binary
+    value 3602879701896397/2^55 and True as 1."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
         raise ValueError(f"{what} {v!r} is not an int or a Fraction")
-    return Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
@@ -63,10 +67,7 @@ class MultiPoly:
                         f"exponent {exp} has length {len(exp)}, expected {nvars}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                if type(coeff) is not int and type(coeff) is not Fraction:
-                    raise ValueError(f"coefficient {coeff!r} of {exp} is not an int or a Fraction")
-                c = Fraction(coeff)
-                c = c.numerator if c.denominator == 1 else c
+                c = _exact(coeff, "coefficient")
                 if c != 0:
                     clean[exp] = clean.get(exp, 0) + c
                     if clean[exp] == 0:
@@ -167,8 +168,7 @@ class MultiPoly:
         return _raw(self.nvars, {e: c for e, c in out.items() if c})
 
     def scale(self, value: Fraction | int) -> "MultiPoly":
-        v = _fraction(value, "scale factor")
-        v = v.numerator if v.denominator == 1 else v
+        v = _exact(value, "scale factor")
         if v == 0:
             return MultiPoly.zero(self.nvars)
         return _raw(self.nvars, {e: c * v for e, c in self._terms.items()})
@@ -202,16 +202,17 @@ class MultiPoly:
             out[tuple(new)] = c * k
         return _raw(self.nvars, out)
 
-    def eval_at(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact value at a rational point."""
-        vals = [_fraction(v, "point entry") for v in point]
+    def eval_at(self, point: Sequence[Fraction | int]) -> Fraction | int:
+        """Exact value at a rational point: an int when the coefficients
+        and the point are integral."""
+        vals = [_exact(v, "point entry") for v in point]
         if len(vals) != self.nvars:
             raise DimensionError(
                 f"point has length {len(vals)}, expected {self.nvars}")
         # Cache powers per variable; exponents repeat heavily.
-        pow_cache: list[dict[int, Fraction]] = [dict() for _ in range(self.nvars)]
+        pow_cache: list[dict[int, Fraction | int]] = [dict() for _ in range(self.nvars)]
 
-        def vpow(i: int, k: int) -> Fraction:
+        def vpow(i: int, k: int) -> Fraction | int:
             cache = pow_cache[i]
             got = cache.get(k)
             if got is None:
@@ -219,7 +220,7 @@ class MultiPoly:
                 cache[k] = got
             return got
 
-        total = Fraction(0)
+        total = 0
         for exp, c in self._terms.items():
             term = c
             for i, k in enumerate(exp):

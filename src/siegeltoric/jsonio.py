@@ -2,7 +2,8 @@
 
 `report_value` alone writes the package's values as JSON: integers are
 JSON numbers up to 2^53 and decimal strings beyond (readers accept
-both, a string as an ASCII decimal with an optional leading "-"),
+both, a string as an ASCII decimal with an optional leading "-", and an
+integral float below 2^53 in absolute value),
 Fractions are "n/d" strings and polynomials follow `poly_to_json`.
 Complex matrices travel as {"re": [[...]], "im": [[...]]}.  A numeric
 matrix is read once, each entry as a binary64 number kept as the exact
@@ -46,6 +47,10 @@ def decode_int(v) -> int:
         except ValueError as exc:  # past Python's int-to-str digit limit
             raise InputFormatError(f"bad integer literal {quote(v)}: {exc}") from exc
     if isinstance(v, float) and v.is_integer():
+        # from 2^53 on, a float no longer pins one integer: 2^53 + 1 reads as 2^53
+        if abs(v) >= INT_JSON_MAX:
+            raise InputFormatError(f"integer {quote(v)} written as a float is past 2^53; "
+                                   "write it as an integer or a decimal string")
         return int(v)
     raise InputFormatError(f"expected integer, got {quote(v)}")
 

@@ -84,7 +84,6 @@ from .cone_lattice import (
     DegenerateConeError,
     MarkedCone,
     delta_index_pairs,
-    int_det,
     int_det_adjugate,
     rational_det,
     sym_dim,
@@ -211,7 +210,7 @@ def _det_t_at(gens: Sequence[Sequence[Sequence[int]]],
         for b in range(a, n):
             tr_ab = sum(map(mul, fa, flat_t[b]))
             e[a][b] = e[b][a] = (tr[a] * tr[b] - tr_ab) // f
-    return fval, -fval ** n * int_det(e) / (g - 1)
+    return fval, -fval ** n * rational_det(e) / (g - 1)
 
 
 def verify_ma_identity(v: VolumeFunction, trials: int = 20, seed: int = 0) -> MAReport:

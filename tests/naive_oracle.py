@@ -5,8 +5,10 @@ dicts of exponent tuples with Fraction coefficients, polynomial
 determinants are always cofactor expansions, the leading-coefficient chain
 is written directly off its definition, and rational determinants, ranks
 and PSD ranks are Fraction Gauss, Gauss-Jordan and Schur-complement loops,
-a lattice index is the gcd of all maximal minors, and the genus-2 volume
-polynomial's coefficients are written out by hand.
+a lattice index is the gcd of all maximal minors, the genus-2 volume
+polynomial's coefficients are written out by hand, and the principal
+cone's volume polynomial is a sum over the spanning trees of a complete
+graph, enumerated by their Pruefer codes.
 No shared code with siegeltoric.
 """
 
@@ -249,6 +251,37 @@ def reindexed(terms, perm):
         for i, k in enumerate(perm):
             moved[k] = e[i]
         out[tuple(moved)] = c
+    return out
+
+
+def spanning_tree_polynomial(g):
+    """F = det(sum x_mu A_mu) of the genus-g principal cone by Kirchhoff's
+    matrix-tree theorem: the sum of prod x_e over the spanning trees of
+    K_(g+1) on vertices 0..g.  Generator (i, i) = E_ii is the edge
+    {0, i+1} and (i, j) = (e_i - e_j)(e_i - e_j)^T the edge {i+1, j+1},
+    so the pencil is the Laplacian of K_(g+1) with vertex 0 deleted.
+    Variables are in the catalog's order: the pairs (i, i), then the pairs
+    i < j lexicographically.  Each tree is decoded from its Pruefer code,
+    a sequence of g - 1 vertices."""
+    pairs = [(i, i) for i in range(g)] + list(itertools.combinations(range(g), 2))
+    var = {frozenset((0, i + 1) if i == j else (i + 1, j + 1)): k
+           for k, (i, j) in enumerate(pairs)}
+    n = g + 1
+    out = {}
+    for code in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in code:
+            degree[v] += 1
+        exp = [0] * len(pairs)
+        for v in code:
+            leaf = min(u for u in range(n) if degree[u] == 1)
+            exp[var[frozenset((leaf, v))]] = 1
+            degree[leaf] -= 1
+            degree[v] -= 1
+        last = frozenset(u for u in range(n) if degree[u] == 1)
+        exp[var[last]] = 1
+        assert tuple(exp) not in out   # distinct codes give distinct trees
+        out[tuple(exp)] = Fraction(1)
     return out
 
 

@@ -20,11 +20,11 @@ from siegeltoric.catalog import catalog_get, catalog_names, principal_cone
 from siegeltoric.cone_lattice import (
     GroupElement,
     MarkedCone,
-    int_det,
     is_fan,
     is_separable,
     primitive_ray,
     psd_rank,
+    rational_det,
     sym_dim,
 )
 from siegeltoric.exact_algebra import MultiPoly, pencil_det, poly_to_json
@@ -118,7 +118,7 @@ def test_criterion_04_g2_closed_form(capsys):
     ok = True
     while checked < 10:
         rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
-        if int_det(rows) == 0:
+        if rational_det(rows) == 0:
             continue
         f = pencil_det(g2_rows_to_pencil(rows))
         a, b, c, l, m, n = g2_closed_form(rows)

@@ -109,6 +109,18 @@ class TestExitCodes:
             assert f"({len(literal)} characters)" in line
             assert reason is None or reason in line
 
+    @pytest.mark.parametrize("entry, shown", [
+        ("9007199254740993.0", "9007199254740992.0"), ("1e300", "1e+300")],
+        ids=["2^53+1", "1e300"])
+    def test_float_integer_past_2_53_is_two(self, entry, shown, tmp_path, capsys):
+        # the float 9007199254740993.0 is 2^53, and 1e300 a 301-digit binary value
+        path = tmp_path / "cone.json"
+        path.write_text('{"g": 1, "generators": [[[%s]]]}' % entry)
+        assert main(["cone", "volume", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: integer {shown} written as a float is past 2^53; "
+                "write it as an integer or a decimal string\n")
+
     @pytest.mark.parametrize("doc, literal", [
         ({"g": 1, "generators": [[["\u0661"]]]}, "\u0661"),
         ({"g": " 1", "generators": [[["1_0"]]]}, " 1"),
@@ -215,6 +227,34 @@ class TestExitCodes:
         assert main(["cone", "check", name]) == 2
         assert capsys.readouterr() == (
             "", f"error: {name!r} is neither a file nor a catalog entry: {reason}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["intersect", "principal-g6", "--edges", "1_0"],
+        ["intersect", "principal-g6", "--edges", "\u0661"],
+        ["intersect", "principal-g6", "--edges", "+1"],
+        ["cone", "check", "principal-g\u0663"],
+        ["cone", "check", "principal-g3\n"],
+        ["cone", "check", "principal-g2-level-" + "1" * 5000],
+        ["cone", "check", "principal-g" + "9" * 4000],
+    ], ids=["edges-underscore", "edges-arabic-indic", "edges-plus", "name-arabic-indic",
+            "name-newline", "name-5000-digit-level", "name-4000-digit-genus"])
+    def test_integer_arguments_read_as_decode_int_reads(self, argv, tmp_path, monkeypatch,
+                                                        capsys):
+        # int() and \d read the first five as edges 10, 1 and 1 and as the
+        # genus-3 cone; the long names gave Python's digit-limit line and an
+        # 8102-character one
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SIEGELTORIC_CONFIG", raising=False)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and line.startswith("error:") and len(line) < 400, line
+        assert ("bad --edges list" if argv[0] == "intersect"
+                else "is neither a file nor a catalog entry") in line, line
+
+    def test_edges_list_takes_spaces_around_its_parts(self, capsys):
+        assert main(["intersect", "principal-g3", "--edges", " 0, 1 ,"]) == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == [0, 1]
 
     def test_bad_run_config_is_two(self, tmp_path, monkeypatch, capsys):
         assert run_cli("ma", "verify", "principal-g2", "--randomized",

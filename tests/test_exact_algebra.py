@@ -209,6 +209,13 @@ class TestArithmetic:
                                       for e, c in random_poly(rng, nvars).terms.items()})
                     for _ in range(2))
             assert all(type(c) is int for c in (a * b).terms.values()), (a, b)
+            # and evaluate to an int at an integer point, an integral
+            # Fraction entry read as an int
+            pt = [rng.randint(-5, 5) for _ in range(nvars)]
+            for p in (a, a * b):
+                val = p.eval_at([Fraction(2 * v, 2) for v in pt])
+                assert type(val) is int and val == oracle.p_eval(p.terms, pt), (p, pt)
+        assert XY_XZ_YZ.eval_at([Fraction(1, 2), 1, 2]) == Fraction(7, 2)
 
     def test_pow(self):
         assert (X + Y) ** 2 == X * X + (X * Y).scale(2) + Y * Y
@@ -373,6 +380,34 @@ class TestPencilDet:
         from siegeltoric.volume_ke import volume_function
         f = pencil_det(volume_function(principal_cone(3)).pencil)
         assert f.num_terms() > 0 and all(type(c) is int for c in f.terms.values())
+
+    def test_principal_cone_is_the_spanning_tree_sum(self):
+        # Kirchhoff: (g+1)^(g-1) terms, each of coefficient 1
+        from siegeltoric.catalog import principal_cone
+        from siegeltoric.volume_ke import volume_function
+        for g in range(1, 7):
+            f = pencil_det(volume_function(principal_cone(g)).pencil)
+            assert f.terms == oracle.spanning_tree_polynomial(g), g
+            assert f.num_terms() == (g + 1) ** (g - 1), g
+
+    def test_translate_in_a_shuffled_marking_permutes_the_tree_sum(self):
+        # det(gamma)^2 = 1, so F of gamma . sigma is F of sigma, re-indexed
+        # by the marking
+        from siegeltoric.catalog import principal_cone
+        from siegeltoric.cone_lattice import GroupElement, MarkedCone, gl_act
+        from siegeltoric.volume_ke import volume_function
+        g, rng = 5, random.Random(4451)
+        gamma = [[int(i == j) for j in range(g)] for i in range(g)]
+        for _ in range(12):
+            i, j = rng.sample(range(g), 2)
+            gamma[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(gamma[i], gamma[j])]
+        moved = gl_act(GroupElement(matrix=gamma), principal_cone(g))
+        perm = list(range(len(moved.generators)))
+        rng.shuffle(perm)
+        shuffled = MarkedCone(g=g, scale=1, generators=[moved.generators[k] for k in perm])
+        f = volume_function(shuffled).F
+        assert f != volume_function(principal_cone(g)).F
+        assert oracle.reindexed(f.terms, perm) == oracle.spanning_tree_polynomial(g)
 
     def test_single_identity(self):
         p = pencil_det([[[1, 0], [0, 1]]])

@@ -1,0 +1,35 @@
+"""Smoke test of tools/frontier_bench.py: its measuring function on two
+short requests, two runs, with this checkout on both sides.  Nothing here
+is timed against a bound."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+
+import frontier_bench  # noqa: E402
+
+SIDE_KEYS = ["exit", "median_s", "q1_s", "q3_s", "runs_s", "stdout_bytes"]
+
+
+def test_measure_records_the_documented_keys(tmp_path):
+    src = os.path.join(frontier_bench.ROOT, "src")
+    requests = [["catalog", "list"], ["cone", "check", "principal-g2"]]
+    records = frontier_bench.measure(requests, {"change": src, "base": src}, 2, str(tmp_path))
+    assert [r["argv"] for r in records] == requests
+    for record in records:
+        assert sorted(record) == ["argv", "base", "change"]
+        for side in ("change", "base"):
+            got = record[side]
+            assert sorted(got) == SIDE_KEYS
+            assert got["exit"] == [0, 0], record
+            assert len(set(got["stdout_bytes"])) == 1 and got["stdout_bytes"][0] > 0
+            assert len(got["runs_s"]) == 2
+            assert 0 < got["q1_s"] <= got["median_s"] <= got["q3_s"]
+
+
+def test_commit_reads_git_head():
+    got = frontier_bench.commit(frontier_bench.ROOT)
+    assert sorted(got) == ["commit", "src_dirty"]
+    assert got["commit"] is None or len(got["commit"]) == 40
+    assert isinstance(got["src_dirty"], bool)

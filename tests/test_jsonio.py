@@ -77,6 +77,17 @@ def test_decode_int_takes_ascii_decimals_only(literal):
         decode_int(literal)
 
 
+def test_decode_int_reads_a_float_integer_below_2_53_only():
+    # from 2^53 on, neighbouring integers share a float: 2^53 + 1 reads as 2^53
+    assert decode_int(-3.0) == -3 and decode_int(-0.0) == 0
+    assert decode_int(9007199254740991.0) == 2 ** 53 - 1
+    for v in (9007199254740992.0, -9007199254740992.0, 1e300):
+        with pytest.raises(InputFormatError, match=rf"^integer {re.escape(repr(v))} written "
+                                                   r"as a float is past 2\^53; write it as "
+                                                   r"an integer or a decimal string$"):
+            decode_int(v)
+
+
 def test_decode_int_reads_negative_and_long_decimals():
     assert decode_int("-3") == -3 and decode_int("0") == 0 and decode_int("-0") == 0
     assert decode_int(str(2 ** 53 + 1)) == 2 ** 53 + 1

@@ -118,8 +118,7 @@ def random_invertible_rows(rng):
             cone_from_rows(rows)
         except Exception:
             continue
-        from siegeltoric.cone_lattice import int_det
-        if int_det(rows) != 0:
+        if rational_det(rows) != 0:
             return rows
 
 

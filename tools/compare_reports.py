@@ -18,17 +18,19 @@ against four seeded GL(3,Z) elements and -I (written there with
 perfbench/inputs.py's `random_frame`), and two `intersect --edges`
 requests (the sorted ray ids of one cone, answered `one`, and a
 selection that is no cone's, answered `zero`) on a fan of 64 GL(3,Z)
-translates of the principal cone with distinct ray sets, which is
-written there too, seeded, with perfbench/inputs.py's `random_frame`,
-`translate` and `ray`; and, past the benchmark's `hodge` requests, which
-stop at genus 3, `hodge siegel`, `riemann`, `nilpotent`, `weight` (depth
-0, so u is 8 x 8) and `block-volume` at genus
-period_domain.HODGE_GENUS_MAX = 8, on seeded points that are written
-there with perfbench/inputs.py's `_siegel_point`.  Every
-request runs once under BASE_CHECKOUT/src and once under this
-checkout's src, and every request whose exit code, stdout or stderr
-differ is listed.  Exits 1 on any difference in exit
-code or stdout; differences in stderr alone are listed, not failed.
+translates of the principal cone with distinct ray sets, and `fan
+check` on one of 128 such translates, both written there too, seeded,
+with perfbench/inputs.py's `random_frame`, `translate` and `ray`; and,
+past the benchmark's `hodge` requests, which stop at genus 3, `hodge
+siegel`, `riemann`, `nilpotent`, `weight` (depth 0, so u is 8 x 8) and
+`block-volume` at genus period_domain.HODGE_GENUS_MAX = 8, on seeded
+points that are written there with perfbench/inputs.py's
+`_siegel_point`.  `frontier_requests` writes these files and lists the
+frontier requests, for tools/frontier_bench.py too.  Every request runs
+once under BASE_CHECKOUT/src and once under this checkout's src, and
+every request whose exit code, stdout or stderr differ is listed.  Exits
+1 on any difference in exit code or stdout; differences in stderr alone
+are listed, not failed.
 """
 
 import json
@@ -62,21 +64,22 @@ FRONTIER = (
     ["ma", "verify", "principal-g24.json", "--symbolic"],
     ["ke", "test", "principal-g24.json"],
     ["fan", "check", "translates-g3.json"],
+    ["fan", "check", "translates-g3-128.json"],
     ["separable", "translates-g3.json", "group-g3.json"],
 )
-FAN_SEED, FAN_SIZE = 3601, 64
+FAN_SEED = 3601
 GROUP_SEED, GROUP_SIZE = 3607, 4
 HODGE_SEED, HODGE_DEPTH = 3613, 3
 
 
-def translate_fan(path):
-    """Write FAN_SIZE GL(3,Z) translates of the principal cone with distinct
+def translate_fan(path, size):
+    """Write `size` GL(3,Z) translates of the principal cone with distinct
     ray sets, each marked at random, to path; return the `intersect
     --edges` lists of one cone's rays and of a selection that is no cone's,
     as indices in the fan's sorted distinct rays."""
     rng = random.Random(FAN_SEED)
     cones, ray_sets = [], []
-    while len(cones) < FAN_SIZE:
+    while len(cones) < size:
         f, _ = inputs.random_frame(rng, 3, rng.randint(1, 4))
         marking = rng.sample(range(6), 6)
         cone = inputs.translate(3, f, marking, f"c{len(cones)}_")
@@ -130,11 +133,27 @@ def hodge_files(tmp):
                                       ("block-volume", "block", ["--tol", "1e-8"]))]
 
 
-def run(src, argv, cwd):
-    env = dict(os.environ, PYTHONPATH=src)
+def frontier_requests(tmp):
+    """Write the frontier fixtures to tmp and return the argv of every
+    frontier request, each to be run from tmp."""
+    with open(os.path.join(tmp, "principal-g24.json"), "w", encoding="utf-8") as fh:
+        json.dump(inputs.cone_json(24, inputs.principal_generators(24)), fh)
+    translate_group(os.path.join(tmp, "group-g3.json"))
+    translate_fan(os.path.join(tmp, "translates-g3-128.json"), 128)
+    frontier = list(FRONTIER) + hodge_files(tmp)
+    for edges in translate_fan(os.path.join(tmp, "translates-g3.json"), 64):
+        frontier.append(["intersect", "translates-g3.json",
+                         "--edges", ",".join(map(str, edges))])
+    return frontier
+
+
+def run(src, argv, cwd, env):
+    """Exit code (or "timeout"), stdout and stderr of one CLI process on
+    src, run from cwd in env with PYTHONPATH=src."""
     try:
         proc = subprocess.run([sys.executable, "-m", "siegeltoric.cli"] + argv, cwd=cwd,
-                              env=env, capture_output=True, timeout=TIMEOUT_S)
+                              env=dict(env, PYTHONPATH=src), capture_output=True,
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout", b"", b""
     return proc.returncode, proc.stdout, proc.stderr
@@ -154,16 +173,10 @@ def main() -> int:
                 workdir = os.path.join(tmp, f"{workload}-{seed}")
                 requests += [(f"{workload} seed {seed} {req.label}", req.argv, workdir)
                              for req in inputs.build(workload, seed, workdir)]
-        with open(os.path.join(tmp, "principal-g24.json"), "w", encoding="utf-8") as fh:
-            json.dump(inputs.cone_json(24, inputs.principal_generators(24)), fh)
-        translate_group(os.path.join(tmp, "group-g3.json"))
-        frontier = list(FRONTIER) + hodge_files(tmp)
-        for edges in translate_fan(os.path.join(tmp, "translates-g3.json")):
-            frontier.append(["intersect", "translates-g3.json",
-                             "--edges", ",".join(map(str, edges))])
-        requests += [(f"frontier {' '.join(argv)}", argv, tmp) for argv in frontier]
+        requests += [(f"frontier {' '.join(argv)}", argv, tmp)
+                     for argv in frontier_requests(tmp)]
         for label, argv, workdir in requests:
-            base, new = (run(src, argv, workdir) for src in sources)
+            base, new = (run(src, argv, workdir, os.environ) for src in sources)
             fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), base, new)
                       if a != b]
             if fields:
