@@ -323,10 +323,7 @@ def _cmd_hodge(args) -> tuple[dict, bool]:
             ok = period_domain.siegel_membership(tau, tol)
             return {"check": "hodge-siegel", "tol": tol, "ok": ok}
         if sub == "riemann":
-            mat = jsonio.complex_matrix_from_json(obj)
-            if len(mat[0]) == len(mat[0][0]):
-                mat = period_domain.filtration_from_tau(mat)
-            ok = period_domain.riemann_check(mat, tol)
+            ok = period_domain.riemann_check(jsonio.complex_matrix_from_json(obj), tol)
             return {"check": "hodge-riemann", "tol": tol, "ok": ok}
         if sub == "weight":
             rank, nullity = period_domain.weight_filtration(_nilpotent_from_json(obj), tol)
@@ -340,8 +337,7 @@ def _cmd_hodge(args) -> tuple[dict, bool]:
         if sub == "nilpotent":
             nilp = _nilpotent_from_json(obj)
             tau_cusp = jsonio.field(obj, "tau_cusp", jsonio.complex_matrix_from_json, None)
-            fdual = period_domain.dual_cusp_filtration(nilp, tau_cusp)
-            ok = period_domain.nilpotent_orbit_check(fdual, nilp, tol)
+            ok = period_domain.nilpotent_orbit_check(nilp, tau_cusp, tol)
             return {"check": "hodge-nilpotent", "tol": tol, "ok": ok}
         # block-volume
         tau_prime, z, s = [jsonio.field(obj, key, jsonio.complex_matrix_from_json)

@@ -125,9 +125,12 @@ def filtration_from_tau(tau: np.ndarray) -> np.ndarray:
 
 @_quiet
 def riemann_check(filt: np.ndarray, tol: float) -> bool:
-    """Riemann bilinear relations for a rank-g filtration basis:
-    F^T psi F = 0 and H = i F^T psi conj(F) positive definite."""
+    """Riemann bilinear relations for a rank-g filtration basis, or for the
+    filtration [tau; I] of a square tau: F^T psi F = 0 and
+    H = i F^T psi conj(F) positive definite."""
     f = complex_array(filt)
+    if f.ndim == 2 and f.shape[0] == f.shape[1]:
+        f = filtration_from_tau(f)
     if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
         raise ValueError(f"filtration must be 2g x g, got {f.shape}")
     g = f.shape[1]
@@ -200,13 +203,11 @@ def dual_cusp_filtration(n: CuspNilpotent, tau_cusp: np.ndarray | None = None) -
     return np.column_stack(cols)
 
 
-def nilpotent_orbit_check(fdual: np.ndarray, n: CuspNilpotent, tol: float) -> bool:
-    """exp(iN) applied to the dual filtration lands in the period domain."""
+def nilpotent_orbit_check(n: CuspNilpotent, tau_cusp: np.ndarray | None, tol: float) -> bool:
+    """exp(iN) applied to the dual cusp filtration lands in the period domain."""
+    fdual = dual_cusp_filtration(n, tau_cusp)
     if not positive_cone_membership(n, tol):
         raise ValueError("nilpotent is not in the positive cone")
-    fdual = complex_array(fdual)
-    if fdual.shape != (2 * n.g, n.g):
-        raise ValueError(f"filtration must be {2 * n.g}x{n.g}, got {fdual.shape}")
     return riemann_check(exp_i_n(n) @ fdual, tol)
 
 

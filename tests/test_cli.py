@@ -33,7 +33,7 @@ RANDOMIZED_BOUND_BUDGET_S = 10.0
 RESIDUE_FRONTIER_BUDGET_S = 10.0
 
 # wall seconds for one fresh `hodge riemann` at the genus bound on entries
-# spread over the binary64 range; about 1.9 s on a 2-CPU machine
+# spread over the binary64 range; about 1.3 s on a 2-CPU machine
 HODGE_BUDGET_S = 5.0
 
 # a 4x2 filtration of full rank whose F^T psi F is not zero

@@ -13,7 +13,11 @@ hodge-block-volume-g3.json, fan-check-pair-fan.json and
 intersect-pair-fan-edges013.json were captured the same way at commit
 b1b6229, and cone-check-volume2-g2.json, cone-volume-volume2-g2.json,
 ma-verify-volume2-g2-symbolic.json and cone-check-index2-g2.json, whose
-cones span lattices of index 2, at commit df74081.
+cones span lattices of index 2, at commit df74081.  The pins
+hodge-riemann-filtration-g2.json, hodge-riemann-first-relation-fails.json
+and hodge-nilpotent-g2-k0.json, the `hodge` paths that no other pin and
+no benchmark request reaches (a 2g x g filtration file, either verdict,
+and a cusp of depth 0), were captured the same way at commit f475c33.
 """
 
 import json
@@ -52,6 +56,14 @@ INPUTS = {
     "tau_g2": {"re": [[0.5, 0.1], [0.1, -0.25]], "im": [[2.0, 0.5], [0.5, 1.0]]},
     "nilpotent_g3": {"g": 3, "k": 1, "u": [[2.0, 0.5], [0.5, 1.0]],
                      "tau_cusp": {"re": [[0.25]], "im": [[1.5]]}},
+    # [tau; I] A for tau = [[0.5, 0.25], [0.25, -0.25]] + i [[2, 0.5], [0.5, 1]]
+    # and A = [[1, 1], [0, 2]]: F^T psi F = A^T (tau - tau^T) A = 0
+    "filtration_g2": {"re": [[0.5, 1.0], [0.25, -0.25], [1, 1], [0, 2]],
+                      "im": [[2.0, 3.0], [0.5, 2.5], [0, 0], [0, 0]]},
+    # full rank, but F^T psi F has the entry -5i
+    "first_relation_fails": {"re": [[1, 0], [5, 1], [0, 0], [0, 0]],
+                             "im": [[0, 0], [0, 0], [1, 0], [0, 1]]},
+    "nilpotent_g2_k0": {"g": 2, "k": 0, "u": [[2.0, 0.5], [0.5, 1.0]]},
     # tau' at genus 1 and Z at genus 2 (tau_g2), glued by a 1x2 S
     "block_g3": {"tau_prime": {"re": [[0.5]], "im": [[2.0]]},
                  "Z": {"re": [[0.5, 0.1], [0.1, -0.25]], "im": [[2.0, 0.5], [0.5, 1.0]]},
@@ -83,6 +95,10 @@ REQUESTS = {
     "hodge-siegel-g2.txt": (["hodge", "siegel", "{tau_g2}", "--output", "text"], 0),
     "hodge-riemann-g2.json": (["hodge", "riemann", "{tau_g2}"], 0),
     "hodge-nilpotent-g3.json": (["hodge", "nilpotent", "{nilpotent_g3}"], 0),
+    "hodge-riemann-filtration-g2.json": (["hodge", "riemann", "{filtration_g2}"], 0),
+    "hodge-riemann-first-relation-fails.json": (
+        ["hodge", "riemann", "{first_relation_fails}"], 1),
+    "hodge-nilpotent-g2-k0.json": (["hodge", "nilpotent", "{nilpotent_g2_k0}"], 0),
     "hodge-block-volume-g3.json": (["hodge", "block-volume", "{block_g3}"], 0),
     "fan-check-pair-fan.json": (["fan", "check", "{pair_fan}"], 0),
     # rays 0 and 1 lie in the second cone only, ray 3 in the first only

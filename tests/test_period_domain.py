@@ -12,8 +12,6 @@ from siegeltoric import period_domain as exact
 from siegeltoric.period_domain import (
     CuspNilpotent,
     block_volume_identity,
-    dual_cusp_filtration,
-    filtration_from_tau,
     nilpotent_orbit_check,
     positive_cone_membership,
     riemann_check,
@@ -22,6 +20,7 @@ from siegeltoric.period_domain import (
 )
 from siegeltoric.volume_ke import CostGuardError
 
+from filtration_oracle import dual_cusp_filtration, filtration_from_tau, nilpotent_matrix
 import period_domain_oracle as oracle
 from period_domain_oracle import complex_array, exact_pair, exact_rows, random_siegel_point
 from test_cli import FIRST_RELATION_FAILS
@@ -86,8 +85,8 @@ class TestFiltration:
         assert all(type(v) is Fraction for part in (re, im) for row in part for v in row)
 
     def test_membership_enforced(self):
-        with pytest.raises(ValueError):
-            filtration_from_tau(exact_pair(np.eye(2)))
+        with pytest.raises(ValueError, match="tau is not in the Siegel space"):
+            riemann_check(exact_pair(np.eye(2)), TOL)
 
 
 class TestRiemannCheck:
@@ -149,7 +148,7 @@ class TestPositiveCone:
     def test_block_layout(self):
         u = np.array([[5.0]])
         n = CuspNilpotent(g=2, k=1, u=exact_rows(u))
-        mat = np.array(n.matrix, dtype=float)
+        mat = np.array(nilpotent_matrix(n), dtype=float)
         assert mat[1, 3] == 5.0
         assert np.count_nonzero(mat) == 1
 
@@ -158,7 +157,7 @@ class TestPositiveCone:
         for g, k in ((2, 0), (2, 1), (3, 1), (3, 2)):
             q = rng.standard_normal((g - k, g - k))
             n = CuspNilpotent(g=g, k=k, u=exact_rows(q @ q.T + 0.1 * np.eye(g - k)))
-            mat = np.array(n.matrix, dtype=float)
+            mat = np.array(nilpotent_matrix(n), dtype=float)
             assert np.max(np.abs(mat @ mat)) == 0
 
     def test_zero_block_rejected(self):
@@ -193,17 +192,16 @@ class TestNilpotentOrbit:
         n = oracle.CuspNilpotent(g=3, k=1, u=np.eye(2))
         assert not (n.matrix @ n.matrix).any()
         assert np.array_equal(oracle.exp_i_n(n), np.eye(6) + 1j * n.matrix)
-        assert np.array_equal(n.matrix, CuspNilpotent(g=3, k=1, u=exact_rows(np.eye(2))).matrix)
+        assert np.array_equal(n.matrix,
+                              nilpotent_matrix(CuspNilpotent(g=3, k=1, u=exact_rows(np.eye(2)))))
 
     def test_minimal_cusp_identity_block(self):
         n = CuspNilpotent(g=2, k=0, u=exact_rows(np.eye(2)))
-        fdual = dual_cusp_filtration(n)
-        assert nilpotent_orbit_check(fdual, n, TOL)
+        assert nilpotent_orbit_check(n, None, TOL)
 
     def test_depth_one_with_cusp_point(self):
         n = CuspNilpotent(g=2, k=1, u=exact_rows(np.array([[1.0]])))
-        fdual = dual_cusp_filtration(n, tau_cusp=exact_pair([[1j]]))
-        assert nilpotent_orbit_check(fdual, n, TOL)
+        assert nilpotent_orbit_check(n, exact_pair([[1j]]), TOL)
 
     def test_orbit_lands_on_block_diagonal_point(self):
         # exp(iN) Fdual spans the filtration of diag(tau_cusp, i*u)
@@ -224,9 +222,8 @@ class TestNilpotentOrbit:
 
     def test_indefinite_u_rejected(self):
         n = CuspNilpotent(g=2, k=0, u=exact_rows(-np.eye(2)))
-        fdual = dual_cusp_filtration(n)
         with pytest.raises(ValueError):
-            nilpotent_orbit_check(fdual, n, TOL)
+            nilpotent_orbit_check(n, None, TOL)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(41)
@@ -237,8 +234,7 @@ class TestNilpotentOrbit:
             u = q @ q.T + 0.1 * np.eye(g - k)
             tau_c = exact_pair(random_siegel_point(k, rng)) if k else None
             n = CuspNilpotent(g=g, k=k, u=exact_rows(u))
-            fdual = dual_cusp_filtration(n, tau_c)
-            assert nilpotent_orbit_check(fdual, n, TOL)
+            assert nilpotent_orbit_check(n, tau_c, TOL)
 
 
 def _well_conditioned_im(g, rng):
