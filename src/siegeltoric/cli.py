@@ -51,10 +51,6 @@ CONFIG_ENV_VAR = "SIEGELTORIC_CONFIG"
 _DEFAULTS = {"seed": 0, "trials": 20, "tol": 1e-9, "output": "json"}
 
 
-class InputError(ValueError):
-    pass
-
-
 def _resolve_settings(args) -> None:
     """Check each run setting and write it onto args: a flag wins over the
     SIEGELTORIC_CONFIG file, which wins over _DEFAULTS."""
@@ -63,25 +59,25 @@ def _resolve_settings(args) -> None:
     if path:
         data = _load_json(path)
         if not isinstance(data, dict):
-            raise InputError(f"config {path} must hold a JSON object")
+            raise ValueError(f"config {path} must hold a JSON object")
         unknown = sorted(set(data) - set(_DEFAULTS))
         if unknown:
-            raise InputError(f"config {path}: unknown key {jsonio.quote(unknown[0])}")
+            raise ValueError(f"config {path}: unknown key {jsonio.quote(unknown[0])}")
         values.update(data)
     values.update((name, value) for name, value in vars(args).items()
                   if name in _DEFAULTS)
     for name in ("seed", "trials"):
         if isinstance(values[name], bool) or not isinstance(values[name], int):
-            raise InputError(f"{name} must be an integer, got {jsonio.quote(values[name])}")
+            raise ValueError(f"{name} must be an integer, got {jsonio.quote(values[name])}")
     if values["trials"] < 1:
-        raise InputError("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     tol = values["tol"]
     # compared, not converted: an int past binary64 fails like inf and nan
     if (isinstance(tol, bool) or not isinstance(tol, (int, float))
             or not 0 < tol <= sys.float_info.max):
-        raise InputError(f"tol must be a finite positive number, got {jsonio.quote(tol)}")
+        raise ValueError(f"tol must be a finite positive number, got {jsonio.quote(tol)}")
     if values["output"] not in ("json", "text"):
-        raise InputError(f"unknown output mode {jsonio.quote(values['output'])}")
+        raise ValueError(f"unknown output mode {jsonio.quote(values['output'])}")
     vars(args).update(values)
 
 
@@ -90,17 +86,17 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
+        raise ValueError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise ValueError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+        raise ValueError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     except ValueError as exc:   # a number past the int-to-str digit limit
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     except RecursionError:
-        raise InputError(f"{path} is nested too deeply to read") from None
+        raise ValueError(f"{path} is nested too deeply to read") from None
 
 
 def _read(path: str, parse):
@@ -109,7 +105,7 @@ def _read(path: str, parse):
     try:
         return parse(obj)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _resolve_cone(spec: str, parse):
@@ -120,7 +116,7 @@ def _resolve_cone(spec: str, parse):
     try:
         return catalog_mod.catalog_get(spec).cone
     except catalog_mod.UnknownCatalogEntryError as exc:
-        raise InputError(
+        raise ValueError(
             f"{jsonio.quote(spec)} is neither a file nor a catalog entry: {exc.args[0]}") from None
 
 
@@ -223,7 +219,7 @@ def _parse_edge_list(text: str) -> list[int]:
     try:
         return [jsonio.decode_int(part.strip()) for part in text.split(",") if part.strip()]
     except jsonio.InputFormatError as exc:
-        raise InputError(f"bad --edges list {jsonio.quote(text)}") from exc
+        raise ValueError(f"bad --edges list {jsonio.quote(text)}") from exc
 
 
 def _cone_or_fan(obj):
@@ -281,7 +277,7 @@ def _cmd_separable(args) -> tuple[dict, bool]:
         group = jsonio.group_from_json(obj)
         for i, gamma in enumerate(group):
             if gamma.g != fan.g:
-                raise InputError(
+                raise ValueError(
                     f"group element {i} is {gamma.g}x{gamma.g}, fan has g={fan.g}")
         return group
 

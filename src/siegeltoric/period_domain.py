@@ -302,10 +302,12 @@ def nilpotent_orbit_check(n: CuspNilpotent, tau_cusp: CMatrix | None, tol: float
     domain: the Riemann check at diag(tau_cusp, i u), with u and tau_cusp
     as given.  That filtration is spanned by e_{g+k+1}..e_{2g} and by the
     depth-k Siegel point tau_cusp in the symplectic block (e_1..e_k;
-    e_{g+1}..e_{g+k}); for k = 0 tau_cusp must be omitted."""
+    e_{g+1}..e_{g+k}).  For k = 0 tau_cusp must be None: any given factor,
+    one with empty rows included, is refused with `depth k=0 has no cusp
+    Siegel factor`."""
     g, k = n.g, n.k
     if k == 0:
-        if tau_cusp is not None and any(len(row) for row in tau_cusp[0]):
+        if tau_cusp is not None:
             raise ValueError("depth k=0 has no cusp Siegel factor")
     else:
         if tau_cusp is None:

@@ -56,7 +56,7 @@ def dual_cusp_filtration(n, tau_cusp=None):
     re = [[Fraction(0)] * g for _ in range(2 * g)]
     im = [[Fraction(0)] * g for _ in range(2 * g)]
     if k == 0:
-        if tau_cusp is not None and any(len(row) for row in tau_cusp[0]):
+        if tau_cusp is not None:
             raise ValueError("depth k=0 has no cusp Siegel factor")
     else:
         if tau_cusp is None:

@@ -181,7 +181,7 @@ def dual_cusp_filtration(n: CuspNilpotent, tau_cusp: np.ndarray | None = None) -
     """
     g, k = n.g, n.k
     if k == 0:
-        if tau_cusp is not None and complex_array(tau_cusp).size:
+        if tau_cusp is not None:
             raise ValueError("depth k=0 has no cusp Siegel factor")
         cols = []
     else:

@@ -386,6 +386,9 @@ class TestExitCodes:
         ("nilpotent", {"g": 2, "k": 0, "u": [[1.0, 0.0], [0.0, 1.0]],
                        "tau_cusp": {"re": [[0.0]], "im": [[1.0]]}},
          "depth k=0 has no cusp Siegel factor"),
+        ("nilpotent", {"g": 2, "k": 0, "u": [[2, 0], [0, 2]],
+                       "tau_cusp": {"re": [[]], "im": [[]]}},
+         "depth k=0 has no cusp Siegel factor"),
         ("nilpotent", {"g": 2, "k": 1, "u": [[1.0]]}, "tau_cusp must be 1x1, got none"),
         ("block-volume", {"tau_prime": {"re": [[0.0]], "im": [[1.0]]},
                           "Z": {"re": [[0.0]], "im": [[-1.0]]},
@@ -393,7 +396,7 @@ class TestExitCodes:
          "Z is not in its Siegel space"),
     ], ids=["weight-list", "nilpotent-list", "block-volume-list", "block-volume-no-Z",
             "riemann-empty", "riemann-number", "riemann-1x3", "nilpotent-depth-0-cusp",
-            "nilpotent-no-cusp", "block-volume-z-outside"])
+            "nilpotent-depth-0-empty-cusp", "nilpotent-no-cusp", "block-volume-z-outside"])
     def test_bad_hodge_file_is_two(self, sub, obj, message, tmp_path):
         path = tmp_path / "hodge.json"
         path.write_text(json.dumps(obj))

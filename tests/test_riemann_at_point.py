@@ -164,7 +164,8 @@ NEGATIVE = [[Fraction(-1)]]
     # each fault first, with a later fault present where one can be
     (2, 0, [[-1, 0], [0, -1]], _pair([[0]], [[1]]), 1.5,
      "ValueError: depth k=0 has no cusp Siegel factor"),
-    (2, 0, [[2, 0], [0, 2]], _pair([[]], [[]]), 1e-9, True),
+    (2, 0, [[2, 0], [0, 2]], _pair([[]], [[]]), 1e-9,
+     "ValueError: depth k=0 has no cusp Siegel factor"),
     (2, 1, NEGATIVE, None, 1.5, "ValueError: tau_cusp must be 1x1, got none"),
     (2, 1, NEGATIVE, _pair([[0, 0], [0, 0]], [[1, 0], [0, 1]]), 1.5,
      "ValueError: tau_cusp must be 1x1, got 2x2"),
