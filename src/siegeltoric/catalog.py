@@ -15,11 +15,7 @@ import re
 from typing import NamedTuple
 
 from .cone_lattice import MarkedCone, quote, zeta_matrix
-from .jsonio import InputFormatError, decode_int
-
-
-class UnknownCatalogEntryError(KeyError):
-    pass
+from .jsonio import decode_int
 
 
 class CatalogEntry(NamedTuple):
@@ -58,8 +54,8 @@ def _number(digits: str, what: str, name: str) -> int:
     names no entry."""
     try:
         return decode_int(digits)
-    except InputFormatError:
-        raise UnknownCatalogEntryError(f"{what} is too long in {quote(name)}") from None
+    except ValueError:
+        raise ValueError(f"{what} is too long in {quote(name)}") from None
 
 
 def catalog_get(name: str) -> CatalogEntry:
@@ -67,7 +63,7 @@ def catalog_get(name: str) -> CatalogEntry:
     if m:
         g = _number(m.group(1), "genus", name)
         if not 1 <= g <= PRINCIPAL_GENUS_MAX:
-            raise UnknownCatalogEntryError(
+            raise ValueError(
                 f"genus must be in [1, {PRINCIPAL_GENUS_MAX}] in {quote(name)}")
         return CatalogEntry(
             name=name, cone=principal_cone(g, 1),
@@ -77,12 +73,12 @@ def catalog_get(name: str) -> CatalogEntry:
     if m:
         level = _number(m.group(1), "level", name)
         if level < 1:
-            raise UnknownCatalogEntryError(f"level must be positive in {quote(name)}")
+            raise ValueError(f"level must be positive in {quote(name)}")
         return CatalogEntry(
             name=name, cone=principal_cone(2, level),
             provenance="principal cone of the central cone decomposition, "
                        f"genus 2, principal congruence level {level}")
-    raise UnknownCatalogEntryError(f"no catalog entry named {quote(name)}")
+    raise ValueError(f"no catalog entry named {quote(name)}")
 
 
 def catalog_names() -> list[str]:

@@ -115,9 +115,9 @@ def _resolve_cone(spec: str, parse):
         return _read(spec, parse)
     try:
         return catalog_mod.catalog_get(spec).cone
-    except catalog_mod.UnknownCatalogEntryError as exc:
+    except ValueError as exc:
         raise ValueError(
-            f"{jsonio.quote(spec)} is neither a file nor a catalog entry: {exc.args[0]}") from None
+            f"{jsonio.quote(spec)} is neither a file nor a catalog entry: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +218,7 @@ def _cmd_residue(args) -> tuple[dict, bool]:
 def _parse_edge_list(text: str) -> list[int]:
     try:
         return [jsonio.decode_int(part.strip()) for part in text.split(",") if part.strip()]
-    except jsonio.InputFormatError as exc:
+    except ValueError as exc:
         raise ValueError(f"bad --edges list {jsonio.quote(text)}") from exc
 
 

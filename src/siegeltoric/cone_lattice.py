@@ -35,16 +35,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 _QUOTE_MAX = 40   # characters of a rejected value quoted in an error
 
 
-class DegenerateConeError(ValueError):
-    """The generators do not span a full-dimensional cone."""
-
-
 class ConeShapeError(ValueError):
     """Structurally invalid cone or group data."""
-
-
-class NotInLatticeError(ConeShapeError):
-    """Matrix entries are not divisible by the lattice scale."""
 
 
 def _unlimited_digits(fn, *args):
@@ -316,7 +308,7 @@ class MarkedCone:
             for i, j in delta_index_pairs(g):
                 v = m[i][j]
                 if v % scale:
-                    raise NotInLatticeError(
+                    raise ConeShapeError(
                         f"entry ({i + 1},{j + 1})={quote(v)} not divisible by scale {quote(scale)}")
                 c.append(v // scale)
             if not any(c):
@@ -337,7 +329,10 @@ class MarkedCone:
                 raise ConeShapeError(f"generators {dup[0]} and {dup[1]} are proportional")
             raise ConeShapeError("generators are linearly dependent (cone not simplicial)")
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(labels)
+            for i, s in enumerate(labels):
+                if type(s) is not str:
+                    raise ConeShapeError(f"label {i} is not a string, got {quote(s)}")
             if len(labels) != len(gens):
                 raise ConeShapeError("labels/generators length mismatch")
         self.g = g
@@ -416,7 +411,7 @@ def lattice_volume(c: MarkedCone) -> int:
     lattice_index); needs all N generators."""
     n = sym_dim(c.g)
     if len(c.coords) != n:
-        raise DegenerateConeError(
+        raise ValueError(
             f"lattice volume needs {n} generators, cone has {len(c.coords)}")
     return c.index
 

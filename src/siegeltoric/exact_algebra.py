@@ -22,14 +22,6 @@ from typing import Mapping, Sequence
 Exponent = tuple[int, ...]
 
 
-class DimensionError(ValueError):
-    """Operands have incompatible variable counts or matrix shapes."""
-
-
-class ZeroPolynomialError(ValueError):
-    """An operation that needs a nonzero polynomial got the zero one."""
-
-
 def _exact(v, what: str) -> Fraction | int:
     """An int or a Fraction v as the package stores a number, an integral
     one as an int; else ValueError: Fraction() would read 0.1 as its binary
@@ -54,7 +46,7 @@ class MultiPoly:
         if type(nvars) is not int:
             raise ValueError(f"nvars must be an int, got {nvars!r}")
         if nvars < 0:
-            raise DimensionError(f"nvars must be nonnegative, got {nvars}")
+            raise ValueError(f"nvars must be nonnegative, got {nvars}")
         object.__setattr__(self, "nvars", nvars)
         clean: dict[Exponent, Fraction | int] = {}
         if terms:
@@ -63,7 +55,7 @@ class MultiPoly:
                 if any(type(e) is not int for e in exp):
                     raise ValueError(f"non-int exponent in {exp}")
                 if len(exp) != nvars:
-                    raise DimensionError(
+                    raise ValueError(
                         f"exponent {exp} has length {len(exp)}, expected {nvars}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
@@ -123,11 +115,11 @@ class MultiPoly:
 
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self.nvars:
-            raise DimensionError(f"variable index {var} out of range for nvars={self.nvars}")
+            raise ValueError(f"variable index {var} out of range for nvars={self.nvars}")
 
     def _check_compatible(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars:
-            raise DimensionError(
+            raise ValueError(
                 f"mismatched variable counts: {self.nvars} vs {other.nvars}")
 
     # ------------------------------------------------------------------
@@ -207,7 +199,7 @@ class MultiPoly:
         and the point are integral."""
         vals = [_exact(v, "point entry") for v in point]
         if len(vals) != self.nvars:
-            raise DimensionError(
+            raise ValueError(
                 f"point has length {len(vals)}, expected {self.nvars}")
         # Cache powers per variable; exponents repeat heavily.
         pow_cache: list[dict[int, Fraction | int]] = [dict() for _ in range(self.nvars)]
@@ -237,7 +229,7 @@ class MultiPoly:
         """
         self._check_var(var)
         if not self._terms:
-            raise ZeroPolynomialError("leading coefficient of the zero polynomial")
+            raise ValueError("leading coefficient of the zero polynomial")
         d = self.degree_in(var)
         out: dict[Exponent, Fraction | int] = {}
         for exp, c in self._terms.items():
@@ -273,15 +265,15 @@ class PolyMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Sequence[MultiPoly]):
         if rows < 1 or cols < 1:
-            raise DimensionError("matrix dimensions must be positive")
+            raise ValueError("matrix dimensions must be positive")
         entries = list(entries)
         if len(entries) != rows * cols:
-            raise DimensionError(
+            raise ValueError(
                 f"expected {rows * cols} entries, got {len(entries)}")
         nvars = entries[0].nvars
         for e in entries:
             if e.nvars != nvars:
-                raise DimensionError("entries disagree on variable count")
+                raise ValueError("entries disagree on variable count")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "nvars", nvars)
@@ -303,7 +295,7 @@ class PolyMatrix:
         small as the minors themselves.
         """
         if not self.is_square():
-            raise DimensionError(f"determinant of a {self.rows}x{self.cols} matrix")
+            raise ValueError(f"determinant of a {self.rows}x{self.cols} matrix")
         return _det_laplace_memo([self.row(i) for i in range(self.rows)])
 
 
@@ -343,15 +335,15 @@ RationalMatrix = Sequence[Sequence[Fraction | int]]
 
 def pencil_size(mats: Sequence[RationalMatrix]) -> int:
     """The common size g of a pencil of symmetric g x g matrices, compared
-    as given below the diagonal; else DimensionError on the first fault."""
+    as given below the diagonal; else ValueError on the first fault."""
     if not mats:
-        raise DimensionError("empty pencil")
+        raise ValueError("empty pencil")
     g = len(mats[0])
     for idx, mat in enumerate(mats):
         if len(mat) != g or any(len(row) != g for row in mat):
-            raise DimensionError(f"pencil matrix {idx} is not {g}x{g}")
+            raise ValueError(f"pencil matrix {idx} is not {g}x{g}")
         if any(mat[i][j] != mat[j][i] for i in range(g) for j in range(i)):
-            raise DimensionError(f"pencil matrix {idx} is not symmetric")
+            raise ValueError(f"pencil matrix {idx} is not symmetric")
     return g
 
 

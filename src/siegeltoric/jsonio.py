@@ -25,34 +25,30 @@ from .exact_algebra import MultiPoly, poly_to_json
 INT_JSON_MAX = 2 ** 53
 
 
-class InputFormatError(ValueError):
-    pass
-
-
 def encode_int(v: int):
     return v if abs(v) <= INT_JSON_MAX else str(v)
 
 
 def decode_int(v) -> int:
     if isinstance(v, bool):
-        raise InputFormatError(f"expected integer, got {quote(v)}")
+        raise ValueError(f"expected integer, got {quote(v)}")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
         # int() would also read " 3", "1_0", "+5" and non-ASCII digits
         if not (v.isascii() and v.removeprefix("-").isdigit()):
-            raise InputFormatError(f"bad integer literal {quote(v)}")
+            raise ValueError(f"bad integer literal {quote(v)}")
         try:
             return int(v)
         except ValueError as exc:  # past Python's int-to-str digit limit
-            raise InputFormatError(f"bad integer literal {quote(v)}: {exc}") from exc
+            raise ValueError(f"bad integer literal {quote(v)}: {exc}") from exc
     if isinstance(v, float) and v.is_integer():
         # from 2^53 on, a float no longer pins one integer: 2^53 + 1 reads as 2^53
         if abs(v) >= INT_JSON_MAX:
-            raise InputFormatError(f"integer {quote(v)} written as a float is past 2^53; "
-                                   "write it as an integer or a decimal string")
+            raise ValueError(f"integer {quote(v)} written as a float is past 2^53; "
+                             "write it as an integer or a decimal string")
         return int(v)
-    raise InputFormatError(f"expected integer, got {quote(v)}")
+    raise ValueError(f"expected integer, got {quote(v)}")
 
 
 _REQUIRED = object()
@@ -62,18 +58,18 @@ def field(obj, key: str, parse, default=_REQUIRED):
     """parse(obj[key]) from a JSON object; an absent or null value gives
     default, and is an error when no default is given."""
     if not isinstance(obj, Mapping):
-        raise InputFormatError(f"expected a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     value = obj.get(key)
     if value is not None:
         return parse(value)
     if default is _REQUIRED:
-        raise InputFormatError(f"missing key {key!r}")
+        raise ValueError(f"missing key {key!r}")
     return default
 
 
 def _check_rows(obj) -> None:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise InputFormatError("matrix must be a nonempty list of rows")
+        raise ValueError("matrix must be a nonempty list of rows")
 
 
 def int_matrix_from_json(obj) -> tuple[tuple[int, ...], ...]:
@@ -94,27 +90,26 @@ def cone_from_json(obj: Mapping) -> MarkedCone:
         scale = decode_int(obj.get("scale", 1))
         gens = tuple(int_matrix_from_json(m) for m in obj["generators"])
     except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad cone object: {exc}") from exc
+        raise ValueError(f"bad cone object: {exc}") from exc
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list):
-            raise InputFormatError("cone 'labels' must be a list")
-        labels = tuple(str(s) for s in labels)
+            raise ValueError("cone 'labels' must be a list")
     try:
         return MarkedCone(g=g, scale=scale, generators=gens, labels=labels)
     except ConeShapeError as exc:
-        raise InputFormatError(f"invalid cone: {exc}") from exc
+        raise ValueError(f"invalid cone: {exc}") from exc
 
 
 def group_element_from_json(obj: Mapping) -> GroupElement:
     try:
         mat = int_matrix_from_json(obj["matrix"])
     except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad group element object: {exc}") from exc
+        raise ValueError(f"bad group element object: {exc}") from exc
     try:
         return GroupElement(matrix=mat)
     except ConeShapeError as exc:
-        raise InputFormatError(f"invalid group element: {exc}") from exc
+        raise ValueError(f"invalid group element: {exc}") from exc
 
 
 def _entries(items: list, parse, what: str) -> list:
@@ -125,7 +120,7 @@ def _entries(items: list, parse, what: str) -> list:
         try:
             out.append(parse(item))
         except ValueError as exc:
-            raise InputFormatError(f"{what} {i}: {exc}") from exc
+            raise ValueError(f"{what} {i}: {exc}") from exc
     return out
 
 
@@ -138,17 +133,17 @@ def group_from_json(obj) -> list[GroupElement]:
         return [group_element_from_json(obj)]
     if isinstance(obj, list):
         return _entries(obj, group_element_from_json, "element")
-    raise InputFormatError("group file must hold an element or a list of elements")
+    raise ValueError("group file must hold an element or a list of elements")
 
 
 def fan_from_json(obj: Mapping) -> Fan:
     if not isinstance(obj, Mapping) or not isinstance(obj.get("cones"), list):
-        raise InputFormatError("fan file needs a 'cones' list")
+        raise ValueError("fan file needs a 'cones' list")
     cones = _entries(obj["cones"], cone_from_json, "cone")
     try:
         return Fan(cones=cones)
     except ConeShapeError as exc:
-        raise InputFormatError(f"invalid fan: {exc}") from exc
+        raise ValueError(f"invalid fan: {exc}") from exc
 
 
 def _finite_rows(obj, what: str) -> list[list[Fraction]]:
@@ -156,15 +151,15 @@ def _finite_rows(obj, what: str) -> list[list[Fraction]]:
     read as a binary64 number and kept as the rational it is."""
     for v in (v for row in obj for v in row):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputFormatError(f"{what} entries must be numbers, got {quote(v)}")
+            raise ValueError(f"{what} entries must be numbers, got {quote(v)}")
     if any(len(row) != len(obj[0]) for row in obj):
-        raise InputFormatError(f"bad {what}: rows have unequal lengths")
+        raise ValueError(f"bad {what}: rows have unequal lengths")
     try:
         rows = [[float(v) for v in row] for row in obj]
     except OverflowError as exc:
-        raise InputFormatError(f"bad {what}: {exc}") from exc
+        raise ValueError(f"bad {what}: {exc}") from exc
     if not all(math.isfinite(v) for row in rows for v in row):
-        raise InputFormatError(f"{what} has a non-finite entry")
+        raise ValueError(f"{what} has a non-finite entry")
     return [[Fraction(v) for v in row] for row in rows]
 
 
@@ -181,13 +176,13 @@ def complex_matrix_from_json(obj: Mapping) -> tuple[list[list[Fraction]], list[l
     try:
         re_obj, im_obj = obj["re"], obj["im"]
     except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad complex matrix: {exc}") from exc
+        raise ValueError(f"bad complex matrix: {exc}") from exc
     _check_rows(re_obj)
     _check_rows(im_obj)
     re_rows = _finite_rows(re_obj, "complex matrix")
     im_rows = _finite_rows(im_obj, "complex matrix")
     if len(re_rows) != len(im_rows) or len(re_rows[0]) != len(im_rows[0]):
-        raise InputFormatError("re/im shapes disagree")
+        raise ValueError("re/im shapes disagree")
     return re_rows, im_rows
 
 

@@ -81,14 +81,13 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .cone_lattice import (
-    DegenerateConeError,
     MarkedCone,
     delta_index_pairs,
     int_det_adjugate,
     rational_det,
     sym_dim,
 )
-from .exact_algebra import DimensionError, MultiPoly, pencil_det, pencil_size
+from .exact_algebra import MultiPoly, pencil_det, pencil_size
 
 RANDOM_COORD_MAX = 10 ** 6
 
@@ -138,7 +137,7 @@ def volume_function(c: MarkedCone) -> VolumeFunction:
     their span holds I."""
     n = sym_dim(c.g)
     if len(c.generators) != n:
-        raise DegenerateConeError(
+        raise ValueError(
             f"volume polynomial needs {n} generators, cone has {len(c.generators)}")
     pencil = tuple(tuple(tuple(v // c.scale for v in row) for row in m) for m in c.generators)
     return VolumeFunction(pencil=pencil, vol=c.index)
@@ -244,13 +243,13 @@ def verify_ma_identity(v: VolumeFunction, trials: int = 20, seed: int = 0) -> MA
 def is_ke_point(c: MarkedCone) -> bool:
     """Membership of c's pencil in the variety cut out by the Monge-Ampere
     coefficient equations: det(T) = (-1)^N 2^(g(g-1)/2) vol^2
-    F^((g+1)(g-1)).  A cone without N generators raises DimensionError.
+    F^((g+1)(g-1)).  A cone without N generators raises ValueError.
     Otherwise this is True: the closed form (module docstring) makes det(T)
     the right side with vol^2 = det(M)^2, and the pencil of the generators
     over c.scale has |det M| = c.index >= 1 (lattice_index), which
     MarkedCone checked when it was built.
     """
     if len(c.generators) != c.nvars:
-        raise DimensionError(
+        raise ValueError(
             f"expected {c.nvars} matrices for g={c.g}, got {len(c.generators)}")
     return True

@@ -1,5 +1,6 @@
 """Every public top-level function and class of the package is used by the
-package itself, and the package namespace holds only `__version__`.
+package itself, the package namespace holds only `__version__`, and the
+package defines two exception classes.
 
 A name that only tests call belongs in an oracle module under tests/, not
 in src/.  The scan parses each module of src/siegeltoric/ and counts a name
@@ -9,6 +10,7 @@ its own definition.  Callers import each name from its module, so
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -84,3 +86,19 @@ def test_package_namespace_is_only_the_version():
                           env=dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE)),
                           timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_two_exception_classes():
+    # every input fault is a ValueError; a subclass exists only where a
+    # handler or a report tells it apart
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for _, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_exception(b) for b in bases.get(name, ()))
+
+    assert sorted(n for n in bases if is_exception(n)) == ["ConeShapeError", "CostGuardError"]

@@ -1,10 +1,11 @@
 """Builtin catalog contents."""
 
+import re
+
 import pytest
 
 from siegeltoric.catalog import (
     PRINCIPAL_GENUS_MAX,
-    UnknownCatalogEntryError,
     catalog_get,
     catalog_names,
     principal_cone,
@@ -31,7 +32,7 @@ def test_principal_g3_has_six_generators():
 
 
 def test_unknown_name():
-    with pytest.raises(UnknownCatalogEntryError):
+    with pytest.raises(ValueError, match=r"^no catalog entry named 'nope'$"):
         catalog_get("nope")
 
 
@@ -49,9 +50,12 @@ def test_genus_family_resolves_unlisted():
         assert lattice_volume(entry.cone) == 1 and is_regular(entry.cone)
         assert entry.provenance.endswith(f"genus {g}, full level")
     assert catalog_names() == ["principal-g2", "principal-g3", "principal-g2-level-3"]
-    for name in ("principal-g0", f"principal-g{PRINCIPAL_GENUS_MAX + 1}", "principal-g-2"):
-        with pytest.raises(UnknownCatalogEntryError):
+    for name in ("principal-g0", f"principal-g{PRINCIPAL_GENUS_MAX + 1}"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"genus must be in [1, {PRINCIPAL_GENUS_MAX}] in {name!r}") + "$"):
             catalog_get(name)
+    with pytest.raises(ValueError, match=r"^no catalog entry named 'principal-g-2'$"):
+        catalog_get("principal-g-2")
 
 
 def test_listed_provenance_bytes():

@@ -286,9 +286,10 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stdout
         assert "out of range" in proc.stderr
 
-    @pytest.mark.parametrize("content", [b'{"g": 2, "\xff": 1}', b"[" * 100000,
-                                         b'{"g": 2, "generators": []}'],
-                             ids=["non-utf8", "nested-too-deeply", "no-generators"])
+    @pytest.mark.parametrize("content", [
+        b'{"g": 2, "\xff": 1}', b"[" * 100000, b'{"g": 2, "generators": []}',
+        b'{"g": 2, "generators": [[[1,0],[0,0]], [[0,0],[0,1]]], "labels": [null, true]}',
+    ], ids=["non-utf8", "nested-too-deeply", "no-generators", "labels-null"])
     def test_unreadable_cone_file_is_two(self, content, tmp_path):
         path = tmp_path / "cone.json"
         path.write_bytes(content)
@@ -334,6 +335,9 @@ class TestExitCodes:
         ({"cones": None}, "fan file needs a 'cones' list"),
         ({"cones": [{"g": 1, "scale": 1, "generators": [[[1]]], "labels": 5}]},
          "cone 0: cone 'labels' must be a list"),
+        ({"cones": [{"g": 2, "generators": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                     "labels": [None, True]}]},
+         "cone 0: invalid cone: label 0 is not a string, got None"),
         ({"cones": [{"g": 2, "scale": 1, "generators": [[[1, 0], [0, 0]]]},
                     {"g": 2, "scale": 1, "generators": [[[0, 1], [0, 0]]]}]},
          "cone 1: invalid cone: generator 0 is not symmetric"),
@@ -341,7 +345,7 @@ class TestExitCodes:
                     {"g": 2, "scale": 1, "generators": [[[1, 0], [0, 0]]]}]},
          "invalid fan: fan cones disagree on g or scale"),
         ({"cones": []}, "invalid fan: empty fan"),
-    ], ids=["top-level-number", "cones-number", "cones-null", "labels-number",
+    ], ids=["top-level-number", "cones-number", "cones-null", "labels-number", "labels-null",
             "second-cone-asymmetric", "genus-mismatch", "no-cones"])
     def test_bad_fan_file_is_two(self, fan, message, tmp_path, group_file):
         path = tmp_path / "fan.json"

@@ -10,13 +10,12 @@ import pytest
 from siegeltoric.catalog import PRINCIPAL_GENUS_MAX, catalog_get, catalog_names, principal_cone
 from siegeltoric.cone_lattice import (
     ConeShapeError,
-    DegenerateConeError,
     MarkedCone,
     gl_act,
     rational_det,
     sym_dim,
 )
-from siegeltoric.exact_algebra import DimensionError, MultiPoly, PolyMatrix, pencil_det
+from siegeltoric.exact_algebra import MultiPoly, PolyMatrix, pencil_det
 from siegeltoric.jsonio import cone_from_json
 from siegeltoric.volume_ke import (
     F_NVARS_MAX,
@@ -173,7 +172,7 @@ class TestVolumeFunction:
 
     def test_wrong_generator_count(self):
         c = MarkedCone(g=2, scale=1, generators=(((1, 0), (0, 0)),))
-        with pytest.raises(DegenerateConeError):
+        with pytest.raises(ValueError, match=r"^volume polynomial needs 3 generators, cone has 1$"):
             volume_function(c)
 
     def test_pencil_fixes_genus_and_variable_count(self):
@@ -191,7 +190,7 @@ class TestVolumeFunction:
         ((((1, 0), (0, 1)), ((1, 0), (0,)), ((0, 1), (1, 0))), "pencil matrix 1 is not 2x2"),
     ], ids=["empty", "other-size", "ragged-row"])
     def test_malformed_pencil_rejected(self, pencil, message):
-        with pytest.raises(DimensionError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             VolumeFunction(pencil, 1)
 
     def test_level_scaling_normalizes(self):
@@ -635,20 +634,20 @@ class TestKEPoint:
     def test_empty_pencil_is_an_input_error(self):
         # pencil_det and the VolumeFunction built on it both refuse a pencil
         # with no matrices before any determinant is taken
-        with pytest.raises(DimensionError, match=r"^empty pencil$"):
+        with pytest.raises(ValueError, match=r"^empty pencil$"):
             pencil_det([])
-        with pytest.raises(DimensionError, match=r"^empty pencil$"):
+        with pytest.raises(ValueError, match=r"^empty pencil$"):
             VolumeFunction([], 1)
 
     def test_malformed_pencil_messages(self):
         # the shape checks are pencil_size's, made when a VolumeFunction is
         # built; is_ke_point gives the count check on a cone that is not full
         e11, e22 = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
-        with pytest.raises(DimensionError, match=r"^pencil matrix 1 is not 2x2$"):
+        with pytest.raises(ValueError, match=r"^pencil matrix 1 is not 2x2$"):
             VolumeFunction([e11, [[1]], e22], 1)
-        with pytest.raises(DimensionError, match=r"^pencil matrix 2 is not symmetric$"):
+        with pytest.raises(ValueError, match=r"^pencil matrix 2 is not symmetric$"):
             VolumeFunction([e11, e22, [[0, 1], [2, 0]]], 1)
-        with pytest.raises(DimensionError, match=r"^expected 3 matrices for g=2, got 2$"):
+        with pytest.raises(ValueError, match=r"^expected 3 matrices for g=2, got 2$"):
             is_ke_point(MarkedCone(g=2, scale=1, generators=[e11, e22]))
 
     def test_scaled_pencil_still_member(self):
