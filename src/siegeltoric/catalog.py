@@ -19,7 +19,6 @@ from .jsonio import decode_int
 
 
 class CatalogEntry(NamedTuple):
-    name: str
     cone: MarkedCone
     provenance: str
 
@@ -66,7 +65,7 @@ def catalog_get(name: str) -> CatalogEntry:
             raise ValueError(
                 f"genus must be in [1, {PRINCIPAL_GENUS_MAX}] in {quote(name)}")
         return CatalogEntry(
-            name=name, cone=principal_cone(g, 1),
+            cone=principal_cone(g, 1),
             provenance="principal cone of the central cone decomposition "
                        f"(Igusa, Namikawa), genus {g}, full level")
     m = _LEVEL_PATTERN.fullmatch(name)
@@ -75,7 +74,7 @@ def catalog_get(name: str) -> CatalogEntry:
         if level < 1:
             raise ValueError(f"level must be positive in {quote(name)}")
         return CatalogEntry(
-            name=name, cone=principal_cone(2, level),
+            cone=principal_cone(2, level),
             provenance="principal cone of the central cone decomposition, "
                        f"genus 2, principal congruence level {level}")
     raise ValueError(f"no catalog entry named {quote(name)}")

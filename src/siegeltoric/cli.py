@@ -175,19 +175,20 @@ def _cmd_ma_verify(args) -> tuple[dict, bool]:
     v = volume_ke.volume_function(cone)
     mode = "randomized" if args.randomized else "symbolic"
     if args.randomized:
-        result = volume_ke.verify_ma_identity(v, trials=args.trials, seed=args.seed)
+        witnesses = volume_ke.verify_ma_identity(v, trials=args.trials, seed=args.seed)
+        holds = not witnesses
     else:
-        result = volume_ke.MAReport(holds=volume_ke.is_ke_point(cone))
+        witnesses, holds = (), volume_ke.is_ke_point(cone)
     report = {
         "identity": "monge-ampere",
         "mode": mode,
-        "holds": result.holds,
+        "holds": holds,
         "vol": v.vol,
         "g": v.g,
-        "witnesses": result.witnesses,
+        "witnesses": witnesses,
         "seed": args.seed if args.randomized else None,
     }
-    return report, result.holds
+    return report, holds
 
 
 def _cmd_ke_test(args) -> tuple[dict, bool]:
@@ -350,7 +351,7 @@ def _cmd_catalog_list(args) -> tuple[dict, bool]:
     for name in catalog_mod.catalog_names():
         entry = catalog_mod.catalog_get(name)
         entries.append({
-            "name": entry.name,
+            "name": name,
             "g": entry.cone.g,
             "scale": entry.cone.scale,
             "num_generators": len(entry.cone.generators),

@@ -195,29 +195,18 @@ class MultiPoly:
         return _raw(self.nvars, out)
 
     def eval_at(self, point: Sequence[Fraction | int]) -> Fraction | int:
-        """Exact value at a rational point: an int when the coefficients
-        and the point are integral."""
+        """Exact value at a rational point, summed term by term: an int
+        when the coefficients and the point are integral."""
         vals = [_exact(v, "point entry") for v in point]
         if len(vals) != self.nvars:
             raise ValueError(
                 f"point has length {len(vals)}, expected {self.nvars}")
-        # Cache powers per variable; exponents repeat heavily.
-        pow_cache: list[dict[int, Fraction | int]] = [dict() for _ in range(self.nvars)]
-
-        def vpow(i: int, k: int) -> Fraction | int:
-            cache = pow_cache[i]
-            got = cache.get(k)
-            if got is None:
-                got = vals[i] ** k
-                cache[k] = got
-            return got
-
         total = 0
         for exp, c in self._terms.items():
             term = c
-            for i, k in enumerate(exp):
+            for x, k in zip(vals, exp):
                 if k:
-                    term *= vpow(i, k)
+                    term *= x ** k
             total += term
         return total
 

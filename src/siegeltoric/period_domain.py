@@ -145,16 +145,6 @@ def _hermitian_min_eig_above(z: CMatrix, tol) -> bool:
     return _min_eig_above(embedding, tol)
 
 
-def _in_siegel(tau: CMatrix, tol) -> bool:
-    n, m = _shape(tau)
-    if n != m:
-        raise ValueError(f"tau must be square, got {n}x{m}")
-    re, im = tau
-    if _entry_above((_sub(re, _t(re)), _sub(im, _t(im))), tol):
-        return False
-    return _min_eig_above(im, tol)
-
-
 # ----------------------------------------------------------------------
 # public checks
 
@@ -187,8 +177,14 @@ class CuspNilpotent:
 
 def siegel_membership(tau: CMatrix, tol: float) -> bool:
     """tau symmetric within tol and Im(tau) positive definite beyond tol."""
-    _check_genus(_shape(tau)[0])
-    return _in_siegel(tau, tol)
+    n, m = _shape(tau)
+    _check_genus(n)
+    if n != m:
+        raise ValueError(f"tau must be square, got {n}x{m}")
+    re, im = tau
+    if _entry_above((_sub(re, _t(re)), _sub(im, _t(im))), tol):
+        return False
+    return _min_eig_above(im, tol)
 
 
 def riemann_check(filt: CMatrix, tol: float) -> bool:
@@ -359,15 +355,17 @@ def block_volume_identity(tau_prime: CMatrix, z: CMatrix, s: CMatrix, tol: float
     7.8e-3 (2 x 2 blocks): the determinant comparison can decide.
     """
     _check_genus(_shape(tau_prime)[0] + _shape(z)[0])
-    if not _in_siegel(tau_prime, 1e-12):
-        raise ValueError("tau' is not in its Siegel space")
-    if not _in_siegel(z, 1e-12):
-        raise ValueError("Z is not in its Siegel space")
+    for name, block in (("tau'", tau_prime), ("Z", z)):
+        n, m = _shape(block)
+        if n != m:
+            raise ValueError(f"{name} must be square, got {n}x{m}")
+        if not siegel_membership(block, 1e-12):
+            raise ValueError(f"{name} is not in its Siegel space")
     want, got = (_shape(tau_prime)[0], _shape(z)[0]), _shape(s)
     if got != want:
         raise ValueError(f"S must be {want[0]}x{want[1]}, got {got[0]}x{got[1]}")
     tau = _assemble(tau_prime, z, s)
-    if not _in_siegel(tau, tol):
+    if not siegel_membership(tau, tol):
         return False
     lhs = rational_det(tau[1])
     rhs = rational_det(tau_prime[1]) * rational_det(z[1])

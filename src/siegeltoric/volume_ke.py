@@ -166,11 +166,6 @@ class MAWitness(NamedTuple):
     rhs: Fraction
 
 
-class MAReport(NamedTuple):
-    holds: bool
-    witnesses: tuple[MAWitness, ...] = ()   # failing points, randomized mode only
-
-
 def random_point(rng: random.Random, nvars: int) -> tuple[int, ...]:
     """nvars integers in [1, RANDOM_COORD_MAX] (module docstring)."""
     return tuple(rng.randint(1, RANDOM_COORD_MAX) for _ in range(nvars))
@@ -212,11 +207,13 @@ def _det_t_at(gens: Sequence[Sequence[Sequence[int]]],
     return fval, -fval ** n * rational_det(e) / (g - 1)
 
 
-def verify_ma_identity(v: VolumeFunction, trials: int = 20, seed: int = 0) -> MAReport:
+def verify_ma_identity(v: VolumeFunction, trials: int = 20,
+                       seed: int = 0) -> tuple[MAWitness, ...]:
     """Check det(T) = (-1)^N 2^(g(g-1)/2) vol^2 F^((g+1)(g-1)) at `trials`
     random points with integer coordinates in [1, RANDOM_COORD_MAX], which
-    homogeneity makes as strong as rational ones (module docstring),
-    recording any failing point as an exact, replayable witness.
+    homogeneity makes as strong as rational ones (module docstring), and
+    return the failing points as exact, replayable witnesses: the identity
+    holds at the points drawn exactly when none is returned.
     """
     if trials < 1:
         raise ValueError("randomized mode needs trials >= 1")
@@ -233,7 +230,7 @@ def verify_ma_identity(v: VolumeFunction, trials: int = 20, seed: int = 0) -> MA
         rhs = c * fval ** ((v.g + 1) * (v.g - 1))
         if lhs != rhs:
             witnesses.append(MAWitness(point=point, lhs=lhs, rhs=rhs))
-    return MAReport(holds=not witnesses, witnesses=tuple(witnesses))
+    return tuple(witnesses)
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_criterion_03_ma_identity_g3_randomized(capsys):
     first = verify_ma_identity(v, trials=20, seed=2024)
     second = verify_ma_identity(v, trials=20, seed=2024)
     elapsed = time.perf_counter() - t0
-    ok = first.holds and first == second and len(first.witnesses) == 0
+    ok = first == second == ()
     announce(capsys, "criterion 3: MA identity g=3 randomized (20 points, "
                      "seed-reproducible)", ok, elapsed, 60.0)
 

@@ -432,9 +432,18 @@ class TestExitCodes:
         ("riemann", {"re": [[0] * 9] * 9,
                      "im": [[int(i == j) for j in range(9)] for i in range(9)]},
          "period-domain checks limited to g <= 8, got g=9"),
+        ("block-volume", {"tau_prime": {"re": [[0.0, 0.0]], "im": [[1.0, 0.0]]},
+                          "Z": {"re": [[0.0]], "im": [[1.0]]},
+                          "S": {"re": [[0.0]], "im": [[0.0]]}},
+         "tau' must be square, got 1x2"),
+        ("block-volume", {"tau_prime": {"re": [[0.0]], "im": [[1.0]]},
+                          "Z": {"re": [[0.0], [0.0]], "im": [[1.0], [0.0]]},
+                          "S": {"re": [[0.0]], "im": [[0.0]]}},
+         "Z must be square, got 2x1"),
     ], ids=["siegel", "riemann", "weight", "nilpotent", "block-volume", "riemann-1x3",
             "riemann-rank-deficient", "riemann-tau-outside", "nilpotent-not-positive",
-            "block-volume-z-outside", "riemann-genus-9"])
+            "block-volume-z-outside", "riemann-genus-9", "block-volume-tau-prime-1x2",
+            "block-volume-z-2x1"])
     def test_hodge_input_error_names_the_file(self, sub, obj, message, tmp_path,
                                               monkeypatch, capsys):
         # the prefix every file-reading subcommand puts before an input error

@@ -1023,10 +1023,6 @@ class TestConstructionInvariants:
         with pytest.raises(ConeShapeError, match=rf"^{name} must be positive, got 0$"):
             MarkedCone(generators=(E11,), **args)
 
-    def test_lattice_violation_rejected(self):
-        with pytest.raises(ValueError, match=r"^entry \(1,1\)=1 not divisible by scale 2$"):
-            cone2(E11, scale=2)
-
     def test_lattice_violation_is_a_shape_error(self):
         with pytest.raises(ConeShapeError, match=r"^entry \(1,1\)=1 not divisible by scale 2$"):
             cone2(E11, scale=2)

@@ -182,7 +182,7 @@ class TestVolumeFunction:
         w = VolumeFunction(v.pencil, 1)
         assert (w.g, w.nvars) == (3, 6)
         assert is_ke_point(SIGMA0_G3)
-        assert verify_ma_identity(w, trials=2, seed=1) == (True, ())
+        assert verify_ma_identity(w, trials=2, seed=1) == ()
 
     @pytest.mark.parametrize("pencil, message", [
         ((), "empty pencil"),
@@ -396,7 +396,7 @@ class TestMAIdentity:
                 w = VolumeFunction(v.pencil, vol)
                 holds = det_t_symbolic(w) == ma_rhs(w)
                 assert holds == (lhs == rhs) == (vol ** 2 == d ** 2) == (vol == d), (g, vol)
-                assert verify_ma_identity(w, trials=2, seed=5).holds == holds
+                assert (verify_ma_identity(w, trials=2, seed=5) == ()) == holds
 
     def test_degenerate_pencil_errors_not_false(self):
         with pytest.raises(Exception):
@@ -408,17 +408,17 @@ class TestMAIdentity:
         v = volume_function(SIGMA0_G3)
         r1 = verify_ma_identity(v, trials=5, seed=123)
         r2 = verify_ma_identity(v, trials=5, seed=123)
-        assert r1 == r2 and r1.holds
+        assert r1 == r2 == ()
 
     def test_randomized_catches_wrong_volume(self):
         v = volume_function(SIGMA0)
         broken = VolumeFunction(v.pencil, 2)
-        report = verify_ma_identity(broken, trials=4, seed=7)
-        assert not report.holds
+        witnesses = verify_ma_identity(broken, trials=4, seed=7)
+        assert witnesses
         # witnesses are exact and replayable: lhs is det T at the point,
         # as the oracle's cofactor determinant of the evaluated T entries
         grid = oracle.t_matrix_grid(v.F.terms, 3)
-        for w in report.witnesses:
+        for w in witnesses:
             assert w.lhs != w.rhs
             scalar_grid = [[{(): oracle.p_eval(grid[i][j], w.point)} for j in range(3)]
                            for i in range(3)]
@@ -443,7 +443,7 @@ class TestMAIdentity:
             for vol in (v.vol, v.vol + 1):
                 w = VolumeFunction(v.pencil, vol)
                 randomized = verify_ma_identity(w, trials=trials, seed=4)
-                assert (d * d == vol * vol) == randomized.holds == (vol == v.vol), (v.g, vol)
+                assert (d * d == vol * vol) == (randomized == ()) == (vol == v.vol), (v.g, vol)
 
     def test_sign_flip_invariance(self):
         # degree g(g^2-1) is even, so both sides agree at -x as well
@@ -464,7 +464,7 @@ class TestMAIdentity:
             gamma = random_unimodular(rng, 2)
             moved = gl_act(gamma, SIGMA0)
             assert is_ke_point(moved)
-            assert verify_ma_identity(volume_function(moved), trials=2).holds
+            assert verify_ma_identity(volume_function(moved), trials=2) == ()
 
 
 class TestSymbolicPremise:
@@ -596,19 +596,19 @@ class TestRandomizedFromPencil:
                 assert tq == d ** (v.nvars * (2 * v.g - 2)) * tp, v.g
 
     def test_wrong_volume_witnesses_match_oracle(self):
-        # the reports carry the oracle's witnesses, so their bytes agree too
+        # the returned witnesses are the oracle's, so their bytes agree too
         for g, trials in ((2, 6), (3, 4), (4, 2), (5, 1)):
             v = volume_function(principal_cone(g))
             for vol in (2, 3):
                 w = VolumeFunction(v.pencil, vol)
-                report = verify_ma_identity(w, trials=trials, seed=g)
+                witnesses = verify_ma_identity(w, trials=trials, seed=g)
                 points = random_points(g, v.nvars, trials)
                 c = ma_rhs_constant(g, vol)
                 expected = tuple(
                     MAWitness(point=p, lhs=lhs, rhs=c * fval ** ((g + 1) * (g - 1)))
                     for p, (fval, lhs) in zip(points, polynomial_det_t_values(v.F, points)))
-                assert not report.holds and report.witnesses == expected, (g, vol)
-                assert all(type(x) is int for w in report.witnesses for x in w.point)
+                assert witnesses and witnesses == expected, (g, vol)
+                assert all(type(x) is int for w in witnesses for x in w.point)
 
 
 class TestKEPoint:
@@ -667,7 +667,7 @@ class TestKEPoint:
             v = volume_function(c)
             assert v.pencil == tuple(tuple(map(tuple, m)) for m in oracle.g2_rows_to_pencil(rows))
             assert abs(det_m(v.pencil)) == c.index == v.vol
-            assert verify_ma_identity(v, trials=2).holds
+            assert verify_ma_identity(v, trials=2) == ()
 
     def test_random_independent_pencils_are_members(self):
         # the identity is a linear-substitution image of the log-det Hessian
@@ -747,7 +747,7 @@ class TestConcurrency:
         assert results[0] == results[1]
         assert results[2] == results[3]
         assert results[4] == results[5]
-        assert all(r.holds for r in results)
+        assert all(r == () for r in results)
 
 
 class TestG2ClosedForm:
