@@ -1,8 +1,8 @@
 """Exact checks on the Siegel space, its period-domain model, and cusps.
 
 Siegel membership, the Hodge filtration attached to a point tau, the
-Riemann bilinear relations, positive-cone membership for cusp nilpotents,
-weight filtrations, the nilpotent-orbit test exp(iN) Fdual, and the block
+Riemann bilinear relations, weight filtrations, the nilpotent-orbit test
+exp(iN) Fdual of a nilpotent in the positive cone, and the block
 determinant identity det Im(tau) = det Im(tau') det Im(Z), each with an
 explicit tolerance.
 
@@ -109,11 +109,6 @@ def _mul(a: Matrix, b: Matrix) -> Matrix:
             for row in ai]
 
 
-def _cmul(x: CMatrix, y: CMatrix) -> CMatrix:
-    (a, b), (c, d) = x, y
-    return _sub(_mul(a, c), _mul(b, d)), _add(_mul(a, d), _mul(b, c))
-
-
 def _psi(a: Matrix) -> Matrix:
     """psi a = [-bottom; top] for psi = [[0, -I], [I, 0]]."""
     g = len(a) // 2
@@ -205,20 +200,21 @@ def riemann_check(filt: CMatrix, tol: float) -> bool:
 
 
 def _riemann(f: CMatrix, tol) -> bool:
-    re, im = f
-    ft = (_t(re), _t(im))
-    gram = _cmul((ft[0], _neg(ft[1])), f)
-    if not _hermitian_min_eig_above(gram, Fraction(tol) ** 2):
+    """The three forms of F = R + iJ from six real products; psi^T = -psi
+    gives J^T R = W^T and J^T psi R = -V^T for W = R^T J, V = R^T psi J:
+    F*F = (R^T R + J^T J) + i(W - W^T),
+    F^T psi F = (R^T psi R - J^T psi J) + i(V - V^T),
+    H = (V + V^T) + i(R^T psi R + J^T psi J)."""
+    r, j = f
+    rt, jt = _t(r), _t(j)
+    w, v = _mul(rt, j), _mul(rt, _psi(j))
+    rpr, jpj = _mul(rt, _psi(r)), _mul(jt, _psi(j))
+    if not _hermitian_min_eig_above((_add(_mul(rt, r), _mul(jt, j)), _sub(w, _t(w))),
+                                    Fraction(tol) ** 2):
         raise ValueError("filtration basis is rank deficient")
-    if _entry_above(_cmul(ft, (_psi(re), _psi(im))), tol):
+    if _entry_above((_sub(rpr, jpj), _sub(v, _t(v))), tol):
         return False
-    a, b = _cmul(ft, (_psi(re), _neg(_psi(im))))
-    return _hermitian_min_eig_above((_neg(b), a), tol)
-
-
-def positive_cone_membership(n: CuspNilpotent, tol: float) -> bool:
-    """u symmetric positive definite beyond tol."""
-    return _min_eig_above(n.u, tol)
+    return _hermitian_min_eig_above((_add(v, _t(v)), _add(rpr, jpj)), tol)
 
 
 def weight_filtration(n: CuspNilpotent, tol: float) -> tuple[int, int]:
@@ -313,7 +309,7 @@ def nilpotent_orbit_check(n: CuspNilpotent, tau_cusp: CMatrix | None, tol: float
             raise ValueError(f"tau_cusp must be {k}x{k}, got {rows}x{cols}")
         if not siegel_membership(tau_cusp, 1e-12):
             raise ValueError("tau_cusp is not in the depth-k Siegel space")
-    if not positive_cone_membership(n, tol):
+    if not _min_eig_above(n.u, tol):
         raise ValueError("nilpotent is not in the positive cone")
     # [diag(tau_cusp, i u); I]
     re = [[Fraction(j == i - g) for j in range(g)] for i in range(2 * g)]
@@ -334,12 +330,12 @@ def _assemble(tau_prime: CMatrix, z: CMatrix, s: CMatrix) -> CMatrix:
     returned exactly as the pair (Re tau, Im tau) of Fraction matrices.
     """
     (tr, ti), (zr, zi), (a, b) = tau_prime, z, s
-    bt = _t(b)
-    upper = (_sub(a, _mul(tr, b)), _neg(_mul(ti, b)))
+    bt, trb, tib = _t(b), _mul(tr, b), _mul(ti, b)
+    upper = (_sub(a, trb), _neg(tib))
     sym = _mul(_t(a), b)
-    corner = (_sub(_add(zr, _mul(bt, _mul(tr, b))),
+    corner = (_sub(_add(zr, _mul(bt, trb)),
                    [[(x + y) / 2 for x, y in zip(r1, r2)] for r1, r2 in zip(sym, _t(sym))]),
-              _add(zi, _mul(bt, _mul(ti, b))))
+              _add(zi, _mul(bt, tib)))
     return tuple(
         [r1 + r2 for r1, r2 in zip(top, up)] + [r1 + r2 for r1, r2 in zip(_t(up), low)]
         for top, up, low in zip(tau_prime, upper, corner))

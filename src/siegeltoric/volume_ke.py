@@ -171,17 +171,11 @@ def random_point(rng: random.Random, nvars: int) -> tuple[int, ...]:
     return tuple(rng.randint(1, RANDOM_COORD_MAX) for _ in range(nvars))
 
 
-def det_t_values(v: VolumeFunction, points: Sequence[Sequence[int]]
-                 ) -> list[tuple[Fraction, Fraction]]:
-    """(F(p), det(T)(p)) at each integer point p, from the integer pencil
-    alone: F is never expanded (module docstring)."""
-    return [_det_t_at(v.pencil, p) for p in points]
-
-
-def _det_t_at(gens: Sequence[Sequence[Sequence[int]]],
-              point: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """F(p) and det(T)(p) from the integer pencil alone, by one integer
-    adjugate and one integer determinant (module docstring)."""
+def det_t_at(v: VolumeFunction, point: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """F(p) and det(T)(p) at an integer point p from the integer pencil
+    alone, by one integer adjugate and one integer determinant: F is never
+    expanded (module docstring)."""
+    gens = v.pencil
     g, n = len(gens[0]), len(gens)
     if g == 1:
         return (Fraction(sum(x * m[0][0] for x, m in zip(point, gens))),
@@ -226,7 +220,8 @@ def verify_ma_identity(v: VolumeFunction, trials: int = 20,
     points = [random_point(rng, v.nvars) for _ in range(trials)]
     c = ma_rhs_constant(v.g, v.vol)
     witnesses = []
-    for point, (fval, lhs) in zip(points, det_t_values(v, points)):
+    for point in points:
+        fval, lhs = det_t_at(v, point)
         rhs = c * fval ** ((v.g + 1) * (v.g - 1))
         if lhs != rhs:
             witnesses.append(MAWitness(point=point, lhs=lhs, rhs=rhs))

@@ -1,12 +1,16 @@
-"""Exact oracle for the point checks of siegeltoric.period_domain.
+"""Exact oracles for the point checks of siegeltoric.period_domain.
 
 The 2g x g route that `hodge riemann` on a point tau and `hodge
 nilpotent` took before they became Riemann checks at a point: the
 filtration basis [tau; I] of tau, the dual cusp filtration, the 2g x 2g
 nilpotent N and the product (I + iN) F_dual, each built as a matrix of
 Fractions and handed to `period_domain.riemann_check` as a 2g x g
-filtration basis.  Tests require the package to give the same verdict and
-the same error text on seeded inputs.
+filtration basis.  And the Riemann check itself as the package made it
+before it read the three forms off six real products: F*F, F^T psi F and
+F^T psi conj(F) as three complex products, each positive-definiteness
+test through cone_lattice.psd_rank on a real embedding, and the entries
+of F^T psi F compared by modulus.  Tests require the package to give the
+same verdict and the same error text on seeded inputs.
 
 numpy is not imported, so every test that uses this module runs without
 it.
@@ -16,11 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from siegeltoric.period_domain import (
-    positive_cone_membership,
-    riemann_check,
-    siegel_membership,
-)
+from siegeltoric.cone_lattice import psd_rank
+from siegeltoric.period_domain import riemann_check, siegel_membership
 
 
 def filtration_from_tau(tau):
@@ -78,6 +79,51 @@ def _mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _neg(a):
+    return [[-x for x in row] for row in a]
+
+
+def _cmul(x, y):
+    (a, b), (c, d) = x, y
+    return ([[p - q for p, q in zip(r, s)] for r, s in zip(_mul(a, c), _mul(b, d))],
+            [[p + q for p, q in zip(r, s)] for r, s in zip(_mul(a, d), _mul(b, c))])
+
+
+def _min_eig_above(m, t) -> bool:
+    """The smallest eigenvalue of the symmetric part of m exceeds t."""
+    n, t = len(m), Fraction(t)
+    return psd_rank([[(m[i][j] + m[j][i]) / 2 - (t if i == j else 0) for j in range(n)]
+                     for i in range(n)]) == n
+
+
+def _hermitian_min_eig_above(z, t) -> bool:
+    """The same for the Hermitian part of z = A + iB, on [[A, -B], [B, A]]."""
+    a, b = z
+    return _min_eig_above([ra + [-x for x in rb] for ra, rb in zip(a, b)]
+                          + [rb + ra for ra, rb in zip(a, b)], t)
+
+
+def riemann_by_complex_products(f, tol) -> bool:
+    """`hodge riemann` as three complex products: a square input is a
+    Siegel point tau, checked on [tau; I]; a 2g x g one is checked as it
+    is."""
+    if len(f[0]) == len(f[0][0]):
+        f = filtration_from_tau(f)
+    re, im = f
+    g = len(re[0])
+    ft = ([list(c) for c in zip(*re)], [list(c) for c in zip(*im)])
+    psi_re, psi_im = _neg(re[g:]) + re[:g], _neg(im[g:]) + im[:g]
+    if not _hermitian_min_eig_above(_cmul((ft[0], _neg(ft[1])), f), Fraction(tol) ** 2):
+        raise ValueError("filtration basis is rank deficient")
+    t2 = Fraction(tol) ** 2
+    first = _cmul(ft, (psi_re, psi_im))
+    if any(x * x + y * y > t2 for rx, ry in zip(*first) for x, y in zip(rx, ry)):
+        return False
+    # H = i F^T psi conj(F) = -b + ia
+    a, b = _cmul(ft, (psi_re, _neg(psi_im)))
+    return _hermitian_min_eig_above((_neg(b), a), tol)
+
+
 def riemann_on_tau(tau, tol) -> bool:
     """`hodge riemann` on a square tau: the 2g x g check of [tau; I]."""
     return riemann_check(filtration_from_tau(tau), tol)
@@ -87,7 +133,7 @@ def nilpotent_orbit_check(n, tau_cusp, tol) -> bool:
     """`hodge nilpotent`: exp(iN) = I + iN applied to the dual cusp
     filtration, then the 2g x g check."""
     re, im = dual_cusp_filtration(n, tau_cusp)
-    if not positive_cone_membership(n, tol):
+    if not _min_eig_above(n.u, tol):
         raise ValueError("nilpotent is not in the positive cone")
     nm = nilpotent_matrix(n)
     # (I + iN)(Re + i Im) = (Re - N Im) + i (Im + N Re)

@@ -27,7 +27,7 @@ def volume_function_from_pencil(mats: Sequence[Sequence[Sequence[Fraction | int]
                                 vol: int) -> VolumeFunction:
     """Volume-function wrapper around an explicit pencil (no cone attached);
     its N matrices must be symmetric, but need not be independent, and
-    det_t_values reads int entries only."""
+    det_t_at reads int entries only."""
     return VolumeFunction(pencil=tuple(tuple(map(tuple, m)) for m in mats), vol=vol)
 
 

@@ -623,7 +623,7 @@ class TestExitCodes:
         def evaluated(*args):
             raise AssertionError("a point was evaluated")
 
-        monkeypatch.setattr(volume_ke, "_det_t_at", evaluated)
+        monkeypatch.setattr(volume_ke, "det_t_at", evaluated)
         for g, trials in ((11, 1), (10, 3), (9, 8)):
             argv = ["ma", "verify", f"principal-g{g}", "--randomized", "--trials", str(trials)]
             assert main(argv) == 2

@@ -15,6 +15,11 @@ error is reached; nilpotents at every depth 0 <= k < g with u and
 tau_cusp asymmetric within 1e-12; and every error path of
 nilpotent_orbit_check, in order.  The smallest eigenvalues are known by
 construction: Y = R D R^T with R a product of rational Givens rotations.
+
+riemann_check reads F*F, F^T psi F and H off six real products of
+R = Re F and J = Im F; the oracle riemann_by_complex_products forms them
+as three complex products, and the two must agree on square and 2g x g
+inputs whose entries spread over 2^(+-200).
 """
 
 import random
@@ -119,6 +124,43 @@ def test_riemann_genus_guard_comes_first():
     want = outcome(old.riemann_on_tau, tau, 1e-9)
     assert want.startswith("CostGuardError: period-domain checks limited to")
     assert outcome(riemann_check, tau, 1e-9) == want
+
+
+def spread_cases():
+    """Seeded inputs at g <= 5, entries scaled by 2^k with |k| <= 200: a
+    point tau, with Im tau positive definite or negated, symmetric or
+    skewed within or beyond 1e-12, taken as it is or as the basis
+    [tau; I](A + iB) for small integer A and B, singular or not."""
+    rng = random.Random(5252)
+    for _ in range(360):
+        g = rng.randint(1, 5)
+        (x, y), _ = siegel_point(rng, g, 1)
+        if rng.random() < 0.3:
+            y = [[-v for v in row] for row in y]
+        if g > 1 and rng.random() < 0.5:
+            size = rng.choice((None, Fraction(3, 10 ** 12), Fraction(1, 8)))
+            if rng.random() < 0.5:
+                x = skewed(rng, x, size)
+            else:
+                y = skewed(rng, y, size)
+        f = (x, y)
+        if rng.random() < 0.6:
+            a, b = ([[Fraction(rng.randint(-2, 2)) for _ in range(g)] for _ in range(g)]
+                    for _ in range(2))
+            top = old._cmul((x, y), (a, b))
+            f = (top[0] + a, top[1] + b)
+        scale = Fraction(2) ** rng.choice((0, rng.randint(-200, 200)))
+        yield (tuple([[scale * v for v in row] for row in part] for part in f),
+               rng.choice((1e-15, 1e-9, 1e-3, 0.5, 1, 2)))
+
+
+def test_riemann_matches_complex_products():
+    seen = set()
+    for f, tol in spread_cases():
+        want = outcome(old.riemann_by_complex_products, f, tol)
+        assert outcome(riemann_check, f, tol) == want, (f, tol)
+        seen.add(want)
+    assert seen == {True, False, RANK_DEFICIENT, OUTSIDE}
 
 
 def nilpotent_cases():

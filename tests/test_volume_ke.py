@@ -23,7 +23,7 @@ from siegeltoric.volume_ke import (
     MAWitness,
     VolumeFunction,
     det_t_symbolic,
-    det_t_values,
+    det_t_at,
     is_ke_point,
     ma_rhs,
     ma_rhs_constant,
@@ -123,7 +123,7 @@ def random_invertible_rows(rng):
 
 def polynomial_det_t_values(f, points):
     """(F(p), det(T)(p)) at each point by the polynomial route, the oracle
-    of det_t_values: F is expanded, and for deg F >= 2 each of its second
+    of det_t_at: F is expanded, and for deg F >= 2 each of its second
     partials is built once and evaluated at every point, det(T) being
     -F^N det(H) / (deg F - 1) there; for deg F < 2 det(T) is a constant."""
     n = f.nvars
@@ -405,10 +405,14 @@ class TestMAIdentity:
                 ((1, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1))))
 
     def test_randomized_seed_reproducible(self):
-        v = volume_function(SIGMA0_G3)
+        # a wrong volume makes every point drawn a witness (F > 0 on the
+        # principal cone's positive points), so the tuples pin the points
+        v = VolumeFunction(volume_function(SIGMA0_G3).pencil, 2)
         r1 = verify_ma_identity(v, trials=5, seed=123)
         r2 = verify_ma_identity(v, trials=5, seed=123)
-        assert r1 == r2 == ()
+        assert len(r1) == 5 and r1 == r2
+        other = verify_ma_identity(v, trials=5, seed=124)
+        assert [w.point for w in other] != [w.point for w in r1]
 
     def test_randomized_catches_wrong_volume(self):
         v = volume_function(SIGMA0)
@@ -509,11 +513,11 @@ class TestSymbolicPremise:
 
 
 class TestRandomizedFromPencil:
-    """det_t_values (one integer adjugate per point) against the polynomial
+    """det_t_at (one integer adjugate per point) against the polynomial
     route, exactly."""
 
     def assert_matches_oracle(self, v, points):
-        assert det_t_values(v, points) == polynomial_det_t_values(v.F, points)
+        assert [det_t_at(v, p) for p in points] == polynomial_det_t_values(v.F, points)
 
     def test_principal_cones_and_translates(self):
         from test_cone_lattice import random_unimodular
@@ -555,7 +559,7 @@ class TestRandomizedFromPencil:
             self.assert_matches_oracle(v, points)
             g, n = v.g, v.nvars
             rational = volume_function_from_pencil(mats, vol=1)
-            assert det_t_values(v, points) == [
+            assert [det_t_at(v, p) for p in points] == [
                 (s ** g * fval, s ** (2 * g * n) * lhs)
                 for fval, lhs in polynomial_det_t_values(rational.F, points)]
 
@@ -570,7 +574,7 @@ class TestRandomizedFromPencil:
         cases = [(v2, [(3, 4, 5)]),
                  (v3, [(1, 0, 0, 1, 0, 0), (1, 1, 0, 1, 0, 0)])]
         for v, points in cases:
-            assert all(fval == lhs == 0 for fval, lhs in det_t_values(v, points))
+            assert all(det_t_at(v, p) == (0, 0) for p in points)
             self.assert_matches_oracle(v, points)
 
     def test_homogeneity_pin(self):
@@ -590,7 +594,7 @@ class TestRandomizedFromPencil:
                      for _ in range(v.nvars)]
                 d = math.lcm(*(x.denominator for x in p))
                 q = tuple(int(d * x) for x in p)
-                [(fq, tq)] = det_t_values(v, [q])
+                fq, tq = det_t_at(v, q)
                 [(fp, tp)] = polynomial_det_t_values(v.F, [p])
                 assert fq == d ** v.g * fp, v.g
                 assert tq == d ** (v.nvars * (2 * v.g - 2)) * tp, v.g
@@ -736,7 +740,8 @@ class TestConcurrency:
         # immutable values, pure operations: concurrent runs must agree
         from concurrent.futures import ThreadPoolExecutor
 
-        v = volume_function(SIGMA0_G3)
+        # a wrong volume, so that every point drawn is a witness
+        v = VolumeFunction(volume_function(SIGMA0_G3).pencil, 2)
 
         def work(seed):
             return verify_ma_identity(v, trials=5, seed=seed)
@@ -744,10 +749,12 @@ class TestConcurrency:
         seeds = [7, 7, 11, 11, 13, 13]
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(work, seeds))
+        assert all(len(r) == 5 for r in results)
         assert results[0] == results[1]
         assert results[2] == results[3]
         assert results[4] == results[5]
-        assert all(r == () for r in results)
+        points = [tuple(w.point for w in r) for r in results[::2]]
+        assert len(set(points)) == 3
 
 
 class TestG2ClosedForm:

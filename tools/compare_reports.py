@@ -25,7 +25,8 @@ past the benchmark's `hodge` requests, which stop at genus 3, `hodge
 siegel`, `riemann`, `nilpotent`, `weight` (depth 0, so u is 8 x 8) and
 `block-volume` at genus period_domain.HODGE_GENUS_MAX = 8, on seeded
 points that are written there with perfbench/inputs.py's
-`_siegel_point`.  `frontier_requests` writes these files and lists the
+`_siegel_point`, and `riemann` on a 16 x 8 filtration basis [tau A; A]
+there, A from its `random_frame`.  `frontier_requests` writes these files and lists the
 frontier requests, for tools/frontier_bench.py too.  Every request runs
 once under BASE_CHECKOUT/src and once under this checkout's src, and
 every request whose exit code, stdout or stderr differ is listed.  Exits
@@ -111,7 +112,10 @@ def hodge_files(tmp):
     tmp, each point drawn by perfbench/inputs.py's `_siegel_point`, and
     return their argv: a point for `siegel` and `riemann`, a depth-3 cusp
     nilpotent for `nilpotent`, a depth-0 one (u is 8 x 8) for `weight`,
-    and block coordinates of sizes 3 and 5 for `block-volume`."""
+    block coordinates of sizes 3 and 5 for `block-volume`, and, drawn
+    last so that the other files keep their bytes, a 16 x 8 filtration
+    basis [tau A; A] for `riemann`, with A in GL(8,Z) from
+    perfbench/inputs.py's `random_frame`."""
     g, k = HODGE_GENUS_MAX, HODGE_DEPTH
     rng = random.Random(HODGE_SEED)
     docs = {
@@ -124,13 +128,17 @@ def hodge_files(tmp):
                   "S": {part: [[rng.uniform(-1, 1) for _ in range(g - k)] for _ in range(k)]
                         for part in ("re", "im")}},
     }
+    tau, a = inputs._siegel_point(rng, g), inputs.random_frame(rng, g, k)[0]
+    docs["filt"] = {"re": inputs.matmul(tau["re"], a) + a,
+                    "im": inputs.matmul(tau["im"], a) + [[0] * g for _ in range(g)]}
     for name, doc in docs.items():
         with open(os.path.join(tmp, f"hodge-{name}-g{g}.json"), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
     return [["hodge", check, f"hodge-{name}-g{g}.json", *tail]
             for check, name, tail in (("siegel", "tau", []), ("riemann", "tau", []),
                                       ("nilpotent", "nilp", []), ("weight", "weight", []),
-                                      ("block-volume", "block", ["--tol", "1e-8"]))]
+                                      ("block-volume", "block", ["--tol", "1e-8"]),
+                                      ("riemann", "filt", []))]
 
 
 def frontier_requests(tmp):
